@@ -241,17 +241,17 @@ def fractional_delay(samples, shift_samples: float, out_len: int | None = None) 
 
     Implemented as a phase ramp on the spectrum of the zero-padded frame; the
     shift is circular on that frame, so energy is conserved exactly for any
-    fractional shift.
+    fractional shift.  Leading axes of ``samples`` are independent frames.
     """
     x = np.asarray(samples, dtype=complex)
-    n = x.size if out_len is None else int(out_len)
-    if n < x.size:
+    n = x.shape[-1] if out_len is None else int(out_len)
+    if n < x.shape[-1]:
         raise ValueError("out_len must not truncate the input")
-    padded = np.zeros(n, dtype=complex)
-    padded[: x.size] = x
-    spec = np.fft.fft(padded)
+    padded = np.zeros(x.shape[:-1] + (n,), dtype=complex)
+    padded[..., : x.shape[-1]] = x
+    spec = np.fft.fft(padded, axis=-1)
     ramp = np.exp(-2j * np.pi * np.fft.fftfreq(n) * shift_samples)
-    return np.fft.ifft(spec * ramp)
+    return np.fft.ifft(spec * ramp, axis=-1)
 
 
 def apply_radar_channel(
@@ -260,16 +260,17 @@ def apply_radar_channel(
     bf: Beamformer,
     sample_period: float,
     frame_len: int | None = None,
-    start_time: float = 0.0,
+    start_time: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """Backscatter response at the RF chains for one transmitted frame.
+    """Backscatter response at the RF chains for a block of transmitted frames.
 
     Parameters
     ----------
-    samples : array_like
-        Transmit samples (already amplitude-scaled).
+    samples : array_like, shape (..., L)
+        Transmit samples (already amplitude-scaled); leading axes index
+        frames, e.g. the (F, L) frames of one CPI.
     targets : sequence of RadarTarget
-        May be empty, in which case a zero frame is returned.
+        May be empty, in which case zero frames are returned.
     bf : Beamformer
         Tx beam f and Rx reduction matrix U.
     sample_period : float
@@ -277,30 +278,33 @@ def apply_radar_channel(
     frame_len : int, optional
         Output frame length N (defaults to the input length).  Delays wrap
         circularly on this frame.
-    start_time : float
-        Absolute time of sample 0, so Doppler stays coherent across frames.
+    start_time : float or array_like, shape (...)
+        Absolute time of sample 0 of each frame, so Doppler stays coherent
+        across frames.
 
     Returns
     -------
-    ndarray, shape (N_rf, N)
+    ndarray, shape (..., N_rf, N)
         y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
+        Each frame equals the response computed for that frame alone.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
     x = np.asarray(samples, dtype=complex)
-    n = x.size if frame_len is None else int(frame_len)
+    n = x.shape[-1] if frame_len is None else int(frame_len)
     n_rf = bf.rx_matrix.shape[1]
-    out = np.zeros((n_rf, n), dtype=complex)
+    out = np.zeros(x.shape[:-1] + (n_rf, n), dtype=complex)
     if not targets:
         return out
-    t = start_time + np.arange(n) * sample_period
+    start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
+    t = start[..., None] + np.arange(n) * sample_period
     num_antennas = bf.rx_matrix.shape[0]
     for tg in targets:
         a = steering(tg.angle_rad, num_antennas)
         spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
         delayed = fractional_delay(x, tg.delay_s / sample_period, n)
         delayed *= np.exp(2j * np.pi * tg.doppler_hz * t)
-        out += spatial[:, None] * delayed[None, :]
+        out += spatial[:, None] * delayed[..., None, :]
     return out
 
 
@@ -330,8 +334,14 @@ def apply_comm_channel(samples, paths, tx_beam, sample_period: float) -> np.ndar
     return out
 
 
-def awgn(samples, noise_variance: float, rng=None) -> np.ndarray:
-    """Add circular complex Gaussian noise with the given per-sample variance."""
+def awgn(samples, noise_variance: float, rng=None, frame_axes: int = 0) -> np.ndarray:
+    """Add circular complex Gaussian noise with the given per-sample variance.
+
+    The noise of each block over the trailing axes is drawn as its real part,
+    then its imaginary part.  ``frame_axes`` leading axes index such blocks,
+    so a stack of frames draws the same stream as one call per frame in
+    order; with the default 0 the whole array is one block.
+    """
     if noise_variance < 0:
         raise ValueError("noise variance must be non-negative")
     x = np.asarray(samples, dtype=complex)
@@ -339,5 +349,8 @@ def awgn(samples, noise_variance: float, rng=None) -> np.ndarray:
         return x.copy()
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     scale = math.sqrt(noise_variance / 2.0)
-    noise = gen.standard_normal(x.shape) + 1j * gen.standard_normal(x.shape)
+    shape = x.shape[:frame_axes] + (2,) + x.shape[frame_axes:]
+    re, im = np.moveaxis(gen.standard_normal(shape), frame_axes, 0)
+    noise = re + 1j * im
+    del re, im  # release the real draw before the sum is formed
     return x + scale * noise

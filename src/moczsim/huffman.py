@@ -10,6 +10,7 @@ is the unit-energy coefficient vector of the polynomial with those zeros.  All
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,6 +111,25 @@ def _leading_coeff(weights, params: ModulationParams):
     )
 
 
+@lru_cache(maxsize=4)
+def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
+    # Logs of the zero factors on the K+1 roots of unity: the per-point sum
+    # of the inner (bit 0) factors, and the (K+1, K) outer-minus-inner
+    # differences that each set bit adds.  Read-only, since every caller
+    # shares them.
+    K = params.num_bits
+    R = params.outer_radius
+    grid = np.exp(2j * np.pi * np.arange(K + 1) / (K + 1))
+    pair_angles = np.exp(2j * np.pi * np.arange(K) / K)
+    log_outer = np.log(grid[:, None] - R * pair_angles[None, :])
+    log_inner = np.log(grid[:, None] - pair_angles[None, :] / R)
+    inner_sum = log_inner.sum(axis=1)
+    outer_minus_inner = log_outer - log_inner
+    inner_sum.flags.writeable = False
+    outer_minus_inner.flags.writeable = False
+    return inner_sum, outer_minus_inner
+
+
 def encode_batch(messages, params: ModulationParams) -> np.ndarray:
     """Encode a batch of bit messages into transmit sequences.
 
@@ -131,7 +151,9 @@ def encode_batch(messages, params: ModulationParams) -> np.ndarray:
     of zeros clustered on an arc grow combinatorially large before cancelling,
     which destroys double precision for K beyond roughly 100; the evaluation
     route is exact up to rounding because the sequence spectrum is within
-    [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.
+    [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  The (K+1, K) log
+    basis depends only on ``params`` and is cached for the four most recent
+    parameter sets.
     """
     m = np.atleast_2d(np.asarray(messages))
     if m.ndim != 2 or m.shape[1] != params.num_bits:
@@ -140,18 +162,12 @@ def encode_batch(messages, params: ModulationParams) -> np.ndarray:
         raise ValueError("bit message entries must be 0 or 1")
     m = m.astype(np.float64)
 
-    K = params.num_bits
-    R = params.outer_radius
-    n_coef = K + 1
-    grid = np.exp(2j * np.pi * np.arange(n_coef) / n_coef)
-    pair_angles = np.exp(2j * np.pi * np.arange(K) / K)
-    log_outer = np.log(grid[:, None] - R * pair_angles[None, :])
-    log_inner = np.log(grid[:, None] - pair_angles[None, :] / R)
+    inner_sum, outer_minus_inner = _log_basis(params)
     # exp of summed logs equals the zero product; branch offsets cancel in exp.
-    evals = np.exp(log_inner.sum(axis=1)[:, None] + (log_outer - log_inner) @ m.T)
+    evals = np.exp(inner_sum[:, None] + outer_minus_inner @ m.T)
     evals *= _leading_coeff(m.sum(axis=1), params)[None, :]
 
-    x = (np.fft.fft(evals, axis=0) / n_coef).T
+    x = (np.fft.fft(evals, axis=0) / params.seq_len).T
     x *= np.exp(-1j * np.angle(x[:, :1]))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return x

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,34 +41,46 @@ def cross_correlate(reference, received) -> np.ndarray:
 
     Parameters
     ----------
-    reference : array_like
+    reference : array_like, shape (..., L)
         Transmit sequence; zero-padded up to the received frame length.
-    received : array_like
-        Received frame of N samples.
+    received : array_like, shape (..., N)
+        Received frame of N samples.  Leading axes of both arguments
+        broadcast, so a CPI of F frames correlates in one call.
 
     Returns
     -------
-    ndarray, shape (N,)
+    ndarray, shape (..., N)
         Complex correlation profile, computed spectrally.  Matches the direct
         O(N^2) double sum to better than 1e-9 relative error.
     """
     x = np.asarray(reference, dtype=complex)
     y = np.asarray(received, dtype=complex)
-    if x.size > y.size:
+    n = y.shape[-1]
+    if x.shape[-1] > n:
         raise ValueError("reference longer than frame after padding")
-    padded = np.zeros(y.size, dtype=complex)
-    padded[: x.size] = x
-    return np.fft.ifft(np.fft.fft(y) * np.conj(np.fft.fft(padded)))
+    padded = np.zeros(x.shape[:-1] + (n,), dtype=complex)
+    padded[..., : x.shape[-1]] = x
+    return np.fft.ifft(
+        np.fft.fft(y, axis=-1) * np.conj(np.fft.fft(padded, axis=-1)), axis=-1
+    )
 
 
 def correlation_value_at(profile, lag_samples) -> complex | np.ndarray:
-    """Band-limited interpolation of the correlation profile at fractional lags."""
+    """Band-limited interpolation of correlation profiles at fractional lags.
+
+    ``profile`` may carry leading axes (one profile per frame); the result
+    then has those axes first, followed by the lag axis unless
+    ``lag_samples`` is a scalar.
+    """
     z = np.asarray(profile, dtype=complex)
-    spec = np.fft.fft(z)
-    freqs = np.fft.fftfreq(z.size)
+    n = z.shape[-1]
+    spec = np.fft.fft(z, axis=-1)
+    freqs = np.fft.fftfreq(n)
     lags = np.atleast_1d(np.asarray(lag_samples, dtype=float))
-    vals = np.exp(2j * np.pi * np.outer(lags, freqs)) @ spec / z.size
-    return complex(vals[0]) if np.isscalar(lag_samples) else vals
+    vals = spec @ np.exp(2j * np.pi * np.outer(freqs, lags)) / n
+    if not np.isscalar(lag_samples):
+        return vals
+    return complex(vals[0]) if z.ndim == 1 else vals[..., 0]
 
 
 def calibrate_os_alpha(window: int, os_rank: int, pfa: float) -> float:
@@ -177,6 +190,17 @@ def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> float:
     return float(np.clip(0.5 * (y_minus - y_plus) / denom, -0.5, 0.5))
 
 
+@lru_cache(maxsize=4)
+def _refine_kernel(n: int, refine: int) -> np.ndarray:
+    # Row k evaluates the band-limited profile k/refine cells after the
+    # cell the spectrum is shifted to: exp(2i pi (k/refine) f) on the FFT
+    # frequencies f.  Read-only, since every caller shares it.
+    offsets = np.arange(2 * refine + 1) / refine
+    kernel = np.exp(2j * np.pi * np.outer(offsets, np.fft.fftfreq(n)))
+    kernel.flags.writeable = False
+    return kernel
+
+
 def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 1) -> float:
     """Delay in seconds from a correlation peak with sub-cell interpolation.
 
@@ -194,6 +218,8 @@ def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 
         band-limited |zeta(t)| on a grid of spacing 1/refine cells around the
         peak and fit the same parabola there; use >= 8 for full-bandwidth
         waveforms, whose one-cell-wide peak defeats the cell-spaced parabola.
+        The grid comes from a (2*refine+1, N) kernel cached per (N, refine)
+        and one N-point phase ramp that shifts the spectrum to the grid start.
 
     Returns
     -------
@@ -212,12 +238,15 @@ def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 
             mag[(peak_cell - 1) % n], mag[peak_cell % n], mag[(peak_cell + 1) % n]
         )
         return (peak_cell + offset) * sample_period
-    grid = peak_cell + np.linspace(-1.0, 1.0, 2 * refine + 1)
-    vals = np.abs(correlation_value_at(z, grid))
+    # Shift the spectrum to the grid start; for a whole number of cells the
+    # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
+    start = peak_cell - 1
+    shifted = np.fft.fft(z) * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
+    vals = np.abs(_refine_kernel(n, refine) @ shifted) / n
     j = int(np.argmax(vals))
     j = min(max(j, 1), vals.size - 2)
-    offset = _parabolic_offset(vals[j - 1], vals[j], vals[j + 1]) / refine
-    return (grid[j] + offset) * sample_period
+    offset = _parabolic_offset(vals[j - 1], vals[j], vals[j + 1])
+    return (start + (j + offset) / refine) * sample_period
 
 
 def estimate_doppler(peak_phases, frame_times, weights=None) -> float:
@@ -247,8 +276,13 @@ def estimate_doppler(peak_phases, frame_times, weights=None) -> float:
 
 
 def sample_covariance(rx: np.ndarray) -> np.ndarray:
-    """Sample covariance (1/N) sum_n y[n] y[n]^H of a (N_rf, N) signal block."""
+    """Sample covariance (1/N) sum_n y[n] y[n]^H over every snapshot of the input.
+
+    ``rx`` is a (N_rf, N) signal block or a (..., N_rf, N) stack of blocks,
+    such as the F frames of a CPI, whose snapshots are all pooled.
+    """
     y = np.atleast_2d(np.asarray(rx, dtype=complex))
+    y = np.moveaxis(y, -2, 0).reshape(y.shape[-2], -1)
     if y.shape[1] < 1:
         raise ValueError("need at least one snapshot")
     cov = y @ y.conj().T / y.shape[1]

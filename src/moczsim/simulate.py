@@ -201,10 +201,24 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
 
 
 def _max_workers() -> int:
+    """Worker threads from MOCZSIM_THREADS (default 1), capped at the CPU count."""
+    raw = os.environ.get("MOCZSIM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("MOCZSIM_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"MOCZSIM_THREADS must be a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def _parallel_map(fn, items) -> list:
+    """``[fn(i) for i in items]``, fanned out over the configured worker threads."""
+    workers = _max_workers()
+    if workers == 1:
+        return [fn(i) for i in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _batch_sizes(total: int, batch: int) -> list[int]:
@@ -256,12 +270,7 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
             bits, _ = dizet_decode_batch(rx, params)
             return int(np.count_nonzero(bits != msgs))
 
-        workers = _max_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errors = sum(pool.map(batch_errors, range(len(sizes))))
-        else:
-            errors = sum(batch_errors(i) for i in range(len(sizes)))
+        errors = sum(_parallel_map(batch_errors, range(len(sizes))))
         snr_lin = 10.0 ** (snr_db / 10.0)
         return {
             "snr_db": float(snr_db),
@@ -321,23 +330,22 @@ def _radar_trial(
     )
     combiner = combiner / np.linalg.norm(combiner)
 
+    # The whole CPI is one (F, N) block: (F, N_rf, N) at the RF chains, one
+    # noise block per frame in frame order, then (F, N) correlation profiles.
     msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
     frames_tx = encode_batch(msgs, params)
-    profiles = []
-    cov = np.zeros((cfg.array.num_rf_chains,) * 2, dtype=complex)
-    for j in range(n_frames):
-        rx = apply_radar_channel(
-            amp * frames_tx[j],
-            targets,
-            bf,
-            t_sample,
-            frame_len=cfg.frame_len,
-            start_time=j * frame_period,
-        )
-        rx = awgn(rx, link.noise_variance, rng)
-        cov += sample_covariance(rx)
-        profiles.append(cross_correlate(frames_tx[j], combiner.conj() @ rx))
-    cov /= n_frames
+    frame_times = np.arange(n_frames) * frame_period
+    rx = apply_radar_channel(
+        amp * frames_tx,
+        targets,
+        bf,
+        t_sample,
+        frame_len=cfg.frame_len,
+        start_time=frame_times,
+    )
+    rx = awgn(rx, link.noise_variance, rng, frame_axes=1)
+    cov = sample_covariance(rx)
+    profiles = cross_correlate(frames_tx, combiner.conj() @ rx)
 
     detections = os_cfar(profiles[0], cfg.cfar)
     clusters = cluster_detections(detections)
@@ -363,7 +371,7 @@ def _radar_trial(
         else np.empty(0)
     )
 
-    frame_times = np.arange(n_frames) * frame_period
+    unambiguous_m = SPEED_OF_LIGHT * cfg.frame_len * t_sample / 2.0
     for tg in targets:
         true_cell = round(tg.delay_s / t_sample) % cfg.frame_len
         best = None
@@ -376,10 +384,7 @@ def _radar_trial(
             continue
         delay_hat = estimate_delay(profiles[0], best.cell, t_sample, refine=64)
         if n_frames >= 2:
-            phases = [
-                float(np.angle(correlation_value_at(p, delay_hat / t_sample)))
-                for p in profiles
-            ]
+            phases = np.angle(correlation_value_at(profiles, delay_hat / t_sample))
             doppler_hat = estimate_doppler(phases, frame_times)
         else:
             doppler_hat = float("nan")
@@ -392,7 +397,12 @@ def _radar_trial(
             delay_hat, doppler_hat, angle_hat, link.carrier_hz
         )
         per = detection_record(best, report)
-        per["range_err"] = report.range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
+        # Delays wrap on the frame, so score the range error modulo the
+        # unambiguous range, in [-1/2, 1/2) of it.
+        range_err = report.range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
+        per["range_err"] = range_err - unambiguous_m * math.floor(
+            range_err / unambiguous_m + 0.5
+        )
         per["velocity_err"] = report.velocity_mps - SPEED_OF_LIGHT * tg.doppler_hz / (
             2.0 * link.carrier_hz
         )
@@ -414,6 +424,13 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
     specs = tuple(targets) if targets is not None else cfg.targets
     if cfg.range_grid_m and len(specs) != 1:
         raise ValueError("range sweeps require exactly one target")
+    frame_s = cfg.frame_len * cfg.link.sample_period
+    for range_m in [spec.range_m for spec in specs] + list(cfg.range_grid_m):
+        if 2.0 * range_m / SPEED_OF_LIGHT >= frame_s:
+            raise ValueError(
+                f"target range {range_m} m has a round-trip delay of at least "
+                f"the {cfg.frame_len}-sample frame"
+            )
     sweep = (
         [
             tuple([replace(specs[0], range_m=r)])
@@ -438,12 +455,7 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
         def one_trial(trial: int) -> dict:
             return _radar_trial(cfg, point_specs, bf, segment, sweep_idx, trial)
 
-        workers = _max_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                trials = list(pool.map(one_trial, range(cfg.trials)))
-        else:
-            trials = [one_trial(t) for t in range(cfg.trials)]
+        trials = _parallel_map(one_trial, range(cfg.trials))
 
         sample_detections.append(
             [
@@ -513,12 +525,7 @@ def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarlo
         ) / math.sqrt(2.0)
         return len(os_cfar(frame, cfg.cfar))
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(chunk_hits, range(n_chunks)))
-    else:
-        hits = sum(chunk_hits(i) for i in range(n_chunks))
+    hits = sum(_parallel_map(chunk_hits, range(n_chunks)))
     n_cells = n_chunks * chunk
     rate = hits / n_cells
     half = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1e-300) / n_cells)

@@ -187,6 +187,42 @@ class TestRadarChannel:
         assert y.shape == (4, 32)
         assert np.all(y == 0)
 
+    def test_frame_block_rows_equal_per_frame_calls(self):
+        rng = np.random.default_rng(5)
+        frames = np.stack(
+            [encode(rng.integers(0, 2, 15), self.params) for _ in range(6)]
+        )
+        targets = [
+            RadarTarget(gain=0.7 - 0.2j, angle_rad=0.05, delay_s=3.3e-8, doppler_hz=2e5),
+            RadarTarget(gain=0.1j, angle_rad=-0.1, delay_s=21.6e-8, doppler_hz=-7e4),
+        ]
+        starts = np.arange(6) * 3.2e-7
+        block = apply_radar_channel(
+            frames, targets, self.bf, 1e-8, frame_len=32, start_time=starts
+        )
+        assert block.shape == (6, 4, 32)
+        for j in range(6):
+            one = apply_radar_channel(
+                frames[j], targets, self.bf, 1e-8, frame_len=32, start_time=j * 3.2e-7
+            )
+            assert np.array_equal(block[j], one)
+
+    def test_frame_block_start_times_advance_doppler_phase(self):
+        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=0.0, doppler_hz=2e5)
+        starts = np.arange(3) * 1.3e-6  # 0.26 Doppler cycles per frame
+        block = apply_radar_channel(
+            np.tile(self.x, (3, 1)), [tg], self.bf, 1e-8, frame_len=16, start_time=starts
+        )
+        for j in range(3):
+            np.testing.assert_allclose(
+                block[j], block[0] * np.exp(2j * np.pi * 2e5 * starts[j]), atol=1e-9
+            )
+
+    def test_frame_block_without_targets_is_zero(self):
+        y = apply_radar_channel(np.ones((3, 16)), [], self.bf, 1e-8, frame_len=32)
+        assert y.shape == (3, 4, 32)
+        assert np.all(y == 0)
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             RadarTarget(gain=1.0, angle_rad=0.0, delay_s=-1e-9, doppler_hz=0.0)
@@ -250,6 +286,21 @@ class TestNoise:
     def test_negative_variance_raises(self):
         with pytest.raises(ValueError):
             awgn(np.ones(3), -0.1)
+
+    def test_whole_array_draws_real_block_then_imaginary_block(self):
+        x = np.full((3, 8), 1.0 + 2.0j)
+        ref = np.random.default_rng(11)
+        want = x + np.sqrt(0.5) * (
+            ref.standard_normal(x.shape) + 1j * ref.standard_normal(x.shape)
+        )
+        assert np.array_equal(awgn(x, 1.0, np.random.default_rng(11)), want)
+
+    def test_frame_axes_draw_in_per_frame_order(self):
+        x = np.arange(5 * 2 * 8, dtype=complex).reshape(5, 2, 8)
+        one = np.random.default_rng(12)
+        per_frame = np.stack([awgn(frame, 0.3, one) for frame in x])
+        block = awgn(x, 0.3, np.random.default_rng(12), frame_axes=1)
+        assert np.array_equal(block, per_frame)
 
     def test_rician_factor_controls_power_split(self):
         rng = np.random.default_rng(10)

@@ -175,6 +175,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ber", "--config", str(bad))
         assert code == 2
 
+    def test_bad_thread_count_exit_2(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
+        monkeypatch.setenv("MOCZSIM_THREADS", "0")
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
+        assert code == 2
+        assert "MOCZSIM_THREADS" in err
+
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "ber", "--config", str(tmp_path / "nope.json"))
         assert code == 3

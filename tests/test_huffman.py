@@ -288,6 +288,30 @@ class TestEncodeBatch:
         with pytest.raises(ValueError):
             encode_batch(np.zeros((3, 5), dtype=int), ModulationParams(4))
 
+    @pytest.mark.parametrize("k", [2, 31, 127])
+    def test_cached_basis_matches_uncached_formula_exactly(self, k):
+        # Oracle: the log basis rebuilt inline, as before it was cached.
+        p = ModulationParams(k)
+        msgs = np.random.default_rng(k + 1).integers(0, 2, (16, k))
+        grid = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+        pair = np.exp(2j * np.pi * np.arange(k) / k)
+        log_outer = np.log(grid[:, None] - p.outer_radius * pair[None, :])
+        log_inner = np.log(grid[:, None] - pair[None, :] / p.outer_radius)
+        m = msgs.astype(np.float64)
+        evals = np.exp(log_inner.sum(axis=1)[:, None] + (log_outer - log_inner) @ m.T)
+        evals *= -np.sqrt(p.side_peak * p.outer_radius ** (k - 2.0 * m.sum(axis=1)))[None, :]
+        x = (np.fft.fft(evals, axis=0) / (k + 1)).T
+        x *= np.exp(-1j * np.angle(x[:, :1]))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for _ in range(2):  # first call fills the cache, second reads it
+            assert np.array_equal(encode_batch(msgs, p), x)
+
+    def test_cached_basis_is_read_only(self):
+        from moczsim.huffman import _log_basis
+
+        for arr in _log_basis(ModulationParams(15)):
+            assert not arr.flags.writeable
+
 
 class TestCsv:
     def test_round_trip(self):

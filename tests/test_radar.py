@@ -73,6 +73,15 @@ class TestCrossCorrelate:
         with pytest.raises(ValueError):
             cross_correlate(np.ones(8), np.ones(4))
 
+    def test_frame_block_rows_equal_per_frame_calls(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+        y = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        block = cross_correlate(x, y)
+        assert block.shape == (5, 64)
+        for j in range(5):
+            assert np.array_equal(block[j], cross_correlate(x[j], y[j]))
+
 
 class TestCalibration:
     def test_pfa_one_gives_zero_alpha(self):
@@ -143,6 +152,21 @@ class TestOsCfar:
         assert clusters[0].cell == 31
 
 
+def dense_refined_delay(profile, peak_cell, sample_period, refine):
+    """Oracle: the band-limited grid built as one dense (2r+1, N) exponential."""
+    z = np.asarray(profile, dtype=complex)
+    n = z.size
+    grid = peak_cell + np.linspace(-1.0, 1.0, 2 * refine + 1)
+    phases = np.exp(2j * np.pi * np.outer(grid, np.fft.fftfreq(n)))
+    vals = np.abs(phases @ np.fft.fft(z) / n)
+    j = min(max(int(np.argmax(vals)), 1), vals.size - 2)
+    denom = vals[j - 1] - 2.0 * vals[j] + vals[j + 1]
+    offset = 0.0
+    if denom != 0.0:
+        offset = np.clip(0.5 * (vals[j - 1] - vals[j + 1]) / denom, -0.5, 0.5)
+    return (grid[j] + offset / refine) * sample_period
+
+
 class TestDelayEstimation:
     def test_symmetric_neighbors_give_zero_offset(self):
         profile = np.zeros(32, dtype=complex)
@@ -184,6 +208,30 @@ class TestDelayEstimation:
         profile = np.ones(16, dtype=complex)
         assert estimate_delay(profile, 5, 1.0) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("n, refine", [(16, 2), (100, 8), (1024, 64)])
+    def test_cached_kernel_matches_dense_oracle(self, n, refine):
+        rng = np.random.default_rng(n + refine)
+        x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        shifts = [0.2, n - 1 + 0.1, n - 0.2] + list(rng.uniform(0, n, 8))
+        peaks = []
+        for shift in shifts:
+            rx = fractional_delay(x, shift, n)
+            rx = rx + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            profile = cross_correlate(x, rx)
+            peak = int(np.argmax(np.abs(profile)))
+            peaks.append(peak)
+            got = estimate_delay(profile, peak, 1.0, refine=refine)
+            want = dense_refined_delay(profile, peak, 1.0, refine)
+            assert abs(got - want) <= 1e-12
+        assert {0, n - 1} <= set(peaks)
+
+    def test_refinement_kernel_is_read_only(self):
+        from moczsim.radar import _refine_kernel
+
+        kernel = _refine_kernel(32, 4)
+        assert kernel.shape == (9, 32)
+        assert not kernel.flags.writeable
+
     def test_refine_must_be_positive(self):
         with pytest.raises(ValueError):
             estimate_delay(np.ones(16, dtype=complex), 5, 1.0, refine=0)
@@ -193,6 +241,18 @@ class TestDelayEstimation:
         profile = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         for lag in (0, 5, 31):
             assert correlation_value_at(profile, lag) == pytest.approx(profile[lag], abs=1e-9)
+
+    def test_correlation_value_at_frame_block_matches_rows(self):
+        rng = np.random.default_rng(14)
+        block = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+        at_lag = correlation_value_at(block, 17.4)
+        at_lags = correlation_value_at(block, [3.0, 17.4])
+        assert at_lag.shape == (6,)
+        assert at_lags.shape == (6, 2)
+        for j in range(6):
+            one = correlation_value_at(block[j], 17.4)
+            assert abs(at_lag[j] - one) <= 1e-12 * abs(one)
+            assert at_lags[j, 0] == pytest.approx(block[j, 3], abs=1e-9)
 
 
 class TestDopplerEstimation:
@@ -240,6 +300,12 @@ class TestCovariance:
         y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
         cov = sample_covariance(y)  # per-sample variance 2
         assert np.max(np.abs(cov - 2 * np.eye(4))) < 0.01 * 2
+
+    def test_frame_stack_pools_every_snapshot(self):
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((5, 3, 40)) + 1j * rng.standard_normal((5, 3, 40))
+        want = sum(sample_covariance(frame) for frame in y) / 5
+        np.testing.assert_allclose(sample_covariance(y), want, rtol=1e-13, atol=1e-14)
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(9)

@@ -1,12 +1,16 @@
 """Experiment orchestration: determinism, channel models, and the radar pipeline."""
 
+import dataclasses
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from moczsim import (
+    SPEED_OF_LIGHT,
     ArrayConfig,
     CfarConfig,
     FrameSchedule,
@@ -17,11 +21,15 @@ from moczsim import (
     config_from_dict,
     config_to_dict,
     encode,
+    load_config,
     run_ber,
     run_cfar_calibration,
     run_radar,
 )
-from moczsim.simulate import atomic_write_text, write_result
+from moczsim.simulate import _max_workers, atomic_write_text, write_result
+
+SCENE = Path(__file__).resolve().parent.parent / "configs" / "scene.json"
+RANGE_CELL_M = SPEED_OF_LIGHT / (2 * 100e6)
 
 NARROW = FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=8, t_cpi=8 * 1024e-8)
 
@@ -183,6 +191,97 @@ class TestRunRadar:
             targets=(TargetSpec(range_m=55.0, velocity_mps=10.0, angle_deg=0.5),),
         )
         assert run_radar(cfg).records == run_radar(cfg).records
+
+
+class TestRadarEdges:
+    def edge_config(self, range_m, **overrides):
+        base = dict(
+            modulation=ModulationParams(127),
+            link=LinkBudget(noise_psd=2e-27),  # near noiseless
+            schedule=NARROW,
+            trials=5,
+            seed=26,
+            targets=(TargetSpec(range_m=range_m, angle_deg=0.5, rcs_dbsm=60.0),),
+        )
+        base.update(overrides)
+        return SimConfig(**base)
+
+    def test_target_at_frame_edge_scores_range_modulo_the_frame(self):
+        # Cell 1023.7 of 1024: the peak can land on cell 0, one frame away.
+        rec = run_radar(self.edge_config(1023.7 * RANGE_CELL_M)).records[0]
+        assert rec["detection_rate"] == 1.0
+        assert rec["rmse_range_m"] < RANGE_CELL_M
+
+    def test_target_beyond_the_frame_is_rejected(self):
+        with pytest.raises(ValueError, match="frame"):
+            run_radar(self.edge_config(1024.0 * RANGE_CELL_M))
+
+    def test_range_grid_point_beyond_the_frame_is_rejected(self):
+        cfg = self.edge_config(50.0, range_grid_m=(50.0, 1100.5 * RANGE_CELL_M))
+        with pytest.raises(ValueError, match="frame"):
+            run_radar(cfg)
+
+
+# run_radar on configs/scene.json at 6 trials (config seed 1), recorded from
+# the frame-by-frame CPI loop before the CPI became one batched block:
+# (range_m, detection_rate, rmse_range_m, rmse_velocity_mps, rmse_angle_deg,
+# false_alarm_rate).
+SCENE_RECORDS = (
+    (30.0, 1.0, 0.014155840436244458, 0.01849501044261908, 0.06982052807228044,
+     0.001953125),
+    (60.0, 1.0, 0.025991421882778615, 0.13774346882419744, 0.07250146832549348,
+     0.0011393229166666667),
+    (120.0, 0.6666666666666666, 0.16851556629926104, 0.5488107154702399,
+     0.11572478291626337, 0.0),
+    (200.0, 0.0, math.nan, math.nan, math.nan, 0.0003255208333333333),
+)
+
+
+class TestRadarRegression:
+    def scene(self):
+        return dataclasses.replace(load_config(SCENE), trials=6)
+
+    def test_scene_records_match_the_frame_by_frame_reference(self):
+        records = run_radar(self.scene()).records
+        assert len(records) == len(SCENE_RECORDS)
+        for rec, want in zip(records, SCENE_RECORDS):
+            r_m, rate, rmse_r, rmse_v, rmse_a, fa = want
+            assert rec["range_m"] == r_m
+            assert rec["detection_rate"] == rate
+            assert rec["false_alarm_rate"] == fa
+            assert rec["trials"] == 6
+            for key, value in (
+                ("rmse_range_m", rmse_r),
+                ("rmse_velocity_mps", rmse_v),
+                ("rmse_angle_deg", rmse_a),
+            ):
+                if math.isnan(value):
+                    assert math.isnan(rec[key])
+                else:
+                    assert rec[key] == pytest.approx(value, rel=1e-9, abs=0)
+
+    def test_worker_count_does_not_change_radar_output(self, monkeypatch):
+        cfg = dataclasses.replace(self.scene(), trials=3)
+        monkeypatch.setenv("MOCZSIM_THREADS", "1")
+        base = run_radar(cfg)
+        monkeypatch.setenv("MOCZSIM_THREADS", "2")
+        assert run_radar(cfg).to_json() == base.to_json()
+
+
+class TestWorkers:
+    def test_default_is_one_worker(self, monkeypatch):
+        monkeypatch.delenv("MOCZSIM_THREADS", raising=False)
+        assert _max_workers() == 1
+
+    def test_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("MOCZSIM_THREADS", "64")
+        assert _max_workers() == min(64, os.cpu_count())
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two", "1.5", ""])
+    def test_invalid_values_are_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("MOCZSIM_THREADS", raw)
+        with pytest.raises(ValueError, match="MOCZSIM_THREADS"):
+            _max_workers()
 
 
 class TestConfigRoundTrip:
