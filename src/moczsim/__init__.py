@@ -9,25 +9,20 @@ from .channel import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     Beamformer,
-    CommPath,
     LinkBudget,
     RadarTarget,
-    apply_comm_channel,
     apply_radar_channel,
     awgn,
-    comm_gain,
     dft_codebook,
     fractional_delay,
     make_beamformers,
     radar_gain,
-    rician_gain,
     steering,
 )
 from .dizet import (
     DecodedBits,
     dizet_decode,
     dizet_decode_batch,
-    eval_at_point,
     eval_on_zero_grid,
 )
 from .huffman import (

@@ -22,16 +22,12 @@ __all__ = [
     "Beamformer",
     "LinkBudget",
     "RadarTarget",
-    "CommPath",
     "steering",
     "dft_codebook",
     "make_beamformers",
     "radar_gain",
-    "comm_gain",
-    "rician_gain",
     "fractional_delay",
     "apply_radar_channel",
-    "apply_comm_channel",
     "awgn",
 ]
 
@@ -149,13 +145,6 @@ def radar_gain(link: LinkBudget, rcs_dbsm: float, range_m: float | None = None) 
     return link.wavelength**2 * sigma / ((4.0 * np.pi) ** 3 * r**4)
 
 
-def comm_gain(link: LinkBudget, range_m: float) -> float:
-    """One-way power gain lambda^2 / ((4 pi)^2 d^2); Rician factor applied by caller."""
-    if range_m <= 0:
-        raise ValueError("path length must be positive")
-    return link.wavelength**2 / ((4.0 * np.pi) ** 2 * range_m**2)
-
-
 @dataclass(frozen=True)
 class RadarTarget:
     """Backscatter path: complex gain, angle, round-trip delay, Doppler shift."""
@@ -191,49 +180,6 @@ class RadarTarget:
             doppler_hz=2.0 * velocity_mps * link.carrier_hz / SPEED_OF_LIGHT,
             rcs_dbsm=rcs_dbsm,
         )
-
-
-@dataclass(frozen=True)
-class CommPath:
-    """One-way propagation path toward the user (isotropic receive antenna)."""
-
-    gain: complex
-    aod_rad: float
-    delay_s: float
-    doppler_hz: float
-
-    def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError("delay must be non-negative")
-
-    @classmethod
-    def from_geometry(
-        cls,
-        link: LinkBudget,
-        range_m: float,
-        velocity_mps: float,
-        aod_deg: float,
-        gain_scale: complex = 1.0,
-    ) -> "CommPath":
-        amp = math.sqrt(comm_gain(link, range_m))
-        return cls(
-            gain=amp * gain_scale,
-            aod_rad=math.radians(aod_deg),
-            delay_s=range_m / SPEED_OF_LIGHT,
-            doppler_hz=velocity_mps * link.carrier_hz / SPEED_OF_LIGHT,
-        )
-
-
-def rician_gain(rng: np.random.Generator, kappa: float, power: float = 1.0, phase_rad: float | None = None) -> complex:
-    """Random tap with line-of-sight to diffuse power ratio kappa and mean power ``power``."""
-    if kappa < 0 or power < 0:
-        raise ValueError("kappa and power must be non-negative")
-    psi = rng.uniform(0.0, 2.0 * np.pi) if phase_rad is None else phase_rad
-    los = math.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * psi)
-    diffuse = math.sqrt(1.0 / (2.0 * (kappa + 1.0))) * (
-        rng.standard_normal() + 1j * rng.standard_normal()
-    )
-    return complex(math.sqrt(power) * (los + diffuse))
 
 
 def fractional_delay(samples, shift_samples: float, out_len: int | None = None) -> np.ndarray:
@@ -305,32 +251,6 @@ def apply_radar_channel(
         delayed = fractional_delay(x, tg.delay_s / sample_period, n)
         delayed *= np.exp(2j * np.pi * tg.doppler_hz * t)
         out += spatial[:, None] * delayed[..., None, :]
-    return out
-
-
-def apply_comm_channel(samples, paths, tx_beam, sample_period: float) -> np.ndarray:
-    """Scalar received sequence at the user over the given multipath set.
-
-    The output spans the input plus the delay spread: length K+1 + L-1 where
-    L is the number of whole sample periods covered by the largest delay.
-    """
-    if not paths:
-        raise ValueError("at least one propagation path is required")
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
-    x = np.asarray(samples, dtype=complex)
-    tx_beam = np.asarray(tx_beam, dtype=complex)
-    max_shift = max(p.delay_s / sample_period for p in paths)
-    taps = int(math.ceil(max_shift - 1e-9)) + 1
-    n = x.size + taps - 1
-    t = np.arange(n) * sample_period
-    out = np.zeros(n, dtype=complex)
-    num_antennas = tx_beam.size
-    for p in paths:
-        a = steering(p.aod_rad, num_antennas)
-        coeff = p.gain * (a.conj() @ tx_beam)
-        delayed = fractional_delay(x, p.delay_s / sample_period, n)
-        out += coeff * delayed * np.exp(2j * np.pi * p.doppler_hz * t)
     return out
 
 

@@ -135,9 +135,9 @@ def _override_config(cfg, args):
 
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "snr_db", None):
+    if getattr(args, "snr_db", None) is not None:
         cfg = replace(cfg, snr_grid_db=tuple(args.snr_db))
-    if getattr(args, "trials", None):
+    if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials=args.trials)
     return cfg
 
@@ -239,13 +239,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # includes json.JSONDecodeError
         print(f"moczsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"moczsim: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"moczsim: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -17,7 +17,6 @@ from .huffman import ModulationParams
 
 __all__ = [
     "DecodedBits",
-    "eval_at_point",
     "eval_on_zero_grid",
     "dizet_decode",
     "dizet_decode_batch",
@@ -35,50 +34,23 @@ class DecodedBits:
     margins: np.ndarray
 
 
-def eval_at_point(samples, z):
-    """Evaluate the sample polynomial sum_n y[n] z^n by Horner's rule.
-
-    ``z`` may be a scalar or an array of points; evaluation is vectorized
-    over the points.
-    """
-    y = np.asarray(samples, dtype=complex)
-    if y.size == 0:
-        raise ValueError("cannot evaluate an empty sequence")
-    zs = np.asarray(z, dtype=complex)
-    scalar = zs.ndim == 0
-    zv = np.atleast_1d(zs)
-    acc = np.full(zv.shape, y[-1], dtype=complex)
-    for coeff in y[-2::-1]:
-        acc = acc * zv + coeff
-    return complex(acc[0]) if scalar else acc
-
-
-def eval_on_zero_grid(samples, radius: float, num_bits: int, method: str = "horner"):
+def eval_on_zero_grid(samples, radius: float, num_bits: int) -> np.ndarray:
     """Polynomial values at the K grid points radius * exp(2i*pi*k/K).
 
-    ``method="horner"`` evaluates each point directly.  ``method="fft"``
-    folds the radius-weighted samples modulo K and takes a K-point inverse
-    DFT, which is algebraically identical and much faster for batches; the
-    two paths agree to within 1e-9.
+    ``samples`` has shape (..., N); leading axes are independent sequences
+    and the result has shape (..., K).  The radius-weighted samples are
+    folded modulo K and a K-point inverse DFT is taken, which is
+    algebraically identical to evaluating each point by Horner's rule.
     """
     y = np.asarray(samples, dtype=complex)
-    if method == "horner":
-        points = radius * np.exp(2j * np.pi * np.arange(num_bits) / num_bits)
-        return eval_at_point(y, points)
-    if method == "fft":
-        return _grid_eval_fft(y[None, :], radius, num_bits)[0]
-    raise ValueError(f"unknown evaluation method {method!r}")
-
-
-def _grid_eval_fft(ys: np.ndarray, radius: float, num_bits: int) -> np.ndarray:
-    n = ys.shape[1]
-    weighted = ys * radius ** np.arange(n)[None, :]
+    n = y.shape[-1]
+    weighted = y * radius ** np.arange(n)
     blocks = -(-n // num_bits)
-    padded = np.zeros((ys.shape[0], blocks * num_bits), dtype=complex)
-    padded[:, :n] = weighted
-    folded = padded.reshape(ys.shape[0], blocks, num_bits).sum(axis=1)
+    padded = np.zeros(y.shape[:-1] + (blocks * num_bits,), dtype=complex)
+    padded[..., :n] = weighted
+    folded = padded.reshape(y.shape[:-1] + (blocks, num_bits)).sum(axis=-2)
     # sum_m g[m] exp(+2i pi m k / K) == K * ifft(g)
-    return num_bits * np.fft.ifft(folded, axis=1)
+    return num_bits * np.fft.ifft(folded, axis=-1)
 
 
 def _normalizers(radius: float, n: int) -> tuple[float, float]:
@@ -90,34 +62,14 @@ def _normalizers(radius: float, n: int) -> tuple[float, float]:
     return c_outer, c_inner
 
 
-def dizet_decode(received, params: ModulationParams, method: str = "horner") -> DecodedBits:
-    """Decode one received packet of N >= K+1 samples.
+def dizet_decode_batch(received, params: ModulationParams):
+    """Decode a (B, N) batch of packets of N >= K+1 samples.
 
-    The decision rule per bit k is scale and phase invariant: bit 1 when
+    Returns (bits, margins) arrays of shape (B, K).  The decision rule per
+    bit k is scale and phase invariant: bit 1 when
     |Y(R e^{i theta_k})| / c+ < |Y(R^-1 e^{i theta_k})| / c-, where c+- are
     the norms of the weight vectors (R^n) and (R^-n), n = 0..N-1.  Equal
     normalized magnitudes resolve deterministically to bit 0.
-    """
-    y = np.asarray(received, dtype=complex)
-    if y.ndim != 1:
-        raise ValueError("received must be a one-dimensional sample sequence")
-    K = params.num_bits
-    if y.size < K + 1:
-        raise ValueError(
-            f"insufficient length: need at least {K + 1} samples, got {y.size}"
-        )
-    R = params.outer_radius
-    c_outer, c_inner = _normalizers(R, y.size)
-    outer = np.abs(eval_on_zero_grid(y, R, K, method)) / c_outer
-    inner = np.abs(eval_on_zero_grid(y, 1.0 / R, K, method)) / c_inner
-    margins = np.log(np.maximum(inner, _MAG_FLOOR)) - np.log(np.maximum(outer, _MAG_FLOOR))
-    return DecodedBits(bits=(margins > 0).astype(np.uint8), margins=margins)
-
-
-def dizet_decode_batch(received, params: ModulationParams):
-    """Decode a (B, N) batch of packets; returns (bits, margins) arrays (B, K).
-
-    Uses the folded-DFT evaluation path, which matches Horner to 1e-9.
     """
     ys = np.atleast_2d(np.asarray(received, dtype=complex))
     K = params.num_bits
@@ -127,7 +79,16 @@ def dizet_decode_batch(received, params: ModulationParams):
         )
     R = params.outer_radius
     c_outer, c_inner = _normalizers(R, ys.shape[1])
-    outer = np.abs(_grid_eval_fft(ys, R, K)) / c_outer
-    inner = np.abs(_grid_eval_fft(ys, 1.0 / R, K)) / c_inner
+    outer = np.abs(eval_on_zero_grid(ys, R, K)) / c_outer
+    inner = np.abs(eval_on_zero_grid(ys, 1.0 / R, K)) / c_inner
     margins = np.log(np.maximum(inner, _MAG_FLOOR)) - np.log(np.maximum(outer, _MAG_FLOOR))
     return (margins > 0).astype(np.uint8), margins
+
+
+def dizet_decode(received, params: ModulationParams) -> DecodedBits:
+    """Decode one received packet of N >= K+1 samples as a batch of one."""
+    y = np.asarray(received, dtype=complex)
+    if y.ndim != 1:
+        raise ValueError("received must be a one-dimensional sample sequence")
+    bits, margins = dizet_decode_batch(y[None, :], params)
+    return DecodedBits(bits=bits[0], margins=margins[0])

@@ -13,8 +13,9 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erfc
@@ -107,13 +108,12 @@ class FrameSchedule:
     segments: tuple[tuple[float, float], ...]  # radians, non-overlapping
     frames_per_cpi: int = 16
     t_cpi: float = 16 * 1024e-8
-    t_swc: float = 1e-6  # dead time between segments, no signal model impact
 
     def __post_init__(self):
         if self.frames_per_cpi < 1:
             raise ValueError("frames_per_cpi must be >= 1")
-        if self.t_cpi <= 0 or self.t_swc < 0:
-            raise ValueError("t_cpi must be positive and t_swc non-negative")
+        if self.t_cpi <= 0:
+            raise ValueError("t_cpi must be positive")
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         prev_hi = None
@@ -133,7 +133,7 @@ class FrameSchedule:
 class SimConfig:
     """Complete description of one simulation campaign."""
 
-    modulation: ModulationParams
+    modulation: ModulationParams = ModulationParams(127)
     array: ArrayConfig = ArrayConfig()
     link: LinkBudget = LinkBudget()
     schedule: FrameSchedule = FrameSchedule(segments=((-np.pi / 6, np.pi / 6),))
@@ -161,6 +161,8 @@ class SimConfig:
             raise ValueError("batch_size must be >= 1")
         if self.range_grid_m and len(self.targets) != 1:
             raise ValueError("range_grid_m sweeps require exactly one target")
+        if self.angle_grid_deg <= 0:
+            raise ValueError("angle_grid_deg must be positive")
 
 
 @dataclass
@@ -546,116 +548,193 @@ def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarlo
 # --------------------------------------------------------------------------
 
 
+# The JSON schema is one table per section: JSON key -> (dataclass field,
+# codec).  A codec is a (load, dump) pair: load(value, path) checks the JSON
+# value at the dotted key ``path`` and returns the field value, dump returns
+# the JSON value of a field.  Both directions of the schema come from these
+# tables, and absent keys take the dataclass defaults.
+
+
+def _key_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _load_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
+def _load_float(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{path} must be a finite number, got {number}")
+    return number
+
+
+def _load_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _same(value):
+    return value
+
+
+class _Codec(NamedTuple):
+    load: Callable  # (JSON value, dotted key) -> field value
+    dump: Callable  # field value -> JSON value
+
+
+_INT = _Codec(_load_int, _same)
+_FLOAT = _Codec(_load_float, _same)
+_STR = _Codec(_load_str, _same)
+
+
+def _list_of(item: _Codec) -> _Codec:
+    def load(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return tuple(item.load(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return _Codec(load, lambda values: [item.dump(v) for v in values])
+
+
+def _load_degree_pair(value, path: str) -> tuple[float, float]:
+    pair = _list_of(_FLOAT).load(value, path)
+    if len(pair) != 2:
+        raise ValueError(f"{path} must be a [low, high] pair, got {value!r}")
+    return math.radians(pair[0]), math.radians(pair[1])
+
+
+_DEGREE_PAIR = _Codec(_load_degree_pair, lambda pair: [math.degrees(a) for a in pair])
+
+
+def _section(cls, keys: dict, default=None) -> _Codec:
+    """Codec for a JSON object that maps onto dataclass ``cls`` through ``keys``.
+
+    Absent keys take their value from the instance ``default`` when given,
+    otherwise the dataclass default; a field with neither must be present.
+    Only the tabled fields are passed, so derived fields such as
+    ``CfarConfig.alpha`` are computed afresh.
+    """
+    required = set() if default is not None else {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    }
+
+    def load(doc, path: str):
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path or 'configuration'} must be an object, got {doc!r}")
+        for key in doc:
+            if key not in keys:
+                raise ValueError(f"unknown configuration key {_key_path(path, key)!r}")
+        kwargs = {}
+        for key, (name, codec) in keys.items():
+            if key in doc:
+                kwargs[name] = codec.load(doc[key], _key_path(path, key))
+            elif default is not None:
+                kwargs[name] = getattr(default, name)
+            elif name in required:
+                raise ValueError(f"{_key_path(path, key)} is required")
+        return cls(**kwargs)
+
+    def dump(obj) -> dict:
+        return {key: codec.dump(getattr(obj, name)) for key, (name, codec) in keys.items()}
+
+    return _Codec(load, dump)
+
+
+_DEFAULT_CONFIG = SimConfig()
+
+_CONFIG = _section(
+    SimConfig,
+    {
+        "modulation": ("modulation", _section(
+            ModulationParams,
+            {"k": ("num_bits", _INT), "lambda": ("radius_tuning", _FLOAT)},
+            _DEFAULT_CONFIG.modulation,
+        )),
+        "array": ("array", _section(
+            ArrayConfig,
+            {"n_a": ("num_antennas", _INT), "n_rf": ("num_rf_chains", _INT)},
+            _DEFAULT_CONFIG.array,
+        )),
+        "link": ("link", _section(
+            LinkBudget,
+            {
+                "eirp": ("eirp_dbm", _FLOAT),
+                "f_c": ("carrier_hz", _FLOAT),
+                "w": ("bandwidth_hz", _FLOAT),
+                "noise_psd": ("noise_psd", _FLOAT),
+                "range": ("range_m", _FLOAT),
+            },
+            _DEFAULT_CONFIG.link,
+        )),
+        "schedule": ("schedule", _section(
+            FrameSchedule,
+            {
+                "segments_deg": ("segments", _list_of(_DEGREE_PAIR)),
+                "frames_per_cpi": ("frames_per_cpi", _INT),
+                "t_cpi": ("t_cpi", _FLOAT),
+            },
+            _DEFAULT_CONFIG.schedule,
+        )),
+        "channel_model": ("channel_model", _STR),
+        "snr_grid_db": ("snr_grid_db", _list_of(_FLOAT)),
+        "trials": ("trials", _INT),
+        "seed": ("seed", _INT),
+        "frame_len": ("frame_len", _INT),
+        "batch_size": ("batch_size", _INT),
+        "cfar": ("cfar", _section(
+            CfarConfig,
+            {
+                "window": ("window", _INT),
+                "guard": ("guard", _INT),
+                "os_rank": ("os_rank", _INT),
+                "pfa": ("pfa", _FLOAT),
+            },
+            _DEFAULT_CONFIG.cfar,
+        )),
+        "targets": ("targets", _list_of(_section(
+            TargetSpec,
+            {
+                "range_m": ("range_m", _FLOAT),
+                "velocity_mps": ("velocity_mps", _FLOAT),
+                "angle_deg": ("angle_deg", _FLOAT),
+                "rcs_dbsm": ("rcs_dbsm", _FLOAT),
+            },
+        ))),
+        "range_grid_m": ("range_grid_m", _list_of(_FLOAT)),
+        "angle_grid_deg": ("angle_grid_deg", _FLOAT),
+    },
+)
+
+
 def config_from_dict(doc: dict) -> SimConfig:
-    """Build a SimConfig from the JSON schema documented in the README."""
-    mod = doc.get("modulation", {})
-    params = ModulationParams(
-        num_bits=int(mod.get("k", 127)),
-        radius_tuning=float(mod.get("lambda", 0.5)),
-    )
-    arr = doc.get("array", {})
-    array_cfg = ArrayConfig(
-        num_antennas=int(arr.get("n_a", 64)),
-        num_rf_chains=int(arr.get("n_rf", 4)),
-    )
-    lnk = doc.get("link", {})
-    link = LinkBudget(
-        eirp_dbm=float(lnk.get("eirp", 35.0)),
-        carrier_hz=float(lnk.get("f_c", 60.0e9)),
-        bandwidth_hz=float(lnk.get("w", 100.0e6)),
-        noise_psd=float(lnk.get("noise_psd", 2.0e-21)),
-        range_m=float(lnk.get("range", 50.0)),
-    )
-    frame_len = int(doc.get("frame_len", 1024))
-    sch = doc.get("schedule", {})
-    segments_deg = sch.get("segments_deg", [[-30.0, 30.0]])
-    frames_per_cpi = int(sch.get("frames_per_cpi", 16))
-    default_cpi = frames_per_cpi * frame_len / link.bandwidth_hz
-    schedule = FrameSchedule(
-        segments=tuple(
-            (math.radians(lo), math.radians(hi)) for lo, hi in segments_deg
-        ),
-        frames_per_cpi=frames_per_cpi,
-        t_cpi=float(sch.get("t_cpi", default_cpi)),
-        t_swc=float(sch.get("t_swc", 1e-6)),
-    )
-    cfar_doc = doc.get("cfar", {})
-    cfar = CfarConfig(
-        window=int(cfar_doc.get("window", 12)),
-        guard=int(cfar_doc.get("guard", 2)),
-        os_rank=int(cfar_doc.get("os_rank", 18)),
-        pfa=float(cfar_doc.get("pfa", 1e-4)),
-    )
-    targets = tuple(
-        TargetSpec(
-            range_m=float(t["range_m"]),
-            velocity_mps=float(t.get("velocity_mps", 0.0)),
-            angle_deg=float(t.get("angle_deg", 0.0)),
-            rcs_dbsm=float(t.get("rcs_dbsm", 10.0)),
-        )
-        for t in doc.get("targets", [])
-    )
-    return SimConfig(
-        modulation=params,
-        array=array_cfg,
-        link=link,
-        schedule=schedule,
-        channel_model=str(doc.get("channel_model", "awgn")),
-        snr_grid_db=tuple(float(s) for s in doc.get("snr_grid_db", [0, 2, 4, 6, 8, 10])),
-        trials=int(doc.get("trials", 10_000)),
-        seed=int(doc.get("seed", 0)),
-        frame_len=frame_len,
-        batch_size=int(doc.get("batch_size", 16_384)),
-        cfar=cfar,
-        targets=targets,
-        range_grid_m=tuple(float(r) for r in doc.get("range_grid_m", [])),
-        angle_grid_deg=float(doc.get("angle_grid_deg", 0.5)),
-    )
+    """Build a SimConfig from the JSON schema documented in the README.
+
+    Absent keys take the dataclass defaults, except ``schedule.t_cpi``,
+    which defaults to frames_per_cpi * frame_len / w.  An unknown key, a
+    value of the wrong JSON kind, a non-finite number or a target without
+    ``range_m`` raises ValueError naming the dotted key.
+    """
+    cfg = _CONFIG.load(doc, "")
+    if "t_cpi" not in doc.get("schedule", {}):
+        sch = cfg.schedule
+        t_cpi = sch.frames_per_cpi * cfg.frame_len / cfg.link.bandwidth_hz
+        cfg = replace(cfg, schedule=replace(sch, t_cpi=t_cpi))
+    return cfg
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "modulation": {"k": cfg.modulation.num_bits, "lambda": cfg.modulation.radius_tuning},
-        "array": {"n_a": cfg.array.num_antennas, "n_rf": cfg.array.num_rf_chains},
-        "link": {
-            "eirp": cfg.link.eirp_dbm,
-            "f_c": cfg.link.carrier_hz,
-            "w": cfg.link.bandwidth_hz,
-            "noise_psd": cfg.link.noise_psd,
-            "range": cfg.link.range_m,
-        },
-        "schedule": {
-            "segments_deg": [
-                [math.degrees(lo), math.degrees(hi)] for lo, hi in cfg.schedule.segments
-            ],
-            "frames_per_cpi": cfg.schedule.frames_per_cpi,
-            "t_cpi": cfg.schedule.t_cpi,
-            "t_swc": cfg.schedule.t_swc,
-        },
-        "channel_model": cfg.channel_model,
-        "snr_grid_db": list(cfg.snr_grid_db),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "frame_len": cfg.frame_len,
-        "batch_size": cfg.batch_size,
-        "cfar": {
-            "window": cfg.cfar.window,
-            "guard": cfg.cfar.guard,
-            "os_rank": cfg.cfar.os_rank,
-            "pfa": cfg.cfar.pfa,
-        },
-        "targets": [
-            {
-                "range_m": t.range_m,
-                "velocity_mps": t.velocity_mps,
-                "angle_deg": t.angle_deg,
-                "rcs_dbsm": t.rcs_dbsm,
-            }
-            for t in cfg.targets
-        ],
-        "range_grid_m": list(cfg.range_grid_m),
-        "angle_grid_deg": cfg.angle_grid_deg,
-    }
+    """The JSON document of ``cfg``; ``config_from_dict`` inverts it."""
+    return _CONFIG.dump(cfg)
 
 
 def load_config(path: str | Path) -> SimConfig:

@@ -41,6 +41,8 @@ from moczsim import (
     steering,
 )
 
+from horner import eval_on_grid
+
 RANGE_CELL_M = SPEED_OF_LIGHT / (2 * 100e6)  # 1.499 m at W = 100 MHz
 
 
@@ -360,8 +362,8 @@ def test_criterion_9_oracle_equivalences():
     for n in (128, 200, 511):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for radius in (p.outer_radius, 1 / p.outer_radius):
-            h = eval_on_zero_grid(y, radius, 127, method="horner")
-            f = eval_on_zero_grid(y, radius, 127, method="fft")
+            h = eval_on_grid(y, radius, 127)
+            f = eval_on_zero_grid(y, radius, 127)
             worst_eval = max(
                 worst_eval, float(np.max(np.abs(h - f)) / np.max(np.abs(h)))
             )

@@ -7,24 +7,21 @@ from hypothesis import strategies as st
 
 from moczsim import (
     ArrayConfig,
-    CommPath,
     LinkBudget,
     ModulationParams,
     RadarTarget,
     SPEED_OF_LIGHT,
-    apply_comm_channel,
     apply_radar_channel,
     awgn,
-    comm_gain,
     cross_correlate,
     dft_codebook,
     encode,
     fractional_delay,
     make_beamformers,
     radar_gain,
-    rician_gain,
     steering,
 )
+from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch
 
 
 class TestSteering:
@@ -110,18 +107,6 @@ class TestGains:
         with pytest.raises(ValueError):
             radar_gain(LinkBudget(), 10.0, 0.0)
 
-    def test_comm_gain_frozen_value(self):
-        link = LinkBudget(carrier_hz=60.0e9)
-        assert comm_gain(link, 100.0) == pytest.approx(1.583e-11, rel=2e-2)
-
-    def test_comm_gain_d2_law(self):
-        link = LinkBudget()
-        drop_db = 10 * np.log10(comm_gain(link, 50.0) / comm_gain(link, 100.0))
-        assert drop_db == pytest.approx(6.02, abs=0.01)
-
-    def test_comm_gain_rejects_zero_range(self):
-        with pytest.raises(ValueError):
-            comm_gain(LinkBudget(), 0.0)
 
 
 class TestFractionalDelay:
@@ -177,10 +162,9 @@ class TestRadarChannel:
     def test_start_time_advances_doppler_phase(self):
         tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=0.0, doppler_hz=1e5)
         y0 = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16, start_time=0.0)
-        y1 = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16, start_time=1e-4)
-        np.testing.assert_allclose(
-            y1, y0 * np.exp(2j * np.pi * 1e5 * 1e-4), atol=1e-9
-        )
+        # 2.5e-6 s is a quarter Doppler cycle, so the phase advances by pi/2
+        y1 = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16, start_time=2.5e-6)
+        np.testing.assert_allclose(y1, 1j * y0, atol=1e-9)
 
     def test_no_targets_returns_zeros(self):
         y = apply_radar_channel(self.x, [], self.bf, 1e-8, frame_len=32)
@@ -230,45 +214,6 @@ class TestRadarChannel:
             RadarTarget(gain=1.0, angle_rad=2.0, delay_s=0.0, doppler_hz=0.0)
 
 
-class TestCommChannel:
-    def test_single_matched_path_gives_full_gain(self):
-        n_a = 16
-        f = steering(0.0, n_a) / np.sqrt(n_a)
-        x = encode([1, 0, 1], ModulationParams(3))
-        path = CommPath(gain=1.0, aod_rad=0.0, delay_s=0.0, doppler_hz=0.0)
-        r = apply_comm_channel(x, [path], f, 1e-8)
-        np.testing.assert_allclose(r[: x.size], np.sqrt(n_a) * x, atol=1e-9)
-
-    def test_two_equal_paths_convolve(self):
-        n_a = 8
-        f = steering(0.0, n_a) / np.sqrt(n_a)
-        x = encode([0, 1, 1], ModulationParams(3))
-        paths = [
-            CommPath(gain=0.3, aod_rad=0.0, delay_s=0.0, doppler_hz=0.0),
-            CommPath(gain=0.3, aod_rad=0.0, delay_s=1e-8, doppler_hz=0.0),
-        ]
-        r = apply_comm_channel(x, paths, f, 1e-8)
-        g = 0.3 * np.sqrt(n_a)
-        np.testing.assert_allclose(r, np.convolve([g, g], x), atol=1e-9)
-
-    def test_output_length_spans_delay_spread(self):
-        f = steering(0.0, 4) / 2.0
-        x = np.ones(5, dtype=complex)
-        paths = [CommPath(gain=1.0, aod_rad=0.0, delay_s=3.2e-8, doppler_hz=0.0)]
-        r = apply_comm_channel(x, paths, f, 1e-8)
-        assert r.size == 5 + 4  # ceil(3.2) + 1 taps
-
-    def test_from_geometry_one_way_doppler(self):
-        link = LinkBudget()
-        p = CommPath.from_geometry(link, 100.0, 30.0, 5.0)
-        assert p.doppler_hz == pytest.approx(30.0 * link.carrier_hz / SPEED_OF_LIGHT)
-        assert p.delay_s == pytest.approx(100.0 / SPEED_OF_LIGHT)
-
-    def test_empty_paths_raise(self):
-        with pytest.raises(ValueError):
-            apply_comm_channel(np.ones(4), [], np.ones(4) / 2.0, 1e-8)
-
-
 class TestNoise:
     def test_zero_variance_is_identity(self):
         x = np.arange(5, dtype=complex)
@@ -303,12 +248,14 @@ class TestNoise:
         assert np.array_equal(block, per_frame)
 
     def test_rician_factor_controls_power_split(self):
+        # A unit impulse through the selective model returns the taps themselves.
         rng = np.random.default_rng(10)
-        taps = np.array([rician_gain(rng, 10.0, phase_rad=0.0) for _ in range(40_000)])
-        los_power = abs(np.mean(taps)) ** 2
-        diffuse_power = np.var(taps)
-        assert los_power / diffuse_power == pytest.approx(10.0, rel=0.05)
-        assert np.mean(np.abs(taps) ** 2) == pytest.approx(1.0, rel=0.02)
+        taps = _fade_batch(np.ones((40_000, 1), dtype=complex), "rician_selective", rng)
+        power = np.abs(taps) ** 2
+        mean = power.mean(axis=0)
+        np.testing.assert_allclose(mean, _SELECTIVE_TAP_POWERS, rtol=0.02)
+        # Rician factor K = 10: Var(|h|^2) / E[|h|^2]^2 = (1 + 2K) / (1 + K)^2
+        np.testing.assert_allclose(power.var(axis=0) / mean**2, 21 / 121, rtol=0.05)
 
 
 def test_radar_target_from_geometry_two_way_scalings():

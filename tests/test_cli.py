@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from moczsim import ModulationParams, autocorrelation, encode, sequence_from_csv
 from moczsim.cli import main, parse_bit_string
+from test_simulate import BAD_CONFIG_IDS, BAD_CONFIGS
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +183,33 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
         assert code == 2
         assert "MOCZSIM_THREADS" in err
+
+    @pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_config_exit_2(self, capsys, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
+        assert code == 2
+        assert key in err
+
+    def test_zero_trials_override_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--trials", "0")
+        assert code == 2
+        assert "trials" in err
+
+    @pytest.mark.parametrize("fault", [KeyError("k"), TypeError("t")])
+    def test_internal_fault_exit_4(self, capsys, tmp_path, monkeypatch, fault):
+        def broken(cfg):
+            raise fault
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
+        monkeypatch.setattr("moczsim.cli.run_ber", broken)
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
+        assert code == 4
+        assert "internal error" in err
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "ber", "--config", str(tmp_path / "nope.json"))

@@ -14,9 +14,10 @@ from moczsim import (
     dizet_decode_batch,
     encode,
     encode_batch,
-    eval_at_point,
     eval_on_zero_grid,
 )
+
+from horner import decode_margins, eval_at_point, eval_on_grid
 
 
 class TestEvalAtPoint:
@@ -50,13 +51,9 @@ class TestGridEvaluation:
         for n in (32, 45, 77):
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for radius in (p.outer_radius, 1 / p.outer_radius):
-                h = eval_on_zero_grid(y, radius, 31, method="horner")
-                f = eval_on_zero_grid(y, radius, 31, method="fft")
+                h = eval_on_grid(y, radius, 31)
+                f = eval_on_zero_grid(y, radius, 31)
                 np.testing.assert_allclose(f, h, atol=1e-9 * np.max(np.abs(h)))
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            eval_on_zero_grid([1.0, 2.0], 1.1, 2, method="magic")
 
 
 class TestDecode:
@@ -100,16 +97,22 @@ class TestDecode:
         np.testing.assert_array_equal(decoded.bits, [0, 0, 0, 0])
         np.testing.assert_array_equal(decoded.margins, np.zeros(4))
 
-    def test_batch_matches_single(self):
-        p = ModulationParams(16)
-        rng = np.random.default_rng(5)
-        msgs = rng.integers(0, 2, (6, 16))
-        rx = awgn(encode_batch(msgs, p), 0.01, rng)
-        bits, margins = dizet_decode_batch(rx, p)
-        for i in range(6):
-            single = dizet_decode(rx[i], p)
-            np.testing.assert_array_equal(bits[i], single.bits)
-            np.testing.assert_allclose(margins[i], single.margins, atol=1e-9)
+    @pytest.mark.parametrize("k", [8, 31, 127, 511])
+    def test_margins_match_horner_oracle(self, k):
+        p = ModulationParams(k)
+        rng = np.random.default_rng(k)
+        for n in (k + 1, k + 4):
+            x = np.zeros(n, dtype=complex)
+            x[: k + 1] = encode(rng.integers(0, 2, k), p)
+            y = awgn(x, 0.1 / k, rng)
+            decoded = dizet_decode(y, p)
+            want = decode_margins(y, p)
+            np.testing.assert_array_equal(decoded.bits, (want > 0).astype(np.uint8))
+            np.testing.assert_allclose(decoded.margins, want, rtol=0, atol=1e-9)
+
+    def test_rejects_non_vector_input(self):
+        with pytest.raises(ValueError):
+            dizet_decode(np.ones((2, 9), dtype=complex), ModulationParams(8))
 
 
 @settings(max_examples=40, deadline=None)

@@ -177,7 +177,7 @@ class TestEncode:
             assert abs(x[-1] - xk) < 1e-9
 
     def test_polynomial_vanishes_at_chosen_zeros_only(self):
-        from moczsim import eval_at_point
+        from horner import eval_at_point
 
         for k in (4, 10, 31):
             p = ModulationParams(k)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,26 @@ from moczsim import (
 )
 from moczsim.simulate import _max_workers, atomic_write_text, write_result
 
-SCENE = Path(__file__).resolve().parent.parent / "configs" / "scene.json"
+ROOT = Path(__file__).resolve().parent.parent
+SCENE = ROOT / "configs" / "scene.json"
 RANGE_CELL_M = SPEED_OF_LIGHT / (2 * 100e6)
+
+# (document, dotted key the error must name)
+BAD_CONFIGS = [
+    ({"trails": 5, "modulaton": {"k": 31}}, "trails"),
+    ({"modulation": {"kk": 31}}, "modulation.kk"),
+    ({"snr_grid_db": [float("nan")]}, "snr_grid_db[0]"),
+    ({"cfar": {"pfa": float("inf")}}, "cfar.pfa"),
+    ({"link": {"w": 10**400}}, "link.w"),
+    ({"trials": "5"}, "trials"),
+    ({"seed": 1.5}, "seed"),
+    ({"channel_model": 3}, "channel_model"),
+    ({"schedule": []}, "schedule"),
+    ({"schedule": {"segments_deg": [[-8.0]]}}, "schedule.segments_deg[0]"),
+    ({"targets": [{"velocity_mps": 3.0}]}, "targets[0].range_m"),
+    ({"angle_grid_deg": 0}, "angle_grid_deg"),
+]
+BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
 NARROW = FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=8, t_cpi=8 * 1024e-8)
 
@@ -299,6 +318,50 @@ class TestConfigRoundTrip:
         )
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
+
+    def test_empty_document_gives_the_defaults(self):
+        assert config_from_dict({}) == SimConfig()
+
+    def test_derived_defaults_follow_their_inputs(self):
+        cfg = config_from_dict(
+            {
+                "frame_len": 2048,
+                "link": {"w": 50e6},
+                "schedule": {"frames_per_cpi": 4},
+                "cfar": {"pfa": 0.5},
+            }
+        )
+        assert cfg.schedule.t_cpi == 4 * 2048 / 50e6
+        assert cfg.cfar.alpha == CfarConfig(pfa=0.5).alpha
+
+    @pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
+    def test_bad_input_raises_naming_the_key(self, doc, key):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [*sorted(ROOT.glob("configs/*.json")), *sorted(ROOT.glob("bench/configs/*.json"))],
+        ids=lambda p: str(p.relative_to(ROOT)),
+    )
+    def test_shipped_configs_load(self, path):
+        assert isinstance(load_config(path), SimConfig)
+
+    def test_readme_schema_block_shows_the_defaults(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//.*", "", block))
+        config_from_dict(doc)
+        defaults = config_to_dict(config_from_dict({}))
+        assert set(doc) == set(defaults)
+        for key, value in doc.items():
+            if key == "targets":
+                continue
+            if key == "schedule":
+                np.testing.assert_allclose(
+                    value.pop("segments_deg"), defaults[key].pop("segments_deg")
+                )
+            assert value == defaults[key], key
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
