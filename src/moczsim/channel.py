@@ -268,9 +268,11 @@ def awgn(samples, noise_variance: float, rng=None, frame_axes: int = 0) -> np.nd
     if noise_variance == 0:
         return x.copy()
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    scale = math.sqrt(noise_variance / 2.0)
     shape = x.shape[:frame_axes] + (2,) + x.shape[frame_axes:]
-    re, im = np.moveaxis(gen.standard_normal(shape), frame_axes, 0)
-    noise = re + 1j * im
-    del re, im  # release the real draw before the sum is formed
-    return x + scale * noise
+    draw = gen.standard_normal(shape)
+    draw *= math.sqrt(noise_variance / 2.0)
+    re, im = np.moveaxis(draw, frame_axes, 0)
+    out = np.empty_like(x)
+    np.add(x.real, re, out=out.real)
+    np.add(x.imag, im, out=out.imag)
+    return out

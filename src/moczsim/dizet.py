@@ -44,13 +44,15 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int) -> np.ndarray:
     """
     y = np.asarray(samples, dtype=complex)
     n = y.shape[-1]
-    weighted = y * radius ** np.arange(n)
-    blocks = -(-n // num_bits)
-    padded = np.zeros(y.shape[:-1] + (blocks * num_bits,), dtype=complex)
-    padded[..., :n] = weighted
-    folded = padded.reshape(y.shape[:-1] + (blocks, num_bits)).sum(axis=-2)
+    weights = radius ** np.arange(n)
+    # Fold by slice adds onto the first block; a block shorter than K (or
+    # an input shorter than K) is zero-extended by the transform length.
+    folded = y[..., :num_bits] * weights[:num_bits]
+    for start in range(num_bits, n, num_bits):
+        block = y[..., start : start + num_bits] * weights[start : start + num_bits]
+        folded[..., : block.shape[-1]] += block
     # sum_m g[m] exp(+2i pi m k / K) == K * ifft(g)
-    return num_bits * np.fft.ifft(folded, axis=-1)
+    return num_bits * np.fft.ifft(folded, num_bits, axis=-1)
 
 
 def _normalizers(radius: float, n: int) -> tuple[float, float]:

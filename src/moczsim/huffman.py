@@ -104,19 +104,13 @@ def encode_zeros(bits, params: ModulationParams) -> np.ndarray:
     return np.exp(1j * angles) * params.outer_radius ** (2 * m - 1)
 
 
-def _leading_coeff(weights, params: ModulationParams):
-    # -sqrt(eta * R^(K - 2*||m||_0)) makes the expanded polynomial unit energy.
-    return -np.sqrt(
-        params.side_peak * params.outer_radius ** (params.num_bits - 2.0 * weights)
-    )
-
-
 @lru_cache(maxsize=4)
 def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     # Logs of the zero factors on the K+1 roots of unity: the per-point sum
-    # of the inner (bit 0) factors, and the (K+1, K) outer-minus-inner
-    # differences that each set bit adds.  Read-only, since every caller
-    # shares them.
+    # of the inner (bit 0) factors, and the outer-minus-inner difference that
+    # each set bit adds, stored as the real view of its (K, K+1) transpose so
+    # a real message matrix times it is one real GEMM.  Read-only, since
+    # every caller shares them.
     K = params.num_bits
     R = params.outer_radius
     grid = np.exp(2j * np.pi * np.arange(K + 1) / (K + 1))
@@ -124,10 +118,10 @@ def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     log_outer = np.log(grid[:, None] - R * pair_angles[None, :])
     log_inner = np.log(grid[:, None] - pair_angles[None, :] / R)
     inner_sum = log_inner.sum(axis=1)
-    outer_minus_inner = log_outer - log_inner
+    basis = np.ascontiguousarray((log_outer - log_inner).T).view(np.float64)
     inner_sum.flags.writeable = False
-    outer_minus_inner.flags.writeable = False
-    return inner_sum, outer_minus_inner
+    basis.flags.writeable = False
+    return inner_sum, basis
 
 
 def encode_batch(messages, params: ModulationParams) -> np.ndarray:
@@ -151,25 +145,28 @@ def encode_batch(messages, params: ModulationParams) -> np.ndarray:
     of zeros clustered on an arc grow combinatorially large before cancelling,
     which destroys double precision for K beyond roughly 100; the evaluation
     route is exact up to rounding because the sequence spectrum is within
-    [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  The (K+1, K) log
-    basis depends only on ``params`` and is cached for the four most recent
-    parameter sets.
+    [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  The (K, 2(K+1)) real
+    log basis depends only on ``params`` and is cached for the four most
+    recent parameter sets.  The leading coefficient -sqrt(eta R^(K-2|m|))
+    and the 1/(K+1) that turns the FFT of the values into coefficients are
+    real factors per row; the closing per-row phase and energy
+    normalisation removes any such factor, so neither is applied.
     """
     m = np.atleast_2d(np.asarray(messages))
     if m.ndim != 2 or m.shape[1] != params.num_bits:
         raise ValueError(f"messages must have {params.num_bits} columns")
     if np.any((m != 0) & (m != 1)):
         raise ValueError("bit message entries must be 0 or 1")
-    m = m.astype(np.float64)
 
-    inner_sum, outer_minus_inner = _log_basis(params)
+    inner_sum, basis = _log_basis(params)
     # exp of summed logs equals the zero product; branch offsets cancel in exp.
-    evals = np.exp(inner_sum[:, None] + outer_minus_inner @ m.T)
-    evals *= _leading_coeff(m.sum(axis=1), params)[None, :]
-
-    x = (np.fft.fft(evals, axis=0) / params.seq_len).T
-    x *= np.exp(-1j * np.angle(x[:, :1]))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    evals = (m.astype(np.float64) @ basis).view(np.complex128)
+    evals += inner_sum
+    np.exp(evals, out=evals)
+    x = np.fft.fft(evals, axis=1, out=evals)
+    xr = x.view(np.float64)
+    energy = np.einsum("ij,ij->i", xr, xr)
+    x *= (np.exp(-1j * np.angle(x[:, 0])) / np.sqrt(energy))[:, None]
     return x
 
 

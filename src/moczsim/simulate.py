@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from .channel import (
@@ -229,7 +230,12 @@ def _batch_sizes(total: int, batch: int) -> list[int]:
 
 
 def _fade_batch(tx: np.ndarray, model: str, rng: np.random.Generator) -> np.ndarray:
-    """Apply the selected fading model to a (B, K+1) batch of packets."""
+    """Apply the selected fading model to a (B, K+1) batch of packets.
+
+    Returns shape (B, K+1), or (B, K+4) for ``rician_selective``, whose
+    4-tap channel is a full linear convolution of each packet with its own
+    taps.
+    """
     if model == "awgn":
         return tx
     b = tx.shape[0]
@@ -244,9 +250,13 @@ def _fade_batch(tx: np.ndarray, model: str, rng: np.random.Generator) -> np.ndar
             rng.standard_normal((b, n_taps)) + 1j * rng.standard_normal((b, n_taps))
         )
         taps = np.sqrt(_SELECTIVE_TAP_POWERS)[None, :] * (los + diffuse)
-        n_out = tx.shape[1] + n_taps - 1
-        spec = np.fft.fft(tx, n_out, axis=1) * np.fft.fft(taps, n_out, axis=1)
-        return np.fft.ifft(spec, axis=1)
+        # Direct convolution: output sample n of row b is
+        # sum_j taps[b, j] * tx[b, n - j], read from n_taps-wide windows of
+        # the zero-padded rows against the reversed taps.
+        padded = np.zeros((b, tx.shape[1] + 2 * (n_taps - 1)), dtype=complex)
+        padded[:, n_taps - 1 : n_taps - 1 + tx.shape[1]] = tx
+        windows = sliding_window_view(padded, n_taps, axis=1)
+        return np.einsum("bnj,bj->bn", windows, taps[:, ::-1])
     raise ValueError(f"unknown channel model {model!r}")
 
 

@@ -16,6 +16,7 @@ from moczsim import (
     cross_correlate,
     dft_codebook,
     encode,
+    encode_batch,
     fractional_delay,
     make_beamformers,
     radar_gain,
@@ -256,6 +257,39 @@ class TestNoise:
         np.testing.assert_allclose(mean, _SELECTIVE_TAP_POWERS, rtol=0.02)
         # Rician factor K = 10: Var(|h|^2) / E[|h|^2]^2 = (1 + 2K) / (1 + K)^2
         np.testing.assert_allclose(power.var(axis=0) / mean**2, 21 / 121, rtol=0.05)
+
+
+class TestSelectiveFade:
+    def test_rows_are_linear_convolutions_with_the_drawn_taps(self):
+        p = ModulationParams(31)
+        msgs = np.random.default_rng(20).integers(0, 2, (6, 31))
+        tx = encode_batch(msgs, p)
+        out = _fade_batch(tx, "rician_selective", np.random.default_rng(21))
+        # The same rng state on a unit impulse returns the taps themselves.
+        impulse = np.ones((6, 1), dtype=complex)
+        taps = _fade_batch(impulse, "rician_selective", np.random.default_rng(21))
+        assert out.shape == (6, 32 + 3)
+        # ...and those are the drawn taps in delay order, tap 0 first.
+        ref = np.random.default_rng(21)
+        psi = ref.uniform(0.0, 2.0 * np.pi, (6, 4))
+        diffuse = ref.standard_normal((6, 4)) + 1j * ref.standard_normal((6, 4))
+        want = np.sqrt(_SELECTIVE_TAP_POWERS) * (
+            np.sqrt(10 / 11) * np.exp(1j * psi) + np.sqrt(1 / 22) * diffuse
+        )
+        np.testing.assert_allclose(taps, want, rtol=1e-15, atol=0)
+        for row, x, h in zip(out, tx, taps):
+            np.testing.assert_allclose(row, np.convolve(x, h), rtol=0, atol=1e-14)
+
+    def test_draws_a_uniform_block_then_two_normal_blocks(self):
+        # The AWGN draw that follows the fade in run_ber starts from this
+        # state, so the tap draws fix the whole BER stream.
+        rng = np.random.default_rng(22)
+        _fade_batch(np.ones((5, 9), dtype=complex), "rician_selective", rng)
+        ref = np.random.default_rng(22)
+        ref.uniform(0.0, 2.0 * np.pi, (5, 4))
+        ref.standard_normal((5, 4))
+        ref.standard_normal((5, 4))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_radar_target_from_geometry_two_way_scalings():

@@ -48,12 +48,26 @@ class TestGridEvaluation:
     def test_fft_path_matches_horner(self):
         rng = np.random.default_rng(11)
         p = ModulationParams(31)
-        for n in (32, 45, 77):
+        for n in (20, 32, 45, 77):
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for radius in (p.outer_radius, 1 / p.outer_radius):
                 h = eval_on_grid(y, radius, 31)
                 f = eval_on_zero_grid(y, radius, 31)
                 np.testing.assert_allclose(f, h, atol=1e-9 * np.max(np.abs(h)))
+
+    @pytest.mark.parametrize("n", [128, 131, 300])
+    def test_slice_fold_equals_zero_padded_fold_exactly(self, n):
+        # Oracle: zero-pad to whole blocks of K and sum the reshaped blocks.
+        k = 127
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        radius = ModulationParams(k).outer_radius
+        blocks = -(-n // k)
+        padded = np.zeros((4, blocks * k), dtype=complex)
+        padded[:, :n] = y * radius ** np.arange(n)
+        folded = padded.reshape(4, blocks, k).sum(axis=1)
+        want = k * np.fft.ifft(folded, axis=-1)
+        assert np.array_equal(eval_on_zero_grid(y, radius, k), want)
 
 
 class TestDecode:
@@ -130,6 +144,24 @@ def test_phase_and_scale_invariance(seed, phase, log_scale):
     scaled = dizet_decode(np.exp(log_scale) * np.exp(1j * phase) * y, p)
     np.testing.assert_array_equal(scaled.bits, base.bits)
     np.testing.assert_allclose(scaled.margins, base.margins, atol=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=2047),
+    n_taps=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_noiseless_decode_is_exact_under_any_fir_channel(k, n_taps, seed):
+    # A channel polynomial multiplies the transmit polynomial, so the
+    # designed zeros survive any taps and every bit decodes exactly.
+    p = ModulationParams(k)
+    rng = np.random.default_rng(seed)
+    msgs = rng.integers(0, 2, (3, k), dtype=np.int8)
+    taps = rng.standard_normal((3, n_taps)) + 1j * rng.standard_normal((3, n_taps))
+    rx = np.array([np.convolve(h, x) for h, x in zip(taps, encode_batch(msgs, p))])
+    bits, _ = dizet_decode_batch(rx, p)
+    np.testing.assert_array_equal(bits, msgs)
 
 
 def test_ber_degrades_monotonically_with_noise():

@@ -104,6 +104,35 @@ class TestRunBer:
         assert ray_rec["ber"] > awgn_rec["ber"]
 
 
+# run_ber bit_errors pinned from the FFT-convolution fade, complex-product
+# encoder and padded decoder fold: (K, channel model, ((snr_db, bit_errors), ...)).
+# Every record has 2048 packets in two batches of 1024, seed 404.
+PINNED_BER = [
+    (127, "awgn", ((4.0, 13738), (7.0, 2721))),
+    (511, "rician_selective", ((6.0, 91767), (10.0, 41136))),
+]
+
+
+class TestBerRegression:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "k, model, want", PINNED_BER, ids=[f"{m}-k{k}" for k, m, _ in PINNED_BER]
+    )
+    def test_records_match_the_pinned_bit_errors(self, monkeypatch, threads, k, model, want):
+        monkeypatch.setenv("MOCZSIM_THREADS", threads)
+        cfg = SimConfig(
+            modulation=ModulationParams(k),
+            channel_model=model,
+            snr_grid_db=tuple(snr for snr, _ in want),
+            trials=2048,
+            batch_size=1024,
+            seed=404,
+        )
+        records = run_ber(cfg).records
+        assert [(r["snr_db"], r["bit_errors"]) for r in records] == list(want)
+        assert all(r["packets"] == 2048 for r in records)
+
+
 class TestEnergyAccounting:
     def test_every_message_transmits_unit_energy(self):
         p = ModulationParams(31)
