@@ -45,8 +45,8 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int) -> np.ndarray:
     y = np.asarray(samples, dtype=complex)
     n = y.shape[-1]
     weights = radius ** np.arange(n)
-    # Fold by slice adds onto the first block; a block shorter than K (or
-    # an input shorter than K) is zero-extended by the transform length.
+    # Fold modulo K by slice adds onto the first block; an input shorter
+    # than K is zero-extended by the transform length.
     folded = y[..., :num_bits] * weights[:num_bits]
     for start in range(num_bits, n, num_bits):
         block = y[..., start : start + num_bits] * weights[start : start + num_bits]
