@@ -118,7 +118,8 @@ def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     log_outer = np.log(grid[:, None] - R * pair_angles[None, :])
     log_inner = np.log(grid[:, None] - pair_angles[None, :] / R)
     inner_sum = log_inner.sum(axis=1)
-    basis = np.ascontiguousarray((log_outer - log_inner).T).view(np.float64)
+    log_outer -= log_inner
+    basis = np.ascontiguousarray(log_outer.T).view(np.float64)
     inner_sum.flags.writeable = False
     basis.flags.writeable = False
     return inner_sum, basis
@@ -163,7 +164,7 @@ def encode_batch(messages, params: ModulationParams) -> np.ndarray:
     evals = (m.astype(np.float64) @ basis).view(np.complex128)
     evals += inner_sum
     np.exp(evals, out=evals)
-    x = np.fft.fft(evals, axis=1, out=evals)
+    x = np.fft.fft(evals, axis=1)
     xr = x.view(np.float64)
     energy = np.einsum("ij,ij->i", xr, xr)
     x *= (np.exp(-1j * np.angle(x[:, 0])) / np.sqrt(energy))[:, None]
