@@ -149,21 +149,41 @@ def os_cfar(profile, config: CfarConfig) -> list[Detection]:
 
     For every cell the threshold is alpha times the os_rank-th smallest of
     the 2*window reference powers (guard cells excluded, circular wrap).
+
+    The test runs as a rank count.  Multiplying by alpha >= 0 is monotone in
+    floating point, so alpha * kth is the os_rank-th smallest of the scaled
+    references, and ``power[c] > alpha * kth[c]`` holds exactly when at
+    least os_rank of the 2*window values ``alpha * ref`` lie below
+    ``power[c]``.  That count is summed over shifted views of one circularly
+    extended copy of ``alpha * power``; the ordered statistic, and so the
+    stored threshold, is computed for the detected cells only.
     """
-    power = np.abs(np.asarray(profile)) ** 2
+    z = np.asarray(profile)
+    if z.ndim != 1:
+        raise ValueError(f"CFAR needs a 1-D profile, got shape {z.shape}")
+    power = np.abs(z) ** 2
     n = power.size
-    span = 2 * (config.window + config.guard) + 1
-    if n < span:
-        raise ValueError(f"frame of {n} cells shorter than CFAR span {span}")
-    one_side = np.arange(config.guard + 1, config.guard + config.window + 1)
+    reach = config.window + config.guard
+    if n < 2 * reach + 1:
+        raise ValueError(f"frame of {n} cells shorter than CFAR span {2 * reach + 1}")
+    one_side = np.arange(config.guard + 1, reach + 1)
     offsets = np.concatenate([-one_side, one_side])
-    ref = power[(np.arange(n)[:, None] + offsets[None, :]) % n]
+
+    scaled = config.alpha * power
+    wrapped = np.concatenate([scaled[n - reach :], scaled, scaled[:reach]])
+    below = np.empty(n, dtype=bool)
+    count = np.zeros(n, dtype=np.min_scalar_type(offsets.size))
+    for off in offsets:
+        np.less(wrapped[reach + off : reach + off + n], power, out=below)
+        count += below
+    cells = np.nonzero(count >= config.os_rank)[0]
+
+    ref = power[(cells[:, None] + offsets[None, :]) % n]
     kth = np.partition(ref, config.os_rank - 1, axis=1)[:, config.os_rank - 1]
     thresholds = config.alpha * kth
-    cells = np.nonzero(power > thresholds)[0]
     return [
-        Detection(cell=int(c), statistic=float(power[c]), threshold=float(thresholds[c]))
-        for c in cells
+        Detection(cell=c, statistic=s, threshold=t)
+        for c, s, t in zip(cells.tolist(), power[cells].tolist(), thresholds.tolist())
     ]
 
 

@@ -1,5 +1,7 @@
 """Detection and estimation operators, each checked against an independent route."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from moczsim import (
     sample_covariance,
     steering,
 )
+from cfar_gather import os_cfar as gather_os_cfar
 
 
 def direct_cross_correlation(x, y):
@@ -141,6 +144,88 @@ class TestOsCfar:
             CfarConfig(window=4, os_rank=9)
         with pytest.raises(ValueError):
             CfarConfig(pfa=0.0)
+
+    @pytest.mark.parametrize("window,guard", [(1, 0), (2, 1), (3, 0), (4, 2)])
+    def test_every_rank_matches_gather_oracle(self, window, guard):
+        rng = np.random.default_rng(100 * window + guard)
+        span = 2 * (window + guard) + 1
+        for n in (span, span + 1, 3 * span + 4):
+            profile = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for rank in range(1, 2 * window + 1):
+                for pfa in (1e-3, 0.2, 0.9):
+                    cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=pfa)
+                    assert os_cfar(profile, cfg) == gather_os_cfar(profile, cfg)
+
+    def test_shortest_frame_references_wrap_onto_themselves(self):
+        cfg = CfarConfig(window=3, guard=1, os_rank=4, pfa=0.5, alpha=1.5)
+        profile = np.sqrt(np.arange(1.0, 10.0))  # n == span == 9
+        got = os_cfar(profile, cfg)
+        assert got == gather_os_cfar(profile, cfg)
+        # Cell 8 (power 9) sees 7, 6, 5 below and 2, 3, 4 across the wrap.
+        assert got[-1].cell == 8
+        assert got[-1].threshold == pytest.approx(1.5 * 5.0)
+
+    @pytest.mark.parametrize("rank", [1, 4, 8])
+    def test_zero_alpha_matches_oracle_with_zero_cells(self, rank):
+        cfg = CfarConfig(window=4, guard=1, os_rank=rank, pfa=0.5, alpha=0.0)
+        rng = np.random.default_rng(rank)
+        profile = rng.standard_normal(48) * (rng.random(48) < 0.6)
+        got = os_cfar(profile, cfg)
+        assert got == gather_os_cfar(profile, cfg)
+        assert [d.cell for d in got] == np.flatnonzero(profile).tolist()
+        assert all(d.threshold == 0.0 for d in got)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 3.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_constant_frames(self, level, alpha):
+        cfg = CfarConfig(window=4, guard=1, os_rank=5, pfa=0.5, alpha=alpha)
+        profile = np.full(40, level, dtype=complex)
+        got = os_cfar(profile, cfg)
+        assert got == gather_os_cfar(profile, cfg)
+        # Every reference equals the cell, so only alpha < 1 lifts it above.
+        assert len(got) == (40 if level > 0.0 and alpha < 1.0 else 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_quantised_powers_with_ties(self, alpha):
+        rng = np.random.default_rng(7)
+        profile = np.sqrt(rng.integers(0, 4, 200).astype(float))
+        for rank in range(1, 11):
+            cfg = CfarConfig(window=5, guard=2, os_rank=rank, pfa=0.5, alpha=alpha)
+            assert os_cfar(profile, cfg) == gather_os_cfar(profile, cfg)
+
+    def test_detections_at_both_ends_of_the_wrap(self):
+        cfg = CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-3)
+        power = np.ones(64)
+        power[[0, 63]] = 1e4
+        power[[2, 61]] = 5.0  # reference cells of 0 and 63 across the wrap
+        got = os_cfar(np.sqrt(power), cfg)
+        assert got == gather_os_cfar(np.sqrt(power), cfg)
+        assert [d.cell for d in got] == [0, 63]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        window=st.integers(1, 6),
+        guard=st.integers(0, 3),
+        rank_frac=st.floats(0.0, 1.0),
+        extra=st.integers(0, 40),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+        levels=st.sampled_from([0, 3, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_gather_oracle(self, window, guard, rank_frac, extra, alpha, levels, seed):
+        rank = 1 + min(2 * window - 1, int(rank_frac * 2 * window))
+        cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=0.5, alpha=alpha)
+        n = 2 * (window + guard) + 1 + extra
+        rng = np.random.default_rng(seed)
+        profile = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if levels:  # quantised magnitudes: many exact ties
+            profile = np.round(np.abs(profile) * levels / 3.0) * np.exp(1j * np.angle(profile))
+        assert os_cfar(profile, cfg) == gather_os_cfar(profile, cfg)
+
+    @pytest.mark.parametrize("shape", [(4, 64), (64, 1), ()])
+    def test_non_1d_profile_raises_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            os_cfar(np.ones(shape), CfarConfig(window=4, guard=1, os_rank=5))
 
     def test_cluster_detections_keeps_strongest(self):
         dets = os_cfar(
