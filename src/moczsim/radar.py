@@ -187,8 +187,14 @@ def os_cfar(profile, config: CfarConfig) -> list[Detection]:
     ]
 
 
-def cluster_detections(detections: list[Detection], max_gap: int = 2) -> list[Detection]:
-    """Merge runs of adjacent detected cells, keeping the strongest cell of each run."""
+def cluster_detections(
+    detections: list[Detection], frame_len: int, max_gap: int = 2
+) -> list[Detection]:
+    """Merge runs of adjacent detected cells, keeping the strongest cell of each run.
+
+    Cells lie on a circular frame of ``frame_len`` cells, as in ``os_cfar``,
+    so a run that ends near the last cell joins one that starts near cell 0.
+    """
     if not detections:
         return []
     ordered = sorted(detections, key=lambda d: d.cell)
@@ -198,6 +204,8 @@ def cluster_detections(detections: list[Detection], max_gap: int = 2) -> list[De
             clusters[-1].append(det)
         else:
             clusters.append([det])
+    if len(clusters) > 1 and clusters[0][0].cell + frame_len - clusters[-1][-1].cell <= max_gap:
+        clusters[0] = clusters.pop() + clusters[0]
     return [max(group, key=lambda d: d.statistic) for group in clusters]
 
 

@@ -360,7 +360,7 @@ def _radar_trial(
     profiles = cross_correlate(frames_tx, combiner.conj() @ rx)
 
     detections = os_cfar(profiles[0], cfg.cfar)
-    clusters = cluster_detections(detections)
+    clusters = cluster_detections(detections, cfg.frame_len)
     true_cells = [round(tg.delay_s / t_sample) % cfg.frame_len for tg in targets]
 
     def near_truth(cell: int) -> bool:

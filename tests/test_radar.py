@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from moczsim import (
     ArrayConfig,
     CfarConfig,
+    Detection,
     EstimateReport,
     ModulationParams,
     SPEED_OF_LIGHT,
@@ -232,9 +233,18 @@ class TestOsCfar:
             np.sqrt(np.array([1.0] * 30 + [50.0, 80.0, 60.0] + [1.0] * 31)),
             CfarConfig(window=8, guard=2, os_rank=12, pfa=1e-3),
         )
-        clusters = cluster_detections(dets)
+        clusters = cluster_detections(dets, 64)
         assert len(clusters) == 1
         assert clusters[0].cell == 31
+
+    def test_cluster_detections_merge_across_the_wrap(self):
+        dets = [Detection(c, s, 1.0) for c, s in [(0, 5.0), (1, 3.0), (1023, 9.0)]]
+        assert cluster_detections(dets, 1024) == [dets[2]]
+
+    def test_cluster_detections_keep_distant_ends_apart(self):
+        dets = [Detection(c, s, 1.0) for c, s in [(1, 3.0), (512, 2.0), (1022, 2.0)]]
+        assert [d.cell for d in cluster_detections(dets, 1024)] == [1, 512, 1022]
+        assert [d.cell for d in cluster_detections(dets, 1024, max_gap=3)] == [1, 512]
 
 
 def dense_refined_delay(profile, peak_cell, sample_period, refine):

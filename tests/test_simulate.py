@@ -189,6 +189,29 @@ class TestRunRadar:
         assert rec["rmse_velocity_mps"] < 1e-3
         assert rec["rmse_angle_deg"] <= 0.5
 
+    def test_target_at_the_frame_wrap_is_one_music_source(self, monkeypatch):
+        # At 0.3 m the target sits in cell 0, so its CFAR hits run from the
+        # last cells of the frame into the first ones.
+        import moczsim.simulate as simulate
+
+        sources = []
+        music = simulate.music_angles
+
+        def counting_music(cov, rx_matrix, num_sources, *args):
+            sources.append(num_sources)
+            return music(cov, rx_matrix, num_sources, *args)
+
+        monkeypatch.setattr(simulate, "music_angles", counting_music)
+        cfg = dataclasses.replace(
+            load_config(SCENE),
+            trials=3,
+            targets=(TargetSpec(range_m=60.0, velocity_mps=15.0, angle_deg=0.9, rcs_dbsm=60.0),),
+            range_grid_m=(0.3,),
+        )
+        rec = run_radar(cfg).records[0]
+        assert rec["detection_rate"] == 1.0
+        assert sources == [1, 1, 1]
+
     def test_moderate_snr_single_target(self):
         cfg = SimConfig(
             modulation=ModulationParams(127),
