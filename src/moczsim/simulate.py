@@ -514,12 +514,26 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
     )
 
 
+def _wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for a binomial rate.
+
+    With no hits it is [0, z**2 / (trials + z**2)], and mirrored with every
+    trial a hit; those closed-form ends are returned exactly.
+    """
+    z2 = z * z
+    center = (hits + z2 / 2.0) / (trials + z2)
+    half = z * math.sqrt(hits * (trials - hits) / trials + z2 / 4.0) / (trials + z2)
+    low = 0.0 if hits == 0 else center - half
+    high = 1.0 if hits == trials else center + half
+    return low, high
+
+
 def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarloResult:
     """Noise-only false-alarm rate of the configured OS-CFAR detector.
 
     Post-correlation noise power is exponential, so frames of unit-variance
     circular Gaussian cells are drawn directly.  Returns the empirical rate
-    with a binomial 95% confidence interval.
+    with a 95% Wilson score interval.
     """
     total = int(cells) if cells is not None else cfg.trials * cfg.frame_len
     need = 100.0 / cfg.cfar.pfa
@@ -539,13 +553,12 @@ def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarlo
 
     hits = sum(_parallel_map(chunk_hits, range(n_chunks)))
     n_cells = n_chunks * chunk
-    rate = hits / n_cells
-    half = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1e-300) / n_cells)
+    ci_low, ci_high = _wilson_interval(hits, n_cells)
     record = {
         "pfa_target": cfg.cfar.pfa,
-        "pfa_empirical": rate,
-        "ci_low": max(0.0, rate - half),
-        "ci_high": rate + half,
+        "pfa_empirical": hits / n_cells,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
         "cells": n_cells,
         "detections": hits,
         "alpha": cfg.cfar.alpha,

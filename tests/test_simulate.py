@@ -164,6 +164,36 @@ class TestCfarCalibration:
         r2 = run_cfar_calibration(cfg2, cells=200_000).records[0]
         assert r2["pfa_empirical"] < r1["pfa_empirical"]
 
+    @pytest.mark.parametrize(
+        "alpha,expect",
+        [(1e6, "none"), (0.0, "all"), (1.0, "some")],
+    )
+    def test_wilson_interval_matches_closed_form(self, alpha, expect):
+        cfg = SimConfig(
+            modulation=ModulationParams(31),
+            cfar=CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-2, alpha=alpha),
+            seed=6,
+        )
+        rec = run_cfar_calibration(cfg, cells=131_072).records[0]
+        n, k, z2 = rec["cells"], rec["detections"], 1.96**2
+        assert n == 131_072
+        if expect == "none":
+            assert k == 0
+            assert rec["ci_low"] == 0.0
+            assert rec["ci_high"] == pytest.approx(z2 / (n + z2), rel=1e-12)
+        elif expect == "all":
+            assert k == n
+            assert rec["ci_low"] == pytest.approx(n / (n + z2), rel=1e-12)
+            assert rec["ci_high"] == 1.0
+        else:
+            p = k / n
+            assert 0.05 < p < 0.95
+            center = (k + z2 / 2) / (n + z2)
+            half = math.sqrt(z2) / (n + z2) * math.sqrt(k * (n - k) / n + z2 / 4)
+            assert rec["ci_low"] == pytest.approx(center - half, rel=1e-12)
+            assert rec["ci_high"] == pytest.approx(center + half, rel=1e-12)
+            assert rec["ci_low"] < p < rec["ci_high"]
+
     def test_insufficient_cells_raise(self):
         cfg = SimConfig(modulation=ModulationParams(31), trials=1, frame_len=1024)
         with pytest.raises(ValueError):
