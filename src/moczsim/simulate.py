@@ -514,12 +514,13 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
     )
 
 
-def _wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate.
+def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial rate.
 
     With no hits it is [0, z**2 / (trials + z**2)], and mirrored with every
     trial a hit; those closed-form ends are returned exactly.
     """
+    z = 1.96
     z2 = z * z
     center = (hits + z2 / 2.0) / (trials + z2)
     half = z * math.sqrt(hits * (trials - hits) / trials + z2 / 4.0) / (trials + z2)
