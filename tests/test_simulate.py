@@ -27,6 +27,7 @@ from moczsim import (
     run_cfar_calibration,
     run_radar,
 )
+import moczsim.simulate as simulate
 from moczsim.simulate import _max_workers, atomic_write_text, write_result
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,8 +223,6 @@ class TestRunRadar:
     def test_target_at_the_frame_wrap_is_one_music_source(self, monkeypatch):
         # At 0.3 m the target sits in cell 0, so its CFAR hits run from the
         # last cells of the frame into the first ones.
-        import moczsim.simulate as simulate
-
         sources = []
         music = simulate.music_angles
 
