@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -31,6 +30,7 @@ __all__ = [
     "awgn",
 ]
 
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 _ANGLE_TOL = 1e-12
 
 

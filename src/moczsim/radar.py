@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import steering
 
@@ -83,31 +82,38 @@ def correlation_value_at(profile, lag_samples) -> complex | np.ndarray:
     return complex(vals[0]) if z.ndim == 1 else vals[..., 0]
 
 
+# os_rank = 1 at the smallest normal pfa, the slowest case, takes ~140 steps.
+_NEWTON_MAX_STEPS = 1000
+
+
 def calibrate_os_alpha(window: int, os_rank: int, pfa: float) -> float:
     """Threshold multiplier alpha for OS-CFAR on exponential noise power.
 
     Solves pfa = prod_{i=0}^{k-1} (M - i) / (M - i + alpha) with M = 2*window
-    reference cells and rank k, by monotone root finding.
+    reference cells and rank k by Newton's method on
+    log(pfa) = -sum_i log1p(alpha / (M - i)). That function is convex and
+    decreasing in alpha, so the iteration, started from alpha = 0, climbs to
+    the root from below without overshooting; it stops when a step no longer
+    moves alpha. Alpha has no upper bound: a pfa whose alpha would exceed the
+    float range raises ValueError.
     """
     m_ref = 2 * window
     if not 1 <= os_rank <= m_ref:
         raise ValueError("need 1 <= os_rank <= 2*window")
     if not 0.0 < pfa <= 1.0:
         raise ValueError("pfa must lie in (0, 1]")
-    if pfa == 1.0:
-        return 0.0
-    i = np.arange(os_rank)
-
-    def log_pfa(alpha: float) -> float:
-        return float(np.sum(np.log(m_ref - i) - np.log(m_ref - i + alpha)))
-
-    target = math.log(pfa)
-    hi = 1.0
-    while log_pfa(hi) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("failed to bracket the threshold multiplier")
-    return float(brentq(lambda a: log_pfa(a) - target, 0.0, hi, xtol=1e-12, rtol=1e-13))
+    ref = m_ref - np.arange(os_rank, dtype=float)
+    target = -math.log(pfa)
+    alpha = 0.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        excess = target - float(np.sum(np.log1p(alpha / ref)))
+        step = excess / float(np.sum(1.0 / (ref + alpha)))
+        if step <= 0.0 or alpha + step == alpha:
+            return alpha
+        alpha += step
+        if math.isinf(alpha):
+            raise ValueError(f"pfa={pfa!r} needs a threshold multiplier beyond float range")
+    raise RuntimeError("threshold multiplier did not converge")
 
 
 @dataclass(frozen=True)

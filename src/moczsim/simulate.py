@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erfc
 
 from .channel import (
     SPEED_OF_LIGHT,
@@ -289,7 +288,7 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
             "ber": errors / (cfg.trials * k),
             "packets": cfg.trials,
             "bit_errors": errors,
-            "bpsk_ref": float(0.5 * erfc(math.sqrt(snr_lin))),
+            "bpsk_ref": 0.5 * math.erfc(math.sqrt(snr_lin)),
         }
 
     records = [point(i, s) for i, s in enumerate(cfg.snr_grid_db)]

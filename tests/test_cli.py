@@ -1,12 +1,17 @@
 """Command-line surface: formats, round trips, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moczsim
 from moczsim import ModulationParams, autocorrelation, encode, sequence_from_csv
 from moczsim.cli import main, parse_bit_string
 from test_simulate import BAD_CONFIG_IDS, BAD_CONFIGS
@@ -162,6 +167,72 @@ class TestExperimentCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["records"][0]["pfa_empirical"] == pytest.approx(0.5, rel=0.15)
+
+    def test_cfar_block_with_a_huge_multiplier_loads(self, capsys, tmp_path):
+        # alpha = 2 * (1e13 - 1): beyond the 1e12 ceiling of the earlier solver.
+        cfg = self.write_config(
+            tmp_path, trials=10, cfar={"pfa": 1e-13, "window": 1, "guard": 0, "os_rank": 1}
+        )
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        echo = json.loads((tmp_path / "out" / "ber_summary.json").read_text())
+        assert echo["config"]["cfar"]["pfa"] == 1e-13
+
+
+# Run in a fresh interpreter in which any scipy import fails. Each experiment
+# command must still run, and no scipy module may have been loaded.
+SCIPY_FREE_RUN = """
+import sys
+from pathlib import Path
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import moczsim
+from moczsim import cli
+
+work = Path(sys.argv[1])
+for argv in (
+    ["ber", "--config", str(work / "ber.json"), "--out", str(work / "ber")],
+    ["radar", "--config", str(work / "radar.json"), "--out", str(work / "radar")],
+    ["calibrate-cfar", "--config", str(work / "ber.json"), "--cells", "1000"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    (tmp_path / "ber.json").write_text(
+        json.dumps({"modulation": {"k": 31}, "snr_grid_db": [6.0], "trials": 50, "cfar": {"pfa": 0.5}})
+    )
+    (tmp_path / "radar.json").write_text(
+        json.dumps(
+            {
+                "modulation": {"k": 31},
+                "trials": 1,
+                "schedule": {"segments_deg": [[-8.0, 8.0]], "frames_per_cpi": 2},
+                "targets": [{"range_m": 60.0, "velocity_mps": 10.0, "angle_deg": 0.5}],
+            }
+        )
+    )
+    src = str(Path(moczsim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Detection and estimation operators, each checked against an independent route."""
 
+import math
 import re
 
 import numpy as np
@@ -106,6 +107,35 @@ class TestCalibration:
             calibrate_os_alpha(12, 25, 1e-4)
         with pytest.raises(ValueError):
             calibrate_os_alpha(12, 0, 1e-4)
+
+    def test_default_config_value(self):
+        # The value the earlier bracket-and-bisect solver returned.
+        assert calibrate_os_alpha(12, 18, 1e-4) == pytest.approx(9.340804709624452, rel=1e-12)
+
+    # Down to 1e-300, where alpha reaches ~1e301: no ceiling on alpha. Among
+    # these, (1, 1, 1e-13) and (12, 2, 1e-30) need alpha > 1e12.
+    @pytest.mark.parametrize("pfa", [0.5, 1e-2, 1e-4, 1e-13, 1e-30, 1e-100, 1e-300])
+    @pytest.mark.parametrize("window", [1, 3, 12])
+    def test_rank_one_closed_form(self, window, pfa):
+        m_ref = 2 * window
+        expected = m_ref * (1.0 / pfa - 1.0)
+        assert calibrate_os_alpha(window, 1, pfa) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("pfa", [0.5, 1e-2, 1e-4, 1e-13, 1e-30, 1e-100, 1e-300])
+    @pytest.mark.parametrize("window", [1, 3, 12])
+    def test_rank_two_closed_form(self, window, pfa):
+        # Positive root of (M + a)(M - 1 + a) = M(M - 1)/pfa, in the form
+        # that does not cancel: a = 2c / (b + sqrt(b^2 + 4c)).
+        m_ref = 2 * window
+        b = 2.0 * m_ref - 1.0
+        c = m_ref * (m_ref - 1.0) * (1.0 / pfa - 1.0)
+        expected = 2.0 * c / (b + math.sqrt(b * b + 4.0 * c))
+        assert calibrate_os_alpha(window, 2, pfa) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_multiplier_beyond_float_range_raises(self):
+        # os_rank = 1 needs alpha = 2 * (1/pfa - 1), which overflows here.
+        with pytest.raises(ValueError, match="beyond float range"):
+            calibrate_os_alpha(1, 1, 1e-310)
 
 
 class TestOsCfar:

@@ -97,6 +97,21 @@ class TestRunBer:
         rec = run_ber(small_ber_config(snr_grid_db=(6.79,), trials=1000)).records[0]
         assert rec["bpsk_ref"] == pytest.approx(1e-3, rel=0.01)
 
+    def test_reference_curve_to_double_precision(self):
+        # 0.5*erfc(x) at x = sqrt(10**(snr_db/10)) as run_ber rounds it,
+        # from mpmath at 60 digits. Out at 28 dB, a relative error of 1e-16
+        # in erfc's argument alone moves the value by ~1e-13.
+        pinned = {
+            0.0: 0.07864960352514257,
+            6.79: 0.000999428257270732,
+            10.79: 4.84190266819196e-07,
+            20.0: 1.0442437918812724e-45,
+            28.0: 1.0684607375564134e-276,
+        }
+        recs = run_ber(small_ber_config(snr_grid_db=tuple(pinned), trials=100)).records
+        for rec in recs:
+            assert rec["bpsk_ref"] == pytest.approx(pinned[rec["snr_db"]], rel=1e-15, abs=0.0)
+
     def test_fading_costs_errors_at_moderate_snr(self):
         awgn_rec = run_ber(small_ber_config(snr_grid_db=(8.0,), trials=30_000)).records[0]
         ray_rec = run_ber(
