@@ -193,11 +193,9 @@ def fractional_delay(samples, shift_samples: float, out_len: int | None = None) 
     n = x.shape[-1] if out_len is None else int(out_len)
     if n < x.shape[-1]:
         raise ValueError("out_len must not truncate the input")
-    padded = np.zeros(x.shape[:-1] + (n,), dtype=complex)
-    padded[..., : x.shape[-1]] = x
-    spec = np.fft.fft(padded, axis=-1)
-    ramp = np.exp(-2j * np.pi * np.fft.fftfreq(n) * shift_samples)
-    return np.fft.ifft(spec * ramp, axis=-1)
+    spec = np.fft.fft(x, n, axis=-1)  # zero-pads to n
+    spec *= np.exp(-2j * np.pi * np.fft.fftfreq(n) * shift_samples)
+    return np.fft.ifft(spec, axis=-1)
 
 
 def apply_radar_channel(
@@ -233,24 +231,37 @@ def apply_radar_channel(
     ndarray, shape (..., N_rf, N)
         y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
         Each frame equals the response computed for that frame alone.
+
+    Notes
+    -----
+    With t_n = start + nT the Doppler factor splits into a per-frame phase
+    e^{2i pi nu start}, folded into the (..., N_rf) spatial gains, and one
+    per-sample ramp e^{2i pi nu nT} on the delayed frames, so a target costs
+    F + N complex exponentials, not F*N.  The first target's term is written
+    as the output; later targets are added to it.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
     x = np.asarray(samples, dtype=complex)
     n = x.shape[-1] if frame_len is None else int(frame_len)
     n_rf = bf.rx_matrix.shape[1]
-    out = np.zeros(x.shape[:-1] + (n_rf, n), dtype=complex)
     if not targets:
-        return out
+        return np.zeros(x.shape[:-1] + (n_rf, n), dtype=complex)
     start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
-    t = start[..., None] + np.arange(n) * sample_period
+    sample_times = np.arange(n) * sample_period
     num_antennas = bf.rx_matrix.shape[0]
+    out = None
     for tg in targets:
         a = steering(tg.angle_rad, num_antennas)
         spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
+        gains = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
         delayed = fractional_delay(x, tg.delay_s / sample_period, n)
-        delayed *= np.exp(2j * np.pi * tg.doppler_hz * t)
-        out += spatial[:, None] * delayed[..., None, :]
+        delayed *= np.exp(2j * np.pi * tg.doppler_hz * sample_times)
+        term = gains[..., None] * delayed[..., None, :]
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 

@@ -3,7 +3,10 @@
 The chain is: circular cross-correlation with the known transmit sequence,
 ordered-statistic CFAR thresholding on correlation power, parabolic delay
 refinement (optionally on a band-limited local grid), linear multi-frame
-Doppler fitting, and beam-domain MUSIC for the angle of arrival.
+Doppler fitting, and beam-domain MUSIC for the angle of arrival.  Delay
+refinement and the Doppler phases read the profiles' spectrum, so each
+has a profile-taking form and a ``*_from_spectrum`` form for callers that
+hold the cross-spectrum.
 """
 
 from __future__ import annotations
@@ -22,12 +25,15 @@ __all__ = [
     "EstimateReport",
     "AmbiguitySurface",
     "detection_record",
+    "cross_spectrum",
     "cross_correlate",
     "correlation_value_at",
+    "correlation_value_from_spectrum",
     "calibrate_os_alpha",
     "os_cfar",
     "cluster_detections",
     "estimate_delay",
+    "estimate_delay_from_spectrum",
     "estimate_doppler",
     "sample_covariance",
     "music_angles",
@@ -35,8 +41,8 @@ __all__ = [
 ]
 
 
-def cross_correlate(reference, received) -> np.ndarray:
-    """Circular cross-correlation zeta[n] = sum_m ref*[m-n] y[m].
+def cross_spectrum(reference, received) -> np.ndarray:
+    """Cross-spectrum Y[k] X*[k] of received frames against the transmit sequence.
 
     Parameters
     ----------
@@ -44,24 +50,32 @@ def cross_correlate(reference, received) -> np.ndarray:
         Transmit sequence; zero-padded up to the received frame length.
     received : array_like, shape (..., N)
         Received frame of N samples.  Leading axes of both arguments
-        broadcast, so a CPI of F frames correlates in one call.
+        broadcast, so a CPI of F frames is one call.
 
     Returns
     -------
     ndarray, shape (..., N)
-        Complex correlation profile, computed spectrally.  Matches the direct
-        O(N^2) double sum to better than 1e-9 relative error.
+        The N-point DFT of the correlation profile that ``cross_correlate``
+        returns.  ``correlation_value_from_spectrum`` and
+        ``estimate_delay_from_spectrum`` read it directly, so a caller that
+        holds it needs no inverse transform for them.
     """
     x = np.asarray(reference, dtype=complex)
     y = np.asarray(received, dtype=complex)
     n = y.shape[-1]
     if x.shape[-1] > n:
         raise ValueError("reference longer than frame after padding")
-    padded = np.zeros(x.shape[:-1] + (n,), dtype=complex)
-    padded[..., : x.shape[-1]] = x
-    return np.fft.ifft(
-        np.fft.fft(y, axis=-1) * np.conj(np.fft.fft(padded, axis=-1)), axis=-1
-    )
+    return np.fft.fft(y, axis=-1) * np.conj(np.fft.fft(x, n, axis=-1))
+
+
+def cross_correlate(reference, received) -> np.ndarray:
+    """Circular cross-correlation zeta[n] = sum_m ref*[m-n] y[m].
+
+    The inverse DFT of ``cross_spectrum(reference, received)``, with the same
+    arguments and broadcasting; returns the complex (..., N) profile.  Matches
+    the direct O(N^2) double sum to better than 1e-9 relative error.
+    """
+    return np.fft.ifft(cross_spectrum(reference, received), axis=-1)
 
 
 def correlation_value_at(profile, lag_samples) -> complex | np.ndarray:
@@ -69,17 +83,26 @@ def correlation_value_at(profile, lag_samples) -> complex | np.ndarray:
 
     ``profile`` may carry leading axes (one profile per frame); the result
     then has those axes first, followed by the lag axis unless
-    ``lag_samples`` is a scalar.
+    ``lag_samples`` is a scalar.  This is the DFT of the profile, then
+    ``correlation_value_from_spectrum``.
     """
     z = np.asarray(profile, dtype=complex)
-    n = z.shape[-1]
-    spec = np.fft.fft(z, axis=-1)
-    freqs = np.fft.fftfreq(n)
+    return correlation_value_from_spectrum(np.fft.fft(z, axis=-1), lag_samples)
+
+
+def correlation_value_from_spectrum(spectrum, lag_samples) -> complex | np.ndarray:
+    """``correlation_value_at`` for profiles given by their (..., N) DFT.
+
+    Evaluates (1/N) sum_k Z[k] exp(2i pi f_k lag) on the FFT frequencies f_k,
+    with the same leading axes and lag axis as ``correlation_value_at``.
+    """
+    spec = np.asarray(spectrum, dtype=complex)
+    freqs = np.fft.fftfreq(spec.shape[-1])
     lags = np.atleast_1d(np.asarray(lag_samples, dtype=float))
-    vals = spec @ np.exp(2j * np.pi * np.outer(freqs, lags)) / n
+    vals = spec @ np.exp(2j * np.pi * np.outer(freqs, lags)) / spec.shape[-1]
     if not np.isscalar(lag_samples):
         return vals
-    return complex(vals[0]) if z.ndim == 1 else vals[..., 0]
+    return complex(vals[0]) if spec.ndim == 1 else vals[..., 0]
 
 
 # os_rank = 1 at the smallest normal pfa, the slowest case, takes ~140 steps.
@@ -238,6 +261,8 @@ def _refine_kernel(n: int, refine: int) -> np.ndarray:
 def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 1) -> float:
     """Delay in seconds from a correlation peak with sub-cell interpolation.
 
+    The DFT of the profile, then ``estimate_delay_from_spectrum``.
+
     Parameters
     ----------
     profile : array_like
@@ -247,35 +272,40 @@ def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 
     sample_period : float
         Cell width T in seconds.
     refine : int
-        Local oversampling factor.  ``refine=1`` fits the parabola to the
-        three profile cells around the peak.  Larger values evaluate the
-        band-limited |zeta(t)| on a grid of spacing 1/refine cells around the
-        peak and fit the same parabola there; use >= 8 for full-bandwidth
-        waveforms, whose one-cell-wide peak defeats the cell-spaced parabola.
-        The grid comes from a (2*refine+1, N) kernel cached per (N, refine)
-        and one N-point phase ramp that shifts the spectrum to the grid start.
+        Local oversampling factor.  The band-limited |zeta(t)| is evaluated
+        on a grid of spacing 1/refine cells from one cell before the peak to
+        one cell after it, and a parabola is fitted to the largest grid value
+        and its two neighbours.  ``refine=1`` evaluates the three cells
+        around the peak; use >= 8 for full-bandwidth waveforms, whose
+        one-cell-wide peak defeats the cell-spaced parabola.
 
     Returns
     -------
     float
-        (peak_cell + offset) * T with the offset clamped to half a grid step.
+        (grid point + offset) * T with the offset clamped to half a grid step.
     """
     z = np.asarray(profile, dtype=complex)
-    n = z.size
+    return estimate_delay_from_spectrum(np.fft.fft(z), peak_cell, sample_period, refine)
+
+
+def estimate_delay_from_spectrum(
+    spectrum, peak_cell: int, sample_period: float, refine: int = 1
+) -> float:
+    """``estimate_delay`` for a profile given by its N-point DFT.
+
+    The grid comes from a (2*refine+1, N) kernel cached per (N, refine) and
+    one N-point phase ramp that shifts the spectrum to the grid start.
+    """
+    spec = np.asarray(spectrum, dtype=complex)
+    n = spec.size
     if n < 3:
         raise ValueError("profile too short for peak interpolation")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    if refine == 1:
-        mag = np.abs(z)
-        offset = _parabolic_offset(
-            mag[(peak_cell - 1) % n], mag[peak_cell % n], mag[(peak_cell + 1) % n]
-        )
-        return (peak_cell + offset) * sample_period
     # Shift the spectrum to the grid start; for a whole number of cells the
     # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
     start = peak_cell - 1
-    shifted = np.fft.fft(z) * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
+    shifted = spec * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
     vals = np.abs(_refine_kernel(n, refine) @ shifted) / n
     j = int(np.argmax(vals))
     j = min(max(j, 1), vals.size - 2)
@@ -313,13 +343,17 @@ def sample_covariance(rx: np.ndarray) -> np.ndarray:
     """Sample covariance (1/N) sum_n y[n] y[n]^H over every snapshot of the input.
 
     ``rx`` is a (N_rf, N) signal block or a (..., N_rf, N) stack of blocks,
-    such as the F frames of a CPI, whose snapshots are all pooled.
+    such as the F frames of a CPI, whose snapshots are all pooled.  Each
+    block is one batched product with its own conjugate transpose, and the
+    blocks are summed; the input is not copied into one (N_rf, F*N) matrix.
     """
     y = np.atleast_2d(np.asarray(rx, dtype=complex))
-    y = np.moveaxis(y, -2, 0).reshape(y.shape[-2], -1)
-    if y.shape[1] < 1:
+    n_rf, n = y.shape[-2:]
+    blocks = y.reshape(math.prod(y.shape[:-2]), n_rf, n)
+    snapshots = blocks.shape[0] * n
+    if snapshots < 1:
         raise ValueError("need at least one snapshot")
-    cov = y @ y.conj().T / y.shape[1]
+    cov = np.matmul(blocks, blocks.conj().swapaxes(-1, -2)).sum(axis=0) / snapshots
     return 0.5 * (cov + cov.conj().T)
 
 

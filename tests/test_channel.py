@@ -172,15 +172,18 @@ class TestRadarChannel:
         assert y.shape == (4, 32)
         assert np.all(y == 0)
 
-    def test_frame_block_rows_equal_per_frame_calls(self):
+    TWO_TARGETS = (
+        RadarTarget(gain=0.7 - 0.2j, angle_rad=0.05, delay_s=3.3e-8, doppler_hz=2e5),
+        RadarTarget(gain=0.1j, angle_rad=-0.1, delay_s=21.6e-8, doppler_hz=-7e4),
+    )
+
+    def frames(self, count=6):
         rng = np.random.default_rng(5)
-        frames = np.stack(
-            [encode(rng.integers(0, 2, 15), self.params) for _ in range(6)]
-        )
-        targets = [
-            RadarTarget(gain=0.7 - 0.2j, angle_rad=0.05, delay_s=3.3e-8, doppler_hz=2e5),
-            RadarTarget(gain=0.1j, angle_rad=-0.1, delay_s=21.6e-8, doppler_hz=-7e4),
-        ]
+        return np.stack([encode(rng.integers(0, 2, 15), self.params) for _ in range(count)])
+
+    def test_frame_block_rows_equal_per_frame_calls(self):
+        frames = self.frames()
+        targets = list(self.TWO_TARGETS)
         starts = np.arange(6) * 3.2e-7
         block = apply_radar_channel(
             frames, targets, self.bf, 1e-8, frame_len=32, start_time=starts
@@ -191,6 +194,31 @@ class TestRadarChannel:
                 frames[j], targets, self.bf, 1e-8, frame_len=32, start_time=j * 3.2e-7
             )
             assert np.array_equal(block[j], one)
+
+    def test_two_targets_are_the_sum_of_single_target_calls(self):
+        frames = self.frames()
+        starts = np.arange(6) * 3.2e-7 + 1e-5
+        both = apply_radar_channel(
+            frames, list(self.TWO_TARGETS), self.bf, 1e-8, frame_len=32, start_time=starts
+        )
+        each = sum(
+            apply_radar_channel(frames, [tg], self.bf, 1e-8, frame_len=32, start_time=starts)
+            for tg in self.TWO_TARGETS
+        )
+        assert np.max(np.abs(both - each)) <= 1e-12 * np.max(np.abs(each))
+
+    @pytest.mark.parametrize("start", [2.7e-5, np.arange(6) * 3.2e-7 + 1e-5])
+    def test_doppler_matches_the_dense_phase_oracle(self, start):
+        # Oracle: exp(2i pi nu t) evaluated at every (frame, sample) time.
+        frames = self.frames()
+        tg = self.TWO_TARGETS[0]
+        got = apply_radar_channel(frames, [tg], self.bf, 1e-8, frame_len=32, start_time=start)
+        a = steering(tg.angle_rad, 16)
+        spatial = tg.gain * (self.bf.rx_matrix.conj().T @ a) * (a.conj() @ self.bf.tx_beam)
+        t = np.asarray(start)[..., None] + np.arange(32) * 1e-8
+        rotated = fractional_delay(frames, 3.3, 32) * np.exp(2j * np.pi * tg.doppler_hz * t)
+        want = spatial[:, None] * rotated[:, None, :]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_frame_block_start_times_advance_doppler_phase(self):
         tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=0.0, doppler_hz=2e5)

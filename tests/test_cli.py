@@ -270,6 +270,15 @@ class TestExitCodes:
         assert code == 2
         assert "trials" in err
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_snr_override_exit_2(self, capsys, tmp_path, snr):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
+        # "=" keeps argparse from reading "-inf" as an option.
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), f"--snr-db={snr}")
+        assert code == 2
+        assert "snr_grid_db[0]" in err
+
     @pytest.mark.parametrize("fault", [KeyError("k"), TypeError("t")])
     def test_internal_fault_exit_4(self, capsys, tmp_path, monkeypatch, fault):
         def broken(cfg):

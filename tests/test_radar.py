@@ -20,10 +20,13 @@ from moczsim import (
     calibrate_os_alpha,
     cluster_detections,
     correlation_value_at,
+    correlation_value_from_spectrum,
     cross_correlate,
+    cross_spectrum,
     dft_codebook,
     encode,
     estimate_delay,
+    estimate_delay_from_spectrum,
     estimate_doppler,
     fractional_delay,
     make_beamformers,
@@ -333,7 +336,7 @@ class TestDelayEstimation:
         profile = np.ones(16, dtype=complex)
         assert estimate_delay(profile, 5, 1.0) == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("n, refine", [(16, 2), (100, 8), (1024, 64)])
+    @pytest.mark.parametrize("n, refine", [(16, 2), (64, 1), (100, 8), (1024, 64)])
     def test_cached_kernel_matches_dense_oracle(self, n, refine):
         rng = np.random.default_rng(n + refine)
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -349,6 +352,20 @@ class TestDelayEstimation:
             want = dense_refined_delay(profile, peak, 1.0, refine)
             assert abs(got - want) <= 1e-12
         assert {0, n - 1} <= set(peaks)
+
+    @pytest.mark.parametrize("refine", [1, 64])
+    def test_spectrum_body_matches_profile_function(self, refine):
+        # A caller holding the cross-spectrum skips the inverse and forward
+        # DFT that the profile-taking function implies.
+        rng = np.random.default_rng(30 + refine)
+        n = 128
+        for _ in range(20):
+            spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            profile = np.fft.ifft(spec)
+            peak = int(np.argmax(np.abs(profile)))
+            got = estimate_delay_from_spectrum(spec, peak, 1e-8, refine=refine)
+            want = estimate_delay(profile, peak, 1e-8, refine=refine)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * n * 1e-8)
 
     def test_refinement_kernel_is_read_only(self):
         from moczsim.radar import _refine_kernel
@@ -366,6 +383,18 @@ class TestDelayEstimation:
         profile = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         for lag in (0, 5, 31):
             assert correlation_value_at(profile, lag) == pytest.approx(profile[lag], abs=1e-9)
+
+    def test_correlation_value_from_spectrum_matches_profile_function(self):
+        rng = np.random.default_rng(16)
+        spec = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+        profiles = np.fft.ifft(spec, axis=-1)
+        for lags in (17.4, [0.0, 3.7, 63.2]):
+            got = correlation_value_from_spectrum(spec, lags)
+            want = correlation_value_at(profiles, lags)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        one = correlation_value_from_spectrum(spec[2], 5.5)
+        assert isinstance(one, complex)
+        assert abs(one - correlation_value_at(profiles[2], 5.5)) <= 1e-12 * abs(one)
 
     def test_correlation_value_at_frame_block_matches_rows(self):
         rng = np.random.default_rng(14)

@@ -474,6 +474,9 @@ class TestConfigRoundTrip:
             SimConfig(modulation=ModulationParams(31), trials=0)
         with pytest.raises(ValueError):
             SimConfig(modulation=ModulationParams(31), snr_grid_db=())
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=re.escape("snr_grid_db[1]")):
+                SimConfig(modulation=ModulationParams(31), snr_grid_db=(6.0, bad))
         with pytest.raises(ValueError):
             SimConfig(modulation=ModulationParams(511), frame_len=256)
 
