@@ -41,7 +41,6 @@ from .radar import (
     AmbiguitySurface,
     CfarConfig,
     Detection,
-    EstimateReport,
     ambiguity_function,
     calibrate_os_alpha,
     cluster_detections,
@@ -49,7 +48,6 @@ from .radar import (
     correlation_value_from_spectrum,
     cross_correlate,
     cross_spectrum,
-    detection_record,
     estimate_delay,
     estimate_delay_from_spectrum,
     estimate_doppler,

@@ -111,10 +111,9 @@ class LinkBudget:
     carrier_hz: float = 60.0e9
     bandwidth_hz: float = 100.0e6
     noise_psd: float = 2.0e-21  # W/Hz
-    range_m: float = 50.0
 
     def __post_init__(self):
-        for name in ("carrier_hz", "bandwidth_hz", "noise_psd", "range_m"):
+        for name in ("carrier_hz", "bandwidth_hz", "noise_psd"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -136,13 +135,12 @@ class LinkBudget:
         return self.noise_psd * self.bandwidth_hz
 
 
-def radar_gain(link: LinkBudget, rcs_dbsm: float, range_m: float | None = None) -> float:
+def radar_gain(link: LinkBudget, rcs_dbsm: float, range_m: float) -> float:
     """Two-way power gain |rho|^2 = lambda^2 sigma / ((4 pi)^3 r^4)."""
-    r = link.range_m if range_m is None else range_m
-    if r <= 0:
+    if range_m <= 0:
         raise ValueError("target range must be positive")
     sigma = 10.0 ** (rcs_dbsm / 10.0)
-    return link.wavelength**2 * sigma / ((4.0 * np.pi) ** 3 * r**4)
+    return link.wavelength**2 * sigma / ((4.0 * np.pi) ** 3 * range_m**4)
 
 
 @dataclass(frozen=True)

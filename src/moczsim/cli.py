@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +36,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
+
+# Negative numbers as float() reads them, exponents, inf and nan included.
+# argparse's own pattern covers only forms such as -10 and -2.5, and takes
+# -1e1 or -inf for an option.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 def parse_bit_string(text: str, num_bits: int | None = None) -> np.ndarray:
@@ -142,18 +150,11 @@ def _override_config(cfg, args):
     return cfg
 
 
-def _cmd_ber(args) -> int:
+def _cmd_run(args) -> int:
+    """``ber`` and ``radar``: run the experiment, write <command>.csv and its summary."""
     cfg = _override_config(load_config(args.config), args)
-    result = run_ber(cfg)
-    csv_path, json_path = write_result(result, args.out, "ber", cfg)
-    print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK
-
-
-def _cmd_radar(args) -> int:
-    cfg = _override_config(load_config(args.config), args)
-    result = run_radar(cfg)
-    csv_path, json_path = write_result(result, args.out, "radar", cfg)
+    result = args.run(cfg)
+    csv_path, json_path = write_result(result, args.out, args.command, cfg)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
@@ -218,11 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, nargs="+", default=None,
                    help="override the config SNR grid")
     p.add_argument("--trials", type=int, default=None, help="override packet count")
-    p.set_defaults(func=_cmd_ber)
+    p._negative_number_matcher = _NEGATIVE_NUMBER  # --snr-db -1e1 and -inf are values
+    p.set_defaults(func=_cmd_run, run=run_ber)
 
     p = sub.add_parser("radar", help="run the radar detection/estimation experiment")
     add_run_common(p)
-    p.set_defaults(func=_cmd_radar)
+    p.set_defaults(func=_cmd_run, run=run_radar)
 
     p = sub.add_parser("calibrate-cfar", help="measure the noise-only false-alarm rate")
     p.add_argument("--config", required=True, help="JSON configuration path")

@@ -22,9 +22,7 @@ from .channel import steering
 __all__ = [
     "CfarConfig",
     "Detection",
-    "EstimateReport",
     "AmbiguitySurface",
-    "detection_record",
     "cross_spectrum",
     "cross_correlate",
     "correlation_value_at",
@@ -313,13 +311,12 @@ def estimate_delay_from_spectrum(
     return (start + (j + offset) / refine) * sample_period
 
 
-def estimate_doppler(peak_phases, frame_times, weights=None) -> float:
+def estimate_doppler(peak_phases, frame_times) -> float:
     """Doppler frequency from per-frame correlation-peak phases.
 
-    Unwraps the phases and fits a weighted least-squares line; the slope over
-    2*pi is the Doppler estimate.  Uniform weights give the ordinary LS fit;
-    a weight vector may be supplied for a best-linear-unbiased variant.  The
-    estimate is unambiguous for |doppler| < 1/(2 * min frame spacing).
+    Unwraps the phases and fits a least-squares line; the slope over 2*pi is
+    the Doppler estimate.  The estimate is unambiguous for
+    |doppler| < 1/(2 * min frame spacing).
     """
     phases = np.unwrap(np.asarray(peak_phases, dtype=float))
     times = np.asarray(frame_times, dtype=float)
@@ -327,15 +324,12 @@ def estimate_doppler(peak_phases, frame_times, weights=None) -> float:
         raise ValueError("need one phase per frame time")
     if phases.size < 2:
         raise ValueError("Doppler estimation needs at least two frames")
-    w = np.ones_like(times) if weights is None else np.asarray(weights, dtype=float)
-    if w.size != times.size or np.any(w < 0) or w.sum() == 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    t_bar = np.sum(w * times) / w.sum()
-    p_bar = np.sum(w * phases) / w.sum()
-    denom = np.sum(w * (times - t_bar) ** 2)
+    t_bar = times.mean()
+    p_bar = phases.mean()
+    denom = np.sum((times - t_bar) ** 2)
     if denom == 0:
         raise ValueError("frame times must not be all identical")
-    slope = np.sum(w * (times - t_bar) * (phases - p_bar)) / denom
+    slope = np.sum((times - t_bar) * (phases - p_bar)) / denom
     return float(slope / (2.0 * np.pi))
 
 
@@ -436,43 +430,6 @@ def music_angles(
         offset = _parabolic_offset(log_p[idx - 1], log_p[idx], log_p[idx + 1])
         estimates.append(grid[idx] + offset * step)
     return np.asarray(estimates, dtype=float)
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Per-target estimates with the range/velocity conversions applied."""
-
-    delay_s: float
-    range_m: float
-    doppler_hz: float
-    velocity_mps: float
-    angle_rad: float
-
-    @classmethod
-    def from_measurements(
-        cls, delay_s: float, doppler_hz: float, angle_rad: float, carrier_hz: float
-    ) -> "EstimateReport":
-        from .channel import SPEED_OF_LIGHT
-
-        return cls(
-            delay_s=delay_s,
-            range_m=SPEED_OF_LIGHT * delay_s / 2.0,
-            doppler_hz=doppler_hz,
-            velocity_mps=SPEED_OF_LIGHT * doppler_hz / (2.0 * carrier_hz),
-            angle_rad=angle_rad,
-        )
-
-
-def detection_record(detection: Detection, report: EstimateReport) -> dict:
-    """JSON-ready record joining a CFAR detection with its parameter estimates."""
-    return {
-        "cell": detection.cell,
-        "range_m": report.range_m,
-        "velocity_mps": report.velocity_mps,
-        "angle_deg": math.degrees(report.angle_rad),
-        "statistic": detection.statistic,
-        "threshold": detection.threshold,
-    }
 
 
 @dataclass(frozen=True)

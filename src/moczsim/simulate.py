@@ -35,11 +35,9 @@ from .dizet import dizet_decode_batch
 from .huffman import ModulationParams, encode_batch
 from .radar import (
     CfarConfig,
-    EstimateReport,
     cluster_detections,
     correlation_value_from_spectrum,
     cross_spectrum,
-    detection_record,
     estimate_delay_from_spectrum,
     estimate_doppler,
     music_angles,
@@ -107,17 +105,14 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class FrameSchedule:
-    """Beam segments and frame timing of one spatio-temporal sweep."""
+    """Beam segments and frame count of one spatio-temporal sweep."""
 
     segments: tuple[tuple[float, float], ...]  # radians, non-overlapping
     frames_per_cpi: int = 16
-    t_cpi: float = 16 * 1024e-8
 
     def __post_init__(self):
         if self.frames_per_cpi < 1:
             raise ValueError("frames_per_cpi must be >= 1")
-        if self.t_cpi <= 0:
-            raise ValueError("t_cpi must be positive")
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         prev_hi = None
@@ -127,10 +122,6 @@ class FrameSchedule:
             if prev_hi is not None and lo < prev_hi:
                 raise ValueError("segments must not overlap")
             prev_hi = hi
-
-    @property
-    def frame_period(self) -> float:
-        return self.t_cpi / self.frames_per_cpi
 
 
 @dataclass(frozen=True)
@@ -320,14 +311,19 @@ def _radar_trial(
     segment: tuple[float, float],
     sweep_idx: int,
     trial: int,
-) -> dict:
-    """One coherent processing interval: frames, detection, and estimation."""
+) -> tuple[int, list[dict | None]]:
+    """One coherent processing interval: frames, detection, and estimation.
+
+    Returns the count of CFAR cells more than two cells from every target
+    and, per target, the record of its strongest cluster within two cells
+    (None when there is none).
+    """
     rng = _rng_for(cfg.seed, 3, sweep_idx, trial)
     params = cfg.modulation
     link = cfg.link
+    n = cfg.frame_len
     t_sample = link.sample_period
     n_frames = cfg.schedule.frames_per_cpi
-    frame_period = cfg.schedule.frame_period
 
     targets = [
         RadarTarget.from_geometry(
@@ -351,17 +347,13 @@ def _radar_trial(
     # The whole CPI is one (F, N) block: (F, N_rf, N) at the RF chains, one
     # noise block per frame in frame order, then the (F, N) cross-spectrum.
     # Only frame 0's profile goes to the CFAR; delay refinement and the
-    # Doppler phases read the spectrum itself.
+    # Doppler phases read the spectrum itself.  Frames carry no pilots or
+    # preambles and run back to back, frame f starting at f * N / w.
     msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
     frames_tx = encode_batch(msgs, params)
-    frame_times = np.arange(n_frames) * frame_period
+    frame_times = np.arange(n_frames) * (n / link.bandwidth_hz)
     rx = apply_radar_channel(
-        amp * frames_tx,
-        targets,
-        bf,
-        t_sample,
-        frame_len=cfg.frame_len,
-        start_time=frame_times,
+        amp * frames_tx, targets, bf, t_sample, frame_len=n, start_time=frame_times
     )
     rx = awgn(rx, link.noise_variance, rng, frame_axes=1)
     cov = sample_covariance(rx)
@@ -369,23 +361,19 @@ def _radar_trial(
     combined = (combiner.conj()[None, :] @ rx)[..., 0, :]
     spectra = cross_spectrum(frames_tx, combined)
 
+    # Scoring: a cell within two cells of a target's true cell, on the
+    # circular frame, belongs to that target; every other CFAR cell is a
+    # false alarm.
     detections = os_cfar(np.fft.ifft(spectra[0]), cfg.cfar)
-    clusters = cluster_detections(detections, cfg.frame_len)
-    true_cells = [round(tg.delay_s / t_sample) % cfg.frame_len for tg in targets]
+    clusters = cluster_detections(detections, n)
+    true_cells = [round(tg.delay_s / t_sample) % n for tg in targets]
 
-    def near_truth(cell: int) -> bool:
-        return any(
-            min(abs(cell - tc), cfg.frame_len - abs(cell - tc)) <= 2 for tc in true_cells
-        )
+    def near(cell: int, true_cell: int) -> bool:
+        gap = abs(cell - true_cell)
+        return min(gap, n - gap) <= 2
 
-    false_cells = sum(not near_truth(d.cell) for d in detections)
-    out = {
-        "false_cells": false_cells,
-        "cells": cfg.frame_len,
-        "per_target": [],
-    }
-
-    matched = [c for c in clusters if near_truth(c.cell)]
+    false_cells = sum(not any(near(d.cell, tc) for tc in true_cells) for d in detections)
+    matched = [c for c in clusters if any(near(c.cell, tc) for tc in true_cells)]
     num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
     angles = (
         music_angles(cov, bf.rx_matrix, num_sources, cfg.angle_grid_deg, segment)
@@ -393,16 +381,14 @@ def _radar_trial(
         else np.empty(0)
     )
 
-    unambiguous_m = SPEED_OF_LIGHT * cfg.frame_len * t_sample / 2.0
-    for tg in targets:
-        true_cell = round(tg.delay_s / t_sample) % cfg.frame_len
-        best = None
-        for c in matched:
-            gap = min(abs(c.cell - true_cell), cfg.frame_len - abs(c.cell - true_cell))
-            if gap <= 2 and (best is None or c.statistic > best.statistic):
-                best = c
+    unambiguous_m = SPEED_OF_LIGHT * n * t_sample / 2.0
+    per_target: list[dict | None] = []
+    for tg, tc in zip(targets, true_cells):
+        best = max(
+            (c for c in matched if near(c.cell, tc)), key=lambda c: c.statistic, default=None
+        )
         if best is None:
-            out["per_target"].append(None)
+            per_target.append(None)
             continue
         delay_hat = estimate_delay_from_spectrum(spectra[0], best.cell, t_sample, refine=64)
         if n_frames >= 2:
@@ -415,25 +401,30 @@ def _radar_trial(
             if angles.size
             else float("nan")
         )
-        report = EstimateReport.from_measurements(
-            delay_hat, doppler_hat, angle_hat, link.carrier_hz
-        )
-        per = detection_record(best, report)
+        range_m = SPEED_OF_LIGHT * delay_hat / 2.0
+        velocity_mps = SPEED_OF_LIGHT * doppler_hat / (2.0 * link.carrier_hz)
         # Delays wrap on the frame, so score the range error modulo the
         # unambiguous range, in [-1/2, 1/2) of it.
-        range_err = report.range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
-        per["range_err"] = range_err - unambiguous_m * math.floor(
-            range_err / unambiguous_m + 0.5
+        range_err = range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
+        per_target.append(
+            {
+                "cell": best.cell,
+                "range_m": range_m,
+                "velocity_mps": velocity_mps,
+                "angle_deg": math.degrees(angle_hat),
+                "statistic": best.statistic,
+                "threshold": best.threshold,
+                "range_err": range_err
+                - unambiguous_m * math.floor(range_err / unambiguous_m + 0.5),
+                "velocity_err": velocity_mps
+                - SPEED_OF_LIGHT * tg.doppler_hz / (2.0 * link.carrier_hz),
+                "angle_err_deg": math.degrees(angle_hat - tg.angle_rad),
+            }
         )
-        per["velocity_err"] = report.velocity_mps - SPEED_OF_LIGHT * tg.doppler_hz / (
-            2.0 * link.carrier_hz
-        )
-        per["angle_err_deg"] = math.degrees(angle_hat - tg.angle_rad)
-        out["per_target"].append(per)
-    return out
+    return false_cells, per_target
 
 
-def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> MonteCarloResult:
+def run_radar(cfg: SimConfig) -> MonteCarloResult:
     """Monte Carlo radar runs: detect, then estimate delay, Doppler, and angle.
 
     Detection uses OS-CFAR on the first frame of the CPI (which keeps the
@@ -443,9 +434,7 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
     CPI-averaged covariance.  One record per sweep point; with no
     range_grid_m configured there is a single point at the scenario ranges.
     """
-    specs = tuple(targets) if targets is not None else cfg.targets
-    if cfg.range_grid_m and len(specs) != 1:
-        raise ValueError("range sweeps require exactly one target")
+    specs = cfg.targets
     frame_s = cfg.frame_len * cfg.link.sample_period
     for range_m in [spec.range_m for spec in specs] + list(cfg.range_grid_m):
         if 2.0 * range_m / SPEED_OF_LIGHT >= frame_s:
@@ -453,14 +442,7 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
                 f"target range {range_m} m has a round-trip delay of at least "
                 f"the {cfg.frame_len}-sample frame"
             )
-    sweep = (
-        [
-            tuple([replace(specs[0], range_m=r)])
-            for r in cfg.range_grid_m
-        ]
-        if cfg.range_grid_m
-        else [specs]
-    )
+    sweep = [(replace(specs[0], range_m=r),) for r in cfg.range_grid_m] or [specs]
 
     records = []
     sample_detections: list[list[dict]] = []
@@ -474,26 +456,21 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
             (segment[0] + segment[1]) / 2.0, segment[1] - segment[0], cfg.array
         )
 
-        def one_trial(trial: int) -> dict:
+        def one_trial(trial: int) -> tuple[int, list[dict | None]]:
             return _radar_trial(cfg, point_specs, bf, segment, sweep_idx, trial)
 
         trials = _parallel_map(one_trial, range(cfg.trials))
 
         sample_detections.append(
-            [
-                {k: per[k] for k in detection_keys}
-                for per in trials[0]["per_target"]
-                if per is not None
-            ]
+            [{k: per[k] for k in detection_keys} for per in trials[0][1] if per is not None]
         )
 
         range_sq, vel_sq, ang_sq = [], [], []
         detected = 0
         expected = cfg.trials * max(1, len(point_specs))
-        false_cells = sum(t["false_cells"] for t in trials)
-        scanned = sum(t["cells"] for t in trials)
-        for t in trials:
-            for per in t["per_target"]:
+        false_cells = sum(f for f, _ in trials)
+        for _, per_target in trials:
+            for per in per_target:
                 if per is None:
                     continue
                 detected += 1
@@ -513,7 +490,7 @@ def run_radar(cfg: SimConfig, targets: tuple[TargetSpec, ...] | None = None) -> 
                 "rmse_range_m": rmse(range_sq),
                 "rmse_velocity_mps": rmse(vel_sq),
                 "rmse_angle_deg": rmse(ang_sq),
-                "false_alarm_rate": false_cells / scanned,
+                "false_alarm_rate": false_cells / (cfg.trials * cfg.frame_len),
                 "trials": cfg.trials,
             }
         )
@@ -709,7 +686,6 @@ _CONFIG = _section(
                 "f_c": ("carrier_hz", _FLOAT),
                 "w": ("bandwidth_hz", _FLOAT),
                 "noise_psd": ("noise_psd", _FLOAT),
-                "range": ("range_m", _FLOAT),
             },
             _DEFAULT_CONFIG.link,
         )),
@@ -718,7 +694,6 @@ _CONFIG = _section(
             {
                 "segments_deg": ("segments", _list_of(_DEGREE_PAIR)),
                 "frames_per_cpi": ("frames_per_cpi", _INT),
-                "t_cpi": ("t_cpi", _FLOAT),
             },
             _DEFAULT_CONFIG.schedule,
         )),
@@ -756,17 +731,11 @@ _CONFIG = _section(
 def config_from_dict(doc: dict) -> SimConfig:
     """Build a SimConfig from the JSON schema documented in the README.
 
-    Absent keys take the dataclass defaults, except ``schedule.t_cpi``,
-    which defaults to frames_per_cpi * frame_len / w.  An unknown key, a
-    value of the wrong JSON kind, a non-finite number or a target without
-    ``range_m`` raises ValueError naming the dotted key.
+    Absent keys take the dataclass defaults.  An unknown key, a value of the
+    wrong JSON kind, a non-finite number or a target without ``range_m``
+    raises ValueError naming the dotted key.
     """
-    cfg = _CONFIG.load(doc, "")
-    if "t_cpi" not in doc.get("schedule", {}):
-        sch = cfg.schedule
-        t_cpi = sch.frames_per_cpi * cfg.frame_len / cfg.link.bandwidth_hz
-        cfg = replace(cfg, schedule=replace(sch, t_cpi=t_cpi))
-    return cfg
+    return _CONFIG.load(doc, "")
 
 
 def config_to_dict(cfg: SimConfig) -> dict:

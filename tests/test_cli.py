@@ -159,6 +159,16 @@ class TestExperimentCommands:
         assert sample["statistic"] > sample["threshold"]
         assert sample["range_m"] == pytest.approx(60.0, abs=1.5)
 
+    def test_negative_snr_overrides_are_values(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, trials=10)
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "ber", "--config", str(cfg), "--out", str(out), "--snr-db", "-1e1", "-2.5", "0"
+        )
+        assert code == 0, err
+        summary = json.loads((out / "ber_summary.json").read_text())
+        assert [r["snr_db"] for r in summary["records"]] == [-10.0, -2.5, 0.0]
+
     def test_calibrate_cfar_command(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, cfar={"pfa": 0.5, "window": 12, "guard": 2, "os_rank": 18})
         code, out, _ = run_cli(
@@ -274,8 +284,14 @@ class TestExitCodes:
     def test_non_finite_snr_override_exit_2(self, capsys, tmp_path, snr):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
-        # "=" keeps argparse from reading "-inf" as an option.
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg), f"--snr-db={snr}")
+        assert code == 2
+        assert "snr_grid_db[0]" in err
+
+    def test_minus_inf_snr_reaches_the_config_check(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--snr-db", "-inf")
         assert code == 2
         assert "snr_grid_db[0]" in err
 

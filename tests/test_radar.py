@@ -12,9 +12,7 @@ from moczsim import (
     ArrayConfig,
     CfarConfig,
     Detection,
-    EstimateReport,
     ModulationParams,
-    SPEED_OF_LIGHT,
     ambiguity_function,
     autocorrelation,
     calibrate_os_alpha,
@@ -429,13 +427,6 @@ class TestDopplerEstimation:
         phases = np.angle(np.exp(1j * 2 * np.pi * 1000.0 * times))
         assert estimate_doppler(phases, times) == pytest.approx(0.0, abs=1e-9)
 
-    def test_weight_hook_matches_uniform_when_equal(self):
-        times = np.arange(8) * 1e-3
-        phases = 2 * np.pi * 55.0 * times
-        uniform = estimate_doppler(phases, times)
-        weighted = estimate_doppler(phases, times, weights=np.full(8, 3.0))
-        assert weighted == pytest.approx(uniform, abs=1e-12)
-
     def test_too_few_frames_raise(self):
         with pytest.raises(ValueError):
             estimate_doppler([0.1], [0.0])
@@ -568,35 +559,3 @@ class TestAmbiguityFunction:
         with pytest.raises(ValueError):
             ambiguity_function(np.ones(8, dtype=complex), 8, 16)
 
-
-def test_estimate_report_unit_conversions():
-    rep = EstimateReport.from_measurements(
-        delay_s=1e-6, doppler_hz=4000.0, angle_rad=0.1, carrier_hz=60.0e9
-    )
-    assert rep.range_m == pytest.approx(SPEED_OF_LIGHT * 1e-6 / 2)
-    assert rep.velocity_mps == pytest.approx(SPEED_OF_LIGHT * 4000.0 / (2 * 60.0e9))
-    # one range cell at 100 MHz bandwidth is c/(2W)
-    assert SPEED_OF_LIGHT / (2 * 100e6) == pytest.approx(1.499, abs=1e-3)
-
-
-def test_detection_record_schema():
-    import json
-
-    from moczsim import Detection, detection_record
-
-    det = Detection(cell=42, statistic=12.5, threshold=3.25)
-    rep = EstimateReport.from_measurements(
-        delay_s=4.2e-7, doppler_hz=8000.0, angle_rad=np.radians(1.5), carrier_hz=60.0e9
-    )
-    record = detection_record(det, rep)
-    assert set(record) == {
-        "cell",
-        "range_m",
-        "velocity_mps",
-        "angle_deg",
-        "statistic",
-        "threshold",
-    }
-    assert record["cell"] == 42
-    assert record["angle_deg"] == pytest.approx(1.5)
-    json.dumps(record)  # must be JSON-serializable as-is

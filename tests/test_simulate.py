@@ -14,6 +14,7 @@ from moczsim import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     CfarConfig,
+    Detection,
     FrameSchedule,
     LinkBudget,
     ModulationParams,
@@ -48,10 +49,12 @@ BAD_CONFIGS = [
     ({"schedule": {"segments_deg": [[-8.0]]}}, "schedule.segments_deg[0]"),
     ({"targets": [{"velocity_mps": 3.0}]}, "targets[0].range_m"),
     ({"angle_grid_deg": 0}, "angle_grid_deg"),
+    ({"link": {"range": 50.0}}, "link.range"),
+    ({"schedule": {"t_cpi": 1e-4}}, "schedule.t_cpi"),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
-NARROW = FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=8, t_cpi=8 * 1024e-8)
+NARROW = FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=8)
 
 
 def small_ber_config(**overrides):
@@ -273,9 +276,7 @@ class TestRunRadar:
     def test_no_target_false_rate_tracks_pfa(self):
         cfg = SimConfig(
             modulation=ModulationParams(127),
-            schedule=FrameSchedule(
-                segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=2, t_cpi=2 * 1024e-8
-            ),
+            schedule=FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=2),
             trials=300,
             seed=23,
             targets=(),
@@ -283,6 +284,24 @@ class TestRunRadar:
         rec = run_radar(cfg).records[0]
         assert rec["detection_rate"] == 0.0
         assert 1e-4 / 3 <= rec["false_alarm_rate"] <= 3e-4
+
+    def test_cells_within_two_of_the_true_cell_belong_to_the_target(self, monkeypatch):
+        # Target at cell 1 of 1024. Planted CFAR hits: 1023 (two cells away
+        # across the wrap), 3 (two away), 4 (three away, joins the cluster of
+        # 3, whose strongest cell is 3) and 512. Cells 1023 and 3 are matched
+        # clusters, the stronger one is the target's; 4 and 512 are false.
+        planted = [Detection(1023, 9.0, 1.0), Detection(3, 5.0, 1.0),
+                   Detection(4, 1.0, 0.5), Detection(512, 2.0, 1.0)]
+        monkeypatch.setattr(simulate, "os_cfar", lambda profile, config: planted)
+        cfg = SimConfig(
+            schedule=NARROW,
+            trials=1,
+            targets=(TargetSpec(range_m=RANGE_CELL_M, angle_deg=0.5),),
+        )
+        res = run_radar(cfg)
+        assert res.records[0]["detection_rate"] == 1.0
+        assert res.records[0]["false_alarm_rate"] == 2 / 1024
+        assert [d["cell"] for d in res.extra["sample_detections"][0]] == [1023]
 
     def test_range_sweep_produces_one_record_per_point(self):
         cfg = SimConfig(
@@ -415,19 +434,22 @@ class TestConfigRoundTrip:
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
 
-    def test_empty_document_gives_the_defaults(self):
-        assert config_from_dict({}) == SimConfig()
+    @pytest.mark.parametrize(
+        "doc, given",
+        [
+            ({}, {}),
+            ({"frame_len": 2048}, {"frame_len": 2048}),
+            ({"link": {"w": 50e6}}, {"link": LinkBudget(bandwidth_hz=50e6)}),
+        ],
+        ids=["empty", "frame_len", "link.w"],
+    )
+    def test_empty_document_gives_the_defaults(self, doc, given):
+        # Every absent key, in a document empty or not, takes the default
+        # that SimConfig itself has.
+        assert config_from_dict(doc) == SimConfig(**given)
 
     def test_derived_defaults_follow_their_inputs(self):
-        cfg = config_from_dict(
-            {
-                "frame_len": 2048,
-                "link": {"w": 50e6},
-                "schedule": {"frames_per_cpi": 4},
-                "cfar": {"pfa": 0.5},
-            }
-        )
-        assert cfg.schedule.t_cpi == 4 * 2048 / 50e6
+        cfg = config_from_dict({"cfar": {"pfa": 0.5}})
         assert cfg.cfar.alpha == CfarConfig(pfa=0.5).alpha
 
     @pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
