@@ -63,7 +63,6 @@ class Beamformer:
 
     tx_beam: np.ndarray
     rx_matrix: np.ndarray
-    beam_angles: tuple[float, ...] = ()
 
 
 def dft_codebook(num_antennas: int):
@@ -96,11 +95,7 @@ def make_beamformers(
     dist_center = np.abs(angles - segment_center)
     order = np.lexsort((np.arange(angles.size), dist_center, dist_interval))
     chosen = np.sort(order[: cfg.num_rf_chains])
-    return Beamformer(
-        tx_beam=f,
-        rx_matrix=book[:, chosen],
-        beam_angles=tuple(float(a) for a in angles[chosen]),
-    )
+    return Beamformer(tx_beam=f, rx_matrix=book[:, chosen])
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,6 @@ class RadarTarget:
     angle_rad: float
     delay_s: float
     doppler_hz: float
-    rcs_dbsm: float = 10.0
 
     def __post_init__(self):
         if self.delay_s < 0:
@@ -176,7 +170,6 @@ class RadarTarget:
             angle_rad=math.radians(angle_deg),
             delay_s=2.0 * range_m / SPEED_OF_LIGHT,
             doppler_hz=2.0 * velocity_mps * link.carrier_hz / SPEED_OF_LIGHT,
-            rcs_dbsm=rcs_dbsm,
         )
 
 

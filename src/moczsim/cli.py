@@ -79,15 +79,15 @@ def _read_sequence(path: str) -> np.ndarray:
     return sequence_from_csv(Path(path).read_text(encoding="utf-8"))
 
 
-def _modulation(args) -> ModulationParams:
-    return ModulationParams(num_bits=args.k, radius_tuning=args.lam)
+def _modulation(args, num_bits: int | None = None) -> ModulationParams:
+    """Parameters from --k and --lambda; without --k, K is ``num_bits``."""
+    return ModulationParams(num_bits=num_bits if args.k is None else args.k,
+                            radius_tuning=args.lam)
 
 
 def _cmd_encode(args) -> int:
     bits = parse_bit_string(args.bits, args.k)
-    params = ModulationParams(num_bits=bits.size if args.k is None else args.k,
-                              radius_tuning=args.lam)
-    _emit(sequence_to_csv(encode(bits, params)), args.out)
+    _emit(sequence_to_csv(encode(bits, _modulation(args, bits.size))), args.out)
     return EXIT_OK
 
 
@@ -105,9 +105,7 @@ def _cmd_decode(args) -> int:
 def _cmd_autocorr(args) -> int:
     if args.bits is not None:
         bits = parse_bit_string(args.bits, args.k)
-        params = ModulationParams(num_bits=bits.size if args.k is None else args.k,
-                                  radius_tuning=args.lam)
-        samples = encode(bits, params)
+        samples = encode(bits, _modulation(args, bits.size))
     elif args.input is not None:
         samples = _read_sequence(args.input)
     else:
@@ -122,7 +120,7 @@ def _cmd_af(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         bits = rng.integers(0, 2, args.k)
-    params = ModulationParams(num_bits=args.k, radius_tuning=args.lam)
+    params = _modulation(args)
     samples = encode(bits, params)
     max_lag = args.max_lag if args.max_lag is not None else params.num_bits
     surf = ambiguity_function(samples, max_lag, args.doppler_bins)

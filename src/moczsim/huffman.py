@@ -9,6 +9,7 @@ is the unit-energy coefficient vector of the polynomial with those zeros.  All
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -220,7 +221,10 @@ def sequence_from_csv(text: str) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {ln}: expected 're,im', got {line!r}")
-        samples.append(complex(float(parts[0]), float(parts[1])))
+        re_part, im_part = float(parts[0]), float(parts[1])
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise ValueError(f"line {ln}: samples must be finite numbers, got {line!r}")
+        samples.append(complex(re_part, im_part))
     if not samples:
         raise ValueError("no samples found in CSV input")
     return np.asarray(samples, dtype=complex)

@@ -105,23 +105,17 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class FrameSchedule:
-    """Beam segments and frame count of one spatio-temporal sweep."""
+    """Scanned angular segment and frame count of one CPI."""
 
-    segments: tuple[tuple[float, float], ...]  # radians, non-overlapping
+    segment: tuple[float, float] = (-np.pi / 6, np.pi / 6)  # radians
     frames_per_cpi: int = 16
 
     def __post_init__(self):
         if self.frames_per_cpi < 1:
             raise ValueError("frames_per_cpi must be >= 1")
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        prev_hi = None
-        for lo, hi in sorted(self.segments):
-            if not (-np.pi / 2 <= lo < hi <= np.pi / 2):
-                raise ValueError("segments must be ordered intervals within [-pi/2, pi/2]")
-            if prev_hi is not None and lo < prev_hi:
-                raise ValueError("segments must not overlap")
-            prev_hi = hi
+        lo, hi = self.segment
+        if not (-np.pi / 2 <= lo < hi <= np.pi / 2):
+            raise ValueError("segment must be an ordered interval within [-pi/2, pi/2]")
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ class SimConfig:
     modulation: ModulationParams = ModulationParams(127)
     array: ArrayConfig = ArrayConfig()
     link: LinkBudget = LinkBudget()
-    schedule: FrameSchedule = FrameSchedule(segments=((-np.pi / 6, np.pi / 6),))
+    schedule: FrameSchedule = FrameSchedule()
     channel_model: str = "awgn"
     snr_grid_db: tuple[float, ...] = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
     trials: int = 10_000
@@ -141,13 +135,14 @@ class SimConfig:
     cfar: CfarConfig = CfarConfig()
     targets: tuple[TargetSpec, ...] = ()
     range_grid_m: tuple[float, ...] = ()
-    angle_grid_deg: float = 0.5
 
     def __post_init__(self):
         if self.channel_model not in CHANNEL_MODELS:
             raise ValueError(f"channel_model must be one of {CHANNEL_MODELS}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
         for i, snr_db in enumerate(self.snr_grid_db):
@@ -159,8 +154,26 @@ class SimConfig:
             raise ValueError("batch_size must be >= 1")
         if self.range_grid_m and len(self.targets) != 1:
             raise ValueError("range_grid_m sweeps require exactly one target")
-        if self.angle_grid_deg <= 0:
-            raise ValueError("angle_grid_deg must be positive")
+        for i, spec in enumerate(self.targets):
+            if not abs(spec.angle_deg) <= 90.0:
+                raise ValueError(
+                    f"targets[{i}].angle_deg must lie in [-90, 90], got {spec.angle_deg}"
+                )
+        ranges = [(f"targets[{i}].range_m", spec.range_m) for i, spec in enumerate(self.targets)]
+        ranges += [(f"range_grid_m[{j}]", r) for j, r in enumerate(self.range_grid_m)]
+        for path, range_m in ranges:
+            if not range_m > 0:
+                raise ValueError(f"{path} must be positive, got {range_m}")
+            if 2.0 * range_m / SPEED_OF_LIGHT >= self.frame_s:
+                raise ValueError(
+                    f"{path} = {range_m} m has a round-trip delay of at least "
+                    f"the {self.frame_len}-sample frame"
+                )
+
+    @property
+    def frame_s(self) -> float:
+        """Duration of one frame, frame_len / w: the radar's frame clock period."""
+        return self.frame_len / self.link.bandwidth_hz
 
 
 @dataclass
@@ -183,9 +196,11 @@ class MonteCarloResult:
             lines.append(",".join(_format_cell(rec[f]) for f in self.fields))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        doc = {"kind": self.kind, "records": self.records}
-        doc.update(self.extra)
+    def to_json(self, cfg: SimConfig | None = None) -> str:
+        """The summary document; with ``cfg``, it ends with the config echo."""
+        doc = {"kind": self.kind, "records": self.records, **self.extra}
+        if cfg is not None:
+            doc["config"] = config_to_dict(cfg)
         return json.dumps(doc, indent=2)
 
 
@@ -293,30 +308,20 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     return MonteCarloResult(kind="ber", records=records)
 
 
-def _segment_for(schedule: FrameSchedule, angle_rad: float) -> tuple[float, float]:
-    for lo, hi in schedule.segments:
-        if lo <= angle_rad <= hi:
-            return lo, hi
-    # fall back to the nearest segment
-    return min(
-        schedule.segments,
-        key=lambda seg: min(abs(angle_rad - seg[0]), abs(angle_rad - seg[1])),
-    )
-
-
 def _radar_trial(
     cfg: SimConfig,
     specs: tuple[TargetSpec, ...],
     bf: Beamformer,
-    segment: tuple[float, float],
+    combiner: np.ndarray,
     sweep_idx: int,
     trial: int,
 ) -> tuple[int, list[dict | None]]:
     """One coherent processing interval: frames, detection, and estimation.
 
-    Returns the count of CFAR cells more than two cells from every target
-    and, per target, the record of its strongest cluster within two cells
-    (None when there is none).
+    ``combiner`` is the unit-norm RF-chain weight vector that forms the
+    correlated signal.  Returns the count of CFAR cells more than two cells
+    from every target and, per target, the record of its strongest cluster
+    within two cells (None when there is none).
     """
     rng = _rng_for(cfg.seed, 3, sweep_idx, trial)
     params = cfg.modulation
@@ -339,10 +344,6 @@ def _radar_trial(
     # EIRP = element power * array gain; scale so the packet's mean sample
     # power at the elements matches the budget.
     amp = math.sqrt(link.eirp_watts / cfg.array.num_antennas * params.seq_len)
-    combiner = bf.rx_matrix.conj().T @ steering(
-        (segment[0] + segment[1]) / 2.0, cfg.array.num_antennas
-    )
-    combiner = combiner / np.linalg.norm(combiner)
 
     # The whole CPI is one (F, N) block: (F, N_rf, N) at the RF chains, one
     # noise block per frame in frame order, then the (F, N) cross-spectrum.
@@ -351,7 +352,7 @@ def _radar_trial(
     # preambles and run back to back, frame f starting at f * N / w.
     msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
     frames_tx = encode_batch(msgs, params)
-    frame_times = np.arange(n_frames) * (n / link.bandwidth_hz)
+    frame_times = np.arange(n_frames) * cfg.frame_s
     rx = apply_radar_channel(
         amp * frames_tx, targets, bf, t_sample, frame_len=n, start_time=frame_times
     )
@@ -376,12 +377,12 @@ def _radar_trial(
     matched = [c for c in clusters if any(near(c.cell, tc) for tc in true_cells)]
     num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
     angles = (
-        music_angles(cov, bf.rx_matrix, num_sources, cfg.angle_grid_deg, segment)
+        music_angles(cov, bf.rx_matrix, num_sources, segment=cfg.schedule.segment)
         if num_sources
         else np.empty(0)
     )
 
-    unambiguous_m = SPEED_OF_LIGHT * n * t_sample / 2.0
+    unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
     per_target: list[dict | None] = []
     for tg, tc in zip(targets, true_cells):
         best = max(
@@ -435,29 +436,20 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     range_grid_m configured there is a single point at the scenario ranges.
     """
     specs = cfg.targets
-    frame_s = cfg.frame_len * cfg.link.sample_period
-    for range_m in [spec.range_m for spec in specs] + list(cfg.range_grid_m):
-        if 2.0 * range_m / SPEED_OF_LIGHT >= frame_s:
-            raise ValueError(
-                f"target range {range_m} m has a round-trip delay of at least "
-                f"the {cfg.frame_len}-sample frame"
-            )
     sweep = [(replace(specs[0], range_m=r),) for r in cfg.range_grid_m] or [specs]
+    # The transmit beam and the receive beams are fixed by the scanned segment.
+    lo, hi = cfg.schedule.segment
+    center = (lo + hi) / 2.0
+    bf = make_beamformers(center, hi - lo, cfg.array)
+    combiner = bf.rx_matrix.conj().T @ steering(center, cfg.array.num_antennas)
+    combiner = combiner / np.linalg.norm(combiner)
 
     records = []
     sample_detections: list[list[dict]] = []
     detection_keys = ("cell", "range_m", "velocity_mps", "angle_deg", "statistic", "threshold")
     for sweep_idx, point_specs in enumerate(sweep):
-        ref_angle = (
-            math.radians(point_specs[0].angle_deg) if point_specs else 0.0
-        )
-        segment = _segment_for(cfg.schedule, ref_angle)
-        bf = make_beamformers(
-            (segment[0] + segment[1]) / 2.0, segment[1] - segment[0], cfg.array
-        )
-
         def one_trial(trial: int) -> tuple[int, list[dict | None]]:
-            return _radar_trial(cfg, point_specs, bf, segment, sweep_idx, trial)
+            return _radar_trial(cfg, point_specs, bf, combiner, sweep_idx, trial)
 
         trials = _parallel_map(one_trial, range(cfg.trials))
 
@@ -692,7 +684,7 @@ _CONFIG = _section(
         "schedule": ("schedule", _section(
             FrameSchedule,
             {
-                "segments_deg": ("segments", _list_of(_DEGREE_PAIR)),
+                "segment_deg": ("segment", _DEGREE_PAIR),
                 "frames_per_cpi": ("frames_per_cpi", _INT),
             },
             _DEFAULT_CONFIG.schedule,
@@ -723,7 +715,6 @@ _CONFIG = _section(
             },
         ))),
         "range_grid_m": ("range_grid_m", _list_of(_FLOAT)),
-        "angle_grid_deg": ("angle_grid_deg", _FLOAT),
     },
 )
 
@@ -769,9 +760,5 @@ def write_result(result: MonteCarloResult, out_dir: str | Path, basename: str, c
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}_summary.json"
     atomic_write_text(csv_path, result.to_csv())
-    summary = {"kind": result.kind, "records": result.records}
-    summary.update(result.extra)
-    if cfg is not None:
-        summary["config"] = config_to_dict(cfg)
-    atomic_write_text(json_path, json.dumps(summary, indent=2))
+    atomic_write_text(json_path, result.to_json(cfg))
     return csv_path, json_path

@@ -66,7 +66,9 @@ class TestBeamformers:
 
     def test_selected_beams_surround_the_segment(self):
         bf = make_beamformers(0.0, np.pi / 16, ArrayConfig(64, 4))
-        assert all(abs(a) < np.pi / 8 for a in bf.beam_angles)
+        angles, book = dft_codebook(64)
+        chosen = [int(np.argmax(np.abs(book.conj().T @ col))) for col in bf.rx_matrix.T]
+        assert all(abs(angles[d]) < np.pi / 8 for d in chosen)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

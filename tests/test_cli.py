@@ -136,7 +136,7 @@ class TestExperimentCommands:
             tmp_path,
             modulation={"k": 127, "lambda": 0.5},
             trials=3,
-            schedule={"segments_deg": [[-8.0, 8.0]], "frames_per_cpi": 4},
+            schedule={"segment_deg": [-8.0, 8.0], "frames_per_cpi": 4},
             targets=[{"range_m": 60.0, "velocity_mps": 10.0, "angle_deg": 0.5}],
         )
         out = tmp_path / "radar_out"
@@ -228,7 +228,7 @@ def test_runtime_imports_no_scipy(tmp_path):
             {
                 "modulation": {"k": 31},
                 "trials": 1,
-                "schedule": {"segments_deg": [[-8.0, 8.0]], "frames_per_cpi": 2},
+                "schedule": {"segment_deg": [-8.0, 8.0], "frames_per_cpi": 2},
                 "targets": [{"range_m": 60.0, "velocity_mps": 10.0, "angle_deg": 0.5}],
             }
         )
@@ -272,6 +272,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("text", ["nan,0", "1,inf", "1e400,0"])
+    @pytest.mark.parametrize("command", [["decode", "--k", "2"], ["autocorr", "--in"]])
+    def test_non_finite_samples_exit_2_naming_the_line(self, capsys, tmp_path, command, text):
+        seq = tmp_path / "seq.csv"
+        seq.write_text(f"1,0\n{text}\n1,0\n")
+        code, out, err = run_cli(capsys, *command, str(seq))
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err
 
     def test_zero_trials_override_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

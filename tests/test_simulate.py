@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENE = ROOT / "configs" / "scene.json"
 RANGE_CELL_M = SPEED_OF_LIGHT / (2 * 100e6)
 
-# (document, dotted key the error must name)
+# (document, text naming the key that the error must contain)
 BAD_CONFIGS = [
     ({"trails": 5, "modulaton": {"k": 31}}, "trails"),
     ({"modulation": {"kk": 31}}, "modulation.kk"),
@@ -46,15 +46,20 @@ BAD_CONFIGS = [
     ({"seed": 1.5}, "seed"),
     ({"channel_model": 3}, "channel_model"),
     ({"schedule": []}, "schedule"),
-    ({"schedule": {"segments_deg": [[-8.0]]}}, "schedule.segments_deg[0]"),
+    ({"schedule": {"segment_deg": [-8.0]}}, "schedule.segment_deg"),
     ({"targets": [{"velocity_mps": 3.0}]}, "targets[0].range_m"),
-    ({"angle_grid_deg": 0}, "angle_grid_deg"),
+    ({"angle_grid_deg": 0.5}, "angle_grid_deg"),
     ({"link": {"range": 50.0}}, "link.range"),
     ({"schedule": {"t_cpi": 1e-4}}, "schedule.t_cpi"),
+    ({"schedule": {"segments_deg": [[-8.0, 8.0]]}}, "schedule.segments_deg"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"targets": [{"range_m": 50.0}, {"range_m": -5.0}]}, "targets[1].range_m"),
+    ({"targets": [{"range_m": 50.0}], "range_grid_m": [30.0, 0.0]}, "range_grid_m[1]"),
+    ({"targets": [{"range_m": 50.0, "angle_deg": 120.0}]}, "targets[0].angle_deg"),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
-NARROW = FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=8)
+NARROW = FrameSchedule(segment=(-np.pi / 22, np.pi / 22), frames_per_cpi=8)
 
 
 def small_ber_config(**overrides):
@@ -244,9 +249,9 @@ class TestRunRadar:
         sources = []
         music = simulate.music_angles
 
-        def counting_music(cov, rx_matrix, num_sources, *args):
+        def counting_music(cov, rx_matrix, num_sources, *args, **kwargs):
             sources.append(num_sources)
-            return music(cov, rx_matrix, num_sources, *args)
+            return music(cov, rx_matrix, num_sources, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "music_angles", counting_music)
         cfg = dataclasses.replace(
@@ -276,7 +281,7 @@ class TestRunRadar:
     def test_no_target_false_rate_tracks_pfa(self):
         cfg = SimConfig(
             modulation=ModulationParams(127),
-            schedule=FrameSchedule(segments=((-np.pi / 22, np.pi / 22),), frames_per_cpi=2),
+            schedule=FrameSchedule(segment=(-np.pi / 22, np.pi / 22), frames_per_cpi=2),
             trials=300,
             seed=23,
             targets=(),
@@ -347,13 +352,25 @@ class TestRadarEdges:
         assert rec["rmse_range_m"] < RANGE_CELL_M
 
     def test_target_beyond_the_frame_is_rejected(self):
-        with pytest.raises(ValueError, match="frame"):
-            run_radar(self.edge_config(1024.0 * RANGE_CELL_M))
+        with pytest.raises(ValueError, match=re.escape("targets[0].range_m") + ".*frame"):
+            self.edge_config(1024.0 * RANGE_CELL_M)
 
     def test_range_grid_point_beyond_the_frame_is_rejected(self):
-        cfg = self.edge_config(50.0, range_grid_m=(50.0, 1100.5 * RANGE_CELL_M))
-        with pytest.raises(ValueError, match="frame"):
-            run_radar(cfg)
+        with pytest.raises(ValueError, match=re.escape("range_grid_m[1]") + ".*frame"):
+            self.edge_config(50.0, range_grid_m=(50.0, 1100.5 * RANGE_CELL_M))
+
+    def test_frame_check_reads_the_frame_clock(self):
+        # 1000 / 80 MHz is 1.25e-05 s, while 1000 * (1 / 80 MHz) rounds to
+        # 1.2499999999999999e-05 s: a round trip of exactly the smaller value
+        # lies inside the frame the radar's frame clock runs.
+        cfg = SimConfig(
+            frame_len=1000,
+            link=LinkBudget(bandwidth_hz=80e6),
+            trials=1,
+            targets=(TargetSpec(range_m=1873.7028624999998),),
+        )
+        assert run_radar(cfg).records[0]["trials"] == 1
+        assert 2.0 * cfg.targets[0].range_m / SPEED_OF_LIGHT < cfg.frame_s == 1.25e-05
 
 
 # run_radar on configs/scene.json at 6 trials (config seed 1), recorded from
@@ -477,17 +494,17 @@ class TestConfigRoundTrip:
                 continue
             if key == "schedule":
                 np.testing.assert_allclose(
-                    value.pop("segments_deg"), defaults[key].pop("segments_deg")
+                    value.pop("segment_deg"), defaults[key].pop("segment_deg")
                 )
             assert value == defaults[key], key
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            FrameSchedule(segments=((0.5, 0.1),))
+            FrameSchedule(segment=(0.5, 0.1))
         with pytest.raises(ValueError):
-            FrameSchedule(segments=((-0.4, 0.1), (0.0, 0.3)))
+            FrameSchedule(segment=(-0.4, 2.0))
         with pytest.raises(ValueError):
-            FrameSchedule(segments=((-0.1, 0.1),), frames_per_cpi=0)
+            FrameSchedule(segment=(-0.1, 0.1), frames_per_cpi=0)
 
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):
