@@ -160,8 +160,8 @@ class RadarTarget:
         range_m: float,
         velocity_mps: float,
         angle_deg: float,
-        rcs_dbsm: float = 10.0,
-        phase_rad: float = 0.0,
+        rcs_dbsm: float,
+        phase_rad: float,
     ) -> "RadarTarget":
         """Physical path from range/velocity/angle; Doppler is two-way 2 v f_c / c."""
         amp = math.sqrt(radar_gain(link, rcs_dbsm, range_m))
@@ -173,7 +173,7 @@ class RadarTarget:
         )
 
 
-def fractional_delay(samples, shift_samples: float, out_len: int | None = None) -> np.ndarray:
+def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
     """Band-limited delay by ``shift_samples`` on a frame of ``out_len`` samples.
 
     Implemented as a phase ramp on the spectrum of the zero-padded frame; the
@@ -181,7 +181,7 @@ def fractional_delay(samples, shift_samples: float, out_len: int | None = None) 
     fractional shift.  Leading axes of ``samples`` are independent frames.
     """
     x = np.asarray(samples, dtype=complex)
-    n = x.shape[-1] if out_len is None else int(out_len)
+    n = int(out_len)
     if n < x.shape[-1]:
         raise ValueError("out_len must not truncate the input")
     spec = np.fft.fft(x, n, axis=-1)  # zero-pads to n
@@ -194,7 +194,7 @@ def apply_radar_channel(
     targets,
     bf: Beamformer,
     sample_period: float,
-    frame_len: int | None = None,
+    frame_len: int,
     start_time: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Backscatter response at the RF chains for a block of transmitted frames.
@@ -210,8 +210,8 @@ def apply_radar_channel(
         Tx beam f and Rx reduction matrix U.
     sample_period : float
         T = 1/W in seconds.
-    frame_len : int, optional
-        Output frame length N (defaults to the input length).  Delays wrap
+    frame_len : int
+        Output frame length N, at least the input length.  Delays wrap
         circularly on this frame.
     start_time : float or array_like, shape (...)
         Absolute time of sample 0 of each frame, so Doppler stays coherent
@@ -234,7 +234,7 @@ def apply_radar_channel(
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
     x = np.asarray(samples, dtype=complex)
-    n = x.shape[-1] if frame_len is None else int(frame_len)
+    n = int(frame_len)
     n_rf = bf.rx_matrix.shape[1]
     if not targets:
         return np.zeros(x.shape[:-1] + (n_rf, n), dtype=complex)
@@ -256,8 +256,10 @@ def apply_radar_channel(
     return out
 
 
-def awgn(samples, noise_variance: float, rng=None, frame_axes: int = 0) -> np.ndarray:
-    """Add circular complex Gaussian noise with the given per-sample variance.
+def awgn(
+    samples, noise_variance: float, rng: np.random.Generator, frame_axes: int = 0
+) -> np.ndarray:
+    """Add circular complex Gaussian noise of the given per-sample variance, drawn from ``rng``.
 
     The noise of each block over the trailing axes is drawn as its real part,
     then its imaginary part.  ``frame_axes`` leading axes index such blocks,
@@ -269,13 +271,12 @@ def awgn(samples, noise_variance: float, rng=None, frame_axes: int = 0) -> np.nd
     x = np.asarray(samples, dtype=complex)
     if noise_variance == 0:
         return x.copy()
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     shape = x.shape[:frame_axes] + (2,) + x.shape[frame_axes:]
     # The output is allocated before the draw, which is freed on return: the
     # other order measured ~1 MB more peak RSS on a radar run, from where the
     # allocator placed the result.
     out = np.empty_like(x)
-    draw = gen.standard_normal(shape)
+    draw = rng.standard_normal(shape)
     draw *= math.sqrt(noise_variance / 2.0)
     re, im = np.moveaxis(draw, frame_axes, 0)
     np.add(x.real, re, out=out.real)

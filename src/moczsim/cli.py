@@ -176,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_modulation(p, k_required=True):
         p.add_argument("--k", type=int, required=k_required, help="bits per packet")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+        p.add_argument("--lambda", dest="lam", type=float,
+                       default=ModulationParams.radius_tuning,
                        help="radius tuning constant in (0, 1)")
 
     p = sub.add_parser("encode", help="emit the transmit sequence CSV for a bit string")

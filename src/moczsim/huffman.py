@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-def derive_radius(num_bits: int, radius_tuning: float = 0.5) -> float:
+def derive_radius(num_bits: int, radius_tuning: float) -> float:
     """Outer zero-circle radius sqrt(1 + 2*lam*sin(pi/K)) for K zero pairs."""
     if num_bits < 1:
         raise ValueError(f"num_bits must be a positive integer, got {num_bits}")
@@ -75,11 +75,6 @@ class ModulationParams:
             raise ValueError(f"degenerate geometry for num_bits={self.num_bits}")
         object.__setattr__(self, "outer_radius", r)
         object.__setattr__(self, "side_peak", derive_side_peak(r, self.num_bits))
-
-    @property
-    def base_angle(self) -> float:
-        """Angular spacing 2*pi/K of the zero positions."""
-        return 2.0 * np.pi / self.num_bits
 
     @property
     def seq_len(self) -> int:

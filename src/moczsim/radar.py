@@ -2,9 +2,9 @@
 
 The chain is: circular cross-correlation with the known transmit sequence,
 ordered-statistic CFAR thresholding on correlation power, parabolic delay
-refinement (optionally on a band-limited local grid), linear multi-frame
-Doppler fitting, and beam-domain MUSIC for the angle of arrival.  Delay
-refinement and the Doppler phases read the profiles' spectrum, so each
+refinement on a band-limited local grid of 64 points per cell, linear
+multi-frame Doppler fitting, and beam-domain MUSIC for the angle of arrival.
+Delay refinement and the Doppler phases read the profiles' spectrum, so each
 has a profile-taking form and a ``*_from_spectrum`` form for callers that
 hold the cross-spectrum.
 """
@@ -214,24 +214,27 @@ def os_cfar(profile, config: CfarConfig) -> list[Detection]:
     ]
 
 
-def cluster_detections(
-    detections: list[Detection], frame_len: int, max_gap: int = 2
-) -> list[Detection]:
+_CLUSTER_GAP = 2  # cells
+
+
+def cluster_detections(detections: list[Detection], frame_len: int) -> list[Detection]:
     """Merge runs of adjacent detected cells, keeping the strongest cell of each run.
 
-    Cells lie on a circular frame of ``frame_len`` cells, as in ``os_cfar``,
-    so a run that ends near the last cell joins one that starts near cell 0.
+    Cells at most two apart join one run.  They lie on a circular frame of
+    ``frame_len`` cells, as in ``os_cfar``, so a run that ends near the last
+    cell joins one that starts near cell 0.
     """
     if not detections:
         return []
     ordered = sorted(detections, key=lambda d: d.cell)
     clusters: list[list[Detection]] = [[ordered[0]]]
     for det in ordered[1:]:
-        if det.cell - clusters[-1][-1].cell <= max_gap:
+        if det.cell - clusters[-1][-1].cell <= _CLUSTER_GAP:
             clusters[-1].append(det)
         else:
             clusters.append([det])
-    if len(clusters) > 1 and clusters[0][0].cell + frame_len - clusters[-1][-1].cell <= max_gap:
+    wrap_gap = clusters[0][0].cell + frame_len - clusters[-1][-1].cell
+    if len(clusters) > 1 and wrap_gap <= _CLUSTER_GAP:
         clusters[0] = clusters.pop() + clusters[0]
     return [max(group, key=lambda d: d.statistic) for group in clusters]
 
@@ -245,18 +248,23 @@ def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> float:
     return float(np.clip(0.5 * (y_minus - y_plus) / denom, -0.5, 0.5))
 
 
+# Delay refinement grid points per cell.  A full-bandwidth waveform's peak
+# is about one cell wide, too narrow for a parabola through whole cells.
+_REFINE = 64
+
+
 @lru_cache(maxsize=4)
-def _refine_kernel(n: int, refine: int) -> np.ndarray:
-    # Row k evaluates the band-limited profile k/refine cells after the
-    # cell the spectrum is shifted to: exp(2i pi (k/refine) f) on the FFT
+def _refine_kernel(n: int) -> np.ndarray:
+    # Row k evaluates the band-limited profile k/_REFINE cells after the
+    # cell the spectrum is shifted to: exp(2i pi (k/_REFINE) f) on the FFT
     # frequencies f.  Read-only, since every caller shares it.
-    offsets = np.arange(2 * refine + 1) / refine
+    offsets = np.arange(2 * _REFINE + 1) / _REFINE
     kernel = np.exp(2j * np.pi * np.outer(offsets, np.fft.fftfreq(n)))
     kernel.flags.writeable = False
     return kernel
 
 
-def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 1) -> float:
+def estimate_delay(profile, peak_cell: int, sample_period: float) -> float:
     """Delay in seconds from a correlation peak with sub-cell interpolation.
 
     The DFT of the profile, then ``estimate_delay_from_spectrum``.
@@ -269,46 +277,39 @@ def estimate_delay(profile, peak_cell: int, sample_period: float, refine: int = 
         Index of the magnitude maximum.
     sample_period : float
         Cell width T in seconds.
-    refine : int
-        Local oversampling factor.  The band-limited |zeta(t)| is evaluated
-        on a grid of spacing 1/refine cells from one cell before the peak to
-        one cell after it, and a parabola is fitted to the largest grid value
-        and its two neighbours.  ``refine=1`` evaluates the three cells
-        around the peak; use >= 8 for full-bandwidth waveforms, whose
-        one-cell-wide peak defeats the cell-spaced parabola.
 
     Returns
     -------
     float
-        (grid point + offset) * T with the offset clamped to half a grid step.
+        (grid point + offset) * T.  The band-limited |zeta(t)| is evaluated
+        on a fixed grid of 64 points per cell, from one cell before the peak
+        to one cell after it, and a parabola is fitted to the largest grid
+        value and its two neighbours; the offset is clamped to half a grid
+        step.
     """
     z = np.asarray(profile, dtype=complex)
-    return estimate_delay_from_spectrum(np.fft.fft(z), peak_cell, sample_period, refine)
+    return estimate_delay_from_spectrum(np.fft.fft(z), peak_cell, sample_period)
 
 
-def estimate_delay_from_spectrum(
-    spectrum, peak_cell: int, sample_period: float, refine: int = 1
-) -> float:
+def estimate_delay_from_spectrum(spectrum, peak_cell: int, sample_period: float) -> float:
     """``estimate_delay`` for a profile given by its N-point DFT.
 
-    The grid comes from a (2*refine+1, N) kernel cached per (N, refine) and
-    one N-point phase ramp that shifts the spectrum to the grid start.
+    The grid comes from a (129, N) kernel cached per N and one N-point phase
+    ramp that shifts the spectrum to the grid start.
     """
     spec = np.asarray(spectrum, dtype=complex)
     n = spec.size
     if n < 3:
         raise ValueError("profile too short for peak interpolation")
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
     # Shift the spectrum to the grid start; for a whole number of cells the
     # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
     start = peak_cell - 1
     shifted = spec * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
-    vals = np.abs(_refine_kernel(n, refine) @ shifted) / n
+    vals = np.abs(_refine_kernel(n) @ shifted) / n
     j = int(np.argmax(vals))
     j = min(max(j, 1), vals.size - 2)
     offset = _parabolic_offset(vals[j - 1], vals[j], vals[j + 1])
-    return (start + (j + offset) / refine) * sample_period
+    return (start + (j + offset) / _REFINE) * sample_period
 
 
 def estimate_doppler(peak_phases, frame_times) -> float:
@@ -351,12 +352,11 @@ def sample_covariance(rx: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.conj().T)
 
 
+_MUSIC_GRID_DEG = 0.5  # scan step
+
+
 def music_angles(
-    cov: np.ndarray,
-    rx_matrix: np.ndarray,
-    num_sources: int,
-    grid_deg: float = 0.5,
-    segment: tuple[float, float] | None = None,
+    cov: np.ndarray, rx_matrix: np.ndarray, num_sources: int, segment: tuple[float, float]
 ) -> np.ndarray:
     """Beam-domain MUSIC angle estimates from an RF-chain covariance matrix.
 
@@ -368,10 +368,8 @@ def music_angles(
         Reduction matrix U mapping antennas to RF chains.
     num_sources : int
         Assumed source count Q; must satisfy Q < N_rf.
-    grid_deg : float
-        Scan resolution in degrees.
-    segment : (low, high) radians, optional
-        Angular interval to scan; defaults to the full field of view.
+    segment : (low, high) radians
+        Angular interval to scan, in steps of 0.5 degrees.
 
     Returns
     -------
@@ -396,8 +394,8 @@ def music_angles(
     _, vecs = np.linalg.eigh(cov)
     noise_basis = vecs[:, : n_rf - num_sources]
 
-    lo, hi = segment if segment is not None else (-np.pi / 2, np.pi / 2)
-    step = math.radians(grid_deg)
+    lo, hi = segment
+    step = math.radians(_MUSIC_GRID_DEG)
     grid = np.arange(lo, hi + step / 2, step)
     grid = np.clip(grid, -np.pi / 2, np.pi / 2)
     num_antennas = rx_matrix.shape[0]

@@ -72,27 +72,6 @@ _SELECTIVE_TAP_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
 _SELECTIVE_TAP_POWERS = _SELECTIVE_TAP_POWERS / _SELECTIVE_TAP_POWERS.sum()
 _RICIAN_FACTOR = 10.0
 
-BER_FIELDS = ("snr_db", "ber", "packets", "bit_errors", "bpsk_ref")
-RADAR_FIELDS = (
-    "range_m",
-    "detection_rate",
-    "rmse_range_m",
-    "rmse_velocity_mps",
-    "rmse_angle_deg",
-    "false_alarm_rate",
-    "trials",
-)
-CFAR_FIELDS = (
-    "pfa_target",
-    "pfa_empirical",
-    "ci_low",
-    "ci_high",
-    "cells",
-    "detections",
-    "alpha",
-)
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """Scenario-level target description in physical units."""
@@ -178,22 +157,21 @@ class SimConfig:
 
 @dataclass
 class MonteCarloResult:
-    """Sweep records with fixed field order for regression-diffable output."""
+    """Sweep records for regression-diffable output.
+
+    Each run function builds every record with the same keys in the same
+    order, so the first record's keys are the CSV columns.
+    """
 
     kind: str
     records: list[dict]
     extra: dict = field(default_factory=dict)
 
-    _FIELDS = {"ber": BER_FIELDS, "radar": RADAR_FIELDS, "cfar": CFAR_FIELDS}
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        return self._FIELDS[self.kind]
-
     def to_csv(self) -> str:
-        lines = [",".join(self.fields)]
+        columns = list(self.records[0])
+        lines = [",".join(columns)]
         for rec in self.records:
-            lines.append(",".join(_format_cell(rec[f]) for f in self.fields))
+            lines.append(",".join(_format_cell(rec[c]) for c in columns))
         return "\n".join(lines) + "\n"
 
     def to_json(self, cfg: SimConfig | None = None) -> str:
@@ -376,11 +354,7 @@ def _radar_trial(
     false_cells = sum(not any(near(d.cell, tc) for tc in true_cells) for d in detections)
     matched = [c for c in clusters if any(near(c.cell, tc) for tc in true_cells)]
     num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
-    angles = (
-        music_angles(cov, bf.rx_matrix, num_sources, segment=cfg.schedule.segment)
-        if num_sources
-        else np.empty(0)
-    )
+    angles = music_angles(cov, bf.rx_matrix, num_sources, cfg.schedule.segment)
 
     unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
     per_target: list[dict | None] = []
@@ -391,7 +365,7 @@ def _radar_trial(
         if best is None:
             per_target.append(None)
             continue
-        delay_hat = estimate_delay_from_spectrum(spectra[0], best.cell, t_sample, refine=64)
+        delay_hat = estimate_delay_from_spectrum(spectra[0], best.cell, t_sample)
         if n_frames >= 2:
             phases = np.angle(correlation_value_from_spectrum(spectra, delay_hat / t_sample))
             doppler_hat = estimate_doppler(phases, frame_times)
@@ -628,7 +602,8 @@ def _section(cls, keys: dict, default=None) -> _Codec:
     Absent keys take their value from the instance ``default`` when given,
     otherwise the dataclass default; a field with neither must be present.
     Only the tabled fields are passed, so derived fields such as
-    ``CfarConfig.alpha`` are computed afresh.
+    ``CfarConfig.alpha`` are computed afresh.  A ValueError from ``cls``'s
+    own checks is raised again with the section's dotted key in front.
     """
     required = set() if default is not None else {
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
@@ -648,7 +623,12 @@ def _section(cls, keys: dict, default=None) -> _Codec:
                 kwargs[name] = getattr(default, name)
             elif name in required:
                 raise ValueError(f"{_key_path(path, key)} is required")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            if not path:
+                raise
+            raise ValueError(f"{path}: {exc}") from exc
 
     def dump(obj) -> dict:
         return {key: codec.dump(getattr(obj, name)) for key, (name, codec) in keys.items()}

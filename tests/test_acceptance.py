@@ -242,7 +242,7 @@ def test_criterion_6_delay_estimation():
         rx = fractional_delay(x, shift, frame)
         profile = cross_correlate(x, rx)
         peak = int(np.argmax(np.abs(profile)))
-        got = estimate_delay(profile, peak, t_sample, refine=64)
+        got = estimate_delay(profile, peak, t_sample)
         worst_frac = max(worst_frac, abs(got - shift * t_sample) / t_sample)
 
     sq_err = []
@@ -252,7 +252,7 @@ def test_criterion_6_delay_estimation():
         rx = awgn(rx, 0.01, rng)  # unit peak power: post-correlation SNR 20 dB
         profile = cross_correlate(x, rx)
         peak = int(np.argmax(np.abs(profile)))
-        got = estimate_delay(profile, peak, t_sample, refine=64)
+        got = estimate_delay(profile, peak, t_sample)
         sq_err.append(((got - shift * t_sample) * SPEED_OF_LIGHT / 2) ** 2)
     rmse_m = math.sqrt(np.mean(sq_err))
 
@@ -300,7 +300,7 @@ def test_criterion_8_music_angle():
     # noiseless target on the scan grid: exact up to the parabolic refinement
     on_grid = np.radians(2.0)
     b = bf.rx_matrix.conj().T @ steering(on_grid, 64)
-    got = music_angles(np.outer(b, b.conj()), bf.rx_matrix, 1, 0.5, segment)
+    got = music_angles(np.outer(b, b.conj()), bf.rx_matrix, 1, segment)
     grid_err_deg = abs(np.degrees(got[0]) - 2.0)
 
     # 20 dB per-chain SNR target off the grid
@@ -315,7 +315,7 @@ def test_criterion_8_music_angle():
         )
         y = np.outer(b, s)
         y += (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) / math.sqrt(2)
-        est = music_angles(sample_covariance(y), bf.rx_matrix, 1, 0.5, segment)
+        est = music_angles(sample_covariance(y), bf.rx_matrix, 1, segment)
         sq.append((np.degrees(est[0] - truth)) ** 2)
     rmse_deg = math.sqrt(np.mean(sq))
 

@@ -248,7 +248,7 @@ class TestRadarChannel:
 class TestNoise:
     def test_zero_variance_is_identity(self):
         x = np.arange(5, dtype=complex)
-        np.testing.assert_array_equal(awgn(x, 0.0), x)
+        np.testing.assert_array_equal(awgn(x, 0.0, np.random.default_rng(0)), x)
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(9)
@@ -257,11 +257,13 @@ class TestNoise:
 
     def test_seed_determinism(self):
         x = np.zeros(64, dtype=complex)
-        np.testing.assert_array_equal(awgn(x, 1.0, 1234), awgn(x, 1.0, 1234))
+        np.testing.assert_array_equal(
+            awgn(x, 1.0, np.random.default_rng(1234)), awgn(x, 1.0, np.random.default_rng(1234))
+        )
 
     def test_negative_variance_raises(self):
         with pytest.raises(ValueError):
-            awgn(np.ones(3), -0.1)
+            awgn(np.ones(3), -0.1, np.random.default_rng(0))
 
     def test_whole_array_draws_real_block_then_imaginary_block(self):
         x = np.full((3, 8), 1.0 + 2.0j)
@@ -324,7 +326,7 @@ class TestSelectiveFade:
 
 def test_radar_target_from_geometry_two_way_scalings():
     link = LinkBudget(carrier_hz=60.0e9)
-    tg = RadarTarget.from_geometry(link, 50.0, 10.0, 0.0, 10.0)
+    tg = RadarTarget.from_geometry(link, 50.0, 10.0, 0.0, 10.0, 0.0)
     assert tg.delay_s == pytest.approx(2 * 50.0 / SPEED_OF_LIGHT)
     assert tg.doppler_hz == pytest.approx(2 * 10.0 * 60e9 / SPEED_OF_LIGHT)
     assert abs(tg.gain) ** 2 == pytest.approx(radar_gain(link, 10.0, 50.0), rel=1e-12)

@@ -143,7 +143,10 @@ class TestExperimentCommands:
         assert main(["radar", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
         rows = (out / "radar.csv").read_text().strip().splitlines()
-        assert rows[0].startswith("range_m,detection_rate,rmse_range_m")
+        assert rows[0] == (
+            "range_m,detection_rate,rmse_range_m,rmse_velocity_mps,rmse_angle_deg,"
+            "false_alarm_rate,trials"
+        )
         assert len(rows) == 2
         summary = json.loads((out / "radar_summary.json").read_text())
         assert summary["records"][0]["detection_rate"] == 1.0
@@ -171,12 +174,17 @@ class TestExperimentCommands:
 
     def test_calibrate_cfar_command(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, cfar={"pfa": 0.5, "window": 12, "guard": 2, "os_rank": 18})
+        out_dir = tmp_path / "cfar_out"
         code, out, _ = run_cli(
-            capsys, "calibrate-cfar", "--config", str(cfg), "--cells", "100000"
+            capsys, "calibrate-cfar", "--config", str(cfg), "--cells", "100000",
+            "--out", str(out_dir),
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["records"][0]["pfa_empirical"] == pytest.approx(0.5, rel=0.15)
+        rows = (out_dir / "cfar.csv").read_text().strip().splitlines()
+        assert rows[0] == "pfa_target,pfa_empirical,ci_low,ci_high,cells,detections,alpha"
+        assert len(rows) == 2
 
     def test_cfar_block_with_a_huge_multiplier_loads(self, capsys, tmp_path):
         # alpha = 2 * (1e13 - 1): beyond the 1e12 ceiling of the earlier solver.
@@ -272,6 +280,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
         assert code == 2
         assert key in err
+
+    def test_bad_section_value_exit_2_from_radar(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedule": {"frames_per_cpi": 0}}))
+        code, out, err = run_cli(capsys, "radar", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "schedule: frames_per_cpi must be >= 1" in err
+        assert not (tmp_path / "radar.csv").exists()
 
     @pytest.mark.parametrize("text", ["nan,0", "1,inf", "1e400,0"])
     @pytest.mark.parametrize("command", [["decode", "--k", "2"], ["autocorr", "--in"]])

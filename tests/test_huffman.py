@@ -92,7 +92,6 @@ class TestModulationParams:
         )
         assert 0 < p.side_peak < 0.5
         assert p.seq_len == 17
-        assert p.base_angle == pytest.approx(2 * np.pi / 16)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

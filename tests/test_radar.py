@@ -33,6 +33,7 @@ from moczsim import (
     sample_covariance,
     steering,
 )
+from moczsim.radar import _parabolic_offset, _refine_kernel
 from cfar_gather import os_cfar as gather_os_cfar
 
 
@@ -275,11 +276,11 @@ class TestOsCfar:
     def test_cluster_detections_keep_distant_ends_apart(self):
         dets = [Detection(c, s, 1.0) for c, s in [(1, 3.0), (512, 2.0), (1022, 2.0)]]
         assert [d.cell for d in cluster_detections(dets, 1024)] == [1, 512, 1022]
-        assert [d.cell for d in cluster_detections(dets, 1024, max_gap=3)] == [1, 512]
 
 
-def dense_refined_delay(profile, peak_cell, sample_period, refine):
+def dense_refined_delay(profile, peak_cell, sample_period):
     """Oracle: the band-limited grid built as one dense (2r+1, N) exponential."""
+    refine = 64
     z = np.asarray(profile, dtype=complex)
     n = z.size
     grid = peak_cell + np.linspace(-1.0, 1.0, 2 * refine + 1)
@@ -306,14 +307,12 @@ class TestDelayEstimation:
         headroom=st.floats(min_value=0.0, max_value=10.0),
     )
     def test_exact_on_true_quadratic_triples(self, offset, curvature, headroom):
+        # The vertex rule that delay refinement and MUSIC share.
         cells = np.arange(-1, 2)
         # keep all three samples non-negative: they stand in for magnitudes
         peak = 2.3 * curvature + headroom
         triple = peak - curvature * (cells - offset) ** 2
-        profile = np.zeros(16)
-        profile[4:7] = triple
-        got = estimate_delay(profile.astype(complex), 5, 1.0)
-        assert got == pytest.approx(5 + offset, abs=1e-9)
+        assert _parabolic_offset(*triple) == pytest.approx(offset, abs=1e-9)
 
     def test_integer_delay_is_exact(self):
         x = encode(np.random.default_rng(1).integers(0, 2, 31), ModulationParams(31))
@@ -327,16 +326,17 @@ class TestDelayEstimation:
         frame = fractional_delay(x, 40.25, 256)
         profile = cross_correlate(x, frame)
         peak = int(np.argmax(np.abs(profile)))
-        got = estimate_delay(profile, peak, 1e-8, refine=64)
+        got = estimate_delay(profile, peak, 1e-8)
         assert got == pytest.approx(40.25e-8, abs=0.05e-8)
 
     def test_degenerate_curvature_returns_peak_cell(self):
-        profile = np.ones(16, dtype=complex)
-        assert estimate_delay(profile, 5, 1.0) == pytest.approx(5.0)
+        # A flat triple has no vertex; the offset from the centre is zero.
+        assert _parabolic_offset(1.0, 1.0, 1.0) == 0.0
 
-    @pytest.mark.parametrize("n, refine", [(16, 2), (64, 1), (100, 8), (1024, 64)])
-    def test_cached_kernel_matches_dense_oracle(self, n, refine):
-        rng = np.random.default_rng(n + refine)
+    # n is the frame length; the seed offset picks the delays and the noise.
+    @pytest.mark.parametrize("n, seed", [(16, 2), (64, 1), (100, 8), (1024, 64)])
+    def test_cached_kernel_matches_dense_oracle(self, n, seed):
+        rng = np.random.default_rng(n + seed)
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         shifts = [0.2, n - 1 + 0.1, n - 0.2] + list(rng.uniform(0, n, 8))
         peaks = []
@@ -346,35 +346,29 @@ class TestDelayEstimation:
             profile = cross_correlate(x, rx)
             peak = int(np.argmax(np.abs(profile)))
             peaks.append(peak)
-            got = estimate_delay(profile, peak, 1.0, refine=refine)
-            want = dense_refined_delay(profile, peak, 1.0, refine)
+            got = estimate_delay(profile, peak, 1.0)
+            want = dense_refined_delay(profile, peak, 1.0)
             assert abs(got - want) <= 1e-12
         assert {0, n - 1} <= set(peaks)
 
-    @pytest.mark.parametrize("refine", [1, 64])
-    def test_spectrum_body_matches_profile_function(self, refine):
+    @pytest.mark.parametrize("seed", [1, 64])
+    def test_spectrum_body_matches_profile_function(self, seed):
         # A caller holding the cross-spectrum skips the inverse and forward
         # DFT that the profile-taking function implies.
-        rng = np.random.default_rng(30 + refine)
+        rng = np.random.default_rng(30 + seed)
         n = 128
         for _ in range(20):
             spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             profile = np.fft.ifft(spec)
             peak = int(np.argmax(np.abs(profile)))
-            got = estimate_delay_from_spectrum(spec, peak, 1e-8, refine=refine)
-            want = estimate_delay(profile, peak, 1e-8, refine=refine)
+            got = estimate_delay_from_spectrum(spec, peak, 1e-8)
+            want = estimate_delay(profile, peak, 1e-8)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * n * 1e-8)
 
     def test_refinement_kernel_is_read_only(self):
-        from moczsim.radar import _refine_kernel
-
-        kernel = _refine_kernel(32, 4)
-        assert kernel.shape == (9, 32)
+        kernel = _refine_kernel(32)
+        assert kernel.shape == (129, 32)
         assert not kernel.flags.writeable
-
-    def test_refine_must_be_positive(self):
-        with pytest.raises(ValueError):
-            estimate_delay(np.ones(16, dtype=complex), 5, 1.0, refine=0)
 
     def test_correlation_value_at_matches_cells(self):
         rng = np.random.default_rng(4)
@@ -483,12 +477,12 @@ class TestMusic:
         angle = np.radians(2.0)
         b = self.bf.rx_matrix.conj().T @ steering(angle, 64)
         cov = np.outer(b, b.conj())
-        got = music_angles(cov, self.bf.rx_matrix, 1, 0.5, self.segment)
+        got = music_angles(cov, self.bf.rx_matrix, 1, self.segment)
         assert np.degrees(got[0]) == pytest.approx(2.0, abs=0.1)
 
     def test_single_noisy_target(self):
         cov = self._covariance([np.radians(1.3)], snr=100.0)
-        got = music_angles(cov, self.bf.rx_matrix, 1, 0.5, self.segment)
+        got = music_angles(cov, self.bf.rx_matrix, 1, self.segment)
         assert np.degrees(got[0]) == pytest.approx(1.3, abs=0.5)
 
     def test_two_targets_ten_degrees_apart(self):
@@ -506,22 +500,22 @@ class TestMusic:
             )
             y += np.outer(b, s)
         y += (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) / np.sqrt(2)
-        got = np.sort(music_angles(sample_covariance(y), rx, 2, 0.5, (-np.radians(9), np.radians(9))))
+        got = np.sort(music_angles(sample_covariance(y), rx, 2, (-np.radians(9), np.radians(9))))
         assert np.degrees(got[0]) == pytest.approx(-4.8, abs=1.0)
         assert np.degrees(got[1]) == pytest.approx(5.2, abs=1.0)
 
     def test_zero_sources_gives_empty(self):
         cov = np.eye(4, dtype=complex)
-        assert music_angles(cov, self.bf.rx_matrix, 0).size == 0
+        assert music_angles(cov, self.bf.rx_matrix, 0, self.segment).size == 0
 
     def test_too_many_sources_raise(self):
         with pytest.raises(ValueError):
-            music_angles(np.eye(4, dtype=complex), self.bf.rx_matrix, 4)
+            music_angles(np.eye(4, dtype=complex), self.bf.rx_matrix, 4, self.segment)
 
     def test_scale_invariance_of_argmax(self):
         cov = self._covariance([np.radians(-2.6)], snr=50.0, seed=3)
-        a1 = music_angles(cov, self.bf.rx_matrix, 1, 0.5, self.segment)
-        a2 = music_angles(5.0 * cov, self.bf.rx_matrix, 1, 0.5, self.segment)
+        a1 = music_angles(cov, self.bf.rx_matrix, 1, self.segment)
+        a2 = music_angles(5.0 * cov, self.bf.rx_matrix, 1, self.segment)
         np.testing.assert_allclose(a1, a2, atol=1e-12)
 
 

@@ -1,10 +1,12 @@
 """Experiment orchestration: determinism, channel models, and the radar pipeline."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,10 @@ BAD_CONFIGS = [
     ({"targets": [{"range_m": 50.0}, {"range_m": -5.0}]}, "targets[1].range_m"),
     ({"targets": [{"range_m": 50.0}], "range_grid_m": [30.0, 0.0]}, "range_grid_m[1]"),
     ({"targets": [{"range_m": 50.0, "angle_deg": 120.0}]}, "targets[0].angle_deg"),
+    # A section's own checks are raised again with the section key in front.
+    ({"schedule": {"frames_per_cpi": 0}}, "schedule: frames_per_cpi must be >= 1"),
+    ({"schedule": {"segment_deg": [8.0, -8.0]}}, "schedule: segment must be an ordered interval"),
+    ({"array": {"n_rf": 0}}, "array: need 1 <= num_rf_chains"),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
@@ -249,9 +255,9 @@ class TestRunRadar:
         sources = []
         music = simulate.music_angles
 
-        def counting_music(cov, rx_matrix, num_sources, *args, **kwargs):
+        def counting_music(cov, rx_matrix, num_sources, segment):
             sources.append(num_sources)
-            return music(cov, rx_matrix, num_sources, *args, **kwargs)
+            return music(cov, rx_matrix, num_sources, segment)
 
         monkeypatch.setattr(simulate, "music_angles", counting_music)
         cfg = dataclasses.replace(
@@ -535,3 +541,22 @@ class TestOutputFiles:
         assert doc["kind"] == "ber"
         assert doc["config"]["modulation"]["k"] == 31
         assert len(doc["records"]) == 1
+
+        cfar = run_cfar_calibration(small_ber_config(cfar=CfarConfig(pfa=1e-2)), cells=65_536)
+        csv_path, _ = write_result(cfar, tmp_path, "cfar")
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "pfa_target,pfa_empirical,ci_low,ci_high,cells,detections,alpha"
+        assert len(lines) == 2
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # bench/run.py --trace 1 wraps these module attributes by name, so a
+    # renamed or removed one would break the traced benchmark run.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    names = spans.wrapped_names()
+    assert names
+    missing = [(m, a) for m, a in names if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
