@@ -171,11 +171,13 @@ class Detection:
     threshold: float
 
 
-def os_cfar(profile, config: CfarConfig) -> list[Detection]:
-    """Ordered-statistic CFAR on correlation power |zeta|^2.
+def os_cfar(power, config: CfarConfig) -> list[Detection]:
+    """Ordered-statistic CFAR on a real 1-D correlation power |zeta|^2.
 
-    For every cell the threshold is alpha times the os_rank-th smallest of
-    the 2*window reference powers (guard cells excluded, circular wrap).
+    Callers square the profile (calibration draws the power directly); a
+    complex or non-1-D input raises ValueError.  For every cell the
+    threshold is alpha times the os_rank-th smallest of the 2*window
+    reference powers (guard cells excluded, circular wrap).
 
     The test runs as a rank count.  Multiplying by alpha >= 0 is monotone in
     floating point, so alpha * kth is the os_rank-th smallest of the scaled
@@ -185,10 +187,9 @@ def os_cfar(profile, config: CfarConfig) -> list[Detection]:
     extended copy of ``alpha * power``; the ordered statistic, and so the
     stored threshold, is computed for the detected cells only.
     """
-    z = np.asarray(profile)
-    if z.ndim != 1:
-        raise ValueError(f"CFAR needs a 1-D profile, got shape {z.shape}")
-    power = np.abs(z) ** 2
+    power = np.asarray(power)
+    if power.ndim != 1 or np.iscomplexobj(power):
+        raise ValueError(f"CFAR needs a real 1-D power, got {power.dtype} of shape {power.shape}")
     n = power.size
     reach = config.window + config.guard
     if n < 2 * reach + 1:

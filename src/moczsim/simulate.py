@@ -2,8 +2,8 @@
 
 Every run is a pure function of its configuration, including the seed: each
 batch or trial derives its own random stream from (seed, purpose, index), and
-results are reduced by summation, so worker count and batching never change
-the output.
+results are reduced by summation, so the worker count never changes the
+output.  ``batch_size`` does: it decides which packets share a BER stream.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -94,7 +95,7 @@ class FrameSchedule:
             raise ValueError("frames_per_cpi must be >= 1")
         lo, hi = self.segment
         if not (-np.pi / 2 <= lo < hi <= np.pi / 2):
-            raise ValueError("segment must be an ordered interval within [-pi/2, pi/2]")
+            raise ValueError("segment must be an ordered interval within [-90, 90] degrees")
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,7 @@ def _radar_trial(
     # Scoring: a cell within two cells of a target's true cell, on the
     # circular frame, belongs to that target; every other CFAR cell is a
     # false alarm.
-    detections = os_cfar(np.fft.ifft(spectra[0]), cfg.cfar)
+    detections = os_cfar(np.abs(np.fft.ifft(spectra[0])) ** 2, cfg.cfar)
     clusters = cluster_detections(detections, n)
     true_cells = [round(tg.delay_s / t_sample) % n for tg in targets]
 
@@ -485,9 +486,9 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
 def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarloResult:
     """Noise-only false-alarm rate of the configured OS-CFAR detector.
 
-    Post-correlation noise power is exponential, so frames of unit-variance
-    circular Gaussian cells are drawn directly.  Returns the empirical rate
-    with a 95% Wilson score interval.
+    The detector reads only cell power, and |z|^2 of CN(0, 1) noise is exactly
+    Exp(1), so each 65 536-cell chunk draws Exp(1) power from its own stream.
+    Returns the empirical rate with a 95% Wilson score interval.
     """
     total = int(cells) if cells is not None else cfg.trials * cfg.frame_len
     need = 100.0 / cfg.cfar.pfa
@@ -499,14 +500,8 @@ def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarlo
     n_chunks = -(-total // chunk)
 
     def chunk_hits(idx: int) -> int:
-        rng = _rng_for(cfg.seed, 2, idx)
-        # Bit for bit (re + 1j*im) / sqrt(2), built in place without the
-        # complex temporaries.
-        frame = np.empty(chunk, dtype=complex)
-        frame.real = rng.standard_normal(chunk)
-        frame.imag = rng.standard_normal(chunk)
-        frame /= math.sqrt(2.0)
-        return len(os_cfar(frame, cfg.cfar))
+        power = _rng_for(cfg.seed, 2, idx).standard_exponential(chunk)
+        return len(os_cfar(power, cfg.cfar))
 
     hits = sum(_parallel_map(chunk_hits, range(n_chunks)))
     n_cells = n_chunks * chunk
@@ -603,7 +598,8 @@ def _section(cls, keys: dict, default=None) -> _Codec:
     otherwise the dataclass default; a field with neither must be present.
     Only the tabled fields are passed, so derived fields such as
     ``CfarConfig.alpha`` are computed afresh.  A ValueError from ``cls``'s
-    own checks is raised again with the section's dotted key in front.
+    own checks is raised again with the section's dotted key in front and
+    each field name in its message replaced by that field's JSON key.
     """
     required = set() if default is not None else {
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
@@ -628,7 +624,9 @@ def _section(cls, keys: dict, default=None) -> _Codec:
         except ValueError as exc:
             if not path:
                 raise
-            raise ValueError(f"{path}: {exc}") from exc
+            json_key = {name: key for key, (name, _) in keys.items()}
+            message = re.sub(r"\w+", lambda m: json_key.get(m[0], m[0]), str(exc))
+            raise ValueError(f"{path}: {message}") from exc
 
     def dump(obj) -> dict:
         return {key: codec.dump(getattr(obj, name)) for key, (name, codec) in keys.items()}

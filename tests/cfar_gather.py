@@ -1,15 +1,19 @@
 """Ordered-statistic CFAR by explicit gather and per-row partition: the
-reference that the rank-count detector is checked against."""
+reference that the rank-count detector is checked against.  Also the
+calibration chunk drawn as complex Gaussian noise, the reference for the
+Exp(1) power that calibration draws."""
+
+import math
 
 import numpy as np
 
 from moczsim import Detection
 
 
-def os_cfar(profile, config):
+def os_cfar(power, config):
     """Threshold every cell at alpha times the os_rank-th smallest of its
     2*window circular reference powers, and keep the cells above it."""
-    power = np.abs(np.asarray(profile)) ** 2
+    power = np.asarray(power)
     n = power.size
     span = 2 * (config.window + config.guard) + 1
     if n < span:
@@ -24,3 +28,13 @@ def os_cfar(profile, config):
         Detection(cell=int(c), statistic=float(power[c]), threshold=float(thresholds[c]))
         for c in cells
     ]
+
+
+def normal_chunk_power(rng, cells):
+    """Power of ``cells`` CN(0, 1) noise cells, (re + 1j*im) / sqrt(2) drawn
+    as a block of real parts, then a block of imaginary parts."""
+    z = np.empty(cells, dtype=complex)
+    z.real = rng.standard_normal(cells)
+    z.imag = rng.standard_normal(cells)
+    z /= math.sqrt(2.0)
+    return np.abs(z) ** 2

@@ -143,15 +143,14 @@ class TestCalibration:
 class TestOsCfar:
     def test_zero_alpha_detects_every_nonzero_cell(self):
         cfg = CfarConfig(window=4, guard=1, os_rank=6, pfa=0.5, alpha=0.0)
-        profile = np.ones(64, dtype=complex)
-        detections = os_cfar(profile, cfg)
+        detections = os_cfar(np.ones(64), cfg)
         assert len(detections) == 64
 
     def test_single_strong_target_in_flat_noise(self):
         cfg = CfarConfig()
         power = np.ones(256)
         power[100] = 100.0  # 20 dB above the flat floor
-        detections = os_cfar(np.sqrt(power), cfg)
+        detections = os_cfar(power, cfg)
         assert len(detections) == 1
         assert detections[0].cell == 100
         assert detections[0].statistic > detections[0].threshold
@@ -162,8 +161,8 @@ class TestOsCfar:
         cfg = CfarConfig(pfa=1e-2)
         rng = np.random.default_rng(seed)
         profile = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-        base = os_cfar(profile, cfg)
-        scaled = os_cfar(np.exp(log_scale) * profile, cfg)
+        base = os_cfar(np.abs(profile) ** 2, cfg)
+        scaled = os_cfar(np.abs(np.exp(log_scale) * profile) ** 2, cfg)
         assert [d.cell for d in base] == [d.cell for d in scaled]
         for b, s in zip(base, scaled):
             assert s.threshold == pytest.approx(np.exp(2 * log_scale) * b.threshold, rel=1e-9)
@@ -183,17 +182,18 @@ class TestOsCfar:
         rng = np.random.default_rng(100 * window + guard)
         span = 2 * (window + guard) + 1
         for n in (span, span + 1, 3 * span + 4):
-            profile = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            power = np.abs(z) ** 2
             for rank in range(1, 2 * window + 1):
                 for pfa in (1e-3, 0.2, 0.9):
                     cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=pfa)
-                    assert os_cfar(profile, cfg) == gather_os_cfar(profile, cfg)
+                    assert os_cfar(power, cfg) == gather_os_cfar(power, cfg)
 
     def test_shortest_frame_references_wrap_onto_themselves(self):
         cfg = CfarConfig(window=3, guard=1, os_rank=4, pfa=0.5, alpha=1.5)
-        profile = np.sqrt(np.arange(1.0, 10.0))  # n == span == 9
-        got = os_cfar(profile, cfg)
-        assert got == gather_os_cfar(profile, cfg)
+        power = np.arange(1.0, 10.0)  # n == span == 9
+        got = os_cfar(power, cfg)
+        assert got == gather_os_cfar(power, cfg)
         # Cell 8 (power 9) sees 7, 6, 5 below and 2, 3, 4 across the wrap.
         assert got[-1].cell == 8
         assert got[-1].threshold == pytest.approx(1.5 * 5.0)
@@ -202,37 +202,37 @@ class TestOsCfar:
     def test_zero_alpha_matches_oracle_with_zero_cells(self, rank):
         cfg = CfarConfig(window=4, guard=1, os_rank=rank, pfa=0.5, alpha=0.0)
         rng = np.random.default_rng(rank)
-        profile = rng.standard_normal(48) * (rng.random(48) < 0.6)
-        got = os_cfar(profile, cfg)
-        assert got == gather_os_cfar(profile, cfg)
-        assert [d.cell for d in got] == np.flatnonzero(profile).tolist()
+        power = (rng.standard_normal(48) * (rng.random(48) < 0.6)) ** 2
+        got = os_cfar(power, cfg)
+        assert got == gather_os_cfar(power, cfg)
+        assert [d.cell for d in got] == np.flatnonzero(power).tolist()
         assert all(d.threshold == 0.0 for d in got)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 3.5])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_constant_frames(self, level, alpha):
         cfg = CfarConfig(window=4, guard=1, os_rank=5, pfa=0.5, alpha=alpha)
-        profile = np.full(40, level, dtype=complex)
-        got = os_cfar(profile, cfg)
-        assert got == gather_os_cfar(profile, cfg)
+        power = np.full(40, level)
+        got = os_cfar(power, cfg)
+        assert got == gather_os_cfar(power, cfg)
         # Every reference equals the cell, so only alpha < 1 lifts it above.
         assert len(got) == (40 if level > 0.0 and alpha < 1.0 else 0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
     def test_quantised_powers_with_ties(self, alpha):
         rng = np.random.default_rng(7)
-        profile = np.sqrt(rng.integers(0, 4, 200).astype(float))
+        power = rng.integers(0, 4, 200).astype(float)
         for rank in range(1, 11):
             cfg = CfarConfig(window=5, guard=2, os_rank=rank, pfa=0.5, alpha=alpha)
-            assert os_cfar(profile, cfg) == gather_os_cfar(profile, cfg)
+            assert os_cfar(power, cfg) == gather_os_cfar(power, cfg)
 
     def test_detections_at_both_ends_of_the_wrap(self):
         cfg = CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-3)
         power = np.ones(64)
         power[[0, 63]] = 1e4
         power[[2, 61]] = 5.0  # reference cells of 0 and 63 across the wrap
-        got = os_cfar(np.sqrt(power), cfg)
-        assert got == gather_os_cfar(np.sqrt(power), cfg)
+        got = os_cfar(power, cfg)
+        assert got == gather_os_cfar(power, cfg)
         assert [d.cell for d in got] == [0, 63]
 
     @settings(max_examples=25, deadline=None)
@@ -250,19 +250,26 @@ class TestOsCfar:
         cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=0.5, alpha=alpha)
         n = 2 * (window + guard) + 1 + extra
         rng = np.random.default_rng(seed)
-        profile = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if levels:  # quantised magnitudes: many exact ties
-            profile = np.round(np.abs(profile) * levels / 3.0) * np.exp(1j * np.angle(profile))
-        assert os_cfar(profile, cfg) == gather_os_cfar(profile, cfg)
+            z = np.round(np.abs(z) * levels / 3.0) * np.exp(1j * np.angle(z))
+        power = np.abs(z) ** 2
+        assert os_cfar(power, cfg) == gather_os_cfar(power, cfg)
 
     @pytest.mark.parametrize("shape", [(4, 64), (64, 1), ()])
     def test_non_1d_profile_raises_naming_the_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             os_cfar(np.ones(shape), CfarConfig(window=4, guard=1, os_rank=5))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_profile_raises_naming_its_dtype(self, dtype):
+        # The detector takes power; a complex profile must be squared first.
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            os_cfar(np.ones(64, dtype=dtype), CfarConfig(window=4, guard=1, os_rank=5))
+
     def test_cluster_detections_keeps_strongest(self):
         dets = os_cfar(
-            np.sqrt(np.array([1.0] * 30 + [50.0, 80.0, 60.0] + [1.0] * 31)),
+            np.array([1.0] * 30 + [50.0, 80.0, 60.0] + [1.0] * 31),
             CfarConfig(window=8, guard=2, os_rank=12, pfa=1e-3),
         )
         clusters = cluster_detections(dets, 64)

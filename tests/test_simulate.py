@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfar_gather import normal_chunk_power
 from moczsim import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -26,6 +27,7 @@ from moczsim import (
     config_to_dict,
     encode,
     load_config,
+    os_cfar,
     run_ber,
     run_cfar_calibration,
     run_radar,
@@ -60,8 +62,13 @@ BAD_CONFIGS = [
     ({"targets": [{"range_m": 50.0, "angle_deg": 120.0}]}, "targets[0].angle_deg"),
     # A section's own checks are raised again with the section key in front.
     ({"schedule": {"frames_per_cpi": 0}}, "schedule: frames_per_cpi must be >= 1"),
-    ({"schedule": {"segment_deg": [8.0, -8.0]}}, "schedule: segment must be an ordered interval"),
-    ({"array": {"n_rf": 0}}, "array: need 1 <= num_rf_chains"),
+    # Field names in that message are replaced by their JSON keys.
+    (
+        {"schedule": {"segment_deg": [8.0, -8.0]}},
+        "schedule: segment_deg must be an ordered interval within [-90, 90] degrees",
+    ),
+    ({"array": {"n_rf": 0}}, "array: need 1 <= n_rf <= n_a"),
+    ({"modulation": {"k": 0}}, "modulation: k must be >= 1"),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
@@ -88,7 +95,7 @@ class TestRunBer:
             assert rec["bit_errors"] == 0
             assert rec["ber"] == 0.0
 
-    def test_reproducible_and_batch_independent(self):
+    def test_reproducible(self):
         cfg = small_ber_config()
         r1 = run_ber(cfg)
         r2 = run_ber(cfg)
@@ -172,7 +179,62 @@ class TestEnergyAccounting:
             assert np.sum(np.abs(x) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
+# run_cfar_calibration detections pinned from the Exp(1) power draw: seed 404,
+# window 4, guard 1, os_rank 6, pfa 1e-2, eight chunks of CFAR_CHUNK cells.
+CFAR_CHUNK = 65_536
+PINNED_CFAR_DETECTIONS = 5275
+
+
+def small_cfar_config(seed):
+    cfar = CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-2)
+    return SimConfig(modulation=ModulationParams(31), cfar=cfar, seed=seed)
+
+
 class TestCfarCalibration:
+    def test_records_match_the_pinned_detections_at_any_worker_count(self, monkeypatch):
+        records = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MOCZSIM_THREADS", threads)
+            records[threads] = run_cfar_calibration(
+                small_cfar_config(404), cells=8 * CFAR_CHUNK
+            ).records
+        assert records["1"] == records["2"]
+        assert records["1"][0]["detections"] == PINNED_CFAR_DETECTIONS
+
+    def test_exponential_draw_detects_like_complex_gaussian_noise(self):
+        cfg = small_cfar_config(21)
+        chunks = 64
+        rec = run_cfar_calibration(cfg, cells=chunks * CFAR_CHUNK).records[0]
+        rng = np.random.default_rng(2021)
+        oracle = sum(
+            len(os_cfar(normal_chunk_power(rng, CFAR_CHUNK), cfg.cfar)) for _ in range(chunks)
+        )
+        # Two-proportion z over the same number of cells on each side.
+        n = rec["cells"]
+        pooled = (rec["detections"] + oracle) / (2 * n)
+        z = (rec["detections"] - oracle) / math.sqrt(2 * n * pooled * (1 - pooled))
+        assert abs(z) < 4, (rec["detections"], oracle)
+
+    def test_exponential_draw_matches_complex_gaussian_power(self, monkeypatch):
+        drawn = []
+
+        def spy(power, config):
+            drawn.append(power)
+            return os_cfar(power, config)
+
+        monkeypatch.setattr(simulate, "os_cfar", spy)
+        run_cfar_calibration(small_cfar_config(22), cells=16 * CFAR_CHUNK)
+        assert [p.shape for p in drawn] == [(CFAR_CHUNK,)] * 16
+        power = np.concatenate(drawn)
+        n = power.size
+        oracle = normal_chunk_power(np.random.default_rng(2022), n)
+        # Both are Exp(1): variance 1, and the density at the q-quantile is
+        # 1 - q, so the sample q-quantile has variance q / ((1 - q) n).
+        assert abs(power.mean() - oracle.mean()) < 5 * math.sqrt(2 / n)
+        for q in (0.5, 0.99):
+            se = math.sqrt(2 * q / ((1 - q) * n))
+            assert abs(np.quantile(power, q) - np.quantile(oracle, q)) < 5 * se, q
+
     def test_quick_convergence_at_pfa_half(self):
         cfg = SimConfig(
             modulation=ModulationParams(31),
