@@ -45,11 +45,9 @@ from .radar import (
     calibrate_os_alpha,
     cluster_detections,
     correlation_value_at,
-    correlation_value_from_spectrum,
     cross_correlate,
     cross_spectrum,
     estimate_delay,
-    estimate_delay_from_spectrum,
     estimate_doppler,
     music_angles,
     os_cfar,

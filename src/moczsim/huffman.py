@@ -216,7 +216,10 @@ def sequence_from_csv(text: str) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {ln}: expected 're,im', got {line!r}")
-        re_part, im_part = float(parts[0]), float(parts[1])
+        try:
+            re_part, im_part = float(parts[0]), float(parts[1])
+        except ValueError:
+            re_part = im_part = math.nan
         if not (math.isfinite(re_part) and math.isfinite(im_part)):
             raise ValueError(f"line {ln}: samples must be finite numbers, got {line!r}")
         samples.append(complex(re_part, im_part))

@@ -4,9 +4,7 @@ The chain is: circular cross-correlation with the known transmit sequence,
 ordered-statistic CFAR thresholding on correlation power, parabolic delay
 refinement on a band-limited local grid of 64 points per cell, linear
 multi-frame Doppler fitting, and beam-domain MUSIC for the angle of arrival.
-Delay refinement and the Doppler phases read the profiles' spectrum, so each
-has a profile-taking form and a ``*_from_spectrum`` form for callers that
-hold the cross-spectrum.
+Delay refinement and the Doppler phases take the cross-spectrum as input.
 """
 
 from __future__ import annotations
@@ -26,12 +24,10 @@ __all__ = [
     "cross_spectrum",
     "cross_correlate",
     "correlation_value_at",
-    "correlation_value_from_spectrum",
     "calibrate_os_alpha",
     "os_cfar",
     "cluster_detections",
     "estimate_delay",
-    "estimate_delay_from_spectrum",
     "estimate_doppler",
     "sample_covariance",
     "music_angles",
@@ -54,9 +50,7 @@ def cross_spectrum(reference, received) -> np.ndarray:
     -------
     ndarray, shape (..., N)
         The N-point DFT of the correlation profile that ``cross_correlate``
-        returns.  ``correlation_value_from_spectrum`` and
-        ``estimate_delay_from_spectrum`` read it directly, so a caller that
-        holds it needs no inverse transform for them.
+        returns; ``correlation_value_at`` and ``estimate_delay`` take it.
     """
     x = np.asarray(reference, dtype=complex)
     y = np.asarray(received, dtype=complex)
@@ -76,29 +70,18 @@ def cross_correlate(reference, received) -> np.ndarray:
     return np.fft.ifft(cross_spectrum(reference, received), axis=-1)
 
 
-def correlation_value_at(profile, lag_samples) -> complex | np.ndarray:
+def correlation_value_at(spectrum, lag_samples) -> complex | np.ndarray:
     """Band-limited interpolation of correlation profiles at fractional lags.
 
-    ``profile`` may carry leading axes (one profile per frame); the result
-    then has those axes first, followed by the lag axis unless
-    ``lag_samples`` is a scalar.  This is the DFT of the profile, then
-    ``correlation_value_from_spectrum``.
-    """
-    z = np.asarray(profile, dtype=complex)
-    return correlation_value_from_spectrum(np.fft.fft(z, axis=-1), lag_samples)
-
-
-def correlation_value_from_spectrum(spectrum, lag_samples) -> complex | np.ndarray:
-    """``correlation_value_at`` for profiles given by their (..., N) DFT.
-
-    Evaluates (1/N) sum_k Z[k] exp(2i pi f_k lag) on the FFT frequencies f_k,
-    with the same leading axes and lag axis as ``correlation_value_at``.
+    Evaluates (1/N) sum_k Z[k] exp(2i pi f_k lag) on the FFT frequencies f_k
+    for (..., N) spectra Z, one per frame as ``cross_spectrum`` returns; the
+    result has their leading axes, then a lag axis unless the lag is 0-d.
     """
     spec = np.asarray(spectrum, dtype=complex)
     freqs = np.fft.fftfreq(spec.shape[-1])
     lags = np.atleast_1d(np.asarray(lag_samples, dtype=float))
     vals = spec @ np.exp(2j * np.pi * np.outer(freqs, lags)) / spec.shape[-1]
-    if not np.isscalar(lag_samples):
+    if np.ndim(lag_samples) != 0:
         return vals
     return complex(vals[0]) if spec.ndim == 1 else vals[..., 0]
 
@@ -265,17 +248,16 @@ def _refine_kernel(n: int) -> np.ndarray:
     return kernel
 
 
-def estimate_delay(profile, peak_cell: int, sample_period: float) -> float:
+def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
     """Delay in seconds from a correlation peak with sub-cell interpolation.
-
-    The DFT of the profile, then ``estimate_delay_from_spectrum``.
 
     Parameters
     ----------
-    profile : array_like
-        Complex correlation profile of length N (circular).
+    spectrum : array_like, shape (N,)
+        N-point DFT of one circular correlation profile, as ``cross_spectrum``
+        returns for one frame.
     peak_cell : int
-        Index of the magnitude maximum.
+        Index of the profile's magnitude maximum.
     sample_period : float
         Cell width T in seconds.
 
@@ -286,22 +268,13 @@ def estimate_delay(profile, peak_cell: int, sample_period: float) -> float:
         on a fixed grid of 64 points per cell, from one cell before the peak
         to one cell after it, and a parabola is fitted to the largest grid
         value and its two neighbours; the offset is clamped to half a grid
-        step.
-    """
-    z = np.asarray(profile, dtype=complex)
-    return estimate_delay_from_spectrum(np.fft.fft(z), peak_cell, sample_period)
-
-
-def estimate_delay_from_spectrum(spectrum, peak_cell: int, sample_period: float) -> float:
-    """``estimate_delay`` for a profile given by its N-point DFT.
-
-    The grid comes from a (129, N) kernel cached per N and one N-point phase
-    ramp that shifts the spectrum to the grid start.
+        step.  The grid comes from a (129, N) kernel cached per N and one
+        N-point phase ramp that shifts the spectrum to the grid start.
     """
     spec = np.asarray(spectrum, dtype=complex)
+    if spec.ndim != 1 or spec.size < 3:
+        raise ValueError(f"delay refinement needs a 1-D spectrum of >= 3 cells, got {spec.shape}")
     n = spec.size
-    if n < 3:
-        raise ValueError("profile too short for peak interpolation")
     # Shift the spectrum to the grid start; for a whole number of cells the
     # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
     start = peak_cell - 1

@@ -37,18 +37,17 @@ from .huffman import ModulationParams, encode_batch
 from .radar import (
     CfarConfig,
     cluster_detections,
-    correlation_value_from_spectrum,
+    correlation_value_at,
     cross_spectrum,
-    estimate_delay_from_spectrum,
+    estimate_delay,
     estimate_doppler,
     music_angles,
     os_cfar,
     sample_covariance,
 )
 
-# The radar CPI reads the cross-spectrum and no longer calls these three, but
-# bench/spans.py looks up and wraps them as names of this module, so they stay.
-from .radar import correlation_value_at, cross_correlate, estimate_delay  # noqa: F401
+# Unused here, but bench/spans.py wraps it by name as an attribute of this module.
+from .radar import cross_correlate  # noqa: F401
 
 __all__ = [
     "TargetSpec",
@@ -366,9 +365,9 @@ def _radar_trial(
         if best is None:
             per_target.append(None)
             continue
-        delay_hat = estimate_delay_from_spectrum(spectra[0], best.cell, t_sample)
+        delay_hat = estimate_delay(spectra[0], best.cell, t_sample)
         if n_frames >= 2:
-            phases = np.angle(correlation_value_from_spectrum(spectra, delay_hat / t_sample))
+            phases = np.angle(correlation_value_at(spectra, delay_hat / t_sample))
             doppler_hat = estimate_doppler(phases, frame_times)
         else:
             doppler_hat = float("nan")

@@ -290,7 +290,7 @@ class TestExitCodes:
         assert "schedule: frames_per_cpi must be >= 1" in err
         assert not (tmp_path / "radar.csv").exists()
 
-    @pytest.mark.parametrize("text", ["nan,0", "1,inf", "1e400,0"])
+    @pytest.mark.parametrize("text", ["nan,0", "1,inf", "1e400,0", "abc,1"])
     @pytest.mark.parametrize("command", [["decode", "--k", "2"], ["autocorr", "--in"]])
     def test_non_finite_samples_exit_2_naming_the_line(self, capsys, tmp_path, command, text):
         seq = tmp_path / "seq.csv"

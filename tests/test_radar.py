@@ -18,13 +18,11 @@ from moczsim import (
     calibrate_os_alpha,
     cluster_detections,
     correlation_value_at,
-    correlation_value_from_spectrum,
     cross_correlate,
     cross_spectrum,
     dft_codebook,
     encode,
     estimate_delay,
-    estimate_delay_from_spectrum,
     estimate_doppler,
     fractional_delay,
     make_beamformers,
@@ -305,7 +303,8 @@ class TestDelayEstimation:
     def test_symmetric_neighbors_give_zero_offset(self):
         profile = np.zeros(32, dtype=complex)
         profile[9:12] = [0.5, 1.0, 0.5]
-        assert estimate_delay(profile, 10, 1e-8) == pytest.approx(10e-8, abs=1e-18)
+        got = estimate_delay(np.fft.fft(profile), 10, 1e-8)
+        assert got == pytest.approx(10e-8, abs=1e-18)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -324,16 +323,16 @@ class TestDelayEstimation:
     def test_integer_delay_is_exact(self):
         x = encode(np.random.default_rng(1).integers(0, 2, 31), ModulationParams(31))
         frame = fractional_delay(x, 12.0, 128)
-        profile = cross_correlate(x, frame)
-        peak = int(np.argmax(np.abs(profile)))
-        assert estimate_delay(profile, peak, 1e-8) == pytest.approx(12e-8, abs=1e-15)
+        spec = cross_spectrum(x, frame)
+        peak = int(np.argmax(np.abs(np.fft.ifft(spec))))
+        assert estimate_delay(spec, peak, 1e-8) == pytest.approx(12e-8, abs=1e-15)
 
     def test_fractional_delay_with_refinement(self):
         x = encode(np.random.default_rng(2).integers(0, 2, 127), ModulationParams(127))
         frame = fractional_delay(x, 40.25, 256)
-        profile = cross_correlate(x, frame)
-        peak = int(np.argmax(np.abs(profile)))
-        got = estimate_delay(profile, peak, 1e-8)
+        spec = cross_spectrum(x, frame)
+        peak = int(np.argmax(np.abs(np.fft.ifft(spec))))
+        got = estimate_delay(spec, peak, 1e-8)
         assert got == pytest.approx(40.25e-8, abs=0.05e-8)
 
     def test_degenerate_curvature_returns_peak_cell(self):
@@ -350,27 +349,21 @@ class TestDelayEstimation:
         for shift in shifts:
             rx = fractional_delay(x, shift, n)
             rx = rx + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            profile = cross_correlate(x, rx)
+            spec = cross_spectrum(x, rx)
+            profile = np.fft.ifft(spec)
             peak = int(np.argmax(np.abs(profile)))
             peaks.append(peak)
-            got = estimate_delay(profile, peak, 1.0)
+            got = estimate_delay(spec, peak, 1.0)
             want = dense_refined_delay(profile, peak, 1.0)
             assert abs(got - want) <= 1e-12
         assert {0, n - 1} <= set(peaks)
 
-    @pytest.mark.parametrize("seed", [1, 64])
-    def test_spectrum_body_matches_profile_function(self, seed):
-        # A caller holding the cross-spectrum skips the inverse and forward
-        # DFT that the profile-taking function implies.
-        rng = np.random.default_rng(30 + seed)
-        n = 128
-        for _ in range(20):
-            spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            profile = np.fft.ifft(spec)
-            peak = int(np.argmax(np.abs(profile)))
-            got = estimate_delay_from_spectrum(spec, peak, 1e-8)
-            want = estimate_delay(profile, peak, 1e-8)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * n * 1e-8)
+    def test_non_1d_spectrum_raises_naming_its_shape(self):
+        block = np.ones((6, 64), dtype=complex)
+        with pytest.raises(ValueError, match=re.escape("got (6, 64)")):
+            estimate_delay(block, 10, 1e-8)
+        with pytest.raises(ValueError, match=re.escape("got (2,)")):
+            estimate_delay(np.ones(2), 0, 1e-8)
 
     def test_refinement_kernel_is_read_only(self):
         kernel = _refine_kernel(32)
@@ -381,31 +374,34 @@ class TestDelayEstimation:
         rng = np.random.default_rng(4)
         profile = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         for lag in (0, 5, 31):
-            assert correlation_value_at(profile, lag) == pytest.approx(profile[lag], abs=1e-9)
-
-    def test_correlation_value_from_spectrum_matches_profile_function(self):
-        rng = np.random.default_rng(16)
-        spec = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
-        profiles = np.fft.ifft(spec, axis=-1)
-        for lags in (17.4, [0.0, 3.7, 63.2]):
-            got = correlation_value_from_spectrum(spec, lags)
-            want = correlation_value_at(profiles, lags)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        one = correlation_value_from_spectrum(spec[2], 5.5)
-        assert isinstance(one, complex)
-        assert abs(one - correlation_value_at(profiles[2], 5.5)) <= 1e-12 * abs(one)
+            got = correlation_value_at(np.fft.fft(profile), lag)
+            assert got == pytest.approx(profile[lag], abs=1e-9)
 
     def test_correlation_value_at_frame_block_matches_rows(self):
         rng = np.random.default_rng(14)
         block = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+        profiles = np.fft.ifft(block, axis=-1)
         at_lag = correlation_value_at(block, 17.4)
-        at_lags = correlation_value_at(block, [3.0, 17.4])
+        at_lags = correlation_value_at(block, [3.0, 17.4, 63.2])
         assert at_lag.shape == (6,)
-        assert at_lags.shape == (6, 2)
+        assert at_lags.shape == (6, 3)
         for j in range(6):
             one = correlation_value_at(block[j], 17.4)
+            assert isinstance(one, complex)
             assert abs(at_lag[j] - one) <= 1e-12 * abs(one)
-            assert at_lags[j, 0] == pytest.approx(block[j, 3], abs=1e-9)
+            row = correlation_value_at(block[j], [3.0, 17.4, 63.2])
+            assert np.max(np.abs(at_lags[j] - row)) <= 1e-12 * np.max(np.abs(row))
+            assert at_lags[j, 0] == pytest.approx(profiles[j, 3], abs=1e-9)
+
+    def test_zero_d_lag_is_a_scalar_lag(self):
+        rng = np.random.default_rng(15)
+        block = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+        one = correlation_value_at(block[2], np.array(5.5))
+        assert isinstance(one, complex)
+        assert one == correlation_value_at(block[2], 5.5)
+        rows = correlation_value_at(block, np.array(5.5))
+        assert rows.shape == (6,)
+        assert np.array_equal(rows, correlation_value_at(block, 5.5))
 
 
 class TestDopplerEstimation:

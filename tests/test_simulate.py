@@ -332,6 +332,33 @@ class TestRunRadar:
         assert rec["detection_rate"] == 1.0
         assert sources == [1, 1, 1]
 
+    def test_cpi_calls_the_names_the_benchmark_traces(self, monkeypatch):
+        # bench/spans.py times delay refinement and the Doppler phases by
+        # wrapping these two names of moczsim.simulate.
+        calls = {"estimate_delay": 0, "correlation_value_at": 0}
+
+        def counting(name):
+            fn = getattr(simulate, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulate, name, counting(name))
+        cfg = SimConfig(
+            modulation=ModulationParams(127),
+            link=LinkBudget(noise_psd=2e-27),
+            schedule=NARROW,
+            trials=1,
+            seed=21,
+            targets=(TargetSpec(range_m=60.0, velocity_mps=15.0, angle_deg=0.9),),
+        )
+        assert run_radar(cfg).records[0]["detection_rate"] == 1.0
+        assert calls == {"estimate_delay": 1, "correlation_value_at": 1}
+
     def test_moderate_snr_single_target(self):
         cfg = SimConfig(
             modulation=ModulationParams(127),
@@ -612,8 +639,9 @@ class TestOutputFiles:
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):
-    # bench/run.py --trace 1 wraps these module attributes by name, so a
-    # renamed or removed one would break the traced benchmark run.
+    # bench/run.py --trace 1 wraps these module attributes by name.  A renamed
+    # or removed one does not break the traced run: spans.traced prints
+    # "not traced" and silently drops that layer from the trace.
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
