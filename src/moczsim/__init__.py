@@ -20,7 +20,6 @@ from .channel import (
     steering,
 )
 from .dizet import (
-    DecodedBits,
     dizet_decode,
     dizet_decode_batch,
     eval_on_zero_grid,
@@ -40,7 +39,6 @@ from .huffman import (
 from .radar import (
     AmbiguitySurface,
     CfarConfig,
-    Detection,
     ambiguity_function,
     calibrate_os_alpha,
     cluster_detections,

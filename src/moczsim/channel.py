@@ -32,6 +32,7 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 _ANGLE_TOL = 1e-12
+DB_LIMIT = 3082  # largest |x| dB whose ratio 10 ** (x / 10) is a finite float
 
 
 def steering(angle_rad: float, num_antennas: int) -> np.ndarray:
@@ -111,6 +112,8 @@ class LinkBudget:
         for name in ("carrier_hz", "bandwidth_hz", "noise_psd"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not abs(self.eirp_dbm) <= DB_LIMIT:
+            raise ValueError(f"eirp_dbm must lie within +-{DB_LIMIT} dB, got {self.eirp_dbm}")
 
     @property
     def wavelength(self) -> float:

@@ -93,10 +93,10 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     samples = _read_sequence(args.input)
-    decoded = dizet_decode(samples, _modulation(args))
+    bits, margins = dizet_decode(samples, _modulation(args))
     doc = {
-        "bits": "".join(str(int(b)) for b in decoded.bits),
-        "margins": [float(m) for m in decoded.margins],
+        "bits": "".join(str(int(b)) for b in bits),
+        "margins": [float(m) for m in margins],
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK

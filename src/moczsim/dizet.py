@@ -9,14 +9,11 @@ carrier phase reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .huffman import ModulationParams
 
 __all__ = [
-    "DecodedBits",
     "eval_on_zero_grid",
     "dizet_decode",
     "dizet_decode_batch",
@@ -24,14 +21,6 @@ __all__ = [
 
 # floor for log magnitudes; keeps margins finite when a test point is an exact zero
 _MAG_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class DecodedBits:
-    """Hard decisions plus per-bit log-ratio margins (bit k = 1 iff margin k > 0)."""
-
-    bits: np.ndarray
-    margins: np.ndarray
 
 
 def eval_on_zero_grid(samples, radius: float, num_bits: int) -> np.ndarray:
@@ -87,10 +76,10 @@ def dizet_decode_batch(received, params: ModulationParams):
     return (margins > 0).astype(np.uint8), margins
 
 
-def dizet_decode(received, params: ModulationParams) -> DecodedBits:
-    """Decode one received packet of N >= K+1 samples as a batch of one."""
+def dizet_decode(received, params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one packet of N >= K+1 samples: the (bits, margins) row of a batch of one."""
     y = np.asarray(received, dtype=complex)
     if y.ndim != 1:
         raise ValueError("received must be a one-dimensional sample sequence")
     bits, margins = dizet_decode_batch(y[None, :], params)
-    return DecodedBits(bits=bits[0], margins=margins[0])
+    return bits[0], margins[0]

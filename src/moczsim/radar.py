@@ -19,7 +19,6 @@ from .channel import steering
 
 __all__ = [
     "CfarConfig",
-    "Detection",
     "AmbiguitySurface",
     "cross_spectrum",
     "cross_correlate",
@@ -145,16 +144,7 @@ class CfarConfig:
             raise ValueError("alpha must be non-negative")
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One cell whose correlation power exceeded its adaptive threshold."""
-
-    cell: int
-    statistic: float
-    threshold: float
-
-
-def os_cfar(power, config: CfarConfig) -> list[Detection]:
+def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ordered-statistic CFAR on a real 1-D correlation power |zeta|^2.
 
     Callers square the profile (calibration draws the power directly); a
@@ -168,7 +158,10 @@ def os_cfar(power, config: CfarConfig) -> list[Detection]:
     least os_rank of the 2*window values ``alpha * ref`` lie below
     ``power[c]``.  That count is summed over shifted views of one circularly
     extended copy of ``alpha * power``; the ordered statistic, and so the
-    stored threshold, is computed for the detected cells only.
+    threshold, is computed for the detected cells only.
+
+    Returns the detected cells in ascending order, as an integer array, and
+    their thresholds alpha * kth.
     """
     power = np.asarray(power)
     if power.ndim != 1 or np.iscomplexobj(power):
@@ -191,36 +184,32 @@ def os_cfar(power, config: CfarConfig) -> list[Detection]:
 
     ref = power[(cells[:, None] + offsets[None, :]) % n]
     kth = np.partition(ref, config.os_rank - 1, axis=1)[:, config.os_rank - 1]
-    thresholds = config.alpha * kth
-    return [
-        Detection(cell=c, statistic=s, threshold=t)
-        for c, s, t in zip(cells.tolist(), power[cells].tolist(), thresholds.tolist())
-    ]
+    return cells, config.alpha * kth
 
 
 _CLUSTER_GAP = 2  # cells
 
 
-def cluster_detections(detections: list[Detection], frame_len: int) -> list[Detection]:
+def cluster_detections(cells: np.ndarray, power: np.ndarray, frame_len: int) -> list[int]:
     """Merge runs of adjacent detected cells, keeping the strongest cell of each run.
 
-    Cells at most two apart join one run.  They lie on a circular frame of
-    ``frame_len`` cells, as in ``os_cfar``, so a run that ends near the last
-    cell joins one that starts near cell 0.
+    ``cells`` are ascending, as ``os_cfar`` returns them, and ``power`` is
+    the power the detector read.  Cells at most two apart join one run.
+    They lie on a circular frame of ``frame_len`` cells, as in ``os_cfar``,
+    so a run that ends near the last cell joins one that starts near cell 0.
     """
-    if not detections:
+    ordered = cells.tolist()
+    if not ordered:
         return []
-    ordered = sorted(detections, key=lambda d: d.cell)
-    clusters: list[list[Detection]] = [[ordered[0]]]
-    for det in ordered[1:]:
-        if det.cell - clusters[-1][-1].cell <= _CLUSTER_GAP:
-            clusters[-1].append(det)
+    runs = [[ordered[0]]]
+    for cell in ordered[1:]:
+        if cell - runs[-1][-1] <= _CLUSTER_GAP:
+            runs[-1].append(cell)
         else:
-            clusters.append([det])
-    wrap_gap = clusters[0][0].cell + frame_len - clusters[-1][-1].cell
-    if len(clusters) > 1 and wrap_gap <= _CLUSTER_GAP:
-        clusters[0] = clusters.pop() + clusters[0]
-    return [max(group, key=lambda d: d.statistic) for group in clusters]
+            runs.append([cell])
+    if len(runs) > 1 and runs[0][0] + frame_len - runs[-1][-1] <= _CLUSTER_GAP:
+        runs[0] = runs.pop() + runs[0]
+    return [max(run, key=lambda c: power[c]) for run in runs]
 
 
 def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import (
+    DB_LIMIT,
     SPEED_OF_LIGHT,
     ArrayConfig,
     Beamformer,
@@ -125,8 +126,8 @@ class SimConfig:
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must be non-empty")
         for i, snr_db in enumerate(self.snr_grid_db):
-            if not math.isfinite(snr_db):
-                raise ValueError(f"snr_grid_db[{i}] must be a finite number, got {snr_db}")
+            if not abs(snr_db) <= DB_LIMIT:
+                raise ValueError(f"snr_grid_db[{i}] must lie within +-{DB_LIMIT} dB, got {snr_db}")
         if self.frame_len < self.modulation.seq_len:
             raise ValueError("frame_len must cover the transmit sequence")
         if self.batch_size < 1:
@@ -137,6 +138,10 @@ class SimConfig:
             if not abs(spec.angle_deg) <= 90.0:
                 raise ValueError(
                     f"targets[{i}].angle_deg must lie in [-90, 90], got {spec.angle_deg}"
+                )
+            if not abs(spec.rcs_dbsm) <= DB_LIMIT:
+                raise ValueError(
+                    f"targets[{i}].rcs_dbsm must lie within +-{DB_LIMIT} dB, got {spec.rcs_dbsm}"
                 )
         ranges = [(f"targets[{i}].range_m", spec.range_m) for i, spec in enumerate(self.targets)]
         ranges += [(f"range_grid_m[{j}]", r) for j, r in enumerate(self.range_grid_m)]
@@ -343,29 +348,28 @@ def _radar_trial(
     # Scoring: a cell within two cells of a target's true cell, on the
     # circular frame, belongs to that target; every other CFAR cell is a
     # false alarm.
-    detections = os_cfar(np.abs(np.fft.ifft(spectra[0])) ** 2, cfg.cfar)
-    clusters = cluster_detections(detections, n)
+    power = np.abs(np.fft.ifft(spectra[0])) ** 2
+    cells, thresholds = os_cfar(power, cfg.cfar)
+    peaks = cluster_detections(cells, power, n)
     true_cells = [round(tg.delay_s / t_sample) % n for tg in targets]
 
     def near(cell: int, true_cell: int) -> bool:
         gap = abs(cell - true_cell)
         return min(gap, n - gap) <= 2
 
-    false_cells = sum(not any(near(d.cell, tc) for tc in true_cells) for d in detections)
-    matched = [c for c in clusters if any(near(c.cell, tc) for tc in true_cells)]
+    false_cells = sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
+    matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
     num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
     angles = music_angles(cov, bf.rx_matrix, num_sources, cfg.schedule.segment)
 
     unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
     per_target: list[dict | None] = []
     for tg, tc in zip(targets, true_cells):
-        best = max(
-            (c for c in matched if near(c.cell, tc)), key=lambda c: c.statistic, default=None
-        )
+        best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
         if best is None:
             per_target.append(None)
             continue
-        delay_hat = estimate_delay(spectra[0], best.cell, t_sample)
+        delay_hat = estimate_delay(spectra[0], best, t_sample)
         if n_frames >= 2:
             phases = np.angle(correlation_value_at(spectra, delay_hat / t_sample))
             doppler_hat = estimate_doppler(phases, frame_times)
@@ -383,12 +387,12 @@ def _radar_trial(
         range_err = range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
         per_target.append(
             {
-                "cell": best.cell,
+                "cell": best,
                 "range_m": range_m,
                 "velocity_mps": velocity_mps,
                 "angle_deg": math.degrees(angle_hat),
-                "statistic": best.statistic,
-                "threshold": best.threshold,
+                "statistic": float(power[best]),
+                "threshold": float(thresholds[np.searchsorted(cells, best)]),
                 "range_err": range_err
                 - unambiguous_m * math.floor(range_err / unambiguous_m + 0.5),
                 "velocity_err": velocity_mps
@@ -500,7 +504,7 @@ def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarlo
 
     def chunk_hits(idx: int) -> int:
         power = _rng_for(cfg.seed, 2, idx).standard_exponential(chunk)
-        return len(os_cfar(power, cfg.cfar))
+        return len(os_cfar(power, cfg.cfar)[0])
 
     hits = sum(_parallel_map(chunk_hits, range(n_chunks)))
     n_cells = n_chunks * chunk

@@ -7,12 +7,11 @@ import math
 
 import numpy as np
 
-from moczsim import Detection
-
 
 def os_cfar(power, config):
     """Threshold every cell at alpha times the os_rank-th smallest of its
-    2*window circular reference powers, and keep the cells above it."""
+    2*window circular reference powers; return the cells above it and
+    their thresholds."""
     power = np.asarray(power)
     n = power.size
     span = 2 * (config.window + config.guard) + 1
@@ -24,10 +23,7 @@ def os_cfar(power, config):
     kth = np.partition(ref, config.os_rank - 1, axis=1)[:, config.os_rank - 1]
     thresholds = config.alpha * kth
     cells = np.nonzero(power > thresholds)[0]
-    return [
-        Detection(cell=int(c), statistic=float(power[c]), threshold=float(thresholds[c]))
-        for c in cells
-    ]
+    return cells, thresholds[cells]
 
 
 def normal_chunk_power(rng, cells):

@@ -164,7 +164,7 @@ def test_criterion_3_noiseless_decode_exactness():
             if np.min(np.abs(roots[:, None] - grid[None, :])) >= 1e-3:
                 break
         rx = np.convolve(h, seqs[i])
-        if not np.array_equal(dizet_decode(rx, p).bits, msgs[i]):
+        if not np.array_equal(dizet_decode(rx, p)[0], msgs[i]):
             errors += 1
     elapsed = time.time() - start
     ok = errors == 0 and elapsed < 60

@@ -80,8 +80,8 @@ class TestEncodeDecode:
         x = sequence_from_csv(path.read_text())
         from moczsim import dizet_decode
 
-        decoded = dizet_decode(x, ModulationParams(k))
-        assert "".join(str(int(b)) for b in decoded.bits) == bits
+        decoded, _ = dizet_decode(x, ModulationParams(k))
+        assert "".join(str(int(b)) for b in decoded) == bits
 
     def test_autocorr_command(self, capsys):
         code, out, _ = run_cli(capsys, "autocorr", "--k", "2", "--bits", "10")
@@ -314,6 +314,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg), f"--snr-db={snr}")
         assert code == 2
         assert "snr_grid_db[0]" in err
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_snr_beyond_float_range_override_exit_2(self, capsys, tmp_path, snr):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--snr-db", snr)
+        assert code == 2
+        assert "snr_grid_db[0] must lie within +-3082 dB" in err
 
     def test_minus_inf_snr_reaches_the_config_check(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

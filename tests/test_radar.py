@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from moczsim import (
     ArrayConfig,
     CfarConfig,
-    Detection,
     ModulationParams,
     ambiguity_function,
     autocorrelation,
@@ -138,20 +137,35 @@ class TestCalibration:
             calibrate_os_alpha(1, 1, 1e-310)
 
 
+def matched_os_cfar(power, cfg):
+    """os_cfar's cells and thresholds, checked equal to the gather oracle's."""
+    cells, thresholds = os_cfar(power, cfg)
+    want_cells, want_thresholds = gather_os_cfar(power, cfg)
+    assert np.array_equal(cells, want_cells)
+    assert np.array_equal(thresholds, want_thresholds)
+    return cells, thresholds
+
+
 class TestOsCfar:
     def test_zero_alpha_detects_every_nonzero_cell(self):
         cfg = CfarConfig(window=4, guard=1, os_rank=6, pfa=0.5, alpha=0.0)
-        detections = os_cfar(np.ones(64), cfg)
-        assert len(detections) == 64
+        cells, _ = os_cfar(np.ones(64), cfg)
+        np.testing.assert_array_equal(cells, np.arange(64))
 
     def test_single_strong_target_in_flat_noise(self):
         cfg = CfarConfig()
         power = np.ones(256)
         power[100] = 100.0  # 20 dB above the flat floor
-        detections = os_cfar(power, cfg)
-        assert len(detections) == 1
-        assert detections[0].cell == 100
-        assert detections[0].statistic > detections[0].threshold
+        cells, thresholds = os_cfar(power, cfg)
+        assert cells.tolist() == [100]
+        assert power[100] > thresholds[0]
+
+    def test_flat_frame_above_unit_alpha_detects_nothing(self):
+        cfg = CfarConfig(window=4, guard=1, os_rank=5, alpha=1.0)
+        cells, thresholds = os_cfar(np.ones(64), cfg)
+        assert cells.size == thresholds.size == 0
+        assert np.issubdtype(cells.dtype, np.integer)
+        assert cluster_detections(cells, np.ones(64), 64) == []
 
     @settings(max_examples=25, deadline=None)
     @given(log_scale=st.floats(min_value=-6.0, max_value=6.0), seed=st.integers(0, 2**32 - 1))
@@ -159,11 +173,10 @@ class TestOsCfar:
         cfg = CfarConfig(pfa=1e-2)
         rng = np.random.default_rng(seed)
         profile = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-        base = os_cfar(np.abs(profile) ** 2, cfg)
-        scaled = os_cfar(np.abs(np.exp(log_scale) * profile) ** 2, cfg)
-        assert [d.cell for d in base] == [d.cell for d in scaled]
-        for b, s in zip(base, scaled):
-            assert s.threshold == pytest.approx(np.exp(2 * log_scale) * b.threshold, rel=1e-9)
+        base_cells, base_thresholds = os_cfar(np.abs(profile) ** 2, cfg)
+        cells, thresholds = os_cfar(np.abs(np.exp(log_scale) * profile) ** 2, cfg)
+        np.testing.assert_array_equal(cells, base_cells)
+        np.testing.assert_allclose(thresholds, np.exp(2 * log_scale) * base_thresholds, rtol=1e-9)
 
     def test_short_frame_raises(self):
         with pytest.raises(ValueError):
@@ -185,36 +198,33 @@ class TestOsCfar:
             for rank in range(1, 2 * window + 1):
                 for pfa in (1e-3, 0.2, 0.9):
                     cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=pfa)
-                    assert os_cfar(power, cfg) == gather_os_cfar(power, cfg)
+                    matched_os_cfar(power, cfg)
 
     def test_shortest_frame_references_wrap_onto_themselves(self):
         cfg = CfarConfig(window=3, guard=1, os_rank=4, pfa=0.5, alpha=1.5)
         power = np.arange(1.0, 10.0)  # n == span == 9
-        got = os_cfar(power, cfg)
-        assert got == gather_os_cfar(power, cfg)
+        cells, thresholds = matched_os_cfar(power, cfg)
         # Cell 8 (power 9) sees 7, 6, 5 below and 2, 3, 4 across the wrap.
-        assert got[-1].cell == 8
-        assert got[-1].threshold == pytest.approx(1.5 * 5.0)
+        assert cells[-1] == 8
+        assert thresholds[-1] == pytest.approx(1.5 * 5.0)
 
     @pytest.mark.parametrize("rank", [1, 4, 8])
     def test_zero_alpha_matches_oracle_with_zero_cells(self, rank):
         cfg = CfarConfig(window=4, guard=1, os_rank=rank, pfa=0.5, alpha=0.0)
         rng = np.random.default_rng(rank)
         power = (rng.standard_normal(48) * (rng.random(48) < 0.6)) ** 2
-        got = os_cfar(power, cfg)
-        assert got == gather_os_cfar(power, cfg)
-        assert [d.cell for d in got] == np.flatnonzero(power).tolist()
-        assert all(d.threshold == 0.0 for d in got)
+        cells, thresholds = matched_os_cfar(power, cfg)
+        np.testing.assert_array_equal(cells, np.flatnonzero(power))
+        assert np.all(thresholds == 0.0)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 3.5])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_constant_frames(self, level, alpha):
         cfg = CfarConfig(window=4, guard=1, os_rank=5, pfa=0.5, alpha=alpha)
         power = np.full(40, level)
-        got = os_cfar(power, cfg)
-        assert got == gather_os_cfar(power, cfg)
+        cells, _ = matched_os_cfar(power, cfg)
         # Every reference equals the cell, so only alpha < 1 lifts it above.
-        assert len(got) == (40 if level > 0.0 and alpha < 1.0 else 0)
+        assert cells.size == (40 if level > 0.0 and alpha < 1.0 else 0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
     def test_quantised_powers_with_ties(self, alpha):
@@ -222,16 +232,15 @@ class TestOsCfar:
         power = rng.integers(0, 4, 200).astype(float)
         for rank in range(1, 11):
             cfg = CfarConfig(window=5, guard=2, os_rank=rank, pfa=0.5, alpha=alpha)
-            assert os_cfar(power, cfg) == gather_os_cfar(power, cfg)
+            matched_os_cfar(power, cfg)
 
     def test_detections_at_both_ends_of_the_wrap(self):
         cfg = CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-3)
         power = np.ones(64)
         power[[0, 63]] = 1e4
         power[[2, 61]] = 5.0  # reference cells of 0 and 63 across the wrap
-        got = os_cfar(power, cfg)
-        assert got == gather_os_cfar(power, cfg)
-        assert [d.cell for d in got] == [0, 63]
+        cells, _ = matched_os_cfar(power, cfg)
+        assert cells.tolist() == [0, 63]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -252,7 +261,7 @@ class TestOsCfar:
         if levels:  # quantised magnitudes: many exact ties
             z = np.round(np.abs(z) * levels / 3.0) * np.exp(1j * np.angle(z))
         power = np.abs(z) ** 2
-        assert os_cfar(power, cfg) == gather_os_cfar(power, cfg)
+        matched_os_cfar(power, cfg)
 
     @pytest.mark.parametrize("shape", [(4, 64), (64, 1), ()])
     def test_non_1d_profile_raises_naming_the_shape(self, shape):
@@ -266,21 +275,19 @@ class TestOsCfar:
             os_cfar(np.ones(64, dtype=dtype), CfarConfig(window=4, guard=1, os_rank=5))
 
     def test_cluster_detections_keeps_strongest(self):
-        dets = os_cfar(
-            np.array([1.0] * 30 + [50.0, 80.0, 60.0] + [1.0] * 31),
-            CfarConfig(window=8, guard=2, os_rank=12, pfa=1e-3),
-        )
-        clusters = cluster_detections(dets, 64)
-        assert len(clusters) == 1
-        assert clusters[0].cell == 31
+        power = np.array([1.0] * 30 + [50.0, 80.0, 60.0] + [1.0] * 31)
+        cells, _ = os_cfar(power, CfarConfig(window=8, guard=2, os_rank=12, pfa=1e-3))
+        assert cluster_detections(cells, power, 64) == [31]
 
     def test_cluster_detections_merge_across_the_wrap(self):
-        dets = [Detection(c, s, 1.0) for c, s in [(0, 5.0), (1, 3.0), (1023, 9.0)]]
-        assert cluster_detections(dets, 1024) == [dets[2]]
+        power = np.zeros(1024)
+        power[[0, 1, 1023]] = [5.0, 3.0, 9.0]
+        assert cluster_detections(np.array([0, 1, 1023]), power, 1024) == [1023]
 
     def test_cluster_detections_keep_distant_ends_apart(self):
-        dets = [Detection(c, s, 1.0) for c, s in [(1, 3.0), (512, 2.0), (1022, 2.0)]]
-        assert [d.cell for d in cluster_detections(dets, 1024)] == [1, 512, 1022]
+        power = np.zeros(1024)
+        power[[1, 512, 1022]] = [3.0, 2.0, 2.0]
+        assert cluster_detections(np.array([1, 512, 1022]), power, 1024) == [1, 512, 1022]
 
 
 def dense_refined_delay(profile, peak_cell, sample_period):

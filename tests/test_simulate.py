@@ -17,7 +17,6 @@ from moczsim import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     CfarConfig,
-    Detection,
     FrameSchedule,
     LinkBudget,
     ModulationParams,
@@ -69,6 +68,10 @@ BAD_CONFIGS = [
     ),
     ({"array": {"n_rf": 0}}, "array: need 1 <= n_rf <= n_a"),
     ({"modulation": {"k": 0}}, "modulation: k must be >= 1"),
+    # 10 ** (x / 10) of these overflows a float.
+    ({"snr_grid_db": [4000]}, "snr_grid_db[0] must lie within +-3082 dB"),
+    ({"link": {"eirp": 4000}}, "link: eirp must lie within +-3082 dB"),
+    ({"targets": [{"range_m": 50.0, "rcs_dbsm": 4000}]}, "targets[0].rcs_dbsm"),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
@@ -207,7 +210,7 @@ class TestCfarCalibration:
         rec = run_cfar_calibration(cfg, cells=chunks * CFAR_CHUNK).records[0]
         rng = np.random.default_rng(2021)
         oracle = sum(
-            len(os_cfar(normal_chunk_power(rng, CFAR_CHUNK), cfg.cfar)) for _ in range(chunks)
+            len(os_cfar(normal_chunk_power(rng, CFAR_CHUNK), cfg.cfar)[0]) for _ in range(chunks)
         )
         # Two-proportion z over the same number of cells on each side.
         n = rec["cells"]
@@ -390,9 +393,14 @@ class TestRunRadar:
         # across the wrap), 3 (two away), 4 (three away, joins the cluster of
         # 3, whose strongest cell is 3) and 512. Cells 1023 and 3 are matched
         # clusters, the stronger one is the target's; 4 and 512 are false.
-        planted = [Detection(1023, 9.0, 1.0), Detection(3, 5.0, 1.0),
-                   Detection(4, 1.0, 0.5), Detection(512, 2.0, 1.0)]
-        monkeypatch.setattr(simulate, "os_cfar", lambda profile, config: planted)
+        # The planted powers are written into the power the CPI scores.
+        cells = np.array([3, 4, 512, 1023])
+
+        def planted(power, config):
+            power[cells] = [5.0, 1.0, 2.0, 9.0]
+            return cells, np.array([1.5, 0.5, 2.5, 3.5])
+
+        monkeypatch.setattr(simulate, "os_cfar", planted)
         cfg = SimConfig(
             schedule=NARROW,
             trials=1,
@@ -401,7 +409,8 @@ class TestRunRadar:
         res = run_radar(cfg)
         assert res.records[0]["detection_rate"] == 1.0
         assert res.records[0]["false_alarm_rate"] == 2 / 1024
-        assert [d["cell"] for d in res.extra["sample_detections"][0]] == [1023]
+        [sample] = res.extra["sample_detections"][0]
+        assert (sample["cell"], sample["statistic"], sample["threshold"]) == (1023, 9.0, 3.5)
 
     def test_range_sweep_produces_one_record_per_point(self):
         cfg = SimConfig(
