@@ -60,10 +60,11 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Unit-norm Tx beam and orthonormal Rx reduction matrix (N_a x N_rf)."""
+    """Unit-norm Tx beam, orthonormal Rx reduction U (N_a x N_rf), unit-norm combiner."""
 
     tx_beam: np.ndarray
     rx_matrix: np.ndarray
+    combiner: np.ndarray
 
 
 def dft_codebook(num_antennas: int):
@@ -80,23 +81,30 @@ def dft_codebook(num_antennas: int):
     return angles, book
 
 
-def make_beamformers(
-    segment_center: float, segment_width: float, cfg: ArrayConfig
-) -> Beamformer:
-    """Matched Tx beam at the segment center plus the N_rf nearest DFT beams.
+def make_beamformers(segment: tuple[float, float], cfg: ArrayConfig) -> Beamformer:
+    """Beams for the scanned ``(low, high)`` segment, in radians.
 
+    The Tx beam is matched to the segment center, the Rx reduction keeps the
+    N_rf nearest DFT beams, and the combiner is U^H a(center) at unit norm.
     Codebook beams are ranked by distance of their broadside direction to the
     segment interval, with ties broken by distance to the center and then by
     codebook index, so the selection is deterministic.
     """
-    f = steering(segment_center, cfg.num_antennas) / math.sqrt(cfg.num_antennas)
+    lo, hi = segment
+    center = (lo + hi) / 2.0
+    a = steering(center, cfg.num_antennas)
     angles, book = dft_codebook(cfg.num_antennas)
-    half = abs(segment_width) / 2.0
-    dist_interval = np.maximum(0.0, np.abs(angles - segment_center) - half)
-    dist_center = np.abs(angles - segment_center)
+    half = abs(hi - lo) / 2.0
+    dist_interval = np.maximum(0.0, np.abs(angles - center) - half)
+    dist_center = np.abs(angles - center)
     order = np.lexsort((np.arange(angles.size), dist_center, dist_interval))
-    chosen = np.sort(order[: cfg.num_rf_chains])
-    return Beamformer(tx_beam=f, rx_matrix=book[:, chosen])
+    rx_matrix = book[:, np.sort(order[: cfg.num_rf_chains])]
+    combiner = rx_matrix.conj().T @ a
+    return Beamformer(
+        tx_beam=a / math.sqrt(cfg.num_antennas),
+        rx_matrix=rx_matrix,
+        combiner=combiner / np.linalg.norm(combiner),
+    )
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,10 @@ class LinkBudget:
                 raise ValueError(f"{name} must be positive")
         if not abs(self.eirp_dbm) <= DB_LIMIT:
             raise ValueError(f"eirp_dbm must lie within +-{DB_LIMIT} dB, got {self.eirp_dbm}")
+        if not math.isfinite(self.wavelength * self.wavelength):
+            raise ValueError(f"carrier_hz = {self.carrier_hz} is too low: wavelength**2 overflows")
+        if not math.isfinite(self.noise_variance):
+            raise ValueError(f"noise_psd * bandwidth_hz must be finite, got {self.noise_variance}")
 
     @property
     def wavelength(self) -> float:

@@ -57,7 +57,7 @@ class ModulationParams:
     ``side_peak`` are derived from the tuning constant and cached.
     """
 
-    num_bits: int
+    num_bits: int = 127
     radius_tuning: float = 0.5
     outer_radius: float = field(init=False)
     side_peak: float = field(init=False)

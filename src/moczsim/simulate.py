@@ -15,6 +15,7 @@ import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -31,7 +32,6 @@ from .channel import (
     apply_radar_channel,
     awgn,
     make_beamformers,
-    steering,
 )
 from .dizet import dizet_decode_batch
 from .huffman import ModulationParams, encode_batch
@@ -85,24 +85,29 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class FrameSchedule:
-    """Scanned angular segment and frame count of one CPI."""
+    """Scanned angular segment (degrees) and frame count of one CPI."""
 
-    segment: tuple[float, float] = (-np.pi / 6, np.pi / 6)  # radians
+    segment_deg: tuple[float, float] = (-30.0, 30.0)
     frames_per_cpi: int = 16
 
     def __post_init__(self):
         if self.frames_per_cpi < 1:
             raise ValueError("frames_per_cpi must be >= 1")
-        lo, hi = self.segment
-        if not (-np.pi / 2 <= lo < hi <= np.pi / 2):
-            raise ValueError("segment must be an ordered interval within [-90, 90] degrees")
+        lo, hi = self.segment_deg
+        if not (-90.0 <= lo < hi <= 90.0):
+            raise ValueError("segment_deg must be an ordered interval within [-90, 90] degrees")
+
+    @property
+    def segment(self) -> tuple[float, float]:
+        """The segment in radians."""
+        return math.radians(self.segment_deg[0]), math.radians(self.segment_deg[1])
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Complete description of one simulation campaign."""
 
-    modulation: ModulationParams = ModulationParams(127)
+    modulation: ModulationParams = ModulationParams()
     array: ArrayConfig = ArrayConfig()
     link: LinkBudget = LinkBudget()
     schedule: FrameSchedule = FrameSchedule()
@@ -295,16 +300,15 @@ def _radar_trial(
     cfg: SimConfig,
     specs: tuple[TargetSpec, ...],
     bf: Beamformer,
-    combiner: np.ndarray,
     sweep_idx: int,
     trial: int,
-) -> tuple[int, list[dict | None]]:
+) -> tuple[int, list[dict], list[tuple[float, float, float]]]:
     """One coherent processing interval: frames, detection, and estimation.
 
-    ``combiner`` is the unit-norm RF-chain weight vector that forms the
-    correlated signal.  Returns the count of CFAR cells more than two cells
-    from every target and, per target, the record of its strongest cluster
-    within two cells (None when there is none).
+    Returns the count of CFAR cells more than two cells from every target,
+    then two lists with one entry per detected target, in target order: the
+    sample record of its strongest cluster within two cells, and its
+    (range, velocity, angle in degrees) errors.  A missed target is absent.
     """
     rng = _rng_for(cfg.seed, 3, sweep_idx, trial)
     params = cfg.modulation
@@ -342,7 +346,7 @@ def _radar_trial(
     rx = awgn(rx, link.noise_variance, rng, frame_axes=1)
     cov = sample_covariance(rx)
     # A (1, N_rf) row, not a vector: matmul then makes one BLAS call per frame.
-    combined = (combiner.conj()[None, :] @ rx)[..., 0, :]
+    combined = (bf.combiner.conj()[None, :] @ rx)[..., 0, :]
     spectra = cross_spectrum(frames_tx, combined)
 
     # Scoring: a cell within two cells of a target's true cell, on the
@@ -363,11 +367,10 @@ def _radar_trial(
     angles = music_angles(cov, bf.rx_matrix, num_sources, cfg.schedule.segment)
 
     unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
-    per_target: list[dict | None] = []
+    samples, errors = [], []
     for tg, tc in zip(targets, true_cells):
         best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
         if best is None:
-            per_target.append(None)
             continue
         delay_hat = estimate_delay(spectra[0], best, t_sample)
         if n_frames >= 2:
@@ -382,10 +385,7 @@ def _radar_trial(
         )
         range_m = SPEED_OF_LIGHT * delay_hat / 2.0
         velocity_mps = SPEED_OF_LIGHT * doppler_hat / (2.0 * link.carrier_hz)
-        # Delays wrap on the frame, so score the range error modulo the
-        # unambiguous range, in [-1/2, 1/2) of it.
-        range_err = range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
-        per_target.append(
+        samples.append(
             {
                 "cell": best,
                 "range_m": range_m,
@@ -393,14 +393,19 @@ def _radar_trial(
                 "angle_deg": math.degrees(angle_hat),
                 "statistic": float(power[best]),
                 "threshold": float(thresholds[np.searchsorted(cells, best)]),
-                "range_err": range_err
-                - unambiguous_m * math.floor(range_err / unambiguous_m + 0.5),
-                "velocity_err": velocity_mps
-                - SPEED_OF_LIGHT * tg.doppler_hz / (2.0 * link.carrier_hz),
-                "angle_err_deg": math.degrees(angle_hat - tg.angle_rad),
             }
         )
-    return false_cells, per_target
+        # Delays wrap on the frame, so score the range error modulo the
+        # unambiguous range, in [-1/2, 1/2) of it.
+        range_err = range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
+        errors.append(
+            (
+                range_err - unambiguous_m * math.floor(range_err / unambiguous_m + 0.5),
+                velocity_mps - SPEED_OF_LIGHT * tg.doppler_hz / (2.0 * link.carrier_hz),
+                math.degrees(angle_hat - tg.angle_rad),
+            )
+        )
+    return false_cells, samples, errors
 
 
 def run_radar(cfg: SimConfig) -> MonteCarloResult:
@@ -416,51 +421,30 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     specs = cfg.targets
     sweep = [(replace(specs[0], range_m=r),) for r in cfg.range_grid_m] or [specs]
     # The transmit beam and the receive beams are fixed by the scanned segment.
-    lo, hi = cfg.schedule.segment
-    center = (lo + hi) / 2.0
-    bf = make_beamformers(center, hi - lo, cfg.array)
-    combiner = bf.rx_matrix.conj().T @ steering(center, cfg.array.num_antennas)
-    combiner = combiner / np.linalg.norm(combiner)
+    bf = make_beamformers(cfg.schedule.segment, cfg.array)
 
     records = []
     sample_detections: list[list[dict]] = []
-    detection_keys = ("cell", "range_m", "velocity_mps", "angle_deg", "statistic", "threshold")
     for sweep_idx, point_specs in enumerate(sweep):
-        def one_trial(trial: int) -> tuple[int, list[dict | None]]:
-            return _radar_trial(cfg, point_specs, bf, combiner, sweep_idx, trial)
-
+        one_trial = partial(_radar_trial, cfg, point_specs, bf, sweep_idx)
         trials = _parallel_map(one_trial, range(cfg.trials))
+        sample_detections.append(trials[0][1])
+        errors = [e for _, _, trial_errors in trials for e in trial_errors]
 
-        sample_detections.append(
-            [{k: per[k] for k in detection_keys} for per in trials[0][1] if per is not None]
-        )
-
-        range_sq, vel_sq, ang_sq = [], [], []
-        detected = 0
-        expected = cfg.trials * max(1, len(point_specs))
-        false_cells = sum(f for f, _ in trials)
-        for _, per_target in trials:
-            for per in per_target:
-                if per is None:
-                    continue
-                detected += 1
-                range_sq.append(per["range_err"] ** 2)
-                if not math.isnan(per["velocity_err"]):
-                    vel_sq.append(per["velocity_err"] ** 2)
-                if not math.isnan(per["angle_err_deg"]):
-                    ang_sq.append(per["angle_err_deg"] ** 2)
-
-        def rmse(sq: list[float]) -> float:
+        def rmse(column: int) -> float:
+            sq = [e[column] ** 2 for e in errors if not math.isnan(e[column])]
             return math.sqrt(sum(sq) / len(sq)) if sq else float("nan")
 
         records.append(
             {
                 "range_m": float(point_specs[0].range_m) if point_specs else float("nan"),
-                "detection_rate": detected / expected if point_specs else 0.0,
-                "rmse_range_m": rmse(range_sq),
-                "rmse_velocity_mps": rmse(vel_sq),
-                "rmse_angle_deg": rmse(ang_sq),
-                "false_alarm_rate": false_cells / (cfg.trials * cfg.frame_len),
+                "detection_rate": (
+                    len(errors) / (cfg.trials * len(point_specs)) if point_specs else 0.0
+                ),
+                "rmse_range_m": rmse(0),
+                "rmse_velocity_mps": rmse(1),
+                "rmse_angle_deg": rmse(2),
+                "false_alarm_rate": sum(f for f, _, _ in trials) / (cfg.trials * cfg.frame_len),
                 "trials": cfg.trials,
             }
         )
@@ -584,27 +568,26 @@ def _list_of(item: _Codec) -> _Codec:
     return _Codec(load, lambda values: [item.dump(v) for v in values])
 
 
-def _load_degree_pair(value, path: str) -> tuple[float, float]:
+def _load_pair(value, path: str) -> tuple[float, float]:
     pair = _list_of(_FLOAT).load(value, path)
     if len(pair) != 2:
         raise ValueError(f"{path} must be a [low, high] pair, got {value!r}")
-    return math.radians(pair[0]), math.radians(pair[1])
+    return pair
 
 
-_DEGREE_PAIR = _Codec(_load_degree_pair, lambda pair: [math.degrees(a) for a in pair])
+_PAIR = _Codec(_load_pair, list)
 
 
-def _section(cls, keys: dict, default=None) -> _Codec:
+def _section(cls, keys: dict) -> _Codec:
     """Codec for a JSON object that maps onto dataclass ``cls`` through ``keys``.
 
-    Absent keys take their value from the instance ``default`` when given,
-    otherwise the dataclass default; a field with neither must be present.
-    Only the tabled fields are passed, so derived fields such as
+    Absent keys take the dataclass default; a field without one must be
+    present.  Only the tabled fields are passed, so derived fields such as
     ``CfarConfig.alpha`` are computed afresh.  A ValueError from ``cls``'s
     own checks is raised again with the section's dotted key in front and
     each field name in its message replaced by that field's JSON key.
     """
-    required = set() if default is not None else {
+    required = {
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     }
 
@@ -618,8 +601,6 @@ def _section(cls, keys: dict, default=None) -> _Codec:
         for key, (name, codec) in keys.items():
             if key in doc:
                 kwargs[name] = codec.load(doc[key], _key_path(path, key))
-            elif default is not None:
-                kwargs[name] = getattr(default, name)
             elif name in required:
                 raise ValueError(f"{_key_path(path, key)} is required")
         try:
@@ -637,20 +618,16 @@ def _section(cls, keys: dict, default=None) -> _Codec:
     return _Codec(load, dump)
 
 
-_DEFAULT_CONFIG = SimConfig()
-
 _CONFIG = _section(
     SimConfig,
     {
         "modulation": ("modulation", _section(
             ModulationParams,
             {"k": ("num_bits", _INT), "lambda": ("radius_tuning", _FLOAT)},
-            _DEFAULT_CONFIG.modulation,
         )),
         "array": ("array", _section(
             ArrayConfig,
             {"n_a": ("num_antennas", _INT), "n_rf": ("num_rf_chains", _INT)},
-            _DEFAULT_CONFIG.array,
         )),
         "link": ("link", _section(
             LinkBudget,
@@ -660,15 +637,13 @@ _CONFIG = _section(
                 "w": ("bandwidth_hz", _FLOAT),
                 "noise_psd": ("noise_psd", _FLOAT),
             },
-            _DEFAULT_CONFIG.link,
         )),
         "schedule": ("schedule", _section(
             FrameSchedule,
             {
-                "segment_deg": ("segment", _DEGREE_PAIR),
+                "segment_deg": ("segment_deg", _PAIR),
                 "frames_per_cpi": ("frames_per_cpi", _INT),
             },
-            _DEFAULT_CONFIG.schedule,
         )),
         "channel_model": ("channel_model", _STR),
         "snr_grid_db": ("snr_grid_db", _list_of(_FLOAT)),
@@ -684,7 +659,6 @@ _CONFIG = _section(
                 "os_rank": ("os_rank", _INT),
                 "pfa": ("pfa", _FLOAT),
             },
-            _DEFAULT_CONFIG.cfar,
         )),
         "targets": ("targets", _list_of(_section(
             TargetSpec,

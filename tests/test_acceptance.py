@@ -296,7 +296,7 @@ def test_criterion_8_music_angle():
     start = time.time()
     cfg = ArrayConfig(64, 4)
     segment = (-np.radians(8.0), np.radians(8.0))
-    bf = make_beamformers(0.0, segment[1] - segment[0], cfg)
+    bf = make_beamformers(segment, cfg)
 
     # noiseless target on the scan grid: exact up to the parabolic refinement
     on_grid = np.radians(2.0)

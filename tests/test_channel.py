@@ -51,7 +51,7 @@ class TestBeamformers:
         np.testing.assert_allclose(book.conj().T @ book, np.eye(64), atol=1e-9)
 
     def test_shapes_and_orthonormal_columns(self):
-        bf = make_beamformers(0.0, np.pi / 6, ArrayConfig(64, 4))
+        bf = make_beamformers((-np.pi / 12, np.pi / 12), ArrayConfig(64, 4))
         assert bf.rx_matrix.shape == (64, 4)
         np.testing.assert_allclose(
             bf.rx_matrix.conj().T @ bf.rx_matrix, np.eye(4), atol=1e-9
@@ -60,12 +60,18 @@ class TestBeamformers:
 
     def test_full_array_gain_on_boresight(self):
         center = 0.12
-        bf = make_beamformers(center, np.pi / 8, ArrayConfig(64, 4))
+        bf = make_beamformers((center - np.pi / 16, center + np.pi / 16), ArrayConfig(64, 4))
         a = steering(center, 64)
         assert abs(bf.tx_beam.conj() @ a) == pytest.approx(np.sqrt(64), abs=1e-9)
 
+    def test_combiner_is_the_reduced_center_response_at_unit_norm(self):
+        bf = make_beamformers((-0.2, 0.3), ArrayConfig(64, 4))
+        b = bf.rx_matrix.conj().T @ steering(0.05, 64)
+        np.testing.assert_allclose(bf.combiner, b / np.linalg.norm(b), atol=1e-12)
+        assert np.linalg.norm(bf.combiner) == pytest.approx(1.0, abs=1e-12)
+
     def test_selected_beams_surround_the_segment(self):
-        bf = make_beamformers(0.0, np.pi / 16, ArrayConfig(64, 4))
+        bf = make_beamformers((-np.pi / 32, np.pi / 32), ArrayConfig(64, 4))
         angles, book = dft_codebook(64)
         chosen = [int(np.argmax(np.abs(book.conj().T @ col))) for col in bf.rx_matrix.T]
         assert all(abs(angles[d]) < np.pi / 8 for d in chosen)
@@ -74,7 +80,7 @@ class TestBeamformers:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_gain_bound_and_reduction_isometry(self, seed):
         rng = np.random.default_rng(seed)
-        bf = make_beamformers(0.1, np.pi / 8, ArrayConfig(32, 4))
+        bf = make_beamformers((0.1 - np.pi / 16, 0.1 + np.pi / 16), ArrayConfig(32, 4))
         angle = rng.uniform(-np.pi / 2, np.pi / 2)
         a = steering(angle, 32)
         assert abs(a.conj() @ bf.tx_beam) <= np.sqrt(32) + 1e-9
@@ -136,7 +142,7 @@ class TestFractionalDelay:
 class TestRadarChannel:
     def setup_method(self):
         self.cfg = ArrayConfig(16, 4)
-        self.bf = make_beamformers(0.0, np.pi / 8, self.cfg)
+        self.bf = make_beamformers((-np.pi / 16, np.pi / 16), self.cfg)
         self.params = ModulationParams(15)
         self.x = encode(np.random.default_rng(0).integers(0, 2, 15), self.params)
 

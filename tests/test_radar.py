@@ -468,7 +468,7 @@ class TestMusic:
     def setup_method(self):
         self.cfg = ArrayConfig(64, 4)
         self.segment = (-np.radians(8.0), np.radians(8.0))
-        self.bf = make_beamformers(0.0, self.segment[1] - self.segment[0], self.cfg)
+        self.bf = make_beamformers(self.segment, self.cfg)
 
     def _covariance(self, angles_rad, snr=100.0, snapshots=4096, seed=0):
         rng = np.random.default_rng(seed)

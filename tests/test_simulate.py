@@ -72,10 +72,15 @@ BAD_CONFIGS = [
     ({"snr_grid_db": [4000]}, "snr_grid_db[0] must lie within +-3082 dB"),
     ({"link": {"eirp": 4000}}, "link: eirp must lie within +-3082 dB"),
     ({"targets": [{"range_m": 50.0, "rcs_dbsm": 4000}]}, "targets[0].rcs_dbsm"),
+    # The radar gain's wavelength**2 overflows, or is inf, at these carriers;
+    # the noise variance noise_psd * w is inf.
+    ({"link": {"f_c": 1e-200}}, "link: f_c = 1e-200"),
+    ({"link": {"f_c": 1e-300}}, "link: f_c = 1e-300"),
+    ({"link": {"noise_psd": 1e301}}, "link: noise_psd * w must be finite"),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
-NARROW = FrameSchedule(segment=(-np.pi / 22, np.pi / 22), frames_per_cpi=8)
+NARROW = FrameSchedule(segment_deg=(-180 / 22, 180 / 22), frames_per_cpi=8)
 
 
 def small_ber_config(**overrides):
@@ -379,7 +384,7 @@ class TestRunRadar:
     def test_no_target_false_rate_tracks_pfa(self):
         cfg = SimConfig(
             modulation=ModulationParams(127),
-            schedule=FrameSchedule(segment=(-np.pi / 22, np.pi / 22), frames_per_cpi=2),
+            schedule=FrameSchedule(segment_deg=(-180 / 22, 180 / 22), frames_per_cpi=2),
             trials=300,
             seed=23,
             targets=(),
@@ -476,6 +481,38 @@ class TestRadarEdges:
         assert run_radar(cfg).records[0]["trials"] == 1
         assert 2.0 * cfg.targets[0].range_m / SPEED_OF_LIGHT < cfg.frame_s == 1.25e-05
 
+    def test_two_targets_are_scored_and_sampled_in_target_order(self):
+        # The 90 m target is listed second and sits in cell 60, after the
+        # 60 m target's cell 40.
+        cfg = dataclasses.replace(
+            load_config(SCENE),
+            trials=6,
+            targets=(
+                TargetSpec(range_m=60.0, velocity_mps=15.0, angle_deg=0.9, rcs_dbsm=30.0),
+                TargetSpec(range_m=90.0, velocity_mps=-5.0, angle_deg=0.5, rcs_dbsm=30.0),
+            ),
+            range_grid_m=(),
+        )
+        res = run_radar(cfg)
+        assert res.records[0]["detection_rate"] == 1.0
+        assert [s["cell"] for s in res.extra["sample_detections"][0]] == [40, 60]
+
+    def test_one_frame_cpi_has_no_velocity_error(self):
+        scene = load_config(SCENE)
+        cfg = dataclasses.replace(
+            scene, trials=4, schedule=dataclasses.replace(scene.schedule, frames_per_cpi=1)
+        )
+        rec = run_radar(cfg).records[0]
+        assert math.isnan(rec["rmse_velocity_mps"])
+        assert math.isfinite(rec["rmse_range_m"]) and math.isfinite(rec["rmse_angle_deg"])
+
+    def test_one_rf_chain_has_no_angle_error(self):
+        # MUSIC keeps one noise dimension, so with one RF chain it has no source.
+        cfg = dataclasses.replace(load_config(SCENE), trials=4, array=ArrayConfig(64, 1))
+        rec = run_radar(cfg).records[0]
+        assert math.isnan(rec["rmse_angle_deg"])
+        assert math.isfinite(rec["rmse_range_m"]) and math.isfinite(rec["rmse_velocity_mps"])
+
 
 # run_radar on configs/scene.json at 6 trials (config seed 1), recorded from
 # the frame-by-frame CPI loop before the CPI became one batched block:
@@ -561,13 +598,20 @@ class TestConfigRoundTrip:
             ({}, {}),
             ({"frame_len": 2048}, {"frame_len": 2048}),
             ({"link": {"w": 50e6}}, {"link": LinkBudget(bandwidth_hz=50e6)}),
+            ({"modulation": {"lambda": 0.3}}, {"modulation": ModulationParams(127, 0.3)}),
         ],
-        ids=["empty", "frame_len", "link.w"],
+        ids=["empty", "frame_len", "link.w", "modulation.lambda"],
     )
     def test_empty_document_gives_the_defaults(self, doc, given):
         # Every absent key, in a document empty or not, takes the default
         # that SimConfig itself has.
         assert config_from_dict(doc) == SimConfig(**given)
+
+    @pytest.mark.parametrize("segment_deg", [[-30.0, 30.0], [-89.3, 12.7]])
+    def test_segment_echo_is_the_segment_as_written(self, segment_deg):
+        doc = {"schedule": {"segment_deg": segment_deg}}
+        echo = config_to_dict(config_from_dict(doc))
+        assert echo["schedule"]["segment_deg"] == segment_deg
 
     def test_derived_defaults_follow_their_inputs(self):
         cfg = config_from_dict({"cfar": {"pfa": 0.5}})
@@ -596,19 +640,15 @@ class TestConfigRoundTrip:
         for key, value in doc.items():
             if key == "targets":
                 continue
-            if key == "schedule":
-                np.testing.assert_allclose(
-                    value.pop("segment_deg"), defaults[key].pop("segment_deg")
-                )
             assert value == defaults[key], key
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            FrameSchedule(segment=(0.5, 0.1))
+            FrameSchedule(segment_deg=(30.0, 5.0))
         with pytest.raises(ValueError):
-            FrameSchedule(segment=(-0.4, 2.0))
+            FrameSchedule(segment_deg=(-20.0, 120.0))
         with pytest.raises(ValueError):
-            FrameSchedule(segment=(-0.1, 0.1), frames_per_cpi=0)
+            FrameSchedule(segment_deg=(-5.0, 5.0), frames_per_cpi=0)
 
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):
