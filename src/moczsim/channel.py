@@ -26,7 +26,9 @@ __all__ = [
     "make_beamformers",
     "radar_gain",
     "fractional_delay",
+    "radar_channel_factors",
     "apply_radar_channel",
+    "receive_radar",
     "awgn",
 ]
 
@@ -60,11 +62,12 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Unit-norm Tx beam, orthonormal Rx reduction U (N_a x N_rf), unit-norm combiner."""
+    """Unit-norm Tx beam, orthonormal Rx reduction U, unit-norm combiner c, unitary Q = [c, B]."""
 
     tx_beam: np.ndarray
     rx_matrix: np.ndarray
     combiner: np.ndarray
+    basis: np.ndarray
 
 
 def dft_codebook(num_antennas: int):
@@ -85,7 +88,8 @@ def make_beamformers(segment: tuple[float, float], cfg: ArrayConfig) -> Beamform
     """Beams for the scanned ``(low, high)`` segment, in radians.
 
     The Tx beam is matched to the segment center, the Rx reduction keeps the
-    N_rf nearest DFT beams, and the combiner is U^H a(center) at unit norm.
+    N_rf nearest DFT beams, the combiner is U^H a(center) at unit norm, and
+    the basis is a unitary matrix whose first column is the combiner.
     Codebook beams are ranked by distance of their broadside direction to the
     segment interval, with ties broken by distance to the center and then by
     codebook index, so the selection is deterministic.
@@ -100,11 +104,11 @@ def make_beamformers(segment: tuple[float, float], cfg: ArrayConfig) -> Beamform
     order = np.lexsort((np.arange(angles.size), dist_center, dist_interval))
     rx_matrix = book[:, np.sort(order[: cfg.num_rf_chains])]
     combiner = rx_matrix.conj().T @ a
-    return Beamformer(
-        tx_beam=a / math.sqrt(cfg.num_antennas),
-        rx_matrix=rx_matrix,
-        combiner=combiner / np.linalg.norm(combiner),
-    )
+    combiner /= np.linalg.norm(combiner)
+    # Householder QR of [c, I] spans c with its first column, up to a unit phase.
+    basis = np.linalg.qr(np.column_stack([combiner, np.eye(cfg.num_rf_chains)]))[0]
+    basis[:, 0] = combiner
+    return Beamformer(a / math.sqrt(cfg.num_antennas), rx_matrix, combiner, basis)
 
 
 @dataclass(frozen=True)
@@ -204,71 +208,84 @@ def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
     return np.fft.ifft(spec, axis=-1)
 
 
-def apply_radar_channel(
-    samples,
-    targets,
-    bf: Beamformer,
-    sample_period: float,
-    frame_len: int,
-    start_time: float | np.ndarray = 0.0,
-) -> np.ndarray:
-    """Backscatter response at the RF chains for a block of transmitted frames.
+def radar_channel_factors(
+    samples, targets, bf: Beamformer, sample_period: float, frame_len: int, start_time=0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backscatter response at the RF chains as rank-one factors per frame and target.
 
-    Parameters
-    ----------
-    samples : array_like, shape (..., L)
-        Transmit samples (already amplitude-scaled); leading axes index
-        frames, e.g. the (F, L) frames of one CPI.
-    targets : sequence of RadarTarget
-        May be empty, in which case zero frames are returned.
-    bf : Beamformer
-        Tx beam f and Rx reduction matrix U.
-    sample_period : float
-        T = 1/W in seconds.
-    frame_len : int
-        Output frame length N, at least the input length.  Delays wrap
-        circularly on this frame.
-    start_time : float or array_like, shape (...)
-        Absolute time of sample 0 of each frame, so Doppler stays coherent
-        across frames.
-
-    Returns
-    -------
-    ndarray, shape (..., N_rf, N)
-        y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
-        Each frame equals the response computed for that frame alone.
-
-    Notes
-    -----
-    With t_n = start + nT the Doppler factor splits into a per-frame phase
-    e^{2i pi nu start}, folded into the (..., N_rf) spatial gains, and one
-    per-sample ramp e^{2i pi nu nT} on the delayed frames, so a target costs
-    F + N complex exponentials, not F*N.  The first target's term is written
-    as the output; later targets are added to it.
+    ``samples`` (..., L) are transmit samples, already amplitude-scaled, whose
+    leading axes index frames; ``start_time`` (...) is the absolute time of
+    each frame's sample 0, so Doppler stays coherent across frames; delays
+    wrap circularly on frames of ``frame_len`` = N >= L samples of
+    ``sample_period`` T.  Returns the gains (..., T, N_rf),
+    rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, and the delayed,
+    Doppler-ramped waveforms (..., T, N), s(nT - tau_q) e^{2i pi nu_q nT}: the
+    Doppler factor splits into a per-frame phase and one per-sample ramp, so
+    a target costs F + N complex exponentials, not F*N.
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
     x = np.asarray(samples, dtype=complex)
     n = int(frame_len)
-    n_rf = bf.rx_matrix.shape[1]
-    if not targets:
-        return np.zeros(x.shape[:-1] + (n_rf, n), dtype=complex)
+    num_antennas, n_rf = bf.rx_matrix.shape
     start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
     sample_times = np.arange(n) * sample_period
-    num_antennas = bf.rx_matrix.shape[0]
-    out = None
-    for tg in targets:
+    gains = np.empty(x.shape[:-1] + (len(targets), n_rf), dtype=complex)
+    delayed = np.empty(x.shape[:-1] + (len(targets), n), dtype=complex)
+    for q, tg in enumerate(targets):
         a = steering(tg.angle_rad, num_antennas)
         spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
-        gains = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
-        delayed = fractional_delay(x, tg.delay_s / sample_period, n)
-        delayed *= np.exp(2j * np.pi * tg.doppler_hz * sample_times)
-        term = gains[..., None] * delayed[..., None, :]
-        if out is None:
-            out = term
-        else:
-            out += term
-    return out
+        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
+        delayed[..., q, :] = fractional_delay(x, tg.delay_s / sample_period, n)
+        delayed[..., q, :] *= np.exp(2j * np.pi * tg.doppler_hz * sample_times)
+    return gains, delayed
+
+
+def apply_radar_channel(*args, **kwargs) -> np.ndarray:
+    """The (..., N_rf, N) response: ``radar_channel_factors(*args, **kwargs)`` over targets.
+
+    y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
+    """
+    gains, delayed = radar_channel_factors(*args, **kwargs)
+    return np.swapaxes(gains, -1, -2) @ delayed
+
+
+def receive_radar(
+    samples, targets, bf: Beamformer, sample_period, frame_len, start_time, noise_variance, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """What the receiver reads of the RF-chain block y = S + W of (F, L) frames.
+
+    The first arguments are those of ``radar_channel_factors``; W is
+    CN(0, s2), s2 = ``noise_variance``, drawn from ``rng``.  Returns the
+    combined rows c^H y (F, N) and the covariance sum_f y_f y_f^H / (FN),
+    drawn exactly in distribution without forming y.  In the basis
+    Q = [c, B], row 0 of Q^H y is the combined row, signal plus fresh noise.
+    Each target's signal is rank one per frame, so rows 1..N_rf-1 reach the
+    covariance only through their coordinates on an orthonormal basis E_f of
+    span{delayed waveforms, combined row}, the projected signal plus
+    F(T+1)(N_rf-1) CN(0, s2) draws, and the Gram of the rest of their noise,
+    a complex Wishart W_{N_rf-1}(F(N-T-1), s2 I) (Goodman, Ann. Math.
+    Statist. 1963) drawn by Bartlett's decomposition (Proc. R. Soc. Edinb.
+    1933).  Householder QR gives R_f = E_f^H [delayed, combined], and stays
+    exact when the span has lower rank.  Needs F(N-T-1) >= N_rf - 1.
+    """
+    gains, delayed = radar_channel_factors(
+        samples, targets, bf, sample_period, frame_len, start_time
+    )
+    coords = gains @ bf.basis.conj()  # (F, T, N_rf): Q^H of each target's gains
+    signal = np.einsum("ft,ftn->fn", coords[..., 0], delayed)
+    combined = awgn(signal, noise_variance, rng, frame_axes=1)
+    spanning = np.concatenate((delayed, combined[:, None, :]), axis=1)
+    r = np.linalg.qr(spanning.swapaxes(1, 2), mode="r")  # (F, T+1, T+1)
+    rest = awgn(r[..., :-1] @ coords[..., 1:], noise_variance, rng)  # rows 1.. on E_f
+    rows = np.concatenate((r[..., -1:], rest), axis=-1)  # (F, T+1, N_rf)
+    gram = np.einsum("fdi,fdj->ij", rows, rows.conj())
+    m, dof = gram.shape[0] - 1, combined.size - rows[..., 0].size  # dof = F(N - T - 1)
+    lower = np.tril(awgn(np.zeros((m, m)), 1.0, rng), -1)
+    lower[np.diag_indices(m)] = np.sqrt(rng.standard_gamma(dof - np.arange(m)))
+    gram[1:, 1:] += noise_variance * (lower @ lower.conj().T)
+    cov = bf.basis @ gram @ bf.basis.conj().T / combined.size
+    return combined, 0.5 * (cov + cov.conj().T)
 
 
 def awgn(

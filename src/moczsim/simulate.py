@@ -29,9 +29,9 @@ from .channel import (
     Beamformer,
     LinkBudget,
     RadarTarget,
-    apply_radar_channel,
     awgn,
     make_beamformers,
+    receive_radar,
 )
 from .dizet import dizet_decode_batch
 from .huffman import ModulationParams, encode_batch
@@ -44,11 +44,11 @@ from .radar import (
     estimate_doppler,
     music_angles,
     os_cfar,
-    sample_covariance,
 )
 
-# Unused here, but bench/spans.py wraps it by name as an attribute of this module.
-from .radar import cross_correlate  # noqa: F401
+# Unused here, but bench/spans.py wraps them by name as attributes of this module.
+from .channel import apply_radar_channel  # noqa: F401
+from .radar import cross_correlate, sample_covariance  # noqa: F401
 
 __all__ = [
     "TargetSpec",
@@ -148,15 +148,36 @@ class SimConfig:
                 raise ValueError(
                     f"targets[{i}].rcs_dbsm must lie within +-{DB_LIMIT} dB, got {spec.rcs_dbsm}"
                 )
-        ranges = [(f"targets[{i}].range_m", spec.range_m) for i, spec in enumerate(self.targets)]
-        ranges += [(f"range_grid_m[{j}]", r) for j, r in enumerate(self.range_grid_m)]
-        for path, range_m in ranges:
+        n_frames = self.schedule.frames_per_cpi
+        if n_frames * (self.frame_len - len(self.targets) - 1) < self.array.num_rf_chains - 1:
+            raise ValueError(
+                f"frame_len = {self.frame_len} is too short for the radar receive draw: "
+                "need frames_per_cpi * (frame_len - targets - 1) >= n_rf - 1"
+            )
+        # The CPI's summed peak correlation power is at most
+        # F EIRP L N_a lambda^2 sigma / ((4 pi)^3 r^4); in dB no term overflows.
+        gain = n_frames * self.modulation.seq_len * self.array.num_antennas / (4 * math.pi) ** 3
+        gain_db = self.link.eirp_dbm - 30 + 10 * math.log10(gain)
+        gain_db += 20 * math.log10(self.link.wavelength)
+        ranges = [
+            (f"targets[{i}].range_m", t.range_m, t.rcs_dbsm) for i, t in enumerate(self.targets)
+        ]
+        ranges += [
+            (f"range_grid_m[{j}]", r, self.targets[0].rcs_dbsm)
+            for j, r in enumerate(self.range_grid_m)
+        ]
+        for path, range_m, rcs_dbsm in ranges:
             if not range_m > 0:
                 raise ValueError(f"{path} must be positive, got {range_m}")
             if 2.0 * range_m / SPEED_OF_LIGHT >= self.frame_s:
                 raise ValueError(
                     f"{path} = {range_m} m has a round-trip delay of at least "
                     f"the {self.frame_len}-sample frame"
+                )
+            if not gain_db + rcs_dbsm - 40.0 * math.log10(range_m) < DB_LIMIT:
+                raise ValueError(
+                    f"{path} = {range_m} m: the peak correlation power of a {rcs_dbsm} dBsm "
+                    f"target at link.eirp {self.link.eirp_dbm} dBm overflows a float"
                 )
 
     @property
@@ -305,6 +326,9 @@ def _radar_trial(
 ) -> tuple[int, list[dict], list[tuple[float, float, float]]]:
     """One coherent processing interval: frames, detection, and estimation.
 
+    The receiver reads the RF chains only through the combined rows and the
+    covariance, so ``receive_radar`` draws just those, exactly in distribution.
+
     Returns the count of CFAR cells more than two cells from every target,
     then two lists with one entry per detected target, in target order: the
     sample record of its strongest cluster within two cells, and its
@@ -332,21 +356,16 @@ def _radar_trial(
     # power at the elements matches the budget.
     amp = math.sqrt(link.eirp_watts / cfg.array.num_antennas * params.seq_len)
 
-    # The whole CPI is one (F, N) block: (F, N_rf, N) at the RF chains, one
-    # noise block per frame in frame order, then the (F, N) cross-spectrum.
-    # Only frame 0's profile goes to the CFAR; delay refinement and the
-    # Doppler phases read the spectrum itself.  Frames carry no pilots or
-    # preambles and run back to back, frame f starting at f * N / w.
+    # The whole CPI is one (F, N) block.  Only frame 0's profile goes to the
+    # CFAR; delay refinement and the Doppler phases read the cross-spectrum.
+    # Frames carry no pilots or preambles and run back to back, frame f
+    # starting at f * N / w.
     msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
     frames_tx = encode_batch(msgs, params)
     frame_times = np.arange(n_frames) * cfg.frame_s
-    rx = apply_radar_channel(
-        amp * frames_tx, targets, bf, t_sample, frame_len=n, start_time=frame_times
+    combined, cov = receive_radar(
+        amp * frames_tx, targets, bf, t_sample, n, frame_times, link.noise_variance, rng
     )
-    rx = awgn(rx, link.noise_variance, rng, frame_axes=1)
-    cov = sample_covariance(rx)
-    # A (1, N_rf) row, not a vector: matmul then makes one BLAS call per frame.
-    combined = (bf.combiner.conj()[None, :] @ rx)[..., 0, :]
     spectra = cross_spectrum(frames_tx, combined)
 
     # Scoring: a cell within two cells of a target's true cell, on the
@@ -415,8 +434,11 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     per-cell false alarm probability at its calibrated value); delay comes
     from band-limited peak refinement, Doppler from the correlation-peak
     phases across the CPI frames, and the angle from beam-domain MUSIC on the
-    CPI-averaged covariance.  One record per sweep point; with no
-    range_grid_m configured there is a single point at the scenario ranges.
+    CPI-averaged covariance.  A CPI draws only the combined rows and that
+    covariance; the RF-chain noise they do not show one by one enters as a
+    complex Wishart (Goodman 1963) drawn by Bartlett's decomposition (1933).
+    One record per sweep point; with no range_grid_m configured there is a
+    single point at the scenario ranges.
     """
     specs = cfg.targets
     sweep = [(replace(specs[0], range_m=r),) for r in cfg.range_grid_m] or [specs]

@@ -70,6 +70,16 @@ class TestBeamformers:
         np.testing.assert_allclose(bf.combiner, b / np.linalg.norm(b), atol=1e-12)
         assert np.linalg.norm(bf.combiner) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_rf", [1, 2, 4, 64])
+    @pytest.mark.parametrize(
+        "segment", [(-np.pi / 32, np.pi / 32), (-0.2, 0.3), (-np.pi / 2, -np.pi / 3)]
+    )
+    def test_basis_is_unitary_with_the_combiner_first(self, n_rf, segment):
+        bf = make_beamformers(segment, ArrayConfig(64, n_rf))
+        assert bf.basis.shape == (n_rf, n_rf)
+        assert np.max(np.abs(bf.basis[:, 0] - bf.combiner)) <= 1e-15
+        assert np.max(np.abs(bf.basis.conj().T @ bf.basis - np.eye(n_rf))) <= 1e-14
+
     def test_selected_beams_surround_the_segment(self):
         bf = make_beamformers((-np.pi / 32, np.pi / 32), ArrayConfig(64, 4))
         angles, book = dft_codebook(64)

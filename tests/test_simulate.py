@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import radar_oracle
 from cfar_gather import normal_chunk_power
 from moczsim import (
     SPEED_OF_LIGHT,
@@ -77,6 +78,28 @@ BAD_CONFIGS = [
     ({"link": {"f_c": 1e-200}}, "link: f_c = 1e-200"),
     ({"link": {"f_c": 1e-300}}, "link: f_c = 1e-300"),
     ({"link": {"noise_psd": 1e301}}, "link: noise_psd * w must be finite"),
+    # Each lies within +-3082 dB, but their product with the target's gain
+    # overflows the correlation power.
+    (
+        {"link": {"eirp": 3000.0}, "trials": 2, "targets": [{"range_m": 60.0, "rcs_dbsm": 3000.0}]},
+        "targets[0].range_m = 60.0 m: the peak correlation power",
+    ),
+    (
+        {"targets": [{"range_m": 50.0, "rcs_dbsm": 3000.0}], "range_grid_m": [50.0, 1e-3]},
+        "range_grid_m[1] = 0.001 m: the peak correlation power",
+    ),
+    # The radar's Wishart draw needs frames_per_cpi * (N - T - 1) >= n_rf - 1
+    # degrees of freedom: 1 * (32 - 1 - 1) < 63.
+    (
+        {
+            "modulation": {"k": 31},
+            "frame_len": 32,
+            "array": {"n_rf": 64},
+            "schedule": {"frames_per_cpi": 1},
+            "targets": [{"range_m": 30.0}],
+        },
+        "frame_len = 32 is too short",
+    ),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
@@ -515,7 +538,8 @@ class TestRadarEdges:
 
 
 # run_radar on configs/scene.json at 6 trials (config seed 1), recorded from
-# the frame-by-frame CPI loop before the CPI became one batched block:
+# the frame-by-frame CPI loop before the CPI became one batched block, and
+# reproduced by the full-block receive of tests/radar_oracle.py:
 # (range_m, detection_rate, rmse_range_m, rmse_velocity_mps, rmse_angle_deg,
 # false_alarm_rate).
 SCENE_RECORDS = (
@@ -528,15 +552,25 @@ SCENE_RECORDS = (
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.0003255208333333333),
 )
 
+# The same run with the CPI's reduced receive draw (channel.receive_radar).
+REDUCED_SCENE_RECORDS = (
+    (30.0, 1.0, 0.005238914835904607, 0.03555557171741499, 0.07009379416179365,
+     0.0021158854166666665),
+    (60.0, 1.0, 0.02005357779362982, 0.12706534404841555, 0.06706553704786045,
+     0.0011393229166666667),
+    (120.0, 0.6666666666666666, 0.16766086519310802, 0.3374868859241787,
+     0.42491174136923077, 0.0),
+    (200.0, 0.0, math.nan, math.nan, math.nan, 0.00016276041666666666),
+)
+
 
 class TestRadarRegression:
     def scene(self):
         return dataclasses.replace(load_config(SCENE), trials=6)
 
-    def test_scene_records_match_the_frame_by_frame_reference(self):
-        records = run_radar(self.scene()).records
-        assert len(records) == len(SCENE_RECORDS)
-        for rec, want in zip(records, SCENE_RECORDS):
+    def assert_records(self, records, pinned):
+        assert len(records) == len(pinned)
+        for rec, want in zip(records, pinned):
             r_m, rate, rmse_r, rmse_v, rmse_a, fa = want
             assert rec["range_m"] == r_m
             assert rec["detection_rate"] == rate
@@ -551,6 +585,13 @@ class TestRadarRegression:
                     assert math.isnan(rec[key])
                 else:
                     assert rec[key] == pytest.approx(value, rel=1e-9, abs=0)
+
+    def test_scene_records_match_the_frame_by_frame_reference(self, monkeypatch):
+        monkeypatch.setattr(simulate, "receive_radar", radar_oracle.receive_radar)
+        self.assert_records(run_radar(self.scene()).records, SCENE_RECORDS)
+
+    def test_scene_records_match_the_reduced_draw_pin(self):
+        self.assert_records(run_radar(self.scene()).records, REDUCED_SCENE_RECORDS)
 
     def test_worker_count_does_not_change_radar_output(self, monkeypatch):
         cfg = dataclasses.replace(self.scene(), trials=3)
@@ -687,15 +728,41 @@ class TestOutputFiles:
         assert len(lines) == 2
 
 
-def test_benchmark_traced_names_resolve(monkeypatch):
-    # bench/run.py --trace 1 wraps these module attributes by name.  A renamed
-    # or removed one does not break the traced run: spans.traced prints
-    # "not traced" and silently drops that layer from the trace.
+def bench_spans(monkeypatch):
+    """bench/spans.py, loaded as a module of its own."""
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
-    names = spans.wrapped_names()
+    return spans
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # bench/run.py --trace 1 wraps these module attributes by name.  A renamed
+    # or removed one does not break the traced run: spans.traced prints
+    # "not traced" and silently drops that layer from the trace.
+    names = bench_spans(monkeypatch).wrapped_names()
     assert names
     missing = [(m, a) for m, a in names if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def test_traced_runs_equal_plain_runs(monkeypatch):
+    # The CI's traced benchmark step: every wrapped layer that a run calls
+    # must return what its measure function reads, and tracing must not
+    # change the output.
+    spans = bench_spans(monkeypatch)
+    radar_cfg = dataclasses.replace(load_config(SCENE), trials=1)
+    ber_cfg = small_ber_config(trials=16, batch_size=16)
+
+    def both():
+        return run_radar(radar_cfg).to_json(), run_ber(ber_cfg).to_json()
+
+    plain = both()
+    recorder = spans.Recorder()
+    with spans.traced(recorder):
+        traced = both()
+    assert traced == plain
+    assert {s.name for s in recorder.spans} >= {
+        "huffman.encode_batch", "dizet.dizet_decode_batch", "radar.os_cfar", "radar.music_angles"
+    }
