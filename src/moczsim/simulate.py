@@ -1,9 +1,9 @@
 """End-to-end Monte Carlo experiments: BER sweeps, radar runs, CFAR calibration.
 
 Every run is a pure function of its configuration, including the seed: each
-batch or trial derives its own random stream from (seed, purpose, index), and
-results are reduced by summation, so the worker count never changes the
-output.  ``batch_size`` does: it decides which packets share a BER stream.
+block of BER packets, radar trial or CFAR chunk derives its own random stream
+from (seed, purpose, index), and results are reduced by summation, so neither
+the worker count nor ``batch_size`` ever changes the output.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ CHANNEL_MODELS = ("awgn", "rayleigh_flat", "rician_selective")
 _SELECTIVE_TAP_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
 _SELECTIVE_TAP_POWERS = _SELECTIVE_TAP_POWERS / _SELECTIVE_TAP_POWERS.sum()
 _RICIAN_FACTOR = 10.0
+
+# Packets per BER random stream, and per pass through the BER chain.
+_BER_BLOCK = 1024
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -174,6 +177,10 @@ class SimConfig:
                     f"{path} = {range_m} m has a round-trip delay of at least "
                     f"the {self.frame_len}-sample frame"
                 )
+            try:
+                range_m**4  # channel.radar_gain's denominator
+            except OverflowError:
+                raise ValueError(f"{path} = {range_m} m: range_m**4 overflows a float") from None
             if not gain_db + rcs_dbsm - 40.0 * math.log10(range_m) < DB_LIMIT:
                 raise ValueError(
                     f"{path} = {range_m} m: the peak correlation power of a {rcs_dbsm} dBsm "
@@ -245,11 +252,6 @@ def _parallel_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _batch_sizes(total: int, batch: int) -> list[int]:
-    full, rest = divmod(total, batch)
-    return [batch] * full + ([rest] if rest else [])
-
-
 def _fade_batch(tx: np.ndarray, model: str, rng: np.random.Generator) -> np.ndarray:
     """Apply the selected fading model to a (B, K+1) batch of packets.
 
@@ -287,23 +289,31 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     SNR is Eb/N0 with Eb = 1/K (unit packet energy over K payload bits), so
     the per-sample complex noise variance at SNR s dB is 10^(-s/10) / K.  The
     coherent BPSK reference Q(sqrt(2 Eb/N0)) is emitted alongside each point.
+
+    Packets run in blocks of 1024, each with its own random stream and taken
+    through the whole chain before the next, so a block bounds the memory.
+    ``batch_size`` only sets the packets of one worker task, rounded up to
+    whole blocks; it never changes the output.
     """
     params = cfg.modulation
     k = params.num_bits
-    sizes = _batch_sizes(cfg.trials, cfg.batch_size)
+    n_blocks = -(-cfg.trials // _BER_BLOCK)
+    per_task = -(-cfg.batch_size // _BER_BLOCK)
+    tasks = [range(b, min(b + per_task, n_blocks)) for b in range(0, n_blocks, per_task)]
 
     def point(point_idx: int, snr_db: float) -> dict:
         noise_var = 10.0 ** (-snr_db / 10.0) / k
 
-        def batch_errors(batch_idx: int) -> int:
-            rng = _rng_for(cfg.seed, 1, point_idx, batch_idx)
-            msgs = rng.integers(0, 2, (sizes[batch_idx], k), dtype=np.int8)
+        def block_errors(block: int) -> int:
+            rng = _rng_for(cfg.seed, 1, point_idx, block)
+            size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
+            msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
             tx = encode_batch(msgs, params)
             rx = awgn(_fade_batch(tx, cfg.channel_model, rng), noise_var, rng)
             bits, _ = dizet_decode_batch(rx, params)
             return int(np.count_nonzero(bits != msgs))
 
-        errors = sum(_parallel_map(batch_errors, range(len(sizes))))
+        errors = sum(_parallel_map(lambda blocks: sum(map(block_errors, blocks)), tasks))
         snr_lin = 10.0 ** (snr_db / 10.0)
         return {
             "snr_db": float(snr_db),

@@ -290,6 +290,17 @@ class TestExitCodes:
         assert "schedule: frames_per_cpi must be >= 1" in err
         assert not (tmp_path / "radar.csv").exists()
 
+    def test_range_whose_fourth_power_overflows_exit_2_from_radar(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"link": {"w": 1e-75}, "trials": 1, "targets": [{"range_m": 1e80}]})
+        )
+        code, out, err = run_cli(capsys, "radar", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "targets[0].range_m = 1e+80 m: range_m**4 overflows a float" in err
+        assert not (tmp_path / "radar.csv").exists()
+
     @pytest.mark.parametrize("text", ["nan,0", "1,inf", "1e400,0", "abc,1"])
     @pytest.mark.parametrize("command", [["decode", "--k", "2"], ["autocorr", "--in"]])
     def test_non_finite_samples_exit_2_naming_the_line(self, capsys, tmp_path, command, text):

@@ -7,10 +7,14 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radar_oracle
 from cfar_gather import normal_chunk_power
@@ -59,6 +63,11 @@ BAD_CONFIGS = [
     ({"seed": -1}, "seed must be non-negative"),
     ({"targets": [{"range_m": 50.0}, {"range_m": -5.0}]}, "targets[1].range_m"),
     ({"targets": [{"range_m": 50.0}], "range_grid_m": [30.0, 0.0]}, "range_grid_m[1]"),
+    # At a tiny bandwidth the frame admits ranges whose fourth power overflows.
+    (
+        {"link": {"w": 1e-75}, "targets": [{"range_m": 50.0}], "range_grid_m": [1e77, 1e80]},
+        "range_grid_m[1] = 1e+80 m: range_m**4 overflows",
+    ),
     ({"targets": [{"range_m": 50.0, "angle_deg": 120.0}]}, "targets[0].angle_deg"),
     # A section's own checks are raised again with the section key in front.
     ({"schedule": {"frames_per_cpi": 0}}, "schedule: frames_per_cpi must be >= 1"),
@@ -137,6 +146,37 @@ class TestRunBer:
         base = run_ber(cfg).records
         monkeypatch.setenv("MOCZSIM_THREADS", "4")
         assert run_ber(cfg).records == base
+
+    # Trials on both sides of one and two 1024-packet blocks; the batch sizes
+    # run one packet, parts of a block, whole blocks and more than the trials
+    # per worker task.  The derandomized search covers all 36 cases.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        trials=st.sampled_from((1023, 1025, 2500)),
+        batch_size=st.sampled_from((1, 500, 1000, 1024, 4096, 16384)),
+        threads=st.sampled_from(("1", "2")),
+    )
+    def test_batch_size_and_worker_count_do_not_change_output(self, trials, batch_size, threads):
+        cfg = small_ber_config(trials=trials, batch_size=batch_size)
+        with mock.patch.dict(os.environ, {"MOCZSIM_THREADS": threads}):
+            records = run_ber(cfg).records
+        with mock.patch.dict(os.environ, {"MOCZSIM_THREADS": "1"}):
+            assert records == run_ber(dataclasses.replace(cfg, batch_size=trials)).records
+
+    def test_memory_is_bounded_by_the_block_not_the_batch(self, monkeypatch):
+        # One 16384-packet task at K=127 held ~150 MB when the whole batch
+        # went through each stage at once; one 1024-packet block holds ~10 MB.
+        monkeypatch.setenv("MOCZSIM_THREADS", "1")
+        cfg = SimConfig(
+            modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384, batch_size=16384
+        )
+        tracemalloc.start()
+        try:
+            run_ber(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
     def test_monotone_in_snr_on_awgn(self):
         cfg = small_ber_config(snr_grid_db=(0.0, 3.0, 6.0), trials=20_000)
