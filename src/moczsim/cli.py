@@ -226,11 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run, run=run_radar)
 
     p = sub.add_parser("calibrate-cfar", help="measure the noise-only false-alarm rate")
-    p.add_argument("--config", required=True, help="JSON configuration path")
-    p.add_argument("--out", default=None, help="optional output directory")
-    p.add_argument("--seed", type=int, default=None)
+    add_run_common(p)
     p.add_argument("--cells", type=int, default=None, help="override the cell count")
-    p.set_defaults(func=_cmd_calibrate_cfar)
+    p.set_defaults(func=_cmd_calibrate_cfar, out=None)  # without --out, stdout only
 
     return parser
 

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -542,76 +542,29 @@ def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarlo
 # --------------------------------------------------------------------------
 
 
-# The JSON schema is one table per section: JSON key -> (dataclass field,
-# codec).  A codec is a (load, dump) pair: load(value, path) checks the JSON
-# value at the dotted key ``path`` and returns the field value, dump returns
-# the JSON value of a field.  Both directions of the schema come from these
-# tables, and absent keys take the dataclass defaults.
+# The JSON schema: one table per section dataclass, mapping each JSON key to
+# its field, in the order of the JSON document.  A key's JSON kind follows
+# its field's type, absent keys take the dataclass defaults, and fields left
+# out, such as CfarConfig.alpha, are derived and never read.
+_KEYS: dict[type, dict[str, str]] = {
+    SimConfig: {f.name: f.name for f in fields(SimConfig)},
+    ModulationParams: {"k": "num_bits", "lambda": "radius_tuning"},
+    ArrayConfig: {"n_a": "num_antennas", "n_rf": "num_rf_chains"},
+    LinkBudget: {
+        "eirp": "eirp_dbm", "f_c": "carrier_hz", "w": "bandwidth_hz", "noise_psd": "noise_psd"
+    },
+    FrameSchedule: {f.name: f.name for f in fields(FrameSchedule)},
+    CfarConfig: {name: name for name in ("window", "guard", "os_rank", "pfa")},
+    TargetSpec: {f.name: f.name for f in fields(TargetSpec)},
+}
 
 
 def _key_path(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _load_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path} must be an integer, got {value!r}")
-    return value
-
-
-def _load_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{path} must be a finite number, got {number}")
-    return number
-
-
-def _load_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{path} must be a string, got {value!r}")
-    return value
-
-
-def _same(value):
-    return value
-
-
-class _Codec(NamedTuple):
-    load: Callable  # (JSON value, dotted key) -> field value
-    dump: Callable  # field value -> JSON value
-
-
-_INT = _Codec(_load_int, _same)
-_FLOAT = _Codec(_load_float, _same)
-_STR = _Codec(_load_str, _same)
-
-
-def _list_of(item: _Codec) -> _Codec:
-    def load(value, path: str) -> tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"{path} must be a list, got {value!r}")
-        return tuple(item.load(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-    return _Codec(load, lambda values: [item.dump(v) for v in values])
-
-
-def _load_pair(value, path: str) -> tuple[float, float]:
-    pair = _list_of(_FLOAT).load(value, path)
-    if len(pair) != 2:
-        raise ValueError(f"{path} must be a [low, high] pair, got {value!r}")
-    return pair
-
-
-_PAIR = _Codec(_load_pair, list)
-
-
-def _section(cls, keys: dict) -> _Codec:
-    """Codec for a JSON object that maps onto dataclass ``cls`` through ``keys``.
+def _load_object(cls, doc, path: str):
+    """The dataclass ``cls`` from the JSON object ``doc`` at the dotted key ``path``.
 
     Absent keys take the dataclass default; a field without one must be
     present.  Only the tabled fields are passed, so derived fields such as
@@ -619,91 +572,74 @@ def _section(cls, keys: dict) -> _Codec:
     own checks is raised again with the section's dotted key in front and
     each field name in its message replaced by that field's JSON key.
     """
+    keys = _KEYS[cls]
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path or 'configuration'} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown configuration key {_key_path(path, key)!r}")
     required = {
         f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
     }
+    types = get_type_hints(cls)
+    kwargs = {}
+    for key, name in keys.items():
+        if key in doc:
+            kwargs[name] = _load(types[name], doc[key], _key_path(path, key))
+        elif name in required:
+            raise ValueError(f"{_key_path(path, key)} is required")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        json_key = {name: key for key, name in keys.items()}
+        message = re.sub(r"\w+", lambda m: json_key.get(m[0], m[0]), str(exc))
+        raise ValueError(f"{path}: {message}") from exc
 
-    def load(doc, path: str):
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path or 'configuration'} must be an object, got {doc!r}")
-        for key in doc:
-            if key not in keys:
-                raise ValueError(f"unknown configuration key {_key_path(path, key)!r}")
-        kwargs = {}
-        for key, (name, codec) in keys.items():
-            if key in doc:
-                kwargs[name] = codec.load(doc[key], _key_path(path, key))
-            elif name in required:
-                raise ValueError(f"{_key_path(path, key)} is required")
+
+def _load(tp, value, path: str):
+    """The value of a field of type ``tp`` from the JSON ``value`` at ``path``."""
+    if tp in _KEYS:
+        return _load_object(tp, value, path)
+    if tp == tuple[float, float]:
+        pair = _load(tuple[float, ...], value, path)
+        if len(pair) != 2:
+            raise ValueError(f"{path} must be a [low, high] pair, got {value!r}")
+        return pair
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        item = get_args(tp)[0]
+        return tuple(_load(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path} must be an integer, got {value!r}")
+        return value
+    if tp is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path} must be a number, got {value!r}")
         try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            if not path:
-                raise
-            json_key = {name: key for key, (name, _) in keys.items()}
-            message = re.sub(r"\w+", lambda m: json_key.get(m[0], m[0]), str(exc))
-            raise ValueError(f"{path}: {message}") from exc
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{path} must be a finite number, got {number}")
+        return number
+    if tp is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{path} must be a string, got {value!r}")
+        return value
+    raise TypeError(f"{path}: no JSON kind for field type {tp!r}")
 
-    def dump(obj) -> dict:
-        return {key: codec.dump(getattr(obj, name)) for key, (name, codec) in keys.items()}
 
-    return _Codec(load, dump)
-
-
-_CONFIG = _section(
-    SimConfig,
-    {
-        "modulation": ("modulation", _section(
-            ModulationParams,
-            {"k": ("num_bits", _INT), "lambda": ("radius_tuning", _FLOAT)},
-        )),
-        "array": ("array", _section(
-            ArrayConfig,
-            {"n_a": ("num_antennas", _INT), "n_rf": ("num_rf_chains", _INT)},
-        )),
-        "link": ("link", _section(
-            LinkBudget,
-            {
-                "eirp": ("eirp_dbm", _FLOAT),
-                "f_c": ("carrier_hz", _FLOAT),
-                "w": ("bandwidth_hz", _FLOAT),
-                "noise_psd": ("noise_psd", _FLOAT),
-            },
-        )),
-        "schedule": ("schedule", _section(
-            FrameSchedule,
-            {
-                "segment_deg": ("segment_deg", _PAIR),
-                "frames_per_cpi": ("frames_per_cpi", _INT),
-            },
-        )),
-        "channel_model": ("channel_model", _STR),
-        "snr_grid_db": ("snr_grid_db", _list_of(_FLOAT)),
-        "trials": ("trials", _INT),
-        "seed": ("seed", _INT),
-        "frame_len": ("frame_len", _INT),
-        "batch_size": ("batch_size", _INT),
-        "cfar": ("cfar", _section(
-            CfarConfig,
-            {
-                "window": ("window", _INT),
-                "guard": ("guard", _INT),
-                "os_rank": ("os_rank", _INT),
-                "pfa": ("pfa", _FLOAT),
-            },
-        )),
-        "targets": ("targets", _list_of(_section(
-            TargetSpec,
-            {
-                "range_m": ("range_m", _FLOAT),
-                "velocity_mps": ("velocity_mps", _FLOAT),
-                "angle_deg": ("angle_deg", _FLOAT),
-                "rcs_dbsm": ("rcs_dbsm", _FLOAT),
-            },
-        ))),
-        "range_grid_m": ("range_grid_m", _list_of(_FLOAT)),
-    },
-)
+def _dump(value):
+    """The JSON value of a field: a section through its ``_KEYS`` table, a sequence as a list."""
+    if type(value) in _KEYS:
+        return {key: _dump(getattr(value, name)) for key, name in _KEYS[type(value)].items()}
+    if isinstance(value, (tuple, list)):
+        return [_dump(v) for v in value]
+    return value
 
 
 def config_from_dict(doc: dict) -> SimConfig:
@@ -713,12 +649,12 @@ def config_from_dict(doc: dict) -> SimConfig:
     wrong JSON kind, a non-finite number or a target without ``range_m``
     raises ValueError naming the dotted key.
     """
-    return _CONFIG.load(doc, "")
+    return _load_object(SimConfig, doc, "")
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
     """The JSON document of ``cfg``; ``config_from_dict`` inverts it."""
-    return _CONFIG.dump(cfg)
+    return _dump(cfg)
 
 
 def load_config(path: str | Path) -> SimConfig:

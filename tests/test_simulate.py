@@ -55,6 +55,11 @@ BAD_CONFIGS = [
     ({"channel_model": 3}, "channel_model"),
     ({"schedule": []}, "schedule"),
     ({"schedule": {"segment_deg": [-8.0]}}, "schedule.segment_deg"),
+    ({"schedule": {"segment_deg": [-8.0, 0.0, 8.0]}}, "schedule.segment_deg must be a [low, high] pair"),
+    # JSON true is neither an integer nor a number, and a list field needs a list.
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"link": {"w": True}}, "link.w must be a number, got True"),
+    ({"targets": {"range_m": 50.0}}, "targets must be a list"),
     ({"targets": [{"velocity_mps": 3.0}]}, "targets[0].range_m"),
     ({"angle_grid_deg": 0.5}, "angle_grid_deg"),
     ({"link": {"range": 50.0}}, "link.range"),
@@ -709,7 +714,16 @@ class TestConfigRoundTrip:
         ids=lambda p: str(p.relative_to(ROOT)),
     )
     def test_shipped_configs_load(self, path):
-        assert isinstance(load_config(path), SimConfig)
+        cfg = load_config(path)
+        assert isinstance(cfg, SimConfig)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_list_fields_dump_as_their_tuple_form(self):
+        given = dict(snr_grid_db=[1.0, 2.0], targets=[TargetSpec(range_m=50.0)], range_grid_m=[40.0])
+        as_tuples = {name: tuple(value) for name, value in given.items()}
+        assert json.dumps(config_to_dict(SimConfig(**given))) == json.dumps(
+            config_to_dict(SimConfig(**as_tuples))
+        )
 
     def test_readme_schema_block_shows_the_defaults(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
