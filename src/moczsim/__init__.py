@@ -31,8 +31,6 @@ from .huffman import (
     derive_side_peak,
     encode,
     encode_batch,
-    encode_zeros,
-    expected_end_energy,
     sequence_from_csv,
     sequence_to_csv,
 )

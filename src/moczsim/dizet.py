@@ -23,25 +23,32 @@ __all__ = [
 _MAG_FLOOR = 1e-300
 
 
-def eval_on_zero_grid(samples, radius: float, num_bits: int) -> np.ndarray:
+def eval_on_zero_grid(samples, radius: float, num_bits: int, out=None) -> np.ndarray:
     """Polynomial values at the K grid points radius * exp(2i*pi*k/K).
 
     ``samples`` has shape (..., N); leading axes are independent sequences
-    and the result has shape (..., K).  The radius-weighted samples are
-    folded modulo K and a K-point inverse DFT is taken, which is
-    algebraically identical to evaluating each point by Horner's rule.
+    and the result has shape (..., K), written to ``out`` when given.  The
+    radius-weighted samples are folded modulo K and a K-point inverse DFT is
+    taken in place, which is algebraically identical to evaluating each
+    point by Horner's rule.
     """
     y = np.asarray(samples, dtype=complex)
     n = y.shape[-1]
     weights = radius ** np.arange(n)
+    if out is None:
+        out = np.empty(y.shape[:-1] + (num_bits,), dtype=complex)
     # Fold modulo K by slice adds onto the first block; an input shorter
-    # than K is zero-extended by the transform length.
-    folded = y[..., :num_bits] * weights[:num_bits]
+    # than K is zero-extended to the transform length.
+    head = min(n, num_bits)
+    np.multiply(y[..., :head], weights[:head], out=out[..., :head])
+    out[..., head:] = 0
     for start in range(num_bits, n, num_bits):
         block = y[..., start : start + num_bits] * weights[start : start + num_bits]
-        folded[..., : block.shape[-1]] += block
+        out[..., : block.shape[-1]] += block
     # sum_m g[m] exp(+2i pi m k / K) == K * ifft(g)
-    return num_bits * np.fft.ifft(folded, num_bits, axis=-1)
+    np.fft.ifft(out, axis=-1, out=out)
+    out *= num_bits
+    return out
 
 
 def _normalizers(radius: float, n: int) -> tuple[float, float]:
@@ -53,14 +60,16 @@ def _normalizers(radius: float, n: int) -> tuple[float, float]:
     return c_outer, c_inner
 
 
-def dizet_decode_batch(received, params: ModulationParams):
+def dizet_decode_batch(received, params: ModulationParams, out=None, scratch=None):
     """Decode a (B, N) batch of packets of N >= K+1 samples.
 
     Returns (bits, margins) arrays of shape (B, K).  The decision rule per
     bit k is scale and phase invariant: bit 1 when
     |Y(R e^{i theta_k})| / c+ < |Y(R^-1 e^{i theta_k})| / c-, where c+- are
     the norms of the weight vectors (R^n) and (R^-n), n = 0..N-1.  Equal
-    normalized magnitudes resolve deterministically to bit 0.
+    normalized magnitudes resolve deterministically to bit 0.  The margins
+    are written to ``out`` (B, K) float and each grid to ``scratch`` (B, K)
+    complex; either is allocated when omitted.
     """
     ys = np.atleast_2d(np.asarray(received, dtype=complex))
     K = params.num_bits
@@ -70,10 +79,16 @@ def dizet_decode_batch(received, params: ModulationParams):
         )
     R = params.outer_radius
     c_outer, c_inner = _normalizers(R, ys.shape[1])
-    outer = np.abs(eval_on_zero_grid(ys, R, K)) / c_outer
-    inner = np.abs(eval_on_zero_grid(ys, 1.0 / R, K)) / c_inner
-    margins = np.log(np.maximum(inner, _MAG_FLOOR)) - np.log(np.maximum(outer, _MAG_FLOOR))
-    return (margins > 0).astype(np.uint8), margins
+    grid = eval_on_zero_grid(ys, R, K, out=scratch)
+    outer = np.abs(grid, out=out)
+    # |.| in place: the inner magnitudes are the real parts of the grid.
+    inner = np.abs(eval_on_zero_grid(ys, 1.0 / R, K, out=grid), out=grid).real
+    for mags, norm in ((outer, c_outer), (inner, c_inner)):
+        mags /= norm
+        np.maximum(mags, _MAG_FLOOR, out=mags)
+        np.log(mags, out=mags)
+    margins = np.subtract(inner, outer, out=outer)
+    return (margins > 0).view(np.uint8), margins
 
 
 def dizet_decode(received, params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,9 @@ __all__ = [
     "ModulationParams",
     "derive_radius",
     "derive_side_peak",
-    "encode_zeros",
     "encode",
     "encode_batch",
     "autocorrelation",
-    "expected_end_energy",
     "sequence_to_csv",
     "sequence_from_csv",
 ]
@@ -93,13 +91,6 @@ def _as_bits(bits, num_bits: int | None = None) -> np.ndarray:
     return mi
 
 
-def encode_zeros(bits, params: ModulationParams) -> np.ndarray:
-    """Zero pattern exp(2i*pi*(k-1)/K) * R^(2*m_k - 1) selected by the bits."""
-    m = _as_bits(bits, params.num_bits)
-    angles = 2.0 * np.pi * np.arange(params.num_bits) / params.num_bits
-    return np.exp(1j * angles) * params.outer_radius ** (2 * m - 1)
-
-
 @lru_cache(maxsize=4)
 def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     # Logs of the zero factors on the K+1 roots of unity: the per-point sum
@@ -121,14 +112,16 @@ def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     return inner_sum, basis
 
 
-def encode_batch(messages, params: ModulationParams) -> np.ndarray:
+def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     """Encode a batch of bit messages into transmit sequences.
 
     Parameters
     ----------
     messages : array_like, shape (B, K) or (K,)
-        Rows of 0/1 payload bits.
+        Rows of 0/1 payload bits; float64 rows are read without a copy.
     params : ModulationParams
+    out : ndarray, shape (B, K+1), complex, optional
+        Where the sequences are built; allocated when omitted.
 
     Returns
     -------
@@ -152,19 +145,21 @@ def encode_batch(messages, params: ModulationParams) -> np.ndarray:
     m = np.atleast_2d(np.asarray(messages))
     if m.ndim != 2 or m.shape[1] != params.num_bits:
         raise ValueError(f"messages must have {params.num_bits} columns")
-    if np.any((m != 0) & (m != 1)):
+    if np.count_nonzero(m) != np.count_nonzero(m == 1):  # a nonzero entry other than 1
         raise ValueError("bit message entries must be 0 or 1")
 
     inner_sum, basis = _log_basis(params)
+    if out is None:
+        out = np.empty((m.shape[0], params.seq_len), dtype=complex)
     # exp of summed logs equals the zero product; branch offsets cancel in exp.
-    evals = (m.astype(np.float64) @ basis).view(np.complex128)
-    evals += inner_sum
-    np.exp(evals, out=evals)
-    x = np.fft.fft(evals, axis=1)
-    xr = x.view(np.float64)
+    xr = out.view(np.float64)
+    np.matmul(np.asarray(m, dtype=np.float64), basis, out=xr)
+    out += inner_sum
+    np.exp(out, out=out)
+    np.fft.fft(out, axis=1, out=out)
     energy = np.einsum("ij,ij->i", xr, xr)
-    x *= (np.exp(-1j * np.angle(x[:, 0])) / np.sqrt(energy))[:, None]
-    return x
+    out *= (np.exp(-1j * np.angle(out[:, 0])) / np.sqrt(energy))[:, None]
+    return out
 
 
 def encode(bits, params: ModulationParams) -> np.ndarray:
@@ -182,22 +177,6 @@ def autocorrelation(x) -> np.ndarray:
     if x.size == 0:
         raise ValueError("cannot correlate an empty sequence")
     return np.correlate(x, x, mode="full")
-
-
-def expected_end_energy(params: ModulationParams) -> float:
-    """Mean of |x_0|^2 (= |x_K|^2) over uniformly random messages.
-
-    Closed form 2^-K (1 + R^2)^K / (1 + R^2K), evaluated in log space so the
-    intermediate powers cannot overflow.
-    """
-    K = params.num_bits
-    log_r = np.log(params.outer_radius)
-    log_val = (
-        K * np.log1p(params.outer_radius**2)
-        - K * np.log(2.0)
-        - np.logaddexp(0.0, 2.0 * K * log_r)
-    )
-    return float(np.exp(log_val))
 
 
 def sequence_to_csv(x) -> str:

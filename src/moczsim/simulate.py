@@ -252,19 +252,21 @@ def _parallel_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _fade_batch(tx: np.ndarray, model: str, rng: np.random.Generator) -> np.ndarray:
+def _fade_batch(tx, model: str, rng: np.random.Generator, out=None, scratch=None) -> np.ndarray:
     """Apply the selected fading model to a (B, K+1) batch of packets.
 
     Returns shape (B, K+1), or (B, K+4) for ``rician_selective``, whose
     4-tap channel is a full linear convolution of each packet with its own
-    taps.
+    taps.  The result is written to ``out`` when given, which may share
+    memory with ``tx``; ``rician_selective`` builds its zero-padded
+    (B, K+7) rows in ``scratch``.  Either is allocated when omitted.
     """
     if model == "awgn":
         return tx
     b = tx.shape[0]
     if model == "rayleigh_flat":
         h = (rng.standard_normal(b) + 1j * rng.standard_normal(b)) / math.sqrt(2.0)
-        return tx * h[:, None]
+        return np.multiply(tx, h[:, None], out=out)
     if model == "rician_selective":
         n_taps = _SELECTIVE_TAP_POWERS.size
         psi = rng.uniform(0.0, 2.0 * np.pi, (b, n_taps))
@@ -276,11 +278,18 @@ def _fade_batch(tx: np.ndarray, model: str, rng: np.random.Generator) -> np.ndar
         # Direct convolution: output sample n of row b is
         # sum_j taps[b, j] * tx[b, n - j], read from n_taps-wide windows of
         # the zero-padded rows against the reversed taps.
-        padded = np.zeros((b, tx.shape[1] + 2 * (n_taps - 1)), dtype=complex)
-        padded[:, n_taps - 1 : n_taps - 1 + tx.shape[1]] = tx
+        n = tx.shape[1]
+        padded = np.empty((b, n + 2 * (n_taps - 1)), dtype=complex) if scratch is None else scratch
+        padded[:, : n_taps - 1] = padded[:, n_taps - 1 + n :] = 0
+        padded[:, n_taps - 1 : n_taps - 1 + n] = tx
         windows = sliding_window_view(padded, n_taps, axis=1)
-        return np.einsum("bnj,bj->bn", windows, taps[:, ::-1])
+        return np.einsum("bnj,bj->bn", windows, taps[:, ::-1], out=out)
     raise ValueError(f"unknown channel model {model!r}")
+
+
+def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The first rows * cols values of a flat buffer as a (rows, cols) array."""
+    return buffer[: rows * cols].reshape(rows, cols)
 
 
 def run_ber(cfg: SimConfig) -> MonteCarloResult:
@@ -293,27 +302,43 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     Packets run in blocks of 1024, each with its own random stream and taken
     through the whole chain before the next, so a block bounds the memory.
     ``batch_size`` only sets the packets of one worker task, rounded up to
-    whole blocks; it never changes the output.
+    whole blocks; it never changes the output.  A task allocates one buffer
+    set and every stage of every block runs in it.
     """
     params = cfg.modulation
     k = params.num_bits
     n_blocks = -(-cfg.trials // _BER_BLOCK)
     per_task = -(-cfg.batch_size // _BER_BLOCK)
     tasks = [range(b, min(b + per_task, n_blocks)) for b in range(0, n_blocks, per_task)]
+    growth = _SELECTIVE_TAP_POWERS.size - 1  # samples a rician_selective packet gains
+    rx_len = params.seq_len + (growth if cfg.channel_model == "rician_selective" else 0)
+    padded_len = params.seq_len + 2 * growth
 
     def point(point_idx: int, snr_db: float) -> dict:
         noise_var = 10.0 ** (-snr_db / 10.0) / k
 
-        def block_errors(block: int) -> int:
-            rng = _rng_for(cfg.seed, 1, point_idx, block)
-            size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
-            msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
-            tx = encode_batch(msgs, params)
-            rx = awgn(_fade_batch(tx, cfg.channel_model, rng), noise_var, rng)
-            bits, _ = dizet_decode_batch(rx, params)
-            return int(np.count_nonzero(bits != msgs))
+        def task_errors(blocks: range) -> int:
+            # The packets stay in ``signal`` from encode to decode, the fade's
+            # padded rows and the decoder's grids use ``work``, and ``real``
+            # holds the messages as floats, then the margins.
+            signal, work = np.empty((2, _BER_BLOCK * padded_len), dtype=complex)
+            real = np.empty((_BER_BLOCK, k))
+            errors = 0
+            for block in blocks:
+                rng = _rng_for(cfg.seed, 1, point_idx, block)
+                size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
+                msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
+                np.copyto(real[:size], msgs)
+                tx = encode_batch(real[:size], params, out=_rows(signal, size, params.seq_len))
+                rx = _fade_batch(
+                    tx, cfg.channel_model, rng, _rows(signal, size, rx_len), _rows(work, size, padded_len)
+                )
+                awgn(rx, noise_var, rng, out=rx)
+                bits, _ = dizet_decode_batch(rx, params, real[:size], _rows(work, size, k))
+                errors += int(np.count_nonzero(bits != msgs))
+            return errors
 
-        errors = sum(_parallel_map(lambda blocks: sum(map(block_errors, blocks)), tasks))
+        errors = sum(_parallel_map(task_errors, tasks))
         snr_lin = 10.0 ** (snr_db / 10.0)
         return {
             "snr_db": float(snr_db),
@@ -622,7 +647,7 @@ def _load(tp, value, path: str):
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the float range
-            number = math.inf
+            number = math.inf if value > 0 else -math.inf
         if not math.isfinite(number):
             raise ValueError(f"{path} must be a finite number, got {number}")
         return number

@@ -32,7 +32,6 @@ from moczsim import (
     estimate_delay,
     estimate_doppler,
     eval_on_zero_grid,
-    expected_end_energy,
     fractional_delay,
     make_beamformers,
     music_angles,
@@ -43,6 +42,7 @@ from moczsim import (
 )
 
 from horner import eval_on_grid
+from zero_pattern import expected_end_energy
 
 RANGE_CELL_M = SPEED_OF_LIGHT / (2 * 100e6)  # 1.499 m at W = 100 MHz
 

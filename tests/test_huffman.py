@@ -14,11 +14,10 @@ from moczsim import (
     derive_side_peak,
     encode,
     encode_batch,
-    encode_zeros,
-    expected_end_energy,
     sequence_from_csv,
     sequence_to_csv,
 )
+from zero_pattern import encode_zeros, expected_end_energy
 
 
 def expected_autocorr(params):
