@@ -144,7 +144,7 @@ class CfarConfig:
             raise ValueError("alpha must be non-negative")
 
 
-def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
+def os_cfar(power, config: CfarConfig, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Ordered-statistic CFAR on a real 1-D correlation power |zeta|^2.
 
     Callers square the profile (calibration draws the power directly); a
@@ -156,8 +156,15 @@ def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     floating point, so alpha * kth is the os_rank-th smallest of the scaled
     references, and ``power[c] > alpha * kth[c]`` holds exactly when at
     least os_rank of the 2*window values ``alpha * ref`` lie below
-    ``power[c]``.  That count is summed over shifted views of one circularly
-    extended copy of ``alpha * power``; the ordered statistic, and so the
+    ``power[c]``.  The comparisons read shifted views of one circularly
+    extended copy of ``alpha * power``, written into ``scratch`` (a float
+    array of ``power.size + 2 * (window + guard)`` values, allocated when
+    omitted).  When os_rank is at least 3/4 of the 2*window references,
+    the count runs in two stages: the window references before every cell
+    first, then the window after it only for the cells within window of
+    os_rank.  Both stages make the same comparisons, so the result is
+    exact.  At lower ranks too many cells would reach the second stage, and
+    one pass counts all 2*window.  The ordered statistic, and so the
     threshold, is computed for the detected cells only.
 
     Returns the detected cells in ascending order, as an integer array, and
@@ -167,23 +174,32 @@ def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     if power.ndim != 1 or np.iscomplexobj(power):
         raise ValueError(f"CFAR needs a real 1-D power, got {power.dtype} of shape {power.shape}")
     n = power.size
-    reach = config.window + config.guard
+    window, rank = config.window, config.os_rank
+    reach = window + config.guard
     if n < 2 * reach + 1:
         raise ValueError(f"frame of {n} cells shorter than CFAR span {2 * reach + 1}")
     one_side = np.arange(config.guard + 1, reach + 1)
     offsets = np.concatenate([-one_side, one_side])
 
-    scaled = config.alpha * power
-    wrapped = np.concatenate([scaled[n - reach :], scaled, scaled[:reach]])
+    if scratch is None:
+        scratch = np.empty(n + 2 * reach, dtype=np.result_type(config.alpha, power))
+    np.multiply(config.alpha, power, out=scratch[reach : reach + n])
+    scratch[:reach] = scratch[n : n + reach]
+    scratch[reach + n :] = scratch[reach : 2 * reach]
+    first = window if 4 * rank >= 3 * offsets.size else offsets.size
     below = np.empty(n, dtype=bool)
     count = np.zeros(n, dtype=np.min_scalar_type(offsets.size))
-    for off in offsets:
-        np.less(wrapped[reach + off : reach + off + n], power, out=below)
-        count += below
-    cells = np.nonzero(count >= config.os_rank)[0]
+    for off in offsets[:first]:
+        np.less(scratch[reach + off : reach + off + n], power, out=below)
+        count += below.view(np.uint8)  # as integers, without a cast per element
+    cells = np.nonzero(count >= rank - (offsets.size - first))[0]
+    count, cell_power = count[cells], power[cells]
+    for off in offsets[first:]:
+        count += scratch[reach + off :][cells] < cell_power
+    cells = cells[count >= rank]
 
     ref = power[(cells[:, None] + offsets[None, :]) % n]
-    kth = np.partition(ref, config.os_rank - 1, axis=1)[:, config.os_rank - 1]
+    kth = np.partition(ref, rank - 1, axis=1)[:, rank - 1]
     return cells, config.alpha * kth
 
 

@@ -263,6 +263,41 @@ class TestOsCfar:
         power = np.abs(z) ** 2
         matched_os_cfar(power, cfg)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        window=st.integers(1, 16),
+        guard=st.integers(0, 3),
+        extra=st.sampled_from([0, 1, 2, 7, 64, 300]),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+        levels=st.sampled_from([0, 1, 4]),
+        targets=st.sampled_from([0.0, 0.02, 0.3]),
+        specials=st.sampled_from([0.0, 0.01, 0.2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_rank_and_both_count_stages_match_gather_oracle(
+        self, window, guard, extra, alpha, levels, targets, specials, seed
+    ):
+        # Every rank, so both sides of the two-stage split (4*os_rank >=
+        # 3*(2*window)) run on each frame: Exp(1) noise, quantised for ties,
+        # with strong targets and with NaN and inf cells.
+        reach = window + guard
+        n = 2 * reach + 1 + extra
+        rng = np.random.default_rng(seed)
+        power = rng.standard_exponential(n)
+        if levels:
+            power = np.round(power * levels) / levels
+        power[rng.random(n) < targets] *= 1e4
+        special = rng.random(n) < specials
+        power[special] = rng.choice([np.nan, np.inf], special.sum())
+        scratch = np.full(n + 2 * reach, np.nan)
+        for rank in range(1, 2 * window + 1):
+            cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=0.5, alpha=alpha)
+            with np.errstate(invalid="ignore"):  # 0 * inf when alpha is 0
+                cells, thresholds = matched_os_cfar(power, cfg)
+                in_scratch = os_cfar(power, cfg, scratch)
+            assert np.array_equal(in_scratch[0], cells)
+            assert np.array_equal(in_scratch[1], thresholds)
+
     @pytest.mark.parametrize("shape", [(4, 64), (64, 1), ()])
     def test_non_1d_profile_raises_naming_the_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):

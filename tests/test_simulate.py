@@ -291,6 +291,7 @@ class TestEnergyAccounting:
 # window 4, guard 1, os_rank 6, pfa 1e-2, eight chunks of CFAR_CHUNK cells.
 CFAR_CHUNK = 65_536
 PINNED_CFAR_DETECTIONS = 5275
+PINNED_CFAR_CHUNK_HITS = [666, 644, 654, 713, 642, 646, 621, 689]
 
 
 def small_cfar_config(seed):
@@ -309,6 +310,38 @@ class TestCfarCalibration:
         assert records["1"] == records["2"]
         assert records["1"][0]["detections"] == PINNED_CFAR_DETECTIONS
 
+    def test_each_chunk_matches_its_pinned_hits(self, monkeypatch):
+        # The record holds only the total, so pin each chunk's stream too.
+        hits = []
+
+        def spy(power, config, scratch=None):
+            cells, thresholds = os_cfar(power, config, scratch)
+            hits.append(cells.size)
+            return cells, thresholds
+
+        monkeypatch.setenv("MOCZSIM_THREADS", "1")
+        monkeypatch.setattr(simulate, "os_cfar", spy)
+        run_cfar_calibration(small_cfar_config(404), cells=8 * CFAR_CHUNK)
+        assert hits == PINNED_CFAR_CHUNK_HITS
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+    def test_chunks_reuse_the_task_buffers(self, monkeypatch):
+        # When each chunk drew into a fresh array and os_cfar built its scaled
+        # and wrapped copies afresh, every chunk faulted ~225 pages in: ~3 400
+        # for the 15 chunks beyond the first.  In the task's buffers it is ~30.
+        import resource
+
+        monkeypatch.setenv("MOCZSIM_THREADS", "1")
+        cfg = SimConfig(modulation=ModulationParams(31), cfar=CfarConfig(pfa=1e-2), seed=5)
+
+        def minor_faults(chunks: int) -> int:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_cfar_calibration(cfg, cells=chunks * CFAR_CHUNK)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        minor_faults(1)
+        assert minor_faults(16) - minor_faults(1) < 600
+
     def test_exponential_draw_detects_like_complex_gaussian_noise(self):
         cfg = small_cfar_config(21)
         chunks = 64
@@ -326,9 +359,9 @@ class TestCfarCalibration:
     def test_exponential_draw_matches_complex_gaussian_power(self, monkeypatch):
         drawn = []
 
-        def spy(power, config):
-            drawn.append(power)
-            return os_cfar(power, config)
+        def spy(power, config, scratch=None):
+            drawn.append(power.copy())
+            return os_cfar(power, config, scratch)
 
         monkeypatch.setattr(simulate, "os_cfar", spy)
         run_cfar_calibration(small_cfar_config(22), cells=16 * CFAR_CHUNK)
