@@ -193,6 +193,21 @@ class RadarTarget:
         )
 
 
+def _padded_spectrum(samples, out_len: int) -> np.ndarray:
+    """The ``out_len``-point DFT of each zero-padded frame of ``samples`` (..., L)."""
+    x = np.asarray(samples, dtype=complex)
+    if int(out_len) < x.shape[-1]:
+        raise ValueError("out_len must not truncate the input")
+    return np.fft.fft(x, int(out_len), axis=-1)
+
+
+def _delay(spectrum, shift_samples) -> np.ndarray:
+    """The frames of (..., N) ``spectrum`` delayed by ``shift_samples``, which
+    broadcasts against its leading axes, as (..., N) samples."""
+    ramp = np.fft.fftfreq(spectrum.shape[-1]) * np.asarray(shift_samples)[..., None]
+    return np.fft.ifft(spectrum * np.exp(-2j * np.pi * ramp), axis=-1)
+
+
 def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
     """Band-limited delay by ``shift_samples`` on a frame of ``out_len`` samples.
 
@@ -200,25 +215,19 @@ def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
     shift is circular on that frame, so energy is conserved exactly for any
     fractional shift.  Leading axes of ``samples`` are independent frames.
     """
-    x = np.asarray(samples, dtype=complex)
-    n = int(out_len)
-    if n < x.shape[-1]:
-        raise ValueError("out_len must not truncate the input")
-    spec = np.fft.fft(x, n, axis=-1)  # zero-pads to n
-    spec *= np.exp(-2j * np.pi * np.fft.fftfreq(n) * shift_samples)
-    return np.fft.ifft(spec, axis=-1)
+    return _delay(_padded_spectrum(samples, out_len), shift_samples)
 
 
 def radar_channel_factors(
-    samples, targets, bf: Beamformer, sample_period: float, frame_len: int, start_time=0.0
+    spectrum, targets, bf: Beamformer, sample_period: float, start_time=0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backscatter response at the RF chains as rank-one factors per frame and target.
 
-    ``samples`` (..., L) are transmit samples, already amplitude-scaled, whose
-    leading axes index frames; ``start_time`` (...) is the absolute time of
-    each frame's sample 0, so Doppler stays coherent across frames; delays
-    wrap circularly on frames of ``frame_len`` = N >= L samples of
-    ``sample_period`` T.  Returns the gains (..., T, N_rf),
+    ``spectrum`` (..., N) is the N-point DFT of the zero-padded transmit
+    frames, already amplitude-scaled, whose leading axes index frames;
+    ``start_time`` (...) is the absolute time of each frame's sample 0, so
+    Doppler stays coherent across frames; delays wrap circularly on frames of
+    N samples of ``sample_period`` T.  Returns the gains (..., T, N_rf),
     rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, and the delayed,
     Doppler-ramped waveforms (..., T, N), s(nT - tau_q) e^{2i pi nu_q nT}: the
     Doppler factor splits into a per-frame phase and one per-sample ramp, so
@@ -226,67 +235,88 @@ def radar_channel_factors(
     """
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
-    x = np.asarray(samples, dtype=complex)
-    n = int(frame_len)
+    n = spectrum.shape[-1]
     num_antennas, n_rf = bf.rx_matrix.shape
-    start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
+    start = np.broadcast_to(np.asarray(start_time, dtype=float), spectrum.shape[:-1])
     sample_times = np.arange(n) * sample_period
-    gains = np.empty(x.shape[:-1] + (len(targets), n_rf), dtype=complex)
-    delayed = np.empty(x.shape[:-1] + (len(targets), n), dtype=complex)
+    gains = np.empty(spectrum.shape[:-1] + (len(targets), n_rf), dtype=complex)
+    delayed = np.empty(spectrum.shape[:-1] + (len(targets), n), dtype=complex)
     for q, tg in enumerate(targets):
         a = steering(tg.angle_rad, num_antennas)
         spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
         gains[..., q, :] = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
-        delayed[..., q, :] = fractional_delay(x, tg.delay_s / sample_period, n)
+        delayed[..., q, :] = _delay(spectrum, tg.delay_s / sample_period)
         delayed[..., q, :] *= np.exp(2j * np.pi * tg.doppler_hz * sample_times)
     return gains, delayed
 
 
-def apply_radar_channel(*args, **kwargs) -> np.ndarray:
-    """The (..., N_rf, N) response: ``radar_channel_factors(*args, **kwargs)`` over targets.
+def apply_radar_channel(
+    samples, targets, bf: Beamformer, sample_period: float, frame_len: int, start_time=0.0
+) -> np.ndarray:
+    """The (..., N_rf, N) response to (..., L) transmit ``samples`` on frames of ``frame_len``.
 
-    y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
+    y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n},
+    the product of ``radar_channel_factors`` over targets.
     """
-    gains, delayed = radar_channel_factors(*args, **kwargs)
+    gains, delayed = radar_channel_factors(
+        _padded_spectrum(samples, frame_len), targets, bf, sample_period, start_time
+    )
     return np.swapaxes(gains, -1, -2) @ delayed
+
+
+def _wishart(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
+    """A complex Wishart W_dim(dof, I) by Bartlett's decomposition L L^H; needs dof >= dim."""
+    lower = np.tril(awgn(np.zeros((dim, dim)), 1.0, rng), -1)
+    lower[np.diag_indices(dim)] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
+    return lower @ lower.conj().T
 
 
 def receive_radar(
     samples, targets, bf: Beamformer, sample_period, frame_len, start_time, noise_variance, rng
-) -> tuple[np.ndarray, np.ndarray]:
+):
     """What the receiver reads of the RF-chain block y = S + W of (F, L) frames.
 
-    The first arguments are those of ``radar_channel_factors``; W is
-    CN(0, s2), s2 = ``noise_variance``, drawn from ``rng``.  Returns the
-    combined rows c^H y (F, N) and the covariance sum_f y_f y_f^H / (FN),
-    drawn exactly in distribution without forming y.  In the basis
-    Q = [c, B], row 0 of Q^H y is the combined row, signal plus fresh noise.
-    Each target's signal is rank one per frame, so rows 1..N_rf-1 reach the
-    covariance only through their coordinates on an orthonormal basis E_f of
-    span{delayed waveforms, combined row}, the projected signal plus
-    F(T+1)(N_rf-1) CN(0, s2) draws, and the Gram of the rest of their noise,
-    a complex Wishart W_{N_rf-1}(F(N-T-1), s2 I) (Goodman, Ann. Math.
-    Statist. 1963) drawn by Bartlett's decomposition (Proc. R. Soc. Edinb.
-    1933).  Householder QR gives R_f = E_f^H [delayed, combined], and stays
-    exact when the span has lower rank.  Needs F(N-T-1) >= N_rf - 1.
+    The arguments are those of ``apply_radar_channel``, then s2 =
+    ``noise_variance`` of W and the ``rng`` it is drawn from.  Returns frame
+    0's combined row c^H y_0 (N,) and ``rest(lags)``, to call once after
+    detection on it, which returns the (F-1, D) values <c^H y_f, k_fj> of
+    frames f >= 1 at D ``lags`` (k_fj: frame f of ``samples`` delayed by lag
+    j, as ``correlation_value_at`` reads it off the cross-spectrum) and the
+    covariance sum_f y_f y_f^H / (FN), all exactly in distribution.  In the
+    basis Q = [c, B] each target's signal is rank one per frame.  Frame 0's
+    rows 1.. enter through their coordinates on an orthonormal basis of
+    span{T delayed waveforms, combined row} and a complex Wishart
+    W_{N_rf-1}(N-T-1, s2 I) for the rest of their noise; the N_rf rows of a
+    frame f >= 1 through their coordinates on a basis of span{T waveforms,
+    D kernels k_fj} and one W_{N_rf}((F-1)(N-T-D), s2 I) for all such frames
+    (Goodman, Ann. Math. Statist. 1963; Bartlett, Proc. R. Soc. Edinb. 1933).
+    The lags depend only on frame 0's noise, so the draw stays exact.
+    Householder QR gives the coordinates, also when a span has lower rank.
     """
-    gains, delayed = radar_channel_factors(
-        samples, targets, bf, sample_period, frame_len, start_time
-    )
+    spectrum = _padded_spectrum(samples, frame_len)
+    gains, delayed = radar_channel_factors(spectrum, targets, bf, sample_period, start_time)
     coords = gains @ bf.basis.conj()  # (F, T, N_rf): Q^H of each target's gains
-    signal = np.einsum("ft,ftn->fn", coords[..., 0], delayed)
-    combined = awgn(signal, noise_variance, rng, frame_axes=1)
-    spanning = np.concatenate((delayed, combined[:, None, :]), axis=1)
-    r = np.linalg.qr(spanning.swapaxes(1, 2), mode="r")  # (F, T+1, T+1)
-    rest = awgn(r[..., :-1] @ coords[..., 1:], noise_variance, rng)  # rows 1.. on E_f
-    rows = np.concatenate((r[..., -1:], rest), axis=-1)  # (F, T+1, N_rf)
-    gram = np.einsum("fdi,fdj->ij", rows, rows.conj())
-    m, dof = gram.shape[0] - 1, combined.size - rows[..., 0].size  # dof = F(N - T - 1)
-    lower = np.tril(awgn(np.zeros((m, m)), 1.0, rng), -1)
-    lower[np.diag_indices(m)] = np.sqrt(rng.standard_gamma(dof - np.arange(m)))
-    gram[1:, 1:] += noise_variance * (lower @ lower.conj().T)
-    cov = bf.basis @ gram @ bf.basis.conj().T / combined.size
-    return combined, 0.5 * (cov + cov.conj().T)
+    n_frames, n_targets, n = delayed.shape
+    combined = awgn(coords[0, :, 0] @ delayed[0], noise_variance, rng)
+    r = np.linalg.qr(np.column_stack((delayed[0].T, combined)), mode="r")  # (T+1, T+1)
+    rows = np.concatenate((r[:, -1:], awgn(r[:, :-1] @ coords[0, :, 1:], noise_variance, rng)), 1)
+    gram = rows.T @ rows.conj()  # frame 0's rows on E_0, as (N_rf, N_rf) inner products
+    gram[1:, 1:] += noise_variance * _wishart(gram.shape[0] - 1, n - n_targets - 1, rng)
+
+    def rest(lags):
+        kernels = _delay(spectrum[1:, None, :], np.asarray(lags, dtype=float))  # (F-1, D, N)
+        spanning = np.concatenate((delayed[1:], kernels), axis=1)
+        r = np.linalg.qr(spanning.swapaxes(1, 2), mode="r")  # (F-1, T+D, T+D)
+        rows = awgn(r[..., :n_targets] @ coords[1:], noise_variance, rng)  # all rows on E_f
+        values = np.einsum("fd,fdj->fj", rows[..., 0], r[..., n_targets:].conj())
+        total = gram + np.einsum("fdi,fdj->ij", rows, rows.conj())
+        if n_frames > 1:
+            dof = (n_frames - 1) * (n - r.shape[-1])
+            total += noise_variance * _wishart(total.shape[0], dof, rng)
+        cov = bf.basis @ total @ bf.basis.conj().T / (n_frames * n)
+        return values, 0.5 * (cov + cov.conj().T)
+
+    return combined, rest
 
 
 def awgn(

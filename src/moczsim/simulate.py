@@ -151,11 +151,16 @@ class SimConfig:
                 raise ValueError(
                     f"targets[{i}].rcs_dbsm must lie within +-{DB_LIMIT} dB, got {spec.rcs_dbsm}"
                 )
-        n_frames = self.schedule.frames_per_cpi
-        if n_frames * (self.frame_len - len(self.targets) - 1) < self.array.num_rf_chains - 1:
+        # The two Wishart draws of channel.receive_radar need these, with D <= T.
+        n_frames, n_rf = self.schedule.frames_per_cpi, self.array.num_rf_chains
+        n_targets = len(self.targets)
+        if self.frame_len - n_targets - 1 < n_rf - 1 or (
+            n_frames >= 2 and (n_frames - 1) * (self.frame_len - 2 * n_targets) < n_rf
+        ):
             raise ValueError(
-                f"frame_len = {self.frame_len} is too short for the radar receive draw: "
-                "need frames_per_cpi * (frame_len - targets - 1) >= n_rf - 1"
+                f"frame_len = {self.frame_len} is too short for the radar receive draw: need "
+                "frame_len - targets - 1 >= n_rf - 1 and, with frames_per_cpi >= 2, "
+                "(frames_per_cpi - 1) * (frame_len - 2 * targets) >= n_rf"
             )
         # The CPI's summed peak correlation power is at most
         # F EIRP L N_a lambda^2 sigma / ((4 pi)^3 r^4); in dB no term overflows.
@@ -303,7 +308,7 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     through the whole chain before the next, so a block bounds the memory.
     ``batch_size`` only sets the packets of one worker task, rounded up to
     whole blocks; it never changes the output.  A task allocates one buffer
-    set and every stage of every block runs in it.
+    set, sized to its first block, and every stage of every block runs in it.
     """
     params = cfg.modulation
     k = params.num_bits
@@ -320,9 +325,11 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
         def task_errors(blocks: range) -> int:
             # The packets stay in ``signal`` from encode to decode, the fade's
             # padded rows and the decoder's grids use ``work``, and ``real``
-            # holds the messages as floats, then the margins.
-            signal, work = np.empty((2, _BER_BLOCK * padded_len), dtype=complex)
-            real = np.empty((_BER_BLOCK, k))
+            # holds the messages as floats, then the margins, each for the
+            # task's first block, its largest.
+            rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
+            signal, work = np.empty((2, rows * padded_len), dtype=complex)
+            real = np.empty((rows, k))
             errors = 0
             for block in blocks:
                 rng = _rng_for(cfg.seed, 1, point_idx, block)
@@ -361,8 +368,9 @@ def _radar_trial(
 ) -> tuple[int, list[dict], list[tuple[float, float, float]]]:
     """One coherent processing interval: frames, detection, and estimation.
 
-    The receiver reads the RF chains only through the combined rows and the
-    covariance, so ``receive_radar`` draws just those, exactly in distribution.
+    The receiver reads frames 1..F-1 only through one correlation value per
+    target detected on frame 0, at its frame-0 delay, and the covariance, so
+    ``receive_radar`` draws them after detection, exactly in distribution.
 
     Returns the count of CFAR cells more than two cells from every target,
     then two lists with one entry per detected target, in target order: the
@@ -391,22 +399,21 @@ def _radar_trial(
     # power at the elements matches the budget.
     amp = math.sqrt(link.eirp_watts / cfg.array.num_antennas * params.seq_len)
 
-    # The whole CPI is one (F, N) block.  Only frame 0's profile goes to the
-    # CFAR; delay refinement and the Doppler phases read the cross-spectrum.
     # Frames carry no pilots or preambles and run back to back, frame f
-    # starting at f * N / w.
+    # starting at f * N / w.  Only frame 0's profile goes to the CFAR; delay
+    # refinement and its Doppler phase read its cross-spectrum.
     msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
     frames_tx = encode_batch(msgs, params)
     frame_times = np.arange(n_frames) * cfg.frame_s
-    combined, cov = receive_radar(
+    combined, rest = receive_radar(
         amp * frames_tx, targets, bf, t_sample, n, frame_times, link.noise_variance, rng
     )
-    spectra = cross_spectrum(frames_tx, combined)
+    spectrum = cross_spectrum(frames_tx[0], combined)
 
     # Scoring: a cell within two cells of a target's true cell, on the
     # circular frame, belongs to that target; every other CFAR cell is a
     # false alarm.
-    power = np.abs(np.fft.ifft(spectra[0])) ** 2
+    power = np.abs(np.fft.ifft(spectrum)) ** 2
     cells, thresholds = os_cfar(power, cfg.cfar)
     peaks = cluster_detections(cells, power, n)
     true_cells = [round(tg.delay_s / t_sample) % n for tg in targets]
@@ -417,19 +424,21 @@ def _radar_trial(
 
     false_cells = sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
     matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
+    detected = []  # (target, cell, delay) of each detected target
+    for tg, tc in zip(targets, true_cells):
+        best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
+        if best is not None:
+            detected.append((tg, best, estimate_delay(spectrum, best, t_sample)))
+    values, cov = rest([delay_hat / t_sample for _, _, delay_hat in detected])
     num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
     angles = music_angles(cov, bf.rx_matrix, num_sources, cfg.schedule.segment)
 
     unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
     samples, errors = [], []
-    for tg, tc in zip(targets, true_cells):
-        best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
-        if best is None:
-            continue
-        delay_hat = estimate_delay(spectra[0], best, t_sample)
+    for j, (tg, best, delay_hat) in enumerate(detected):
         if n_frames >= 2:
-            phases = np.angle(correlation_value_at(spectra, delay_hat / t_sample))
-            doppler_hat = estimate_doppler(phases, frame_times)
+            first = correlation_value_at(spectrum, delay_hat / t_sample)
+            doppler_hat = estimate_doppler(np.angle([first, *values[:, j]]), frame_times)
         else:
             doppler_hat = float("nan")
         angle_hat = (
@@ -469,9 +478,10 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     per-cell false alarm probability at its calibrated value); delay comes
     from band-limited peak refinement, Doppler from the correlation-peak
     phases across the CPI frames, and the angle from beam-domain MUSIC on the
-    CPI-averaged covariance.  A CPI draws only the combined rows and that
-    covariance; the RF-chain noise they do not show one by one enters as a
-    complex Wishart (Goodman 1963) drawn by Bartlett's decomposition (1933).
+    CPI-averaged covariance.  A CPI draws frame 0's combined row, then, after
+    detection, the later frames' correlation values at the detected delays
+    and the covariance; the noise they do not show one by one enters as two
+    complex Wisharts (Goodman 1963) drawn by Bartlett's decomposition (1933).
     One record per sweep point; with no range_grid_m configured there is a
     single point at the scenario ranges.
     """

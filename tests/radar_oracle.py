@@ -2,21 +2,30 @@
 ``channel.receive_radar`` is checked against.
 
 It forms the (F, N_rf, N) channel output, adds one noise block per frame in
-frame order, and reads the sample covariance and the combined rows off the
-noisy block, as the CPI did before it drew only what the receiver reads.
+frame order, and reads the combined rows, the correlation values of frames
+1..F-1 and the sample covariance off the noisy block, as the CPI did before
+it drew only what the receiver reads.
 """
 
+import numpy as np
+
 from moczsim.channel import apply_radar_channel, awgn
-from moczsim.radar import sample_covariance
+from moczsim.radar import correlation_value_at, cross_spectrum, sample_covariance
 
 
 def receive_radar(
     samples, targets, bf, sample_period, frame_len, start_time, noise_variance, rng
 ):
-    """``(combined, cov)`` of the noisy (F, N_rf, N) block, with the
-    arguments of ``channel.receive_radar``."""
+    """``(combined row of frame 0, rest)`` of the noisy (F, N_rf, N) block,
+    with the arguments and results of ``channel.receive_radar``."""
     rx = apply_radar_channel(samples, targets, bf, sample_period, frame_len, start_time)
     rx = awgn(rx, noise_variance, rng, frame_axes=1)
     # A (1, N_rf) row, not a vector: matmul then makes one BLAS call per frame.
     combined = (bf.combiner.conj()[None, :] @ rx)[..., 0, :]
-    return combined, sample_covariance(rx)
+
+    def rest(lags):
+        lags = np.asarray(lags, dtype=float)
+        values = correlation_value_at(cross_spectrum(samples[1:], combined[1:]), lags)
+        return values, sample_covariance(rx)
+
+    return combined[0], rest

@@ -1,12 +1,13 @@
 """The radar CPI's reduced receive draw against the full RF-chain block.
 
-``channel.receive_radar`` draws the combined rows and the sample covariance
+``channel.receive_radar`` draws frame 0's combined row, then the later
+frames' correlation values at the detected lags and the sample covariance,
 without forming the (F, N_rf, N) block; ``radar_oracle.receive_radar`` forms
-the block and adds noise to every entry.  On a small frame (N=16, F=2, T=1,
-N_rf=4), where the projected noise, the signal coordinates and the
-Wishart's degrees of freedom each move the covariance, the two must agree
-exactly without noise and in distribution with it.  The two-sample tests use
-numpy only.
+the block and adds noise to every entry.  On a small CPI (N=16, F=3, T=1,
+N_rf=4), where the projected noise, the signal coordinates, the kernels and
+the Wisharts' degrees of freedom each move a feature, the two must agree
+exactly without noise and in distribution with it, both with one kernel
+lag (D = 1) and with none (D = 0).  The two-sample tests use numpy only.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from moczsim import ArrayConfig, ModulationParams, RadarTarget, cross_spectrum, 
 from moczsim import make_beamformers
 from moczsim.channel import receive_radar
 
-FRAMES, FRAME_LEN, K, SAMPLE_PERIOD = 2, 16, 7, 1e-8
+FRAMES, FRAME_LEN, K, SAMPLE_PERIOD = 3, 16, 7, 1e-8
 BF = make_beamformers((-0.3, 0.3), ArrayConfig(8, 4))
 TX = 6.0 * encode_batch(
     np.random.default_rng(7).integers(0, 2, (FRAMES, K), dtype=np.int8), ModulationParams(K)
@@ -27,11 +28,15 @@ STARTS = np.arange(FRAMES) * FRAME_LEN * SAMPLE_PERIOD
 # orthogonal to the combiner.
 TARGET = RadarTarget(gain=0.4 - 0.3j, angle_rad=0.35, delay_s=3.4e-8, doppler_hz=2e6)
 PEAK_CELL = 3
-DRAWS = 4000
+# The kernel lag: near the target's delay, but not on it, so the kernels
+# are not parallel to the delayed waveforms.
+LAG = 3.1
+DRAWS = 2500
 
 
-def receive(fn, targets, noise_variance, rng):
-    return fn(TX, targets, BF, SAMPLE_PERIOD, FRAME_LEN, STARTS, noise_variance, rng)
+def receive(fn, targets, noise_variance, rng, lags):
+    combined, rest = fn(TX, targets, BF, SAMPLE_PERIOD, FRAME_LEN, STARTS, noise_variance, rng)
+    return (combined, *rest(lags))
 
 
 @pytest.mark.parametrize(
@@ -40,41 +45,61 @@ def receive(fn, targets, noise_variance, rng):
         [],
         [TARGET],
         # Two targets at one delay and Doppler: the waveforms are parallel, so
-        # the span of the waveforms and the combined row has rank 1.
+        # each span of the waveforms and a combined row or kernel has lower
+        # rank.
         [TARGET, RadarTarget(gain=0.2j, angle_rad=-0.1, delay_s=3.4e-8, doppler_hz=2e6)],
     ],
     ids=["no-target", "one-target", "two-targets-one-delay"],
 )
 def test_noiseless_receive_equals_the_full_block(targets):
-    combined, cov = receive(receive_radar, targets, 0.0, np.random.default_rng(1))
-    want_combined, want_cov = receive(radar_oracle.receive_radar, targets, 0.0, None)
-    scale = max(np.max(np.abs(want_cov)), 1e-300)
-    np.testing.assert_allclose(combined, want_combined, rtol=0, atol=1e-12)
-    assert np.max(np.abs(cov - want_cov)) <= 1e-12 * scale
-    np.testing.assert_array_equal(cov, cov.conj().T)
+    for lags in ([], [LAG], [LAG, 9.0]):
+        combined, values, cov = receive(receive_radar, targets, 0.0, np.random.default_rng(1), lags)
+        want_combined, want_values, want_cov = receive(
+            radar_oracle.receive_radar, targets, 0.0, None, lags
+        )
+        scale = max(np.max(np.abs(want_cov)), 1e-300)
+        np.testing.assert_allclose(combined, want_combined, rtol=0, atol=1e-12)
+        assert values.shape == want_values.shape == (FRAMES - 1, len(lags))
+        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-11)
+        assert np.max(np.abs(cov - want_cov)) <= 1e-12 * scale
+        np.testing.assert_array_equal(cov, cov.conj().T)
 
 
-def features(fn, seed):
-    """Per draw: the covariance's real diagonal, the real and imaginary parts
-    of its strict upper triangle, and frame 0's correlation power at the
-    target's cell."""
-    upper = np.triu_indices(4, 1)
+UPPER = np.triu_indices(4, 1)
+
+
+def features(fn, seed, lags):
+    """Per draw: the covariance's real diagonal and the real and imaginary
+    parts of its strict upper triangle; the real and imaginary parts of the
+    correlation value of each frame >= 1 at each lag; and frame 0's
+    correlation power at the target's cell."""
+    combined = np.empty((DRAWS, FRAME_LEN), dtype=complex)
     covs = np.empty((DRAWS, 4, 4), dtype=complex)
-    power = np.empty(DRAWS)
+    values = np.empty((DRAWS, FRAMES - 1, len(lags)), dtype=complex)
     for i in range(DRAWS):
-        combined, covs[i] = receive(fn, [TARGET], 1.0, np.random.default_rng([seed, i]))
-        power[i] = np.abs(np.fft.ifft(cross_spectrum(TX[0], combined[0]))[PEAK_CELL]) ** 2
+        combined[i], values[i], covs[i] = receive(
+            fn, [TARGET], 1.0, np.random.default_rng([seed, i]), lags
+        )
+    power = np.abs(np.fft.ifft(cross_spectrum(TX[0], combined))[:, PEAK_CELL]) ** 2
     entries = np.concatenate(
-        [covs[:, range(4), range(4)].real, covs[:, upper[0], upper[1]].real,
-         covs[:, upper[0], upper[1]].imag],
+        [covs[:, range(4), range(4)].real, covs[:, UPPER[0], UPPER[1]].real,
+         covs[:, UPPER[0], UPPER[1]].imag],
         axis=1,
     )
-    return entries, power
+    flat = values.reshape(DRAWS, -1)
+    return entries, np.concatenate([flat.real, flat.imag], axis=1), power
 
 
 @pytest.fixture(scope="module")
 def samples():
-    return features(receive_radar, 1), features(radar_oracle.receive_radar, 2)
+    """(reduced, block) features with one kernel lag."""
+    return features(receive_radar, 1, [LAG]), features(radar_oracle.receive_radar, 2, [LAG])
+
+
+@pytest.fixture(scope="module")
+def samples_no_detection():
+    """(reduced, block) features with no lag: frames >= 1 feed only the covariance."""
+    return features(receive_radar, 3, []), features(radar_oracle.receive_radar, 4, [])
 
 
 def two_sample_z(x, y):
@@ -84,29 +109,45 @@ def two_sample_z(x, y):
     )
 
 
-# 16 covariance features per test; |z| < 5 fails a true null with a chance
-# of about 1e-5 over all of them.
+def variances_z(x, y):
+    """Welch z of the column variances of two (draws, features) samples."""
+    return two_sample_z((x - x.mean(axis=0)) ** 2, (y - y.mean(axis=0)) ** 2)
+
+
+# At most 32 features per test; |z| < 5 fails a true null with a chance of
+# about 2e-5 over all of them.
 Z_LIMIT = 5.0
 
 
 def test_covariance_entry_means_agree(samples):
-    (reduced, _), (block, _) = samples
+    (reduced, *_), (block, *_) = samples
     z = two_sample_z(reduced, block)
     assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
 
 
 def test_covariance_entry_variances_agree(samples):
-    (reduced, _), (block, _) = samples
-    z = two_sample_z(
-        (reduced - reduced.mean(axis=0)) ** 2, (block - block.mean(axis=0)) ** 2
-    )
+    (reduced, *_), (block, *_) = samples
+    z = variances_z(reduced, block)
+    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
+
+
+def test_correlation_value_means_and_variances_agree(samples):
+    (_, reduced, _), (_, block, _) = samples
+    z = np.concatenate([two_sample_z(reduced, block), variances_z(reduced, block)])
+    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
+
+
+def test_covariance_without_detections_agrees(samples_no_detection):
+    (reduced, values, _), (block, block_values, _) = samples_no_detection
+    assert values.shape == block_values.shape == (DRAWS, 0)
+    z = np.concatenate([two_sample_z(reduced, block), variances_z(reduced, block)])
     assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
 
 
 def test_frame_zero_cfar_power_has_one_distribution(samples):
-    (_, reduced), (_, block) = samples
-    # Two-sample Kolmogorov-Smirnov statistic; at 4000 draws a side its 1e-4
-    # critical value is sqrt(-log(0.5e-4) / 2) * sqrt(2 / 4000) = 0.0497.
+    (*_, reduced), (*_, block) = samples
+    # Two-sample Kolmogorov-Smirnov statistic; at 2500 draws a side its 1e-4
+    # critical value is sqrt(-log(0.5e-4) / 2) * sqrt(2 / 2500) = 0.0629.
     grid = np.sort(np.concatenate([reduced, block]))
     cdf = [np.searchsorted(np.sort(x), grid, side="right") / x.size for x in (reduced, block)]
-    assert np.max(np.abs(cdf[0] - cdf[1])) < 0.0497
+    assert np.max(np.abs(cdf[0] - cdf[1])) < 0.0629

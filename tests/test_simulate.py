@@ -105,17 +105,41 @@ BAD_CONFIGS = [
         {"targets": [{"range_m": 50.0, "rcs_dbsm": 3000.0}], "range_grid_m": [50.0, 1e-3]},
         "range_grid_m[1] = 0.001 m: the peak correlation power",
     ),
-    # The radar's Wishart draw needs frames_per_cpi * (N - T - 1) >= n_rf - 1
-    # degrees of freedom: 1 * (32 - 1 - 1) < 63.
+    # The radar's two Wishart draws need frame 0's N - T - 1 >= n_rf - 1 and,
+    # for F >= 2, the later frames' (F - 1)(N - 2T) >= n_rf degrees of
+    # freedom.  Each of these is one n_rf past its bound, and the other
+    # bound holds: 32 - 1 - 1 < 32 - 1 with one frame, then 1 * (32 - 2) < 31
+    # and 32 - 1 - 1 >= 31 - 1 with two frames and one target, and
+    # 1 * (32 - 4) < 29 with two frames and two targets.
     (
         {
             "modulation": {"k": 31},
             "frame_len": 32,
-            "array": {"n_rf": 64},
+            "array": {"n_rf": 32},
             "schedule": {"frames_per_cpi": 1},
             "targets": [{"range_m": 30.0}],
         },
         "frame_len = 32 is too short",
+    ),
+    (
+        {
+            "modulation": {"k": 31},
+            "frame_len": 32,
+            "array": {"n_rf": 31},
+            "schedule": {"frames_per_cpi": 2},
+            "targets": [{"range_m": 30.0}],
+        },
+        "frame_len = 32 is too short for the radar receive draw",
+    ),
+    (
+        {
+            "modulation": {"k": 31},
+            "frame_len": 32,
+            "array": {"n_rf": 29},
+            "schedule": {"frames_per_cpi": 2},
+            "targets": [{"range_m": 30.0}, {"range_m": 15.0}],
+        },
+        "frame_len = 32 is too short for the radar receive draw: need",
     ),
 ]
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
@@ -192,6 +216,24 @@ class TestRunBer:
         finally:
             tracemalloc.stop()
         assert peak < 9e6
+
+    def test_task_buffers_are_sized_to_the_task(self, monkeypatch):
+        # A 16-packet task at K=511 allocated the 1024-packet buffer set,
+        # 21.4 MB, for its 16 rows.  Sized to the task it takes ~0.6 MB.
+        monkeypatch.setenv("MOCZSIM_THREADS", "1")
+        cfg = SimConfig(
+            modulation=ModulationParams(511), channel_model="rician_selective",
+            snr_grid_db=(6.0,), trials=16, batch_size=16,
+        )
+        first = run_ber(cfg)  # fills the encoder's cached log basis
+        tracemalloc.start()
+        try:
+            again = run_ber(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.records == first.records
+        assert peak < 1e6
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
     def test_blocks_reuse_the_task_buffers(self, monkeypatch):
@@ -646,6 +688,27 @@ class TestRadarEdges:
         assert math.isnan(rec["rmse_angle_deg"])
         assert math.isfinite(rec["rmse_range_m"]) and math.isfinite(rec["rmse_velocity_mps"])
 
+    @pytest.mark.parametrize(
+        "n_rf, frames, ranges",
+        [(31, 1, (30.0,)), (30, 2, (30.0,)), (28, 2, (30.0, 15.0))],
+        ids=["frame-0-bound", "later-frames-bound", "later-frames-bound-two-targets"],
+    )
+    def test_configs_at_the_receive_draw_bounds_run(self, n_rf, frames, ranges):
+        # Each config sits on a bound that the BAD_CONFIGS entries step past,
+        # and every target is detected, so the later frames' Wishart gets
+        # exactly n_rf degrees of freedom when frames >= 2.
+        cfg = SimConfig(
+            modulation=ModulationParams(31),
+            frame_len=32,
+            array=ArrayConfig(64, n_rf),
+            schedule=FrameSchedule(frames_per_cpi=frames),
+            trials=2,
+            targets=tuple(TargetSpec(range_m=r) for r in ranges),
+        )
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        rec = run_radar(cfg).records[0]
+        assert rec["detection_rate"] == 1.0
+
 
 # run_radar on configs/scene.json at 6 trials (config seed 1), recorded from
 # the frame-by-frame CPI loop before the CPI became one batched block, and
@@ -662,14 +725,16 @@ SCENE_RECORDS = (
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.0003255208333333333),
 )
 
-# The same run with the CPI's reduced receive draw (channel.receive_radar).
+# The same run with the CPI's reduced receive draw (channel.receive_radar),
+# which draws frame 0's combined row as the full block does and frames
+# 1..F-1 as their correlation values and covariance share after detection.
 REDUCED_SCENE_RECORDS = (
-    (30.0, 1.0, 0.005238914835904607, 0.03555557171741499, 0.07009379416179365,
+    (30.0, 1.0, 0.005238914835901689, 0.02899388093171463, 0.07024782824290689,
      0.0021158854166666665),
-    (60.0, 1.0, 0.02005357779362982, 0.12706534404841555, 0.06706553704786045,
+    (60.0, 1.0, 0.020053577793625363, 0.09993909067318467, 0.06942587183040312,
      0.0011393229166666667),
-    (120.0, 0.6666666666666666, 0.16766086519310802, 0.3374868859241787,
-     0.42491174136923077, 0.0),
+    (120.0, 0.6666666666666666, 0.16766086519312048, 0.36427393931704244,
+     0.20509120198255248, 0.0),
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.00016276041666666666),
 )
 
