@@ -319,16 +319,12 @@ def receive_radar(
     return combined, rest
 
 
-def awgn(
-    samples, noise_variance: float, rng: np.random.Generator, frame_axes: int = 0, out=None
-) -> np.ndarray:
+def awgn(samples, noise_variance: float, rng: np.random.Generator, out=None) -> np.ndarray:
     """Add circular complex Gaussian noise of the given per-sample variance, drawn from ``rng``.
 
-    The noise of each block over the trailing axes is drawn as its real part,
-    then its imaginary part.  ``frame_axes`` leading axes index such blocks,
-    so a stack of frames draws the same stream as one call per frame in
-    order; with the default 0 the whole array is one block.  The result goes
-    to ``out`` when given, which may be ``samples`` itself.
+    The noise of the whole array is drawn as its real part, then its
+    imaginary part.  The result goes to ``out`` when given, which may be
+    ``samples`` itself.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be non-negative")
@@ -340,17 +336,15 @@ def awgn(
     if noise_variance == 0:
         np.copyto(out, x)
         return out
-    # The stream fills the float (frames, 2, size) view of real then
-    # imaginary parts, in pieces of at most _DRAW_CHUNK values: whole
-    # frames while one fits, else cuts along a frame's parts.
-    frames, size = math.prod(x.shape[:frame_axes]), math.prod(x.shape[frame_axes:])
-    xs, outs = (a.reshape(frames, size, 1).view(np.float64).swapaxes(1, 2) for a in (x, out))
-    step = _DRAW_CHUNK // max(2 * size, 1)
-    pieces = [np.s_[f : f + step] for f in range(0, frames, step)] if step else [
-        np.s_[f, p, s : s + _DRAW_CHUNK]
-        for f in range(frames) for p in (0, 1) for s in range(0, size, _DRAW_CHUNK)
+    # The stream fills the float (2, size) view of real then imaginary
+    # parts, in pieces of at most _DRAW_CHUNK values: whole while it fits,
+    # else cuts along each part.
+    size = x.size
+    xs, outs = (a.reshape(size, 1).view(np.float64).T for a in (x, out))
+    pieces = [np.s_[:]] if 2 * size <= _DRAW_CHUNK else [
+        np.s_[p, s : s + _DRAW_CHUNK] for p in (0, 1) for s in range(0, size, _DRAW_CHUNK)
     ]
-    draw = np.empty(min(2 * x.size, _DRAW_CHUNK))
+    draw = np.empty(min(2 * size, _DRAW_CHUNK))
     scale = math.sqrt(noise_variance / 2.0)
     for piece in pieces:
         noise = rng.standard_normal(out=draw[: xs[piece].size]).reshape(xs[piece].shape)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -36,14 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
-
-# Negative numbers as float() reads them, exponents, inf and nan included.
-# argparse's own pattern covers only forms such as -10 and -2.5, and takes
-# -1e1 or -inf for an option.
-_NEGATIVE_NUMBER = re.compile(
-    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
-)
-
 
 def parse_bit_string(text: str, num_bits: int | None = None) -> np.ndarray:
     """Parse a payload given as binary ("10", "0b10") or hex ("0x2", needs --k)."""
@@ -136,21 +127,9 @@ def _cmd_af(args) -> int:
     return EXIT_OK
 
 
-def _override_config(cfg, args):
-    from dataclasses import replace
-
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "snr_db", None) is not None:
-        cfg = replace(cfg, snr_grid_db=tuple(args.snr_db))
-    if getattr(args, "trials", None) is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg
-
-
 def _cmd_run(args) -> int:
     """``ber`` and ``radar``: run the experiment, write <command>.csv and its summary."""
-    cfg = _override_config(load_config(args.config), args)
+    cfg = load_config(args.config, args.overrides)
     result = args.run(cfg)
     csv_path, json_path = write_result(result, args.out, args.command, cfg)
     print(f"wrote {csv_path} and {json_path}")
@@ -158,8 +137,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate_cfar(args) -> int:
-    cfg = _override_config(load_config(args.config), args)
-    result = run_cfar_calibration(cfg, cells=args.cells)
+    cfg = load_config(args.config, args.overrides)
+    result = run_cfar_calibration(cfg)
     text = result.to_json() + "\n"
     sys.stdout.write(text)
     if args.out is not None:
@@ -211,14 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_common(p):
         p.add_argument("--config", required=True, help="JSON configuration path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="set a config key, e.g. cfar.pfa=1e-3 (repeatable)")
 
     p = sub.add_parser("ber", help="run a bit-error-rate sweep from a config file")
     add_run_common(p)
-    p.add_argument("--snr-db", type=float, nargs="+", default=None,
-                   help="override the config SNR grid")
-    p.add_argument("--trials", type=int, default=None, help="override packet count")
-    p._negative_number_matcher = _NEGATIVE_NUMBER  # --snr-db -1e1 and -inf are values
     p.set_defaults(func=_cmd_run, run=run_ber)
 
     p = sub.add_parser("radar", help="run the radar detection/estimation experiment")
@@ -227,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate-cfar", help="measure the noise-only false-alarm rate")
     add_run_common(p)
-    p.add_argument("--cells", type=int, default=None, help="override the cell count")
     p.set_defaults(func=_cmd_calibrate_cfar, out=None)  # without --out, stdout only
 
     return parser

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -537,17 +537,18 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
-def run_cfar_calibration(cfg: SimConfig, cells: int | None = None) -> MonteCarloResult:
-    """Noise-only false-alarm rate of the configured OS-CFAR detector.
+def run_cfar_calibration(cfg: SimConfig) -> MonteCarloResult:
+    """Noise-only false-alarm rate of the configured OS-CFAR detector over
+    ``trials * frame_len`` cells, rounded up to whole 65 536-cell chunks.
 
     The detector reads only cell power, and |z|^2 of CN(0, 1) noise is exactly
-    Exp(1), so each 65 536-cell chunk draws Exp(1) power from its own stream.
+    Exp(1), so each chunk draws Exp(1) power from its own stream.
     The chunks run as one contiguous range per worker; a task allocates the
     power and the detector's wrapped buffer once and every chunk of it
     draws and detects in them.  Returns the empirical rate with a 95% Wilson
     score interval.
     """
-    total = int(cells) if cells is not None else cfg.trials * cfg.frame_len
+    total = cfg.trials * cfg.frame_len
     need = 100.0 / cfg.cfar.pfa
     if total < need:
         raise ValueError(
@@ -702,9 +703,30 @@ def config_to_dict(cfg: SimConfig) -> dict:
     return _dump(cfg)
 
 
-def load_config(path: str | Path) -> SimConfig:
+def load_config(path: str | Path, overrides: Iterable[str] = ()) -> SimConfig:
+    """The config of the JSON file at ``path``, each ``section.key=value`` of
+    ``overrides`` set in the document first.  A value is read as JSON, and
+    text that is not JSON as a string; the dotted key runs through objects
+    only, so a list is set whole."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+        doc = json.load(fh)
+    for override in overrides:
+        dotted, sep, text = override.partition("=")
+        if not sep:
+            raise ValueError(f"override {override!r} must have the form key=value")
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        keys = dotted.split(".")
+        node = doc
+        for depth, key in enumerate(keys):
+            if not isinstance(node, dict):
+                where = ".".join(keys[:depth]) or "configuration"
+                raise ValueError(f"{where} must be an object, got {node!r}")
+            parent, node = node, node.setdefault(key, {})  # a missing section is added
+        parent[key] = value
+    return config_from_dict(doc)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

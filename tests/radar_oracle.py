@@ -19,7 +19,7 @@ def receive_radar(
     """``(combined row of frame 0, rest)`` of the noisy (F, N_rf, N) block,
     with the arguments and results of ``channel.receive_radar``."""
     rx = apply_radar_channel(samples, targets, bf, sample_period, frame_len, start_time)
-    rx = awgn(rx, noise_variance, rng, frame_axes=1)
+    rx = np.stack([awgn(f, noise_variance, rng) for f in rx])
     # A (1, N_rf) row, not a vector: matmul then makes one BLAS call per frame.
     combined = (bf.combiner.conj()[None, :] @ rx)[..., 0, :]
 

@@ -93,11 +93,9 @@ def test_awgn_model_fade_returns_its_input():
     assert _fade_batch(tx, "awgn", np.random.default_rng(0), out=np.empty_like(tx)) is tx
 
 
-def reference_awgn(x, noise_variance, rng, frame_axes=0):
-    """One draw of the whole (..., 2, ...) noise stack: the stream awgn must keep."""
-    draw = rng.standard_normal(x.shape[:frame_axes] + (2,) + x.shape[frame_axes:])
-    draw *= math.sqrt(noise_variance / 2.0)
-    re, im = np.moveaxis(draw, frame_axes, 0)
+def reference_awgn(x, noise_variance, rng):
+    """One draw of the whole (2, ...) noise stack: the stream awgn must keep."""
+    re, im = rng.standard_normal((2,) + x.shape) * math.sqrt(noise_variance / 2.0)
     out = np.empty(x.shape, dtype=complex)
     np.add(x.real, re, out=out.real)
     np.add(x.imag, im, out=out.imag)
@@ -117,28 +115,6 @@ class TestAwgnOut:
         assert awgn(x, 0.01, rng, out=x) is x
         assert same(x, want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "frames, size",
-        [
-            (7, 1000),  # four frames per draw, then three
-            (3, _DRAW_CHUNK // 2),  # one whole frame per draw
-            (3, _DRAW_CHUNK // 2 + 1),  # each part in one draw
-            (2, 10_000),  # each part in a full and a partial draw
-            (16, 1024),  # a radar CPI's combined rows
-        ],
-    )
-    def test_frame_axes_keep_the_one_draw_stream(self, frames, size):
-        rng = np.random.default_rng(frames * size)
-        x = rng.standard_normal((frames, size)) + 1j * rng.standard_normal((frames, size))
-        want_rng = np.random.default_rng(7)
-        want = reference_awgn(x, 0.3, want_rng, frame_axes=1)
-        got_rng = np.random.default_rng(7)
-        out = np.empty_like(x)
-        assert awgn(x, 0.3, got_rng, frame_axes=1, out=out) is out
-        assert same(out, want)
-        assert same(awgn(x, 0.3, np.random.default_rng(7), frame_axes=1), want)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_zero_variance_copies_into_out_without_a_draw(self):
         x = faded_rows(8, 31, "awgn")

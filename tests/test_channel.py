@@ -289,13 +289,6 @@ class TestNoise:
         )
         assert np.array_equal(awgn(x, 1.0, np.random.default_rng(11)), want)
 
-    def test_frame_axes_draw_in_per_frame_order(self):
-        x = np.arange(5 * 2 * 8, dtype=complex).reshape(5, 2, 8)
-        one = np.random.default_rng(12)
-        per_frame = np.stack([awgn(frame, 0.3, one) for frame in x])
-        block = awgn(x, 0.3, np.random.default_rng(12), frame_axes=1)
-        assert np.array_equal(block, per_frame)
-
     def test_rician_factor_controls_power_split(self):
         # A unit impulse through the selective model returns the taps themselves.
         rng = np.random.default_rng(10)

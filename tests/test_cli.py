@@ -105,6 +105,68 @@ class TestAmbiguityGrid:
         assert grid[10, 4] == pytest.approx(1.0, abs=1e-6)  # lag 0, Doppler 0
 
 
+# (command, base document, --set overrides, the same edits made to the document)
+SET_RUNS = [
+    (
+        "ber",
+        {"modulation": {"k": 31}, "snr_grid_db": [4.0, 8.0], "trials": 200, "seed": 7},
+        ["seed=3", "channel_model=rayleigh_flat", "snr_grid_db=[-2.5, 5]",
+         "modulation.lambda=0.6"],
+        {"seed": 3, "channel_model": "rayleigh_flat", "snr_grid_db": [-2.5, 5],
+         "modulation": {"k": 31, "lambda": 0.6}},
+    ),
+    (
+        "radar",
+        {
+            "modulation": {"k": 127},
+            "trials": 3,
+            "schedule": {"segment_deg": [-8.0, 8.0], "frames_per_cpi": 4},
+            "targets": [{"range_m": 60.0, "velocity_mps": 10.0, "angle_deg": 0.5}],
+        },
+        ["trials=2", "schedule.frames_per_cpi=2", "cfar.pfa=1e-3",
+         'targets=[{"range_m": 45.0, "velocity_mps": -5.0}]'],
+        {
+            "trials": 2,
+            "schedule": {"segment_deg": [-8.0, 8.0], "frames_per_cpi": 2},
+            "cfar": {"pfa": 1e-3},
+            "targets": [{"range_m": 45.0, "velocity_mps": -5.0}],
+        },
+    ),
+    (
+        "calibrate-cfar",
+        {"modulation": {"k": 31}, "trials": 2000, "cfar": {"pfa": 0.5, "window": 12}},
+        ["trials=98", "cfar.pfa=0.25"],
+        {"trials": 98, "cfar": {"pfa": 0.25, "window": 12}},
+    ),
+]
+
+# (a bad --set, text the loader's exit-2 message must contain)
+BAD_OVERRIDES = [
+    ("trails=5", "unknown configuration key 'trails'"),
+    ("modulation.kk=31", "unknown configuration key 'modulation.kk'"),
+    ("trials=five", "trials must be an integer, got 'five'"),
+    ("modulation.lambda=true", "modulation.lambda must be a number, got True"),
+    ("snr_grid_db=[NaN]", "snr_grid_db[0] must be a finite number, got nan"),
+    ("snr_grid_db=[1e400]", "snr_grid_db[0] must be a finite number, got inf"),
+    ("snr_grid_db=[-Infinity]", "snr_grid_db[0] must be a finite number, got -inf"),
+    ("snr_grid_db=[4000]", "snr_grid_db[0] must lie within +-3082 dB"),
+    ("snr_grid_db=[-4000]", "snr_grid_db[0] must lie within +-3082 dB"),
+    ("snr_grid_db=4", "snr_grid_db must be a list"),
+    ("trials=0", "trials must be >= 1"),
+    ("cfar.pfa=2", "cfar: pfa"),
+    ("trials", "override 'trials' must have the form key=value"),
+    ("trials.k=5", "trials must be an object, got 10"),
+    ("modulation.k.bits=5", "modulation.k must be an object, got 31"),
+    ("snr_grid_db.0=1", "snr_grid_db must be an object, got [6.0]"),
+]
+BAD_OVERRIDE_IDS = [
+    "unknown-key", "unknown-section-key", "string-for-integer", "bool-for-number",
+    "nan", "inf", "minus-inf", "4000-dB", "minus-4000-dB", "number-for-list", "zero-trials",
+    "section-check", "no-equals", "path-through-integer", "path-through-section-integer",
+    "path-through-list",
+]
+
+
 class TestExperimentCommands:
     def write_config(self, tmp_path, **overrides):
         doc = {
@@ -124,8 +186,8 @@ class TestExperimentCommands:
         cfg = self.write_config(tmp_path)
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
-        assert main(["ber", "--config", str(cfg), "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["ber", "--config", str(cfg), "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["ber", "--config", str(cfg), "--out", str(out1), "--set", "seed=7"]) == 0
+        assert main(["ber", "--config", str(cfg), "--out", str(out2), "--set", "seed=7"]) == 0
         capsys.readouterr()
         assert (out1 / "ber.csv").read_bytes() == (out2 / "ber.csv").read_bytes()
         header = (out1 / "ber.csv").read_text().splitlines()[0]
@@ -166,17 +228,43 @@ class TestExperimentCommands:
         cfg = self.write_config(tmp_path, trials=10)
         out = tmp_path / "out"
         code, _, err = run_cli(
-            capsys, "ber", "--config", str(cfg), "--out", str(out), "--snr-db", "-1e1", "-2.5", "0"
+            capsys, "ber", "--config", str(cfg), "--out", str(out),
+            "--set", "snr_grid_db=[-10,-2.5,0]",
         )
         assert code == 0, err
         summary = json.loads((out / "ber_summary.json").read_text())
         assert [r["snr_db"] for r in summary["records"]] == [-10.0, -2.5, 0.0]
+        assert summary["config"]["snr_grid_db"] == [-10.0, -2.5, 0.0]
+
+    @pytest.mark.parametrize(
+        "command, base, overrides, edits", SET_RUNS, ids=["ber", "radar", "cfar"]
+    )
+    def test_set_writes_what_the_hand_edited_file_writes(
+        self, capsys, tmp_path, command, base, overrides, edits
+    ):
+        outputs = []
+        for name, doc, argv in (
+            ("set", base, [a for o in overrides for a in ("--set", o)]),
+            ("edited", {**base, **edits}, []),
+        ):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / name
+            code, stdout, err = run_cli(
+                capsys, command, "--config", str(cfg), "--out", str(out), *argv
+            )
+            assert code == 0, err
+            files = sorted(out.iterdir())
+            assert len(files) == 2
+            written = [(f.name, f.read_bytes()) for f in files]
+            outputs.append((stdout.replace(str(out), ""), written))
+        assert outputs[0] == outputs[1]
 
     def test_calibrate_cfar_command(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, cfar={"pfa": 0.5, "window": 12, "guard": 2, "os_rank": 18})
         out_dir = tmp_path / "cfar_out"
         code, out, _ = run_cli(
-            capsys, "calibrate-cfar", "--config", str(cfg), "--cells", "100000",
+            capsys, "calibrate-cfar", "--config", str(cfg), "--set", "trials=98",
             "--out", str(out_dir),
         )
         assert code == 0
@@ -219,7 +307,7 @@ work = Path(sys.argv[1])
 for argv in (
     ["ber", "--config", str(work / "ber.json"), "--out", str(work / "ber")],
     ["radar", "--config", str(work / "radar.json"), "--out", str(work / "radar")],
-    ["calibrate-cfar", "--config", str(work / "ber.json"), "--cells", "1000"],
+    ["calibrate-cfar", "--config", str(work / "ber.json"), "--set", "trials=1"],
 ):
     assert cli.main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -311,35 +399,25 @@ class TestExitCodes:
         assert out == ""
         assert "line 2" in err
 
-    def test_zero_trials_override_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("override, message", BAD_OVERRIDES, ids=BAD_OVERRIDE_IDS)
+    def test_bad_override_exit_2(self, capsys, tmp_path, override, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
-        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--trials", "0")
+        cfg.write_text(json.dumps({"modulation": {"k": 31}, "snr_grid_db": [6.0], "trials": 10}))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            capsys, "ber", "--config", str(cfg), "--out", str(out), "--set", override
+        )
         assert code == 2
-        assert "trials" in err
+        assert stdout == ""
+        assert message in err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
-    def test_non_finite_snr_override_exit_2(self, capsys, tmp_path, snr):
+    def test_override_in_a_non_object_document_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
-        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), f"--snr-db={snr}")
+        cfg.write_text("[1]")
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--set", "seed=1")
         assert code == 2
-        assert "snr_grid_db[0]" in err
-
-    @pytest.mark.parametrize("snr", ["4000", "-4000"])
-    def test_snr_beyond_float_range_override_exit_2(self, capsys, tmp_path, snr):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
-        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--snr-db", snr)
-        assert code == 2
-        assert "snr_grid_db[0] must lie within +-3082 dB" in err
-
-    def test_minus_inf_snr_reaches_the_config_check(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"modulation": {"k": 31}, "trials": 10}))
-        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--snr-db", "-inf")
-        assert code == 2
-        assert "snr_grid_db[0]" in err
+        assert "configuration must be an object, got [1]" in err
 
     @pytest.mark.parametrize("fault", [KeyError("k"), TypeError("t")])
     def test_internal_fault_exit_4(self, capsys, tmp_path, monkeypatch, fault):

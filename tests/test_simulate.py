@@ -332,13 +332,16 @@ class TestEnergyAccounting:
 # run_cfar_calibration detections pinned from the Exp(1) power draw: seed 404,
 # window 4, guard 1, os_rank 6, pfa 1e-2, eight chunks of CFAR_CHUNK cells.
 CFAR_CHUNK = 65_536
+CHUNK_FRAMES = CFAR_CHUNK // 1024  # trials per chunk at the default frame_len
 PINNED_CFAR_DETECTIONS = 5275
 PINNED_CFAR_CHUNK_HITS = [666, 644, 654, 713, 642, 646, 621, 689]
 
 
-def small_cfar_config(seed):
+def small_cfar_config(seed, chunks):
     cfar = CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-2)
-    return SimConfig(modulation=ModulationParams(31), cfar=cfar, seed=seed)
+    return SimConfig(
+        modulation=ModulationParams(31), cfar=cfar, seed=seed, trials=chunks * CHUNK_FRAMES
+    )
 
 
 class TestCfarCalibration:
@@ -346,9 +349,7 @@ class TestCfarCalibration:
         records = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("MOCZSIM_THREADS", threads)
-            records[threads] = run_cfar_calibration(
-                small_cfar_config(404), cells=8 * CFAR_CHUNK
-            ).records
+            records[threads] = run_cfar_calibration(small_cfar_config(404, 8)).records
         assert records["1"] == records["2"]
         assert records["1"][0]["detections"] == PINNED_CFAR_DETECTIONS
 
@@ -363,7 +364,7 @@ class TestCfarCalibration:
 
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         monkeypatch.setattr(simulate, "os_cfar", spy)
-        run_cfar_calibration(small_cfar_config(404), cells=8 * CFAR_CHUNK)
+        run_cfar_calibration(small_cfar_config(404, 8))
         assert hits == PINNED_CFAR_CHUNK_HITS
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
@@ -378,16 +379,16 @@ class TestCfarCalibration:
 
         def minor_faults(chunks: int) -> int:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            run_cfar_calibration(cfg, cells=chunks * CFAR_CHUNK)
+            run_cfar_calibration(dataclasses.replace(cfg, trials=chunks * CHUNK_FRAMES))
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         minor_faults(1)
         assert minor_faults(16) - minor_faults(1) < 600
 
     def test_exponential_draw_detects_like_complex_gaussian_noise(self):
-        cfg = small_cfar_config(21)
         chunks = 64
-        rec = run_cfar_calibration(cfg, cells=chunks * CFAR_CHUNK).records[0]
+        cfg = small_cfar_config(21, chunks)
+        rec = run_cfar_calibration(cfg).records[0]
         rng = np.random.default_rng(2021)
         oracle = sum(
             len(os_cfar(normal_chunk_power(rng, CFAR_CHUNK), cfg.cfar)[0]) for _ in range(chunks)
@@ -406,7 +407,7 @@ class TestCfarCalibration:
             return os_cfar(power, config, scratch)
 
         monkeypatch.setattr(simulate, "os_cfar", spy)
-        run_cfar_calibration(small_cfar_config(22), cells=16 * CFAR_CHUNK)
+        run_cfar_calibration(small_cfar_config(22, 16))
         assert [p.shape for p in drawn] == [(CFAR_CHUNK,)] * 16
         power = np.concatenate(drawn)
         n = power.size
@@ -426,17 +427,19 @@ class TestCfarCalibration:
             frame_len=1024,
             seed=3,
         )
-        rec = run_cfar_calibration(cfg, cells=100_000).records[0]
+        rec = run_cfar_calibration(cfg).records[0]
         assert rec["pfa_empirical"] == pytest.approx(0.5, rel=0.1)
         assert rec["ci_low"] < 0.5 < rec["ci_high"]
 
     def test_doubling_alpha_strictly_lowers_the_rate(self):
         base_cfar = CfarConfig(pfa=0.05)
         stiff_cfar = CfarConfig(pfa=0.05, alpha=2 * base_cfar.alpha)
-        cfg = SimConfig(modulation=ModulationParams(31), cfar=base_cfar, seed=4)
-        cfg2 = SimConfig(modulation=ModulationParams(31), cfar=stiff_cfar, seed=4)
-        r1 = run_cfar_calibration(cfg, cells=200_000).records[0]
-        r2 = run_cfar_calibration(cfg2, cells=200_000).records[0]
+        cfg = SimConfig(
+            modulation=ModulationParams(31), cfar=base_cfar, seed=4, trials=4 * CHUNK_FRAMES
+        )
+        cfg2 = dataclasses.replace(cfg, cfar=stiff_cfar)
+        r1 = run_cfar_calibration(cfg).records[0]
+        r2 = run_cfar_calibration(cfg2).records[0]
         assert r2["pfa_empirical"] < r1["pfa_empirical"]
 
     @pytest.mark.parametrize(
@@ -448,8 +451,9 @@ class TestCfarCalibration:
             modulation=ModulationParams(31),
             cfar=CfarConfig(window=4, guard=1, os_rank=6, pfa=1e-2, alpha=alpha),
             seed=6,
+            trials=2 * CHUNK_FRAMES,
         )
-        rec = run_cfar_calibration(cfg, cells=131_072).records[0]
+        rec = run_cfar_calibration(cfg).records[0]
         n, k, z2 = rec["cells"], rec["detections"], 1.96**2
         assert n == 131_072
         if expect == "none":
@@ -905,7 +909,9 @@ class TestOutputFiles:
         assert doc["config"]["modulation"]["k"] == 31
         assert len(doc["records"]) == 1
 
-        cfar = run_cfar_calibration(small_ber_config(cfar=CfarConfig(pfa=1e-2)), cells=65_536)
+        cfar = run_cfar_calibration(
+            small_ber_config(cfar=CfarConfig(pfa=1e-2), trials=CHUNK_FRAMES)
+        )
         csv_path, _ = write_result(cfar, tmp_path, "cfar")
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "pfa_target,pfa_empirical,ci_low,ci_high,cells,detections,alpha"
