@@ -146,13 +146,7 @@ BAD_OVERRIDES = [
     ("modulation.kk=31", "unknown configuration key 'modulation.kk'"),
     ("trials=five", "trials must be an integer, got 'five'"),
     ("modulation.lambda=true", "modulation.lambda must be a number, got True"),
-    ("snr_grid_db=[NaN]", "snr_grid_db[0] must be a finite number, got nan"),
-    ("snr_grid_db=[1e400]", "snr_grid_db[0] must be a finite number, got inf"),
-    ("snr_grid_db=[-Infinity]", "snr_grid_db[0] must be a finite number, got -inf"),
-    ("snr_grid_db=[4000]", "snr_grid_db[0] must lie within +-3082 dB"),
-    ("snr_grid_db=[-4000]", "snr_grid_db[0] must lie within +-3082 dB"),
     ("snr_grid_db=4", "snr_grid_db must be a list"),
-    ("trials=0", "trials must be >= 1"),
     ("cfar.pfa=2", "cfar: pfa"),
     ("trials", "override 'trials' must have the form key=value"),
     ("trials.k=5", "trials must be an object, got 10"),
@@ -161,7 +155,7 @@ BAD_OVERRIDES = [
 ]
 BAD_OVERRIDE_IDS = [
     "unknown-key", "unknown-section-key", "string-for-integer", "bool-for-number",
-    "nan", "inf", "minus-inf", "4000-dB", "minus-4000-dB", "number-for-list", "zero-trials",
+    "number-for-list",
     "section-check", "no-equals", "path-through-integer", "path-through-section-integer",
     "path-through-list",
 ]
@@ -399,8 +393,9 @@ class TestExitCodes:
         assert out == ""
         assert "line 2" in err
 
-    @pytest.mark.parametrize("override, message", BAD_OVERRIDES, ids=BAD_OVERRIDE_IDS)
-    def test_bad_override_exit_2(self, capsys, tmp_path, override, message):
+    @staticmethod
+    def bad_override_err(capsys, tmp_path, override):
+        """Run ``ber --set override``; check it exits 2 writing nothing, return stderr."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"modulation": {"k": 31}, "snr_grid_db": [6.0], "trials": 10}))
         out = tmp_path / "out"
@@ -409,8 +404,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert stdout == ""
-        assert message in err
         assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("override, message", BAD_OVERRIDES, ids=BAD_OVERRIDE_IDS)
+    def test_bad_override_exit_2(self, capsys, tmp_path, override, message):
+        assert message in self.bad_override_err(capsys, tmp_path, override)
+
+    def test_zero_trials_override_exit_2(self, capsys, tmp_path):
+        assert "trials must be >= 1" in self.bad_override_err(capsys, tmp_path, "trials=0")
+
+    @pytest.mark.parametrize(
+        "snr, literal", [("nan", "NaN"), ("inf", "1e400"), ("-inf", "-Infinity")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_snr_override_exit_2(self, capsys, tmp_path, snr, literal):
+        err = self.bad_override_err(capsys, tmp_path, f"snr_grid_db=[{literal}]")
+        assert f"snr_grid_db[0] must be a finite number, got {snr}" in err
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_snr_beyond_float_range_override_exit_2(self, capsys, tmp_path, snr):
+        err = self.bad_override_err(capsys, tmp_path, f"snr_grid_db=[{snr}]")
+        assert "snr_grid_db[0] must lie within +-3082 dB" in err
+
+    def test_minus_inf_snr_reaches_the_config_check(self, capsys, tmp_path):
+        # -1e400 overflows to -inf while the value is parsed, before any check
+        err = self.bad_override_err(capsys, tmp_path, "snr_grid_db=[-1e400]")
+        assert "snr_grid_db[0] must be a finite number, got -inf" in err
 
     def test_override_in_a_non_object_document_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
