@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,11 +202,10 @@ def _padded_spectrum(samples, out_len: int) -> np.ndarray:
     return np.fft.fft(x, int(out_len), axis=-1)
 
 
-def _delay(spectrum, shift_samples) -> np.ndarray:
-    """The frames of (..., N) ``spectrum`` delayed by ``shift_samples``, which
-    broadcasts against its leading axes, as (..., N) samples."""
-    ramp = np.fft.fftfreq(spectrum.shape[-1]) * np.asarray(shift_samples)[..., None]
-    return np.fft.ifft(spectrum * np.exp(-2j * np.pi * ramp), axis=-1)
+def _delay_ramp(n: int, shift_samples: float) -> np.ndarray:
+    """The spectrum exp(-2i pi f shift) of a band-limited circular delay on the
+    n FFT frequencies f."""
+    return np.exp(-2j * np.pi * (np.fft.fftfreq(n) * shift_samples))
 
 
 def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
@@ -215,7 +215,49 @@ def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
     shift is circular on that frame, so energy is conserved exactly for any
     fractional shift.  Leading axes of ``samples`` are independent frames.
     """
-    return _delay(_padded_spectrum(samples, out_len), shift_samples)
+    ramp = _delay_ramp(int(out_len), float(shift_samples))
+    return np.fft.ifft(_padded_spectrum(samples, out_len) * ramp, axis=-1)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _target_ramps(n: int, shift_samples: float, doppler_hz: float, sample_period: float):
+    # A target's delay ramp on the spectrum and its per-sample Doppler ramp
+    # on frames of n samples.  Read-only, since every trial shares them.
+    doppler = np.exp(2j * np.pi * doppler_hz * (np.arange(n) * sample_period))
+    return _read_only(_delay_ramp(n, shift_samples), doppler)
+
+
+def _target_gains(targets, bf: Beamformer, start) -> np.ndarray:
+    """The (..., T, N_rf) gains rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}
+    of frames that start at the times ``start`` (...)."""
+    num_antennas, n_rf = bf.rx_matrix.shape
+    gains = np.empty(np.shape(start) + (len(targets), n_rf), dtype=complex)
+    for q, tg in enumerate(targets):
+        a = steering(tg.angle_rad, num_antennas)
+        spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
+        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
+    return gains
+
+
+def _delayed_waveforms(spectrum, targets, sample_period: float) -> np.ndarray:
+    """The (..., T, N) delayed, Doppler-ramped waveforms of ``radar_channel_factors``."""
+    if sample_period <= 0:
+        raise ValueError("sample_period must be positive")
+    n = spectrum.shape[-1]
+    delayed = np.empty(spectrum.shape[:-1] + (len(targets), n), dtype=complex)
+    for q, tg in enumerate(targets):
+        delay_ramp, doppler_ramp = _target_ramps(
+            n, tg.delay_s / sample_period, tg.doppler_hz, sample_period
+        )
+        delayed[..., q, :] = np.fft.ifft(spectrum * delay_ramp, axis=-1)
+        delayed[..., q, :] *= doppler_ramp
+    return delayed
 
 
 def radar_channel_factors(
@@ -231,23 +273,12 @@ def radar_channel_factors(
     rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, and the delayed,
     Doppler-ramped waveforms (..., T, N), s(nT - tau_q) e^{2i pi nu_q nT}: the
     Doppler factor splits into a per-frame phase and one per-sample ramp, so
-    a target costs F + N complex exponentials, not F*N.
+    a target costs F + N complex exponentials, not F*N, and its two ramps
+    are computed once per (N, delay, Doppler, T).
     """
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
-    n = spectrum.shape[-1]
-    num_antennas, n_rf = bf.rx_matrix.shape
+    delayed = _delayed_waveforms(spectrum, targets, sample_period)
     start = np.broadcast_to(np.asarray(start_time, dtype=float), spectrum.shape[:-1])
-    sample_times = np.arange(n) * sample_period
-    gains = np.empty(spectrum.shape[:-1] + (len(targets), n_rf), dtype=complex)
-    delayed = np.empty(spectrum.shape[:-1] + (len(targets), n), dtype=complex)
-    for q, tg in enumerate(targets):
-        a = steering(tg.angle_rad, num_antennas)
-        spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
-        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
-        delayed[..., q, :] = _delay(spectrum, tg.delay_s / sample_period)
-        delayed[..., q, :] *= np.exp(2j * np.pi * tg.doppler_hz * sample_times)
-    return gains, delayed
+    return _target_gains(targets, bf, start), delayed
 
 
 def apply_radar_channel(
@@ -262,6 +293,77 @@ def apply_radar_channel(
         _padded_spectrum(samples, frame_len), targets, bf, sample_period, start_time
     )
     return np.swapaxes(gains, -1, -2) @ delayed
+
+
+@lru_cache(maxsize=4)
+def _circulant_index(n: int, length: int) -> np.ndarray:
+    # (length, length) indices (j - i) mod n: g[index] is the transposed
+    # top-left block of the n x n circulant of g, so x @ g[index] is the
+    # circular convolution of g with x zero-padded to n, read at 0..length-1.
+    i = np.arange(length)
+    return _read_only((i[None, :] - i[:, None]) % n)[0]
+
+
+@lru_cache(maxsize=8)
+def _gram_side(n: int, length: int, shift_samples: float, delta: float):
+    # Column a's factors of the Gram entries <u_a, u_b> on frames of n
+    # samples, for a column a at shift_samples and a column b whose Doppler
+    # is delta / (2 pi) cycles per sample above a's: with alpha[q] =
+    # e^{i delta q} conj(h_a[q]), the spectrum conj(fft(conj(alpha))), the
+    # transposed wrap matrix alpha[n - (m - j)] (1 <= m - j < length), the
+    # ramp e^{i delta m} (m < length) and the wrap jump e^{-i delta n} - 1.
+    ramp = np.exp(1j * delta * np.arange(n))
+    alpha = ramp * np.conj(np.fft.ifft(_delay_ramp(n, shift_samples)))
+    spectrum = np.conj(np.fft.fft(np.conj(alpha)))
+    wrap = np.triu(alpha[_circulant_index(n, length).T], 1)
+    jump = complex(np.exp(-1j * delta * n) - 1.0)
+    return (*_read_only(spectrum, wrap, ramp[:length].copy()), jump)
+
+
+def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray:
+    """The (F, C, C) Gram A_f^H A_f of the C = T + D columns u_c of each frame,
+    computed from the (F, L) codewords ``x`` alone.
+
+    The columns are the T targets' delayed, Doppler-ramped waveforms on
+    frames of n samples, then the D kernels (the codeword delayed by each
+    of ``lags``): u_c[k] = e^{2i pi nu_c k} (h_c * x_f)[k] with h_c the
+    circular band-limited delay by s_c and nu_c = f_D T (0 for a kernel).
+    For a < b, with Delta = 2 pi (nu_b - nu_a) and alpha as in
+    ``_gram_side``, G[a, b] = sum_m conj(x[m]) e^{i Delta m} (sum_m'
+    g[(m - m') mod n] x[m'] + (e^{-i Delta n} - 1) sum_{s=1}^m alpha[n - s]
+    k[m - s]), where g = ifft(H_b conj(fft(conj alpha))) and k = h_b * x
+    read at 0..L-1; the second term is the Doppler ramp's jump where the
+    circular delay wraps past sample n - 1.  The diagonal is ||x_f||^2, as
+    a band-limited circular delay is unitary.  What depends only on the
+    targets is cached; the lags are not.
+    """
+    length = x.shape[-1]
+    shifts = [tg.delay_s / sample_period for tg in targets] + list(lags)
+    cycles = [tg.doppler_hz * sample_period for tg in targets] + [0.0] * len(lags)
+    spectra = [
+        _target_ramps(n, s, tg.doppler_hz, sample_period)[0] for s, tg in zip(shifts, targets)
+    ] + [_delay_ramp(n, lag) for lag in lags]
+    index = _circulant_index(n, length)
+    size = len(shifts)
+    gram = np.empty(x.shape[:-1] + (size, size), dtype=complex)
+    gram[..., range(size), range(size)] = np.einsum("fm,fm->f", x.conj(), x).real[:, None]
+    heads = {}  # column b: x delayed by s_b, read at 0..L-1, once a wrap term needs it
+    for b in range(1, size):
+        for a in range(b):
+            if a < len(targets):
+                side, wrap, ramp, jump = _gram_side(
+                    n, length, shifts[a], 2.0 * np.pi * (cycles[b] - cycles[a])
+                )
+            else:  # two kernels: no Doppler between them
+                side, wrap, ramp, jump = spectra[a].conj(), None, 1.0, 0.0
+            inner = x @ np.fft.ifft(spectra[b] * side)[index]
+            if jump != 0:
+                if b not in heads:
+                    heads[b] = x @ np.fft.ifft(spectra[b])[index]
+                inner += jump * (heads[b] @ wrap)
+            gram[..., a, b] = np.einsum("fm,fm->f", x.conj() * ramp, inner)
+            gram[..., b, a] = gram[..., a, b].conj()
+    return gram
 
 
 def _wishart(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
@@ -291,22 +393,31 @@ def receive_radar(
     D kernels k_fj} and one W_{N_rf}((F-1)(N-T-D), s2 I) for all such frames
     (Goodman, Ann. Math. Statist. 1963; Bartlett, Proc. R. Soc. Edinb. 1933).
     The lags depend only on frame 0's noise, so the draw stays exact.
-    Householder QR gives the coordinates, also when a span has lower rank.
+    Householder QR gives frame 0's coordinates.  Frames f >= 1 form neither
+    their waveforms nor their spectra: ``_codeword_gram`` gives the Gram G_f
+    of each span from the codeword, and R_f = diag(sqrt(max(lambda, 0))) V^H
+    from its eigendecomposition, with R_f^H R_f = G_f, stands for the
+    triangular factor, so the draw stays exact also when a span has lower
+    rank.
     """
-    spectrum = _padded_spectrum(samples, frame_len)
-    gains, delayed = radar_channel_factors(spectrum, targets, bf, sample_period, start_time)
-    coords = gains @ bf.basis.conj()  # (F, T, N_rf): Q^H of each target's gains
-    n_frames, n_targets, n = delayed.shape
-    combined = awgn(coords[0, :, 0] @ delayed[0], noise_variance, rng)
-    r = np.linalg.qr(np.column_stack((delayed[0].T, combined)), mode="r")  # (T+1, T+1)
+    x = np.asarray(samples, dtype=complex)
+    n = int(frame_len)
+    start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
+    coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (F, T, N_rf): Q^H of gains
+    delayed = _delayed_waveforms(_padded_spectrum(x[0], n), targets, sample_period)  # (T, N)
+    n_frames, n_targets = coords.shape[:2]
+    combined = awgn(coords[0, :, 0] @ delayed, noise_variance, rng)
+    r = np.linalg.qr(np.column_stack((delayed.T, combined)), mode="r")  # (T+1, T+1)
     rows = np.concatenate((r[:, -1:], awgn(r[:, :-1] @ coords[0, :, 1:], noise_variance, rng)), 1)
     gram = rows.T @ rows.conj()  # frame 0's rows on E_0, as (N_rf, N_rf) inner products
     gram[1:, 1:] += noise_variance * _wishart(gram.shape[0] - 1, n - n_targets - 1, rng)
 
     def rest(lags):
-        kernels = _delay(spectrum[1:, None, :], np.asarray(lags, dtype=float))  # (F-1, D, N)
-        spanning = np.concatenate((delayed[1:], kernels), axis=1)
-        r = np.linalg.qr(spanning.swapaxes(1, 2), mode="r")  # (F-1, T+D, T+D)
+        """The (F-1, D) values at ``lags`` and the covariance: frames f >= 1
+        drawn on R_f, an eigen-factor of their codeword-domain Gram."""
+        lags = np.asarray(lags, dtype=float)
+        lam, vecs = np.linalg.eigh(_codeword_gram(x[1:], n, targets, sample_period, lags))
+        r = np.sqrt(np.maximum(lam, 0.0))[..., None] * vecs.conj().swapaxes(-1, -2)
         rows = awgn(r[..., :n_targets] @ coords[1:], noise_variance, rng)  # all rows on E_f
         values = np.einsum("fd,fdj->fj", rows[..., 0], r[..., n_targets:].conj())
         total = gram + np.einsum("fdi,fdj->ij", rows, rows.conj())

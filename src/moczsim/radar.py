@@ -253,6 +253,15 @@ def _refine_kernel(n: int) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=4)
+def _roots_of_unity(n: int) -> np.ndarray:
+    # exp(2i pi k / n) for k < n, read-only: estimate_delay's whole-cell
+    # ramp gathers from it.
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
+
+
 def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
     """Delay in seconds from a correlation peak with sub-cell interpolation.
 
@@ -274,7 +283,8 @@ def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
         to one cell after it, and a parabola is fitted to the largest grid
         value and its two neighbours; the offset is clamped to half a grid
         step.  The grid comes from a (129, N) kernel cached per N and one
-        N-point phase ramp that shifts the spectrum to the grid start.
+        N-point phase ramp that shifts the spectrum to the grid start,
+        gathered from a table of the N-th roots of unity cached per N.
     """
     spec = np.asarray(spectrum, dtype=complex)
     if spec.ndim != 1 or spec.size < 3:
@@ -283,7 +293,7 @@ def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
     # Shift the spectrum to the grid start; for a whole number of cells the
     # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
     start = peak_cell - 1
-    shifted = spec * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
+    shifted = spec * _roots_of_unity(n)[(start * np.arange(n)) % n]
     vals = np.abs(_refine_kernel(n) @ shifted) / n
     j = int(np.argmax(vals))
     j = min(max(j, 1), vals.size - 2)
@@ -332,6 +342,24 @@ def sample_covariance(rx: np.ndarray) -> np.ndarray:
 
 
 _MUSIC_GRID_DEG = 0.5  # scan step
+_MUSIC_STEP = math.radians(_MUSIC_GRID_DEG)
+
+
+@lru_cache(maxsize=4)
+def _music_scan(rx_bytes: bytes, shape: tuple[int, int], segment: tuple[float, float]):
+    # The scan grid over the segment, the beam manifold U^H a(phi) on it and
+    # that manifold's energy per angle, for the (N_a, N_rf) complex U whose
+    # bytes are rx_bytes.  Read-only, since every covariance shares them.
+    rx_matrix = np.frombuffer(rx_bytes, dtype=complex).reshape(shape)
+    lo, hi = segment
+    grid = np.arange(lo, hi + _MUSIC_STEP / 2, _MUSIC_STEP)
+    grid = np.clip(grid, -np.pi / 2, np.pi / 2)
+    manifold = np.exp(1j * np.pi * np.outer(np.arange(shape[0]), np.sin(grid)))
+    beam_manifold = rx_matrix.conj().T @ manifold
+    energy = (np.abs(beam_manifold) ** 2).sum(axis=0)
+    for a in (grid, beam_manifold, energy):
+        a.flags.writeable = False
+    return grid, beam_manifold, energy
 
 
 def music_angles(
@@ -362,7 +390,9 @@ def music_angles(
     P(phi) = ||U^H a(phi)||^2 / ||E_n^H U^H a(phi)||^2.  Without that
     normalization every angle where the selected beams have negligible gain
     produces a spurious peak, because a vanishing manifold vector also has a
-    vanishing noise-subspace projection.
+    vanishing noise-subspace projection.  The grid, U^H a(phi) and its
+    energy depend only on U and the segment, so they are computed once per
+    (U, segment) and shared by every covariance.
     """
     cov = np.asarray(cov, dtype=complex)
     n_rf = cov.shape[0]
@@ -373,17 +403,12 @@ def music_angles(
     _, vecs = np.linalg.eigh(cov)
     noise_basis = vecs[:, : n_rf - num_sources]
 
+    rx = np.asarray(rx_matrix, dtype=complex)
     lo, hi = segment
-    step = math.radians(_MUSIC_GRID_DEG)
-    grid = np.arange(lo, hi + step / 2, step)
-    grid = np.clip(grid, -np.pi / 2, np.pi / 2)
-    num_antennas = rx_matrix.shape[0]
-    manifold = np.exp(
-        1j * np.pi * np.outer(np.arange(num_antennas), np.sin(grid))
+    grid, beam_manifold, manifold_energy = _music_scan(
+        rx.tobytes(), rx.shape, (float(lo), float(hi))
     )
-    beam_manifold = rx_matrix.conj().T @ manifold
     proj = np.abs(noise_basis.conj().T @ beam_manifold) ** 2
-    manifold_energy = (np.abs(beam_manifold) ** 2).sum(axis=0)
     pseudo = manifold_energy / np.maximum(proj.sum(axis=0), 1e-30)
 
     log_p = np.log(pseudo)
@@ -405,7 +430,7 @@ def music_angles(
     estimates = []
     for idx in chosen:
         offset = _parabolic_offset(log_p[idx - 1], log_p[idx], log_p[idx + 1])
-        estimates.append(grid[idx] + offset * step)
+        estimates.append(grid[idx] + offset * _MUSIC_STEP)
     return np.asarray(estimates, dtype=float)
 
 

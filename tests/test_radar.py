@@ -30,7 +30,7 @@ from moczsim import (
     sample_covariance,
     steering,
 )
-from moczsim.radar import _parabolic_offset, _refine_kernel
+from moczsim.radar import _parabolic_offset, _refine_kernel, _roots_of_unity
 from cfar_gather import os_cfar as gather_os_cfar
 
 
@@ -407,6 +407,17 @@ class TestDelayEstimation:
         with pytest.raises(ValueError, match=re.escape("got (2,)")):
             estimate_delay(np.ones(2), 0, 1e-8)
 
+    @pytest.mark.parametrize("n", [7, 64, 1024])
+    def test_whole_cell_ramp_is_the_direct_exponential_bitwise(self, n):
+        # estimate_delay gathers its grid-start ramp from the roots table;
+        # the peak cell runs over [0, n), so the start over [-1, n).
+        k = np.arange(n)
+        roots = _roots_of_unity(n)
+        assert not roots.flags.writeable
+        for start in range(-1, n):
+            want = np.exp(2j * np.pi * ((start * k) % n) / n)
+            assert roots[(start * k) % n].tobytes() == want.tobytes(), start
+
     def test_refinement_kernel_is_read_only(self):
         kernel = _refine_kernel(32)
         assert kernel.shape == (129, 32)
@@ -499,6 +510,43 @@ class TestCovariance:
         assert np.min(np.linalg.eigvalsh(cov)) > -1e-12
 
 
+def uncached_music_angles(cov, rx_matrix, num_sources, segment):
+    """``music_angles`` as it was before its scan was cached: the grid, the
+    beam manifold and its energy formed on every call."""
+    cov = np.asarray(cov, dtype=complex)
+    n_rf = cov.shape[0]
+    if num_sources == 0:
+        return np.empty(0, dtype=float)
+    _, vecs = np.linalg.eigh(cov)
+    noise_basis = vecs[:, : n_rf - num_sources]
+    lo, hi = segment
+    step = math.radians(0.5)
+    grid = np.arange(lo, hi + step / 2, step)
+    grid = np.clip(grid, -np.pi / 2, np.pi / 2)
+    num_antennas = rx_matrix.shape[0]
+    manifold = np.exp(1j * np.pi * np.outer(np.arange(num_antennas), np.sin(grid)))
+    beam_manifold = rx_matrix.conj().T @ manifold
+    proj = np.abs(noise_basis.conj().T @ beam_manifold) ** 2
+    manifold_energy = (np.abs(beam_manifold) ** 2).sum(axis=0)
+    pseudo = manifold_energy / np.maximum(proj.sum(axis=0), 1e-30)
+    log_p = np.log(pseudo)
+    interior = np.arange(1, grid.size - 1)
+    is_peak = (log_p[interior] > log_p[interior - 1]) & (log_p[interior] >= log_p[interior + 1])
+    peak_idx = interior[is_peak]
+    ranked = peak_idx[np.argsort(log_p[peak_idx])[::-1]]
+    chosen: list[int] = []
+    for idx in ranked:
+        if all(abs(idx - c) >= 2 for c in chosen):
+            chosen.append(int(idx))
+        if len(chosen) == num_sources:
+            break
+    estimates = []
+    for idx in chosen:
+        offset = _parabolic_offset(log_p[idx - 1], log_p[idx], log_p[idx + 1])
+        estimates.append(grid[idx] + offset * step)
+    return np.asarray(estimates, dtype=float)
+
+
 class TestMusic:
     def setup_method(self):
         self.cfg = ArrayConfig(64, 4)
@@ -556,6 +604,20 @@ class TestMusic:
     def test_too_many_sources_raise(self):
         with pytest.raises(ValueError):
             music_angles(np.eye(4, dtype=complex), self.bf.rx_matrix, 4, self.segment)
+
+    @pytest.mark.parametrize("seed, segment_deg", [(1, (-8.0, 8.0)), (2, (-30.0, -12.5))])
+    @pytest.mark.parametrize("num_sources", [1, 2, 3])
+    def test_cached_scan_returns_the_uncached_scan_bitwise(self, seed, segment_deg, num_sources):
+        segment = tuple(np.radians(segment_deg))
+        rx = make_beamformers(segment, self.cfg).rx_matrix
+        rng = np.random.default_rng([seed, num_sources])
+        for _ in range(20):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            cov = a @ a.conj().T
+            want = uncached_music_angles(cov, rx, num_sources, segment)
+            for _ in range(2):  # the first call may fill the cache, the second reads it
+                got = music_angles(cov, rx, num_sources, segment)
+                assert got.tobytes() == want.tobytes()
 
     def test_scale_invariance_of_argmax(self):
         cov = self._covariance([np.radians(-2.6)], snr=50.0, seed=3)

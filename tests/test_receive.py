@@ -8,6 +8,9 @@ N_rf=4), where the projected noise, the signal coordinates, the kernels and
 the Wisharts' degrees of freedom each move a feature, the two must agree
 exactly without noise and in distribution with it, both with one kernel
 lag (D = 1) and with none (D = 0).  The two-sample tests use numpy only.
+At scene size (N=1024, L=128) the noiseless draw is also checked where the
+later frames' Gram has its edge cases: a delayed codeword that wraps past
+the frame end under Doppler, a rank-deficient span, L = N and F = 1.
 """
 
 import numpy as np
@@ -151,3 +154,49 @@ def test_frame_zero_cfar_power_has_one_distribution(samples):
     grid = np.sort(np.concatenate([reduced, block]))
     cdf = [np.searchsorted(np.sort(x), grid, side="right") / x.size for x in (reduced, block)]
     assert np.max(np.abs(cdf[0] - cdf[1])) < 0.0629
+
+
+SCENE_FRAMES, SCENE_K = 4, 127
+SCENE_TX = 6.0 * encode_batch(
+    np.random.default_rng(8).integers(0, 2, (SCENE_FRAMES, SCENE_K), dtype=np.int8),
+    ModulationParams(SCENE_K),
+)
+
+
+def scene_target(delay_samples, doppler_hz):
+    return RadarTarget(
+        gain=0.4 - 0.3j, angle_rad=0.35, delay_s=delay_samples * SAMPLE_PERIOD,
+        doppler_hz=doppler_hz,
+    )
+
+
+# (frame_len, frames, target, lags), each lag in samples.
+SCENE_CASES = {
+    "doppler-lag-off-delay": (1024, 4, scene_target(40.3, 6e3), [40.33]),
+    # The codeword runs past sample N-1 and wraps, so the Doppler ramp jumps
+    # there; one lag is negative and one beyond the frame.
+    "wrapping-delay": (1024, 4, scene_target(1000.7, -2e5), [-0.4, 1024 + 6.2]),
+    # The kernel is the waveform itself: the span has rank one.
+    "zero-doppler-lag-on-delay": (
+        1024, 4, scene_target(40.3, 0.0), [scene_target(40.3, 0.0).delay_s / SAMPLE_PERIOD]
+    ),
+    "frame-is-codeword": (128, 4, scene_target(40.3, 2e5), [40.1]),
+    "one-frame": (1024, 1, scene_target(40.3, 6e3), [40.33]),
+}
+
+
+@pytest.mark.parametrize("case", list(SCENE_CASES))
+def test_noiseless_receive_equals_the_full_block_at_scene_size(case):
+    frame_len, frames, target, lags = SCENE_CASES[case]
+    tx = SCENE_TX[:frames]
+    starts = np.arange(frames) * frame_len * SAMPLE_PERIOD
+    args = (tx, [target], BF, SAMPLE_PERIOD, frame_len, starts, 0.0)
+    combined, rest = receive_radar(*args, np.random.default_rng(1))
+    values, cov = rest(lags)
+    want_combined, want_rest = radar_oracle.receive_radar(*args, None)
+    want_values, want_cov = want_rest(lags)
+    np.testing.assert_allclose(combined, want_combined, rtol=0, atol=1e-12)
+    assert values.shape == want_values.shape == (frames - 1, len(lags))
+    np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-11)
+    assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+    np.testing.assert_array_equal(cov, cov.conj().T)

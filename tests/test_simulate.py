@@ -731,14 +731,16 @@ SCENE_RECORDS = (
 
 # The same run with the CPI's reduced receive draw (channel.receive_radar),
 # which draws frame 0's combined row as the full block does and frames
-# 1..F-1 as their correlation values and covariance share after detection.
+# 1..F-1 as their correlation values and covariance share after detection,
+# on factors of their spans' Grams formed from the codewords.  Detection,
+# false alarms and range come from frame 0 alone.
 REDUCED_SCENE_RECORDS = (
-    (30.0, 1.0, 0.005238914835901689, 0.02899388093171463, 0.07024782824290689,
+    (30.0, 1.0, 0.005238914835901689, 0.016746706943355366, 0.07036916083047869,
      0.0021158854166666665),
-    (60.0, 1.0, 0.020053577793625363, 0.09993909067318467, 0.06942587183040312,
+    (60.0, 1.0, 0.020053577793625363, 0.07150422590878378, 0.06866324511174025,
      0.0011393229166666667),
-    (120.0, 0.6666666666666666, 0.16766086519312048, 0.36427393931704244,
-     0.20509120198255248, 0.0),
+    (120.0, 0.6666666666666666, 0.16766086519312048, 0.40982679421517715,
+     0.2707577595780907, 0.0),
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.00016276041666666666),
 )
 
