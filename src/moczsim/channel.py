@@ -367,9 +367,19 @@ def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray
 
 
 def _wishart(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex Wishart W_dim(dof, I) by Bartlett's decomposition L L^H; needs dof >= dim."""
-    lower = np.tril(awgn(np.zeros((dim, dim)), 1.0, rng), -1)
-    lower[np.diag_indices(dim)] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
+    """A complex Wishart W_dim(dof, I) by Bartlett's decomposition L L^H; needs dof >= dim.
+
+    L's strictly lower entries are CN(0, 1), from one draw of dim^2 real
+    parts, then dim^2 imaginary parts, of which the rest is dropped; its
+    diagonal holds the square roots of Gamma(dof - i) draws, i = 0..dim-1.
+    """
+    parts = rng.standard_normal((2, dim, dim))
+    parts *= math.sqrt(0.5)
+    lower = np.empty((dim, dim), dtype=complex)
+    lower.real, lower.imag = parts
+    for i in range(dim):
+        lower[i, i + 1 :] = 0
+    lower.flat[:: dim + 1] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
     return lower @ lower.conj().T
 
 

@@ -28,23 +28,27 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int, out=None) -> np.nda
 
     ``samples`` has shape (..., N); leading axes are independent sequences
     and the result has shape (..., K), written to ``out`` when given.  The
-    radius-weighted samples are folded modulo K and a K-point inverse DFT is
-    taken in place, which is algebraically identical to evaluating each
-    point by Horner's rule.
+    samples are folded modulo K with their radius weights and a K-point
+    inverse DFT is taken in place, which is algebraically identical to
+    evaluating each point by Horner's rule.
     """
     y = np.asarray(samples, dtype=complex)
     n = y.shape[-1]
-    weights = radius ** np.arange(n)
+    weights = radius ** np.arange(max(n, num_bits))
     if out is None:
         out = np.empty(y.shape[:-1] + (num_bits,), dtype=complex)
-    # Fold modulo K by slice adds onto the first block; an input shorter
-    # than K is zero-extended to the transform length.
+    # Fold modulo K by slice adds onto the first block, each tail block
+    # starting at s scaled by R^s; an input shorter than K is zero-extended
+    # to the transform length.  Sample j + s then carries R^(j+s) once the
+    # folded block is scaled by R^j, which is one in-place multiply on the
+    # contiguous grid rather than a broadcast multiply of strided rows.
     head = min(n, num_bits)
-    np.multiply(y[..., :head], weights[:head], out=out[..., :head])
+    np.copyto(out[..., :head], y[..., :head])
     out[..., head:] = 0
     for start in range(num_bits, n, num_bits):
-        block = y[..., start : start + num_bits] * weights[start : start + num_bits]
-        out[..., : block.shape[-1]] += block
+        block = y[..., start : start + num_bits]
+        out[..., : block.shape[-1]] += weights[start] * block
+    out *= weights[:num_bits]
     # sum_m g[m] exp(+2i pi m k / K) == K * ifft(g)
     np.fft.ifft(out, axis=-1, out=out)
     out *= num_bits

@@ -1,9 +1,11 @@
 """End-to-end Monte Carlo experiments: BER sweeps, radar runs, CFAR calibration.
 
 Every run is a pure function of its configuration, including the seed: each
-block of BER packets, radar trial or CFAR chunk derives its own random stream
-from (seed, purpose, index), and results are reduced by summation, so neither
-the worker count nor ``batch_size`` ever changes the output.
+radar trial or CFAR chunk derives its own random stream from (seed, purpose,
+index), and each block of BER packets one for its messages and fade, keyed
+(seed, 4, block), and one per SNR point for its noise, keyed (seed, 1, point,
+block).  Results are reduced by summation, so neither the worker count nor
+``batch_size`` ever changes the output.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ _SELECTIVE_TAP_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
 _SELECTIVE_TAP_POWERS = _SELECTIVE_TAP_POWERS / _SELECTIVE_TAP_POWERS.sum()
 _RICIAN_FACTOR = 10.0
 
-# Packets per BER random stream, and per pass through the BER chain.
-_BER_BLOCK = 1024
+# Packets per BER message and fade stream, and per pass through the BER chain.
+_BER_BLOCK = 512
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -304,11 +306,15 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     the per-sample complex noise variance at SNR s dB is 10^(-s/10) / K.  The
     coherent BPSK reference Q(sqrt(2 Eb/N0)) is emitted alongside each point.
 
-    Packets run in blocks of 1024, each with its own random stream and taken
-    through the whole chain before the next, so a block bounds the memory.
-    ``batch_size`` only sets the packets of one worker task, rounded up to
-    whole blocks; it never changes the output.  A task allocates one buffer
-    set, sized to its first block, and every stage of every block runs in it.
+    Packets run in blocks of 512.  Each block's messages and fade come from
+    the block's own stream, and the block is encoded and faded once for the
+    whole grid (common random numbers: every point sees the same packets and
+    channels).  Each SNR point then adds its noise, from a stream of its own
+    per block, and decodes before the next point, so a block bounds the
+    memory.  ``batch_size`` only sets the packets of one worker task, rounded
+    up to whole blocks; it never changes the output.  A task allocates one
+    buffer set, sized to its first block, and every stage of every block
+    runs in it; it returns its bit errors per SNR point.
     """
     params = cfg.modulation
     k = params.num_bits
@@ -318,44 +324,46 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     growth = _SELECTIVE_TAP_POWERS.size - 1  # samples a rician_selective packet gains
     rx_len = params.seq_len + (growth if cfg.channel_model == "rician_selective" else 0)
     padded_len = params.seq_len + 2 * growth
+    noise_vars = [10.0 ** (-snr_db / 10.0) / k for snr_db in cfg.snr_grid_db]
 
-    def point(point_idx: int, snr_db: float) -> dict:
-        noise_var = 10.0 ** (-snr_db / 10.0) / k
+    def task_errors(blocks: range) -> list[int]:
+        # The faded packets stay in ``faded`` across the grid; ``noisy`` holds
+        # the fade's padded rows, then each point's noisy copy; ``grid`` the
+        # decoder's grids; ``real`` the messages as floats, then the margins.
+        # Each is sized for the task's first block, its largest.
+        rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
+        faded = np.empty(rows * rx_len, dtype=complex)
+        noisy = np.empty(rows * padded_len, dtype=complex)
+        grid = np.empty(rows * k, dtype=complex)
+        real = np.empty((rows, k))
+        errors = [0] * len(noise_vars)
+        for block in blocks:
+            rng = _rng_for(cfg.seed, 4, block)
+            size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
+            msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
+            np.copyto(real[:size], msgs)
+            tx = encode_batch(real[:size], params, out=_rows(faded, size, params.seq_len))
+            clean = _fade_batch(
+                tx, cfg.channel_model, rng, _rows(faded, size, rx_len), _rows(noisy, size, padded_len)
+            )
+            rx = _rows(noisy, size, rx_len)
+            for point, noise_var in enumerate(noise_vars):
+                awgn(clean, noise_var, _rng_for(cfg.seed, 1, point, block), out=rx)
+                bits, _ = dizet_decode_batch(rx, params, real[:size], _rows(grid, size, k))
+                errors[point] += int(np.count_nonzero(bits != msgs))
+        return errors
 
-        def task_errors(blocks: range) -> int:
-            # The packets stay in ``signal`` from encode to decode, the fade's
-            # padded rows and the decoder's grids use ``work``, and ``real``
-            # holds the messages as floats, then the margins, each for the
-            # task's first block, its largest.
-            rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
-            signal, work = np.empty((2, rows * padded_len), dtype=complex)
-            real = np.empty((rows, k))
-            errors = 0
-            for block in blocks:
-                rng = _rng_for(cfg.seed, 1, point_idx, block)
-                size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
-                msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
-                np.copyto(real[:size], msgs)
-                tx = encode_batch(real[:size], params, out=_rows(signal, size, params.seq_len))
-                rx = _fade_batch(
-                    tx, cfg.channel_model, rng, _rows(signal, size, rx_len), _rows(work, size, padded_len)
-                )
-                awgn(rx, noise_var, rng, out=rx)
-                bits, _ = dizet_decode_batch(rx, params, real[:size], _rows(work, size, k))
-                errors += int(np.count_nonzero(bits != msgs))
-            return errors
-
-        errors = sum(_parallel_map(task_errors, tasks))
+    totals = [sum(counts) for counts in zip(*_parallel_map(task_errors, tasks))]
+    records = []
+    for snr_db, errors in zip(cfg.snr_grid_db, totals):
         snr_lin = 10.0 ** (snr_db / 10.0)
-        return {
+        records.append({
             "snr_db": float(snr_db),
             "ber": errors / (cfg.trials * k),
             "packets": cfg.trials,
             "bit_errors": errors,
             "bpsk_ref": 0.5 * math.erfc(math.sqrt(snr_lin)),
-        }
-
-    records = [point(i, s) for i, s in enumerate(cfg.snr_grid_db)]
+        })
     return MonteCarloResult(kind="ber", records=records)
 
 

@@ -3,8 +3,10 @@ bitwise the allocating result, and the call allocates less than a quarter of
 the block it reads or writes.
 
 The buffers are views of flat arrays, as ``run_ber`` carves them from its
-per-task set, and the short blocks (1000 of 1024 rows) are the last block of
-a run whose trials are not a multiple of 1024.
+per-task set.  The sizes are one whole block and a short block (500 rows),
+the last block of a run whose trials are not a multiple of the block, and a
+batch of two blocks and a short one (1024 and 1000 rows), as a caller of the
+kernels may pass: the bounds hold at any row count.
 """
 
 import math
@@ -34,8 +36,11 @@ def same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+SIZES = [_BER_BLOCK, 500, 1024, 1000]
+
+
 def flat_buffer(k: int, dtype=complex) -> np.ndarray:
-    return np.full(_BER_BLOCK * (k + 7), np.nan, dtype=dtype)
+    return np.full(max(SIZES) * (k + 7), np.nan, dtype=dtype)
 
 
 def messages(size: int, k: int) -> np.ndarray:
@@ -48,7 +53,7 @@ def faded_rows(size: int, k: int, model: str) -> np.ndarray:
     return awgn(_fade_batch(tx, model, np.random.default_rng(3)), 0.5 / k, np.random.default_rng(4))
 
 
-@pytest.mark.parametrize("size", [_BER_BLOCK, 1000])
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("k", [127, 511])
 def test_encode_into_out_is_the_allocating_encode(k, size):
     p = ModulationParams(k)
@@ -62,7 +67,7 @@ def test_encode_into_out_is_the_allocating_encode(k, size):
     assert peak_bytes(lambda: encode_batch(real, p, out=out)) < out.nbytes / 4
 
 
-@pytest.mark.parametrize("size", [_BER_BLOCK, 1000])
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize(
     "k, model", [(127, "rayleigh_flat"), (127, "rician_selective"), (511, "rician_selective")]
 )
@@ -103,7 +108,7 @@ def reference_awgn(x, noise_variance, rng):
 
 
 class TestAwgnOut:
-    @pytest.mark.parametrize("size", [_BER_BLOCK, 1000])
+    @pytest.mark.parametrize("size", SIZES)
     def test_in_place_block_is_the_one_draw_stream(self, size):
         # A (size, 132) block is 2 * size * 132 draws: many chunks, the last
         # one partial.
@@ -135,7 +140,7 @@ class TestAwgnOut:
             awgn(x[:, :3], 1.0, np.random.default_rng(0), out=x[:, 3:])
 
 
-@pytest.mark.parametrize("size", [_BER_BLOCK, 1000])
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("k, model", [(127, "awgn"), (511, "rician_selective")])
 def test_decode_into_out_is_the_allocating_decode(k, model, size):
     p = ModulationParams(k)

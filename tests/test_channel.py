@@ -22,6 +22,7 @@ from moczsim import (
     radar_gain,
     steering,
 )
+from moczsim.channel import _wishart
 from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch
 
 
@@ -322,14 +323,34 @@ class TestSelectiveFade:
             np.testing.assert_allclose(row, np.convolve(x, h), rtol=0, atol=1e-14)
 
     def test_draws_a_uniform_block_then_two_normal_blocks(self):
-        # The AWGN draw that follows the fade in run_ber starts from this
-        # state, so the tap draws fix the whole BER stream.
+        # run_ber draws a block's messages, then its fade, from the block's
+        # one stream, so the tap draws fix the channels of the whole block.
         rng = np.random.default_rng(22)
         _fade_batch(np.ones((5, 9), dtype=complex), "rician_selective", rng)
         ref = np.random.default_rng(22)
         ref.uniform(0.0, 2.0 * np.pi, (5, 4))
         ref.standard_normal((5, 4))
         ref.standard_normal((5, 4))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_wishart(dim, dof, rng):
+    """Bartlett's L L^H with L's normals drawn by ``awgn`` on a zero block."""
+    lower = np.tril(awgn(np.zeros((dim, dim)), 1.0, rng), -1)
+    lower[np.diag_indices(dim)] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
+    return lower @ lower.conj().T
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("extra_dof", [0, 1, 60, 15000])
+def test_wishart_is_the_reference_draw_bitwise(dim, extra_dof):
+    # The radar's seeded records rest on this stream: the same values, bit for
+    # bit, and the generator left in the same state.
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _wishart(dim, dim + extra_dof, rng)
+        want = reference_wishart(dim, dim + extra_dof, ref)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
 

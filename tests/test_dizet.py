@@ -57,15 +57,18 @@ class TestGridEvaluation:
 
     @pytest.mark.parametrize("n", [128, 131, 300])
     def test_slice_fold_equals_zero_padded_fold_exactly(self, n):
-        # Oracle: zero-pad to whole blocks of K and sum the reshaped blocks.
+        # Oracle: zero-pad to whole blocks of K, scale block q by R^(qK), sum
+        # the reshaped blocks, then scale column j by R^j.
         k = 127
         rng = np.random.default_rng(n)
         y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
         radius = ModulationParams(k).outer_radius
         blocks = -(-n // k)
+        weights = radius ** np.arange(blocks * k)
         padded = np.zeros((4, blocks * k), dtype=complex)
-        padded[:, :n] = y * radius ** np.arange(n)
-        folded = padded.reshape(4, blocks, k).sum(axis=1)
+        padded[:, :n] = y
+        scaled = padded.reshape(4, blocks, k) * weights[::k, None]
+        folded = scaled.sum(axis=1) * weights[:k]
         want = k * np.fft.ifft(folded, axis=-1)
         assert np.array_equal(eval_on_zero_grid(y, radius, k), want)
 

@@ -179,14 +179,14 @@ class TestRunBer:
         monkeypatch.setenv("MOCZSIM_THREADS", "4")
         assert run_ber(cfg).records == base
 
-    # Trials on both sides of one and two 1024-packet blocks; the batch sizes
-    # run one packet, parts of a block, whole blocks and more than the trials
-    # per worker task.  Each worker task has its own buffer set, so a buffer
-    # shared across tasks would show only at two workers, on any model.  The
-    # derandomized search covers all 108 cases.
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    # Trials on both sides of one, two and four 512-packet blocks; the batch
+    # sizes run one packet, parts of a block, whole blocks and more than the
+    # trials per worker task.  Each worker task has its own buffer set, so a
+    # buffer shared across tasks would show only at two workers, on any model.
+    # The derandomized search covers all 180 cases.
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(
-        trials=st.sampled_from((1023, 1025, 2500)),
+        trials=st.sampled_from((511, 513, 1023, 1025, 2500)),
         batch_size=st.sampled_from((1, 500, 1000, 1024, 4096, 16384)),
         threads=st.sampled_from(("1", "2")),
         model=st.sampled_from(simulate.CHANNEL_MODELS),
@@ -200,11 +200,73 @@ class TestRunBer:
         with mock.patch.dict(os.environ, {"MOCZSIM_THREADS": "1"}):
             assert records == run_ber(dataclasses.replace(cfg, batch_size=trials)).records
 
+    @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
+    def test_each_block_is_encoded_and_faded_once_for_the_grid(self, monkeypatch, model):
+        # 1300 packets are three blocks, the last one short; every SNR point
+        # adds its own noise to the same faded block and decodes it.
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("encode_batch", "_fade_batch", "awgn", "dizet_decode_batch"):
+            monkeypatch.setattr(simulate, name, counting(name, getattr(simulate, name)))
+        blocks = -(-1300 // simulate._BER_BLOCK)
+        for grid in ((4.0,), (0.0, 3.0, 6.0, 9.0)):
+            calls.clear()
+            run_ber(small_ber_config(channel_model=model, snr_grid_db=grid, trials=1300))
+            assert calls == {
+                "encode_batch": blocks,
+                "_fade_batch": blocks,
+                "awgn": blocks * len(grid),
+                "dizet_decode_batch": blocks * len(grid),
+            }
+
+    def test_appending_points_leaves_the_earlier_records_unchanged(self, monkeypatch):
+        # Each point's noise stream is keyed by its index in the grid, and the
+        # packets and fades do not depend on the grid at all.
+        monkeypatch.setenv("MOCZSIM_THREADS", "2")
+        cfg = small_ber_config(channel_model="rician_selective", trials=1300, batch_size=512)
+        short = run_ber(cfg).to_csv().splitlines()
+        longer = run_ber(dataclasses.replace(cfg, snr_grid_db=cfg.snr_grid_db + (9.0, 4.0)))
+        lines = longer.to_csv().splitlines()
+        assert len(lines) == len(short) + 2
+        assert lines[: len(short)] == short
+
+    @pytest.mark.parametrize("model", ["awgn", "rician_selective"])
+    def test_shared_packets_keep_each_points_error_rate(self, model):
+        # The sweep decodes the same packets and channels at every point; a
+        # reference that draws every point's packets, fades and noise anew
+        # must see the same error rate at each point.  Bit errors of one
+        # packet are nearly independent on these models (their variance is
+        # 1.09 and 1.31 times the binomial one at K=31, 2 dB), so two counts
+        # of n bits at rate p differ by less than 4.5 sigma, with sigma^2 =
+        # 2 * 1.5 * n p (1 - p) and p the pooled rate.
+        cfg = small_ber_config(channel_model=model, snr_grid_db=(2.0, 4.0, 6.0), trials=6000)
+        params = cfg.modulation
+        k = params.num_bits
+        n = cfg.trials * k
+        records = run_ber(cfg).records
+        for point, (snr_db, rec) in enumerate(zip(cfg.snr_grid_db, records)):
+            rng = np.random.default_rng([404, point])
+            msgs = rng.integers(0, 2, (cfg.trials, k), dtype=np.int8)
+            tx = simulate._fade_batch(simulate.encode_batch(msgs, params), model, rng)
+            rx = simulate.awgn(tx, 10.0 ** (-snr_db / 10.0) / k, rng)
+            bits, _ = simulate.dizet_decode_batch(rx, params)
+            ref_errors = int(np.count_nonzero(bits != msgs))
+            rate = (rec["bit_errors"] + ref_errors) / (2 * n)
+            sigma = math.sqrt(2 * 1.5 * n * rate * (1 - rate))
+            assert abs(rec["bit_errors"] - ref_errors) < 4.5 * sigma, (snr_db, rec, ref_errors)
+
     def test_memory_is_bounded_by_the_block_not_the_batch(self, monkeypatch):
         # One 16384-packet task at K=127 held ~150 MB when the whole batch
         # went through each stage at once, and ~10.7 MB when each block
-        # allocated its own temporaries.  The task's one buffer set is
-        # 5.4 MB; with the first call's log basis the peak reads 7.1 MB.
+        # allocated its own temporaries.  The task's one buffer set was
+        # 5.4 MB at 1024-packet blocks (peak 7.1 MB with the first call's log
+        # basis); at 512-packet blocks it is 3.7 MB and the peak 5.3 MB.
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         cfg = SimConfig(
             modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384, batch_size=16384
@@ -291,12 +353,13 @@ class TestRunBer:
         assert ray_rec["ber"] > awgn_rec["ber"]
 
 
-# run_ber bit_errors pinned from the FFT-convolution fade, complex-product
-# encoder and padded decoder fold: (K, channel model, ((snr_db, bit_errors), ...)).
-# Every record has 2048 packets in two batches of 1024, seed 404.
+# run_ber bit_errors pinned from the sweep that encodes and fades each
+# 512-packet block once for the whole grid, with the decoder's fold scaled
+# after the slice adds: (K, channel model, ((snr_db, bit_errors), ...)).
+# Every record has 2048 packets in two worker tasks of 1024, seed 404.
 PINNED_BER = [
-    (127, "awgn", ((4.0, 13738), (7.0, 2721))),
-    (511, "rician_selective", ((6.0, 91767), (10.0, 41136))),
+    (127, "awgn", ((4.0, 13754), (7.0, 2606))),
+    (511, "rician_selective", ((6.0, 92520), (10.0, 41511))),
 ]
 
 
