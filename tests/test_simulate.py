@@ -264,9 +264,8 @@ class TestRunBer:
     def test_memory_is_bounded_by_the_block_not_the_batch(self, monkeypatch):
         # One 16384-packet task at K=127 held ~150 MB when the whole batch
         # went through each stage at once, and ~10.7 MB when each block
-        # allocated its own temporaries.  The task's one buffer set was
-        # 5.4 MB at 1024-packet blocks (peak 7.1 MB with the first call's log
-        # basis); at 512-packet blocks it is 3.7 MB and the peak 5.3 MB.
+        # allocated its own temporaries.  The task's one buffer set is
+        # 3.7 MB; with the first call's log basis the peak reads 5.3 MB.
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         cfg = SimConfig(
             modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384, batch_size=16384
