@@ -9,12 +9,15 @@ carrier phase reference.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .huffman import ModulationParams
 
 __all__ = [
     "eval_on_zero_grid",
+    "decide",
     "dizet_decode",
     "dizet_decode_batch",
 ]
@@ -55,6 +58,7 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int, out=None) -> np.nda
     return out
 
 
+@lru_cache(maxsize=64)
 def _normalizers(radius: float, n: int) -> tuple[float, float]:
     # Euclidean norms of the evaluation weight vectors (R^n) and (R^-n);
     # dividing by them equalizes the noise variance of the two test statistics.
@@ -62,6 +66,23 @@ def _normalizers(radius: float, n: int) -> tuple[float, float]:
     c_outer = float(np.sqrt(np.sum(radius ** (2.0 * expo))))
     c_inner = float(np.sqrt(np.sum(radius ** (-2.0 * expo))))
     return c_outer, c_inner
+
+
+def decide(outer, inner, radius: float, n: int):
+    """The DiZeT decision from the grid magnitudes of packets of n samples.
+
+    ``outer`` and ``inner`` are float arrays of |Y| on the grids of radius
+    ``radius`` and 1/``radius``.  Each is divided by the norm of its weight
+    vector, floored and logged in place; the margins log(inner) - log(outer)
+    are written to ``outer``.  Returns (bits, margins), bit 1 where the
+    margin is positive.
+    """
+    for mags, norm in zip((outer, inner), _normalizers(radius, n)):
+        mags /= norm
+        np.maximum(mags, _MAG_FLOOR, out=mags)
+        np.log(mags, out=mags)
+    margins = np.subtract(inner, outer, out=outer)
+    return (margins > 0).view(np.uint8), margins
 
 
 def dizet_decode_batch(received, params: ModulationParams, out=None, scratch=None):
@@ -82,17 +103,11 @@ def dizet_decode_batch(received, params: ModulationParams, out=None, scratch=Non
             f"insufficient length: need at least {K + 1} samples, got {ys.shape[1]}"
         )
     R = params.outer_radius
-    c_outer, c_inner = _normalizers(R, ys.shape[1])
     grid = eval_on_zero_grid(ys, R, K, out=scratch)
     outer = np.abs(grid, out=out)
     # |.| in place: the inner magnitudes are the real parts of the grid.
     inner = np.abs(eval_on_zero_grid(ys, 1.0 / R, K, out=grid), out=grid).real
-    for mags, norm in ((outer, c_outer), (inner, c_inner)):
-        mags /= norm
-        np.maximum(mags, _MAG_FLOOR, out=mags)
-        np.log(mags, out=mags)
-    margins = np.subtract(inner, outer, out=outer)
-    return (margins > 0).view(np.uint8), margins
+    return decide(outer, inner, R, ys.shape[1])
 
 
 def dizet_decode(received, params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:

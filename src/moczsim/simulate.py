@@ -2,10 +2,10 @@
 
 Every run is a pure function of its configuration, including the seed: each
 radar trial or CFAR chunk derives its own random stream from (seed, purpose,
-index), and each block of BER packets one for its messages and fade, keyed
-(seed, 4, block), and one per SNR point for its noise, keyed (seed, 1, point,
-block).  Results are reduced by summation, so neither the worker count nor
-``batch_size`` ever changes the output.
+index), and each block of BER packets one, keyed (seed, 4, block), for its
+messages, its fade and the one noise block that every SNR point of the
+sweep scales.  Results are reduced by summation, so neither the worker count
+nor ``batch_size`` ever changes the output.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .channel import (
     make_beamformers,
     receive_radar,
 )
-from .dizet import dizet_decode_batch
+from .dizet import decide, eval_on_zero_grid
 from .huffman import ModulationParams, encode_batch
 from .radar import (
     CfarConfig,
@@ -48,8 +48,11 @@ from .radar import (
     os_cfar,
 )
 
-# Unused here, but bench/spans.py wraps them by name as attributes of this module.
+# Unused here, but bench/spans.py wraps them by name as attributes of this
+# module, and tests reach the decoder through it.  run_ber decides from the
+# zero-grid values itself, so dizet_decode_batch is among them.
 from .channel import apply_radar_channel  # noqa: F401
+from .dizet import dizet_decode_batch  # noqa: F401
 from .radar import cross_correlate, sample_covariance  # noqa: F401
 
 __all__ = [
@@ -75,8 +78,9 @@ _SELECTIVE_TAP_POWERS = np.array([1.0, 0.5, 0.25, 0.125])
 _SELECTIVE_TAP_POWERS = _SELECTIVE_TAP_POWERS / _SELECTIVE_TAP_POWERS.sum()
 _RICIAN_FACTOR = 10.0
 
-# Packets per BER message and fade stream, and per pass through the BER chain.
-_BER_BLOCK = 512
+# Packets per BER block stream (messages, fade and noise), and per pass
+# through the BER chain.
+_BER_BLOCK = 128
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -299,6 +303,23 @@ def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buffer[: rows * cols].reshape(rows, cols)
 
 
+def _decide_from_grids(grids, scale: float, radius: float, n: int, mix, mags):
+    """``dizet_decode_batch(x + scale * z)`` from the zero-grid values of x and z.
+
+    ``grids`` holds the (B, K) values of the packets x on the outer and
+    inner grids, then those of the noise z.  The values are linear in the
+    samples, so C + scale * Z are the noisy packets' values; their
+    magnitudes go to the two float arrays ``mags`` through the complex
+    ``mix`` and the decoder's ``decide`` takes them from there.  Returns
+    (bits, margins), the margins in ``mags[0]``.
+    """
+    for clean, noise, out in zip(grids[:2], grids[2:], mags):
+        np.multiply(noise, scale, out=mix)
+        mix += clean
+        np.abs(mix, out=out)
+    return decide(mags[0], mags[1], radius, n)
+
+
 def run_ber(cfg: SimConfig) -> MonteCarloResult:
     """Bit error rate sweep of the noncoherent decoder over cfg.snr_grid_db.
 
@@ -306,50 +327,63 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     the per-sample complex noise variance at SNR s dB is 10^(-s/10) / K.  The
     coherent BPSK reference Q(sqrt(2 Eb/N0)) is emitted alongside each point.
 
-    Packets run in blocks of 512.  Each block's messages and fade come from
-    the block's own stream, and the block is encoded and faded once for the
-    whole grid (common random numbers: every point sees the same packets and
-    channels).  Each SNR point then adds its noise, from a stream of its own
-    per block, and decodes before the next point, so a block bounds the
-    memory.  ``batch_size`` only sets the packets of one worker task, rounded
-    up to whole blocks; it never changes the output.  A task allocates one
-    buffer set, sized to its first block, and every stage of every block
-    runs in it; it returns its bit errors per SNR point.
+    Packets run in blocks of 128, each with one stream of its own that draws
+    the block's messages, its fade and then one unit noise block z (real and
+    imaginary parts N(0, 1)).  Every SNR point sees the same packets,
+    channels and noise (common random numbers), scaled by
+    s = sqrt(noise variance / 2).  The decoder's zero-grid values are linear
+    in the samples, so the block is evaluated on the two grids once for the
+    faded packets (C) and once for z (Z), and each point decides from
+    C + s Z with the decoder's own rule: one encode, fade, noise draw and
+    four grid evaluations per block, whatever the grid length.
+    ``batch_size`` only sets the packets of one worker task, rounded up to
+    whole blocks; it never changes the output.  A task allocates one buffer
+    set, sized to its first block, and every stage of every block runs in
+    it; it returns its bit errors per SNR point.
     """
     params = cfg.modulation
     k = params.num_bits
+    radius = params.outer_radius
     n_blocks = -(-cfg.trials // _BER_BLOCK)
     per_task = -(-cfg.batch_size // _BER_BLOCK)
     tasks = [range(b, min(b + per_task, n_blocks)) for b in range(0, n_blocks, per_task)]
     growth = _SELECTIVE_TAP_POWERS.size - 1  # samples a rician_selective packet gains
     rx_len = params.seq_len + (growth if cfg.channel_model == "rician_selective" else 0)
     padded_len = params.seq_len + 2 * growth
-    noise_vars = [10.0 ** (-snr_db / 10.0) / k for snr_db in cfg.snr_grid_db]
+    scales = [math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0) for snr_db in cfg.snr_grid_db]
 
     def task_errors(blocks: range) -> list[int]:
-        # The faded packets stay in ``faded`` across the grid; ``noisy`` holds
-        # the fade's padded rows, then each point's noisy copy; ``grid`` the
-        # decoder's grids; ``real`` the messages as floats, then the margins.
+        # ``grids`` first carries the messages as floats into the encoder,
+        # then holds the four grids.  ``signal`` holds the packets, faded in
+        # place, then z, then each point's two magnitude arrays as floats;
+        # ``spare`` the fade's padded rows, then each point's noisy values.
         # Each is sized for the task's first block, its largest.
         rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
-        faded = np.empty(rows * rx_len, dtype=complex)
-        noisy = np.empty(rows * padded_len, dtype=complex)
-        grid = np.empty(rows * k, dtype=complex)
-        real = np.empty((rows, k))
-        errors = [0] * len(noise_vars)
+        signal = np.empty(rows * rx_len, dtype=complex)
+        spare = np.empty(rows * padded_len, dtype=complex)
+        grids = np.empty((4, rows * k), dtype=complex)
+        errors = [0] * len(scales)
         for block in blocks:
             rng = _rng_for(cfg.seed, 4, block)
             size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
             msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
-            np.copyto(real[:size], msgs)
-            tx = encode_batch(real[:size], params, out=_rows(faded, size, params.seq_len))
-            clean = _fade_batch(
-                tx, cfg.channel_model, rng, _rows(faded, size, rx_len), _rows(noisy, size, padded_len)
-            )
-            rx = _rows(noisy, size, rx_len)
-            for point, noise_var in enumerate(noise_vars):
-                awgn(clean, noise_var, _rng_for(cfg.seed, 1, point, block), out=rx)
-                bits, _ = dizet_decode_batch(rx, params, real[:size], _rows(grid, size, k))
+            real = _rows(grids[0].view(np.float64), size, k)
+            np.copyto(real, msgs)
+            tx = encode_batch(real, params, out=_rows(signal, size, params.seq_len))
+            rx = _rows(signal, size, rx_len)
+            clean = _fade_batch(tx, cfg.channel_model, rng, rx, _rows(spare, size, padded_len))
+            views = [_rows(grid, size, k) for grid in grids]
+            eval_on_zero_grid(clean, radius, k, out=views[0])
+            eval_on_zero_grid(clean, 1.0 / radius, k, out=views[1])
+            rx[...] = 0
+            z = awgn(rx, 2.0, rng, out=rx)  # variance 2: unit real and imaginary parts
+            eval_on_zero_grid(z, radius, k, out=views[2])
+            eval_on_zero_grid(z, 1.0 / radius, k, out=views[3])
+            floats = signal.view(np.float64)
+            mags = (_rows(floats, size, k), _rows(floats[size * k :], size, k))
+            mix = _rows(spare, size, k)
+            for point, scale in enumerate(scales):
+                bits, _ = _decide_from_grids(views, scale, radius, rx_len, mix, mags)
                 errors[point] += int(np.count_nonzero(bits != msgs))
         return errors
 

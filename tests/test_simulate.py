@@ -37,6 +37,7 @@ from moczsim import (
     run_radar,
 )
 import moczsim.simulate as simulate
+from moczsim.channel import DB_LIMIT
 from moczsim.simulate import _max_workers, atomic_write_text, write_result
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -179,14 +180,15 @@ class TestRunBer:
         monkeypatch.setenv("MOCZSIM_THREADS", "4")
         assert run_ber(cfg).records == base
 
-    # Trials on both sides of one, two and four 512-packet blocks; the batch
-    # sizes run one packet, parts of a block, whole blocks and more than the
-    # trials per worker task.  Each worker task has its own buffer set, so a
-    # buffer shared across tasks would show only at two workers, on any model.
-    # The derandomized search covers all 180 cases.
-    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    # Trials on both sides of one, two, four, eight and sixteen 128-packet
+    # blocks, and 2500 (19 whole blocks and a short one); the batch sizes run
+    # one packet, parts of a block, whole blocks and more than the trials per
+    # worker task.  Each worker task has its own buffer set, so a buffer
+    # shared across tasks would show only at two workers, on any model.  The
+    # derandomized search covers all 324 cases.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(
-        trials=st.sampled_from((511, 513, 1023, 1025, 2500)),
+        trials=st.sampled_from((127, 129, 255, 257, 511, 513, 1023, 1025, 2500)),
         batch_size=st.sampled_from((1, 500, 1000, 1024, 4096, 16384)),
         threads=st.sampled_from(("1", "2")),
         model=st.sampled_from(simulate.CHANNEL_MODELS),
@@ -202,8 +204,10 @@ class TestRunBer:
 
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     def test_each_block_is_encoded_and_faded_once_for_the_grid(self, monkeypatch, model):
-        # 1300 packets are three blocks, the last one short; every SNR point
-        # adds its own noise to the same faded block and decodes it.
+        # 1300 packets are eleven blocks, the last one short.  Each block
+        # draws its noise once and is evaluated on the two zero grids twice
+        # (its faded packets, its noise); every SNR point decides from those
+        # values, and the allocating decoder never runs.
         calls = {}
 
         def counting(name, fn):
@@ -212,7 +216,11 @@ class TestRunBer:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("encode_batch", "_fade_batch", "awgn", "dizet_decode_batch"):
+        names = (
+            "encode_batch", "_fade_batch", "awgn", "eval_on_zero_grid", "decide",
+            "dizet_decode_batch",
+        )
+        for name in names:
             monkeypatch.setattr(simulate, name, counting(name, getattr(simulate, name)))
         blocks = -(-1300 // simulate._BER_BLOCK)
         for grid in ((4.0,), (0.0, 3.0, 6.0, 9.0)):
@@ -221,13 +229,14 @@ class TestRunBer:
             assert calls == {
                 "encode_batch": blocks,
                 "_fade_batch": blocks,
-                "awgn": blocks * len(grid),
-                "dizet_decode_batch": blocks * len(grid),
+                "awgn": blocks,
+                "eval_on_zero_grid": 4 * blocks,
+                "decide": blocks * len(grid),
             }
 
     def test_appending_points_leaves_the_earlier_records_unchanged(self, monkeypatch):
-        # Each point's noise stream is keyed by its index in the grid, and the
-        # packets and fades do not depend on the grid at all.
+        # A block's packets, fades and noise do not depend on the grid at
+        # all, and each point's decisions read only its own noise scale.
         monkeypatch.setenv("MOCZSIM_THREADS", "2")
         cfg = small_ber_config(channel_model="rician_selective", trials=1300, batch_size=512)
         short = run_ber(cfg).to_csv().splitlines()
@@ -261,11 +270,57 @@ class TestRunBer:
             sigma = math.sqrt(2 * 1.5 * n * rate * (1 - rate))
             assert abs(rec["bit_errors"] - ref_errors) < 4.5 * sigma, (snr_db, rec, ref_errors)
 
+    @pytest.mark.parametrize("k", [31, 127, 511])
+    @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
+    def test_grid_decision_is_the_decode_of_the_noisy_packets(self, model, k):
+        # The zero-grid values are linear in the samples, so deciding from
+        # C + s Z must be decoding x + s z.  The two orders of the same sums
+        # round differently: the margins agree to 1e-9 (3e-13 at most here),
+        # and the bits wherever a margin is further than that from zero.
+        params = ModulationParams(k)
+        radius = params.outer_radius
+        rng = np.random.default_rng(k)
+        msgs = rng.integers(0, 2, (64, k), dtype=np.int8)
+        clean = simulate._fade_batch(simulate.encode_batch(msgs, params), model, rng)
+        z = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
+        grids = [
+            simulate.eval_on_zero_grid(x, r, k) for x in (clean, z) for r in (radius, 1.0 / radius)
+        ]
+        mix = np.empty((64, k), dtype=complex)
+        mags = np.empty((2, 64, k))
+        for snr_db in (0.0, 6.0, 12.0):
+            scale = math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0)
+            bits, margins = simulate._decide_from_grids(
+                grids, scale, radius, clean.shape[1], mix, mags
+            )
+            want_bits, want_margins = simulate.dizet_decode_batch(clean + scale * z, params)
+            assert np.max(np.abs(margins - want_margins)) <= 1e-9, snr_db
+            sure = np.abs(want_margins) > 1e-9
+            assert np.array_equal(bits[sure], want_bits[sure]), snr_db
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [31, 511])
+    @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
+    def test_snr_grid_edges(self, model, k):
+        # At -DB_LIMIT the noise scale is ~1e153 and the packets vanish
+        # beside it, so each bit error is the XOR of a noise decision with an
+        # independent fair message bit: binomial at 1/2.  At +DB_LIMIT the
+        # noise variance is subnormal and every bit is decoded.  No warning.
+        cfg = small_ber_config(
+            modulation=ModulationParams(k), channel_model=model,
+            snr_grid_db=(-DB_LIMIT, DB_LIMIT), trials=256,
+        )
+        low, high = run_ber(cfg).records
+        n = cfg.trials * k
+        assert abs(low["bit_errors"] - n / 2) < 5 * math.sqrt(n / 4)
+        assert high["bit_errors"] == 0
+
     def test_memory_is_bounded_by_the_block_not_the_batch(self, monkeypatch):
         # One 16384-packet task at K=127 held ~150 MB when the whole batch
         # went through each stage at once, and ~10.7 MB when each block
         # allocated its own temporaries.  The task's one buffer set is
-        # 3.7 MB; with the first call's log basis the peak reads 5.3 MB.
+        # 1.58 MB (3.7 MB for 512-packet blocks and one grid); with the first
+        # call's log basis the peak reads 3.1 MB (was 5.3 MB).
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         cfg = SimConfig(
             modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384, batch_size=16384
@@ -280,7 +335,8 @@ class TestRunBer:
 
     def test_task_buffers_are_sized_to_the_task(self, monkeypatch):
         # A 16-packet task at K=511 allocated the 1024-packet buffer set,
-        # 21.4 MB, for its 16 rows.  Sized to the task it takes ~0.6 MB.
+        # 21.4 MB, for its 16 rows.  Sized to the task it took ~0.6 MB with
+        # one grid, and ~0.94 MB with the four grids of the shared noise.
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         cfg = SimConfig(
             modulation=ModulationParams(511), channel_model="rician_selective",
@@ -352,13 +408,15 @@ class TestRunBer:
         assert ray_rec["ber"] > awgn_rec["ber"]
 
 
-# run_ber bit_errors pinned from the sweep that encodes and fades each
-# 512-packet block once for the whole grid, with the decoder's fold scaled
-# after the slice adds: (K, channel model, ((snr_db, bit_errors), ...)).
-# Every record has 2048 packets in two worker tasks of 1024, seed 404.
+# run_ber bit_errors pinned from the sweep that draws each 128-packet
+# block's messages, fade and one unit noise block from the block's stream
+# and decides every point from the block's zero-grid values:
+# (K, channel model, ((snr_db, bit_errors), ...)).  Every record has 2048
+# packets in two worker tasks of 1024, seed 404.  The 512-packet sweep with
+# a noise stream per point gave 13754 and 2606, and 92520 and 41511.
 PINNED_BER = [
-    (127, "awgn", ((4.0, 13754), (7.0, 2606))),
-    (511, "rician_selective", ((6.0, 92520), (10.0, 41511))),
+    (127, "awgn", ((4.0, 13703), (7.0, 2733))),
+    (511, "rician_selective", ((6.0, 91801), (10.0, 41416))),
 ]
 
 
@@ -1017,6 +1075,8 @@ def test_traced_runs_equal_plain_runs(monkeypatch):
     with spans.traced(recorder):
         traced = both()
     assert traced == plain
+    # run_ber decides from its zero-grid values, so no decoder span is left
+    # in a BER run; its noise draw is.
     assert {s.name for s in recorder.spans} >= {
-        "huffman.encode_batch", "dizet.dizet_decode_batch", "radar.os_cfar", "radar.music_angles"
+        "huffman.encode_batch", "channel.awgn", "radar.os_cfar", "radar.music_angles"
     }
