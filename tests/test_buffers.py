@@ -4,10 +4,11 @@ the block it reads or writes.
 
 The buffers are views of flat arrays, as ``run_ber`` carves them from its
 per-task set.  The sizes are 512 rows and a short 500, and 1024 rows and a
-short 1000, as a caller of the kernels may pass.  Below about 512 rows the
-encoder's fixed ~130 KB of transform work space exceeds a quarter of the
-block (135 KB at 128 rows, the size of a ``run_ber`` block), so the bounds
-are checked where they measure the per-row temporaries.
+short 1000, as a caller of the kernels may pass.  The encoder's broadcast
+add of the inner sums takes numpy's 8192-value iterator buffer, ~130 KB
+whatever the row count; at the 128 rows of a ``run_ber`` block that is more
+than a quarter of the block, so the bounds are checked at row counts where
+they measure the per-row temporaries.
 """
 
 import math
