@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .huffman import ModulationParams
+from .huffman import ModulationParams, broadcast_into
 
 __all__ = [
     "eval_on_zero_grid",
@@ -51,7 +51,7 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int, out=None) -> np.nda
     for start in range(num_bits, n, num_bits):
         block = y[..., start : start + num_bits]
         out[..., : block.shape[-1]] += weights[start] * block
-    out *= weights[:num_bits]
+    broadcast_into(np.multiply, out, weights[:num_bits], out)
     # sum_m g[m] exp(+2i pi m k / K) == K * ifft(g)
     np.fft.ifft(out, axis=-1, out=out)
     out *= num_bits
@@ -85,16 +85,14 @@ def decide(outer, inner, radius: float, n: int):
     return (margins > 0).view(np.uint8), margins
 
 
-def dizet_decode_batch(received, params: ModulationParams, out=None, scratch=None):
+def dizet_decode_batch(received, params: ModulationParams):
     """Decode a (B, N) batch of packets of N >= K+1 samples.
 
     Returns (bits, margins) arrays of shape (B, K).  The decision rule per
     bit k is scale and phase invariant: bit 1 when
     |Y(R e^{i theta_k})| / c+ < |Y(R^-1 e^{i theta_k})| / c-, where c+- are
     the norms of the weight vectors (R^n) and (R^-n), n = 0..N-1.  Equal
-    normalized magnitudes resolve deterministically to bit 0.  The margins
-    are written to ``out`` (B, K) float and each grid to ``scratch`` (B, K)
-    complex; either is allocated when omitted.
+    normalized magnitudes resolve deterministically to bit 0.
     """
     ys = np.atleast_2d(np.asarray(received, dtype=complex))
     K = params.num_bits
@@ -103,10 +101,8 @@ def dizet_decode_batch(received, params: ModulationParams, out=None, scratch=Non
             f"insufficient length: need at least {K + 1} samples, got {ys.shape[1]}"
         )
     R = params.outer_radius
-    grid = eval_on_zero_grid(ys, R, K, out=scratch)
-    outer = np.abs(grid, out=out)
-    # |.| in place: the inner magnitudes are the real parts of the grid.
-    inner = np.abs(eval_on_zero_grid(ys, 1.0 / R, K, out=grid), out=grid).real
+    outer = np.abs(eval_on_zero_grid(ys, R, K))
+    inner = np.abs(eval_on_zero_grid(ys, 1.0 / R, K))
     return decide(outer, inner, R, ys.shape[1])
 
 

@@ -91,6 +91,21 @@ def _as_bits(bits, num_bits: int | None = None) -> np.ndarray:
     return mi
 
 
+def broadcast_into(ufunc, a, b, out):
+    """``ufunc(a, b, out=out)`` where one operand is broadcast over ``out``'s rows.
+
+    When the rows are shorter than numpy's ufunc buffer (8192 values), numpy
+    copies the broadcast operand into a buffer of up to that many values:
+    ~130 KB of complex values, whatever the row count.  With the buffer size
+    set to the row length for this call, rounded down to numpy's multiple of
+    16 (``np.errstate`` restores it), the operands are read in place, and a
+    cast needs at most one row of buffer.
+    """
+    with np.errstate():
+        np.setbufsize(min(16 * max(1, out.shape[-1] // 16), np.getbufsize()))
+        return ufunc(a, b, out=out)
+
+
 @lru_cache(maxsize=4)
 def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     # Logs of the zero factors on the K+1 roots of unity: the per-point sum
@@ -154,12 +169,12 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     # exp of summed logs equals the zero product; branch offsets cancel in exp.
     xr = out.view(np.float64)
     np.matmul(np.asarray(m, dtype=np.float64), basis, out=xr)
-    out += inner_sum
+    broadcast_into(np.add, out, inner_sum, out)
     np.exp(out, out=out)
     np.fft.fft(out, axis=1, out=out)
     energy = np.einsum("ij,ij->i", xr, xr)
-    out *= (np.exp(-1j * np.angle(out[:, 0])) / np.sqrt(energy))[:, None]
-    return out
+    row_scale = np.exp(-1j * np.angle(out[:, 0])) / np.sqrt(energy)
+    return broadcast_into(np.multiply, out, row_scale[:, None], out)
 
 
 def encode(bits, params: ModulationParams) -> np.ndarray:

@@ -146,9 +146,10 @@ class CfarConfig:
 
 # Largest expected share of cells, under Exp(1) noise, for which os_cfar
 # counts the second half of the references in a second stage.  Timed on
-# 65 536 Exp(1) cells (2-core Xeon, numpy 2.4.6, windows 1 to 12), two
-# stages took 1.04-1.9x the one pass at shares of 7 % and more, and
-# 0.7-0.95x at 4.9 % and less.
+# 65 536 Exp(1) cells (2-core Xeon, numpy 2.4.6, windows 1 to 12, every
+# rank above the window, pfa 1e-2 to 1e-6), two stages took 1.04-2.8x the
+# one pass at shares above 5 %, and 0.62-0.98x at 5 % and less but for
+# (4, 5) at pfa 1e-6 (4.4 %, 1.03x).
 _STAGE_TWO_SHARE = 0.05
 
 
@@ -184,15 +185,14 @@ def os_cfar(power, config: CfarConfig, scratch=None) -> tuple[np.ndarray, np.nda
     ``power[c]``.  The comparisons read shifted views of one circularly
     extended copy of ``alpha * power``, written into ``scratch`` (a float
     array of ``power.size + 2 * (window + guard)`` values, allocated when
-    omitted).  When os_rank is at least 3/4 of the 2*window references
-    and at most 5 % of Exp(1) noise cells are expected to reach the second
-    stage (``_stage_two_share``), the count runs in two stages: the window
-    references before every cell first, then the window after it only for
-    the cells within window of os_rank.  Both stages make the same
-    comparisons, so the result is exact.  Otherwise too many cells would
-    reach the second stage, and one pass counts all 2*window.  The ordered
-    statistic, and so the threshold, is computed for the detected cells
-    only.
+    omitted).  When at most 5 % of Exp(1) noise cells are expected to
+    reach the second stage (``_stage_two_share``), the count runs in two
+    stages: the window references before every cell first, then the window
+    after it only for the cells within window of os_rank.  Both stages make
+    the same comparisons, so the result is exact.  Otherwise too many cells
+    would reach the second stage, and one pass counts all 2*window.  The
+    ordered statistic, and so the threshold, is computed for the detected
+    cells only.
 
     Returns the detected cells in ascending order, as an integer array, and
     their thresholds alpha * kth.
@@ -213,8 +213,7 @@ def os_cfar(power, config: CfarConfig, scratch=None) -> tuple[np.ndarray, np.nda
     np.multiply(config.alpha, power, out=scratch[reach : reach + n])
     scratch[:reach] = scratch[n : n + reach]
     scratch[reach + n :] = scratch[reach : 2 * reach]
-    two_stage = 4 * rank >= 3 * offsets.size and _stage_two_share(config) <= _STAGE_TWO_SHARE
-    first = window if two_stage else offsets.size
+    first = window if _stage_two_share(config) <= _STAGE_TWO_SHARE else offsets.size
     below = np.empty(n, dtype=bool)
     count = np.zeros(n, dtype=np.min_scalar_type(offsets.size))
     for off in offsets[:first]:

@@ -36,7 +36,7 @@ from .channel import (
     receive_radar,
 )
 from .dizet import decide, eval_on_zero_grid
-from .huffman import ModulationParams, encode_batch
+from .huffman import ModulationParams, broadcast_into, encode_batch
 from .radar import (
     CfarConfig,
     cluster_detections,
@@ -277,7 +277,8 @@ def _fade_batch(tx, model: str, rng: np.random.Generator, out=None, scratch=None
     b = tx.shape[0]
     if model == "rayleigh_flat":
         h = (rng.standard_normal(b) + 1j * rng.standard_normal(b)) / math.sqrt(2.0)
-        return np.multiply(tx, h[:, None], out=out)
+        out = np.empty_like(tx) if out is None else out
+        return broadcast_into(np.multiply, tx, h[:, None], out)
     if model == "rician_selective":
         n_taps = _SELECTIVE_TAP_POWERS.size
         psi = rng.uniform(0.0, 2.0 * np.pi, (b, n_taps))

@@ -3,12 +3,10 @@ bitwise the allocating result, and the call allocates less than a quarter of
 the block it reads or writes.
 
 The buffers are views of flat arrays, as ``run_ber`` carves them from its
-per-task set.  The sizes are 512 rows and a short 500, and 1024 rows and a
-short 1000, as a caller of the kernels may pass.  The encoder's broadcast
-add of the inner sums takes numpy's 8192-value iterator buffer, ~130 KB
-whatever the row count; at the 128 rows of a ``run_ber`` block that is more
-than a quarter of the block, so the bounds are checked at row counts where
-they measure the per-row temporaries.
+per-task set.  The sizes are one whole block and a short block (100 rows),
+the last block of a run whose trials are not a multiple of the block, and
+512 and 1024 rows with short 500 and 1000, as a caller of the kernels may
+pass: the bounds hold at any row count.
 """
 
 import math
@@ -19,7 +17,7 @@ import pytest
 
 from moczsim import ModulationParams, awgn, dizet_decode_batch, encode_batch, eval_on_zero_grid
 from moczsim.channel import _DRAW_CHUNK
-from moczsim.simulate import _BER_BLOCK, _fade_batch, _rows
+from moczsim.simulate import _BER_BLOCK, _decide_from_grids, _fade_batch, _rows
 
 
 def peak_bytes(fn) -> int:
@@ -38,7 +36,7 @@ def same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-SIZES = [512, 500, 1024, 1000]
+SIZES = [_BER_BLOCK, 100, 512, 500, 1024, 1000]
 
 
 def flat_buffer(k: int, dtype=complex) -> np.ndarray:
@@ -145,16 +143,27 @@ class TestAwgnOut:
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("k, model", [(127, "awgn"), (511, "rician_selective")])
 def test_decode_into_out_is_the_allocating_decode(k, model, size):
+    # run_ber's decode: the packets and the noise on both zero grids, then the
+    # decision into its magnitude buffers.  At noise scale 0 the mixed values
+    # are the packets' own, so the result is the allocating decode's.
     p = ModulationParams(k)
     rx = faded_rows(size, k, model)
+    noise = np.random.default_rng(7).standard_normal(rx.shape) + 0j
     want_bits, want_margins = dizet_decode_batch(rx, p)
-    out = _rows(flat_buffer(k, dtype=float), size, k)
-    scratch = _rows(flat_buffer(k), size, k)
-    bits, margins = dizet_decode_batch(rx, p, out=out, scratch=scratch)
-    assert margins is out
+    grids = [_rows(flat_buffer(k), size, k) for _ in range(4)]
+    radii = [p.outer_radius, 1.0 / p.outer_radius] * 2
+    for x, radius, grid in zip([rx, rx, noise, noise], radii, grids):
+        assert eval_on_zero_grid(x, radius, k, out=grid) is grid
+        assert peak_bytes(lambda: eval_on_zero_grid(x, radius, k, out=grid)) < rx.nbytes / 4
+    mix = _rows(flat_buffer(k), size, k)
+    mags = [_rows(flat_buffer(k, dtype=float), size, k) for _ in range(2)]
+    bits, margins = _decide_from_grids(grids, 0.0, p.outer_radius, rx.shape[1], mix, mags)
+    assert margins is mags[0]
     assert same(margins, want_margins)
     assert same(bits, want_bits)
-    peak = peak_bytes(lambda: dizet_decode_batch(rx, p, out=out, scratch=scratch))
+    peak = peak_bytes(
+        lambda: _decide_from_grids(grids, 0.0, p.outer_radius, rx.shape[1], mix, mags)
+    )
     assert peak < rx.nbytes / 4
 
 

@@ -283,10 +283,10 @@ class TestOsCfar:
     def test_every_rank_and_both_count_stages_match_gather_oracle(
         self, window, guard, extra, alpha, levels, targets, specials, seed
     ):
-        # Every rank, so both sides of the two-stage split (4*os_rank >=
-        # 3*(2*window), and an alpha large enough for an expected stage-two
-        # share of at most 5 %) run: Exp(1) noise, quantised for ties, with
-        # strong targets and with NaN and inf cells.
+        # Every rank, so both sides of the two-stage split (an alpha large
+        # enough for an expected stage-two share of at most 5 %) run: Exp(1)
+        # noise, quantised for ties, with strong targets and with NaN and
+        # inf cells.
         reach = window + guard
         n = 2 * reach + 1 + extra
         rng = np.random.default_rng(seed)
@@ -308,9 +308,9 @@ class TestOsCfar:
     # (window, os_rank) pairs on both sides of the share bound: (4, 7) at
     # pfa 1e-2 would send 7.1 % of noise cells to stage two and counts in one
     # pass; (12, 18) at 1e-4, the shipped detector, sends 1.5 % and keeps
-    # two stages.
+    # two stages, as does (12, 17), below 3/4 of the references, at 2.6 %.
     @pytest.mark.parametrize("pfa", [1e-2, 1e-4])
-    @pytest.mark.parametrize("window, rank", [(4, 7), (8, 12), (12, 18)])
+    @pytest.mark.parametrize("window, rank", [(4, 7), (8, 12), (12, 17), (12, 18)])
     def test_split_matches_sort_based_threshold_on_noise(self, window, rank, pfa):
         cfg = CfarConfig(window=window, guard=2, os_rank=rank, pfa=pfa)
         power = np.random.default_rng(window + rank).standard_exponential(16_384)
@@ -325,6 +325,11 @@ class TestOsCfar:
         assert _stage_two_share(one_pass) > _STAGE_TWO_SHARE
         assert _stage_two_share(two_stages) == pytest.approx(0.0152, abs=1e-4)
         assert _stage_two_share(two_stages) <= _STAGE_TWO_SHARE
+        low_rank = CfarConfig(window=12, guard=2, os_rank=17, pfa=1e-4)
+        assert _stage_two_share(low_rank) == pytest.approx(0.0260, abs=1e-4)
+        assert _stage_two_share(low_rank) <= _STAGE_TWO_SHARE
+        # At os_rank <= window every noise cell would reach stage two.
+        assert _stage_two_share(CfarConfig(window=12, guard=2, os_rank=12)) == 1.0
 
     @pytest.mark.parametrize(
         "window, rank, pfa", [(4, 7, 1e-2), (12, 18, 1e-4), (8, 12, 1e-2), (2, 3, 1e-3)]
