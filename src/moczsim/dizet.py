@@ -31,8 +31,8 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int, out=None) -> np.nda
 
     ``samples`` has shape (..., N); leading axes are independent sequences
     and the result has shape (..., K), written to ``out`` when given.  The
-    samples are folded modulo K with their radius weights and a K-point
-    inverse DFT is taken in place, which is algebraically identical to
+    samples are folded modulo K with their radius weights and an unscaled
+    K-point inverse DFT is taken in place, which is algebraically identical to
     evaluating each point by Horner's rule.
     """
     y = np.asarray(samples, dtype=complex)
@@ -52,10 +52,8 @@ def eval_on_zero_grid(samples, radius: float, num_bits: int, out=None) -> np.nda
         block = y[..., start : start + num_bits]
         out[..., : block.shape[-1]] += weights[start] * block
     broadcast_into(np.multiply, out, weights[:num_bits], out)
-    # sum_m g[m] exp(+2i pi m k / K) == K * ifft(g)
-    np.fft.ifft(out, axis=-1, out=out)
-    out *= num_bits
-    return out
+    # sum_m g[m] exp(+2i pi m k / K): the inverse transform left unscaled
+    return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
 @lru_cache(maxsize=64)

@@ -108,23 +108,29 @@ def broadcast_into(ufunc, a, b, out):
 
 @lru_cache(maxsize=4)
 def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
-    # Logs of the zero factors on the K+1 roots of unity: the per-point sum
-    # of the inner (bit 0) factors, and the outer-minus-inner difference that
-    # each set bit adds, stored as the real view of its (K, K+1) transpose so
-    # a real message matrix times it is one real GEMM.  Read-only, since
-    # every caller shares them.
+    # Logs of the codeword's values on the K+1 roots of unity w, split into
+    # what no message changes and the phase each set bit adds.  For |w| = 1,
+    # |w - R a| = R |w - a/R|, so a set bit scales every value by R: the
+    # log-magnitudes are the all-zero message's plus |m| log R, and the
+    # unit-energy scaling removes that term.  The constant row holds the
+    # all-zero message's log-values, less the log of sqrt((K+1) S0) (S0 the
+    # sum of their squared magnitudes: Parseval and the unscaled FFT), plus
+    # i pi, since the constant coefficient -prod(r_k) is negative.  The
+    # (K, K+1) real basis holds arg((w - R a) / (w - a/R)) per zero pair, so
+    # a real message matrix times it is one real GEMM of the phases.
+    # Read-only, since every caller shares them.
     K = params.num_bits
     R = params.outer_radius
-    grid = np.exp(2j * np.pi * np.arange(K + 1) / (K + 1))
-    pair_angles = np.exp(2j * np.pi * np.arange(K) / K)
-    log_outer = np.log(grid[:, None] - R * pair_angles[None, :])
-    log_inner = np.log(grid[:, None] - pair_angles[None, :] / R)
-    inner_sum = log_inner.sum(axis=1)
-    log_outer -= log_inner
-    basis = np.ascontiguousarray(log_outer.T).view(np.float64)
-    inner_sum.flags.writeable = False
+    grid = np.exp(2j * np.pi * np.arange(K + 1) / (K + 1))[:, None]
+    pair_angles = np.exp(2j * np.pi * np.arange(K) / K)[None, :]
+    inner = grid - pair_angles / R
+    row = np.log(inner).sum(axis=1)
+    row.real -= 0.5 * np.log((K + 1) * np.sum(np.exp(2.0 * row.real)))
+    row.imag += np.pi
+    basis = np.ascontiguousarray(np.angle((grid - R * pair_angles) / inner).T)
+    row.flags.writeable = False
     basis.flags.writeable = False
-    return inner_sum, basis
+    return row, basis
 
 
 def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
@@ -135,13 +141,14 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     messages : array_like, shape (B, K) or (K,)
         Rows of 0/1 payload bits; float64 rows are read without a copy.
     params : ModulationParams
-    out : ndarray, shape (B, K+1), complex, optional
+    out : ndarray, shape (B, K+1), complex, C-contiguous, optional
         Where the sequences are built; allocated when omitted.
 
     Returns
     -------
     ndarray, shape (B, K+1)
-        Unit-energy sample sequences, first sample real and positive.
+        Unit-energy sample sequences, first sample real and positive (its
+        imaginary part is rounding, below 1e-12).
 
     Notes
     -----
@@ -150,12 +157,18 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     of zeros clustered on an arc grow combinatorially large before cancelling,
     which destroys double precision for K beyond roughly 100; the evaluation
     route is exact up to rounding because the sequence spectrum is within
-    [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  The (K, 2(K+1)) real
-    log basis depends only on ``params`` and is cached for the four most
-    recent parameter sets.  The leading coefficient -sqrt(eta R^(K-2|m|))
-    and the 1/(K+1) that turns the FFT of the values into coefficients are
-    real factors per row; the closing per-row phase and energy
-    normalisation removes any such factor, so neither is applied.
+    [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  That spectrum is the
+    all-zero message's times R^|m|, so only the phases of the values depend
+    on the message: one real GEMM of the messages with the cached (K, K+1)
+    phase basis, written into the first half of ``out``'s floats.  A row of
+    log-values is the cached constant row with those phases added to its
+    imaginary part; the rows are copied out to their complex slots from the
+    last ones down, in blocks that halve, so each block lands past the
+    phases still to be read.  The constant row carries the unit energy and
+    the sign of the first sample, so ``exp`` and the FFT along the rows in
+    place finish the sequences, with no per-row factor.  The row and the
+    basis depend only on ``params`` and are cached for the four most recent
+    parameter sets.
     """
     m = np.atleast_2d(np.asarray(messages))
     if m.ndim != 2 or m.shape[1] != params.num_bits:
@@ -163,18 +176,27 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     if np.count_nonzero(m) != np.count_nonzero(m == 1):  # a nonzero entry other than 1
         raise ValueError("bit message entries must be 0 or 1")
 
-    inner_sum, basis = _log_basis(params)
+    row, basis = _log_basis(params)
+    b, n = m.shape[0], params.seq_len
     if out is None:
-        out = np.empty((m.shape[0], params.seq_len), dtype=complex)
+        out = np.empty((b, n), dtype=complex)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    phases = out.reshape(-1).view(np.float64)[: b * n].reshape(b, n)
+    np.matmul(np.asarray(m, dtype=np.float64), basis, out=phases)
+    broadcast_into(np.add, phases, row.imag, phases)
+    # Rows [lo, hi) fill floats [2 lo n, 2 hi n) and read their phases at
+    # [lo n, hi n): disjoint while 2 lo >= hi.  Row 0 overlaps its own
+    # phases, which numpy copies first; its real parts go in last.
+    hi = b
+    while hi:
+        lo = (hi + 1) // 2 if hi > 1 else 0
+        np.copyto(out.imag[lo:hi], phases[lo:hi])
+        np.copyto(out.real[lo:hi], row.real)
+        hi = lo
     # exp of summed logs equals the zero product; branch offsets cancel in exp.
-    xr = out.view(np.float64)
-    np.matmul(np.asarray(m, dtype=np.float64), basis, out=xr)
-    broadcast_into(np.add, out, inner_sum, out)
     np.exp(out, out=out)
-    np.fft.fft(out, axis=1, out=out)
-    energy = np.einsum("ij,ij->i", xr, xr)
-    row_scale = np.exp(-1j * np.angle(out[:, 0])) / np.sqrt(energy)
-    return broadcast_into(np.multiply, out, row_scale[:, None], out)
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def encode(bits, params: ModulationParams) -> np.ndarray:

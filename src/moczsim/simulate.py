@@ -17,12 +17,11 @@ import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import (
     DB_LIMIT,
@@ -36,7 +35,7 @@ from .channel import (
     receive_radar,
 )
 from .dizet import decide, eval_on_zero_grid
-from .huffman import ModulationParams, broadcast_into, encode_batch
+from .huffman import ModulationParams, encode_batch
 from .radar import (
     CfarConfig,
     cluster_detections,
@@ -263,22 +262,18 @@ def _parallel_map(fn, items) -> list:
         return list(pool.map(fn, items))
 
 
-def _fade_batch(tx, model: str, rng: np.random.Generator, out=None, scratch=None) -> np.ndarray:
-    """Apply the selected fading model to a (B, K+1) batch of packets.
+def _fade_taps(model: str, b: int, rng: np.random.Generator) -> np.ndarray | None:
+    """The (B, n_taps) channel taps of ``model`` for B packets, tap 0 first.
 
-    Returns shape (B, K+1), or (B, K+4) for ``rician_selective``, whose
-    4-tap channel is a full linear convolution of each packet with its own
-    taps.  The result is written to ``out`` when given, which may share
-    memory with ``tx``; ``rician_selective`` builds its zero-padded
-    (B, K+7) rows in ``scratch``.  Either is allocated when omitted.
+    ``rayleigh_flat`` draws one complex gain per packet and
+    ``rician_selective`` four Rician taps at whole sample delays; ``awgn``
+    draws nothing and returns None.
     """
     if model == "awgn":
-        return tx
-    b = tx.shape[0]
+        return None
     if model == "rayleigh_flat":
         h = (rng.standard_normal(b) + 1j * rng.standard_normal(b)) / math.sqrt(2.0)
-        out = np.empty_like(tx) if out is None else out
-        return broadcast_into(np.multiply, tx, h[:, None], out)
+        return h[:, None]
     if model == "rician_selective":
         n_taps = _SELECTIVE_TAP_POWERS.size
         psi = rng.uniform(0.0, 2.0 * np.pi, (b, n_taps))
@@ -286,17 +281,39 @@ def _fade_batch(tx, model: str, rng: np.random.Generator, out=None, scratch=None
         diffuse = math.sqrt(1.0 / (2.0 * (_RICIAN_FACTOR + 1.0))) * (
             rng.standard_normal((b, n_taps)) + 1j * rng.standard_normal((b, n_taps))
         )
-        taps = np.sqrt(_SELECTIVE_TAP_POWERS)[None, :] * (los + diffuse)
-        # Direct convolution: output sample n of row b is
-        # sum_j taps[b, j] * tx[b, n - j], read from n_taps-wide windows of
-        # the zero-padded rows against the reversed taps.
-        n = tx.shape[1]
-        padded = np.empty((b, n + 2 * (n_taps - 1)), dtype=complex) if scratch is None else scratch
-        padded[:, : n_taps - 1] = padded[:, n_taps - 1 + n :] = 0
-        padded[:, n_taps - 1 : n_taps - 1 + n] = tx
-        windows = sliding_window_view(padded, n_taps, axis=1)
-        return np.einsum("bnj,bj->bn", windows, taps[:, ::-1], out=out)
+        return np.sqrt(_SELECTIVE_TAP_POWERS)[None, :] * (los + diffuse)
     raise ValueError(f"unknown channel model {model!r}")
+
+
+@lru_cache(maxsize=8)
+def _tap_powers(radius: float, n_taps: int, k: int) -> np.ndarray:
+    # (r a_k)^j for the taps j and the grid points a_k = exp(2i pi k / K),
+    # the angles reduced modulo K.  Read-only, since every caller shares it.
+    j = np.arange(n_taps)[:, None]
+    powers = radius**j * np.exp(2j * np.pi * (j * np.arange(k) % k) / k)
+    powers.flags.writeable = False
+    return powers
+
+
+def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: float, mix=None):
+    """Fade a block of packets on its two zero grids, in place.
+
+    ``outer`` and ``inner`` hold the (B, K) values of the clean packets on
+    the grids of radius ``radius`` and 1/``radius``.  A multipath channel
+    multiplies the transmit polynomial by its own, H(z) = sum_j h_j z^j, so
+    each grid is multiplied by H's values there: one (B, n_taps) @
+    (n_taps, K) product of the taps with a cached power table per grid,
+    written to ``mix`` (allocated when omitted).  The grids are then those
+    of the packets convolved with their taps: for ``rician_selective`` a
+    full linear convolution of K+4 samples.  Returns (outer, inner).
+    """
+    taps = _fade_taps(model, outer.shape[0], rng)
+    if taps is not None:
+        mix = np.empty_like(outer) if mix is None else mix
+        for grid, r in ((outer, radius), (inner, 1.0 / radius)):
+            np.matmul(taps, _tap_powers(r, taps.shape[1], outer.shape[1]), out=mix)
+            grid *= mix
+    return outer, inner
 
 
 def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -333,10 +350,11 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     imaginary parts N(0, 1)).  Every SNR point sees the same packets,
     channels and noise (common random numbers), scaled by
     s = sqrt(noise variance / 2).  The decoder's zero-grid values are linear
-    in the samples, so the block is evaluated on the two grids once for the
-    faded packets (C) and once for z (Z), and each point decides from
-    C + s Z with the decoder's own rule: one encode, fade, noise draw and
-    four grid evaluations per block, whatever the grid length.
+    in the samples, so the block is evaluated on the two grids once for its
+    packets, which the fade then multiplies by each channel's polynomial
+    there (C), and once for z (Z), and each point decides from C + s Z with
+    the decoder's own rule: one encode, fade, noise draw and four grid
+    evaluations per block, whatever the grid length.
     ``batch_size`` only sets the packets of one worker task, rounded up to
     whole blocks; it never changes the output.  A task allocates one buffer
     set, sized to its first block, and every stage of every block runs in
@@ -350,18 +368,18 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     tasks = [range(b, min(b + per_task, n_blocks)) for b in range(0, n_blocks, per_task)]
     growth = _SELECTIVE_TAP_POWERS.size - 1  # samples a rician_selective packet gains
     rx_len = params.seq_len + (growth if cfg.channel_model == "rician_selective" else 0)
-    padded_len = params.seq_len + 2 * growth
     scales = [math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0) for snr_db in cfg.snr_grid_db]
 
     def task_errors(blocks: range) -> list[int]:
         # ``grids`` first carries the messages as floats into the encoder,
-        # then holds the four grids.  ``signal`` holds the packets, faded in
-        # place, then z, then each point's two magnitude arrays as floats;
-        # ``spare`` the fade's padded rows, then each point's noisy values.
-        # Each is sized for the task's first block, its largest.
+        # then holds the four grids.  ``signal`` holds the packets, then z
+        # (rx_len samples a packet), then each point's two magnitude arrays
+        # as floats; ``spare`` the channels' values on each grid in turn,
+        # then each point's noisy values.  Each is sized for the task's
+        # first block, its largest.
         rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
         signal = np.empty(rows * rx_len, dtype=complex)
-        spare = np.empty(rows * padded_len, dtype=complex)
+        spare = np.empty(rows * k, dtype=complex)
         grids = np.empty((4, rows * k), dtype=complex)
         errors = [0] * len(scales)
         for block in blocks:
@@ -371,18 +389,18 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
             real = _rows(grids[0].view(np.float64), size, k)
             np.copyto(real, msgs)
             tx = encode_batch(real, params, out=_rows(signal, size, params.seq_len))
-            rx = _rows(signal, size, rx_len)
-            clean = _fade_batch(tx, cfg.channel_model, rng, rx, _rows(spare, size, padded_len))
             views = [_rows(grid, size, k) for grid in grids]
-            eval_on_zero_grid(clean, radius, k, out=views[0])
-            eval_on_zero_grid(clean, 1.0 / radius, k, out=views[1])
+            eval_on_zero_grid(tx, radius, k, out=views[0])
+            eval_on_zero_grid(tx, 1.0 / radius, k, out=views[1])
+            mix = _rows(spare, size, k)
+            _fade_batch(views[0], views[1], cfg.channel_model, rng, radius, mix)
+            rx = _rows(signal, size, rx_len)
             rx[...] = 0
             z = awgn(rx, 2.0, rng, out=rx)  # variance 2: unit real and imaginary parts
             eval_on_zero_grid(z, radius, k, out=views[2])
             eval_on_zero_grid(z, 1.0 / radius, k, out=views[3])
             floats = signal.view(np.float64)
             mags = (_rows(floats, size, k), _rows(floats[size * k :], size, k))
-            mix = _rows(spare, size, k)
             for point, scale in enumerate(scales):
                 bits, _ = _decide_from_grids(views, scale, radius, rx_len, mix, mags)
                 errors[point] += int(np.count_nonzero(bits != msgs))

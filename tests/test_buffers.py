@@ -18,6 +18,7 @@ import pytest
 from moczsim import ModulationParams, awgn, dizet_decode_batch, encode_batch, eval_on_zero_grid
 from moczsim.channel import _DRAW_CHUNK
 from moczsim.simulate import _BER_BLOCK, _decide_from_grids, _fade_batch, _rows
+from fade_oracle import fade_samples
 
 
 def peak_bytes(fn) -> int:
@@ -40,7 +41,7 @@ SIZES = [_BER_BLOCK, 100, 512, 500, 1024, 1000]
 
 
 def flat_buffer(k: int, dtype=complex) -> np.ndarray:
-    return np.full(max(SIZES) * (k + 7), np.nan, dtype=dtype)
+    return np.full(max(SIZES) * (k + 1), np.nan, dtype=dtype)
 
 
 def messages(size: int, k: int) -> np.ndarray:
@@ -50,7 +51,7 @@ def messages(size: int, k: int) -> np.ndarray:
 def faded_rows(size: int, k: int, model: str) -> np.ndarray:
     p = ModulationParams(k)
     tx = encode_batch(messages(size, k), p)
-    return awgn(_fade_batch(tx, model, np.random.default_rng(3)), 0.5 / k, np.random.default_rng(4))
+    return awgn(fade_samples(tx, model, np.random.default_rng(3)), 0.5 / k, np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -72,30 +73,42 @@ def test_encode_into_out_is_the_allocating_encode(k, size):
     "k, model", [(127, "rayleigh_flat"), (127, "rician_selective"), (511, "rician_selective")]
 )
 def test_fade_into_out_is_the_allocating_fade(k, model, size):
+    # As in run_ber, the fade multiplies the clean packets' two grids in
+    # place, through the spare buffer's complex rows.
     p = ModulationParams(k)
+    radius = p.outer_radius
     tx = encode_batch(messages(size, k), p)
+    clean = [eval_on_zero_grid(tx, r, k) for r in (radius, 1.0 / radius)]
     want_rng = np.random.default_rng(5)
-    want = _fade_batch(tx, model, want_rng)
-    # As in run_ber, the faded rows replace tx in the same buffer.
-    signal = flat_buffer(k)
-    tx_view = _rows(signal, size, p.seq_len)
-    tx_view[...] = tx
-    out = _rows(signal, size, want.shape[1])
-    scratch = _rows(flat_buffer(k), size, p.seq_len + 6)
+    want = _fade_batch(clean[0].copy(), clean[1].copy(), model, want_rng, radius)
+    grids = [_rows(flat_buffer(k), size, k) for _ in range(2)]
+    for grid, values in zip(grids, clean):
+        grid[...] = values
+    mix = _rows(flat_buffer(k), size, k)
     rng = np.random.default_rng(5)
-    assert _fade_batch(tx_view, model, rng, out=out, scratch=scratch) is out
-    assert same(out, want)
+    got = _fade_batch(grids[0], grids[1], model, rng, radius, mix)
+    assert got[0] is grids[0] and got[1] is grids[1]
+    assert same(got[0], want[0]) and same(got[1], want[1])
     assert rng.bit_generator.state == want_rng.bit_generator.state
-    tx_view[...] = tx
+    for grid, values in zip(grids, clean):
+        grid[...] = values
     peak = peak_bytes(
-        lambda: _fade_batch(tx_view, model, np.random.default_rng(5), out=out, scratch=scratch)
+        lambda: _fade_batch(grids[0], grids[1], model, np.random.default_rng(5), radius, mix)
     )
-    assert peak < out.nbytes / 4
+    assert peak < grids[0].nbytes / 4
 
 
 def test_awgn_model_fade_returns_its_input():
-    tx = encode_batch(messages(4, 31), ModulationParams(31))
-    assert _fade_batch(tx, "awgn", np.random.default_rng(0), out=np.empty_like(tx)) is tx
+    # The grids come back as they went in, and nothing is drawn.
+    p = ModulationParams(31)
+    tx = encode_batch(messages(4, 31), p)
+    grids = [eval_on_zero_grid(tx, r, 31) for r in (p.outer_radius, 1.0 / p.outer_radius)]
+    before = [grid.copy() for grid in grids]
+    rng = np.random.default_rng(0)
+    got = _fade_batch(grids[0], grids[1], "awgn", rng, p.outer_radius, np.empty_like(grids[0]))
+    assert got[0] is grids[0] and got[1] is grids[1]
+    assert same(grids[0], before[0]) and same(grids[1], before[1])
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def reference_awgn(x, noise_variance, rng):

@@ -17,13 +17,15 @@ from moczsim import (
     dft_codebook,
     encode,
     encode_batch,
+    eval_on_zero_grid,
     fractional_delay,
     make_beamformers,
     radar_gain,
     steering,
 )
 from moczsim.channel import _wishart
-from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch
+from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch, _fade_taps
+from fade_oracle import fade_samples
 
 
 class TestSteering:
@@ -291,9 +293,7 @@ class TestNoise:
         assert np.array_equal(awgn(x, 1.0, np.random.default_rng(11)), want)
 
     def test_rician_factor_controls_power_split(self):
-        # A unit impulse through the selective model returns the taps themselves.
-        rng = np.random.default_rng(10)
-        taps = _fade_batch(np.ones((40_000, 1), dtype=complex), "rician_selective", rng)
+        taps = _fade_taps("rician_selective", 40_000, np.random.default_rng(10))
         power = np.abs(taps) ** 2
         mean = power.mean(axis=0)
         np.testing.assert_allclose(mean, _SELECTIVE_TAP_POWERS, rtol=0.02)
@@ -301,17 +301,28 @@ class TestNoise:
         np.testing.assert_allclose(power.var(axis=0) / mean**2, 21 / 121, rtol=0.05)
 
 
+def grid_pair(x, radius, k):
+    """Values of the rows of x on the zero grids of radius R and 1/R."""
+    return [eval_on_zero_grid(x, r, k) for r in (radius, 1.0 / radius)]
+
+
+def relative_error(got, want) -> float:
+    # Relative to the largest value: a grid point at a designed zero is ~0.
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestSelectiveFade:
     def test_rows_are_linear_convolutions_with_the_drawn_taps(self):
+        # The taps are the Rician draws in delay order, tap 0 first, and the
+        # faded grids are those of each packet's full linear convolution
+        # with its taps (K+4 samples).
         p = ModulationParams(31)
+        radius = p.outer_radius
         msgs = np.random.default_rng(20).integers(0, 2, (6, 31))
         tx = encode_batch(msgs, p)
-        out = _fade_batch(tx, "rician_selective", np.random.default_rng(21))
-        # The same rng state on a unit impulse returns the taps themselves.
-        impulse = np.ones((6, 1), dtype=complex)
-        taps = _fade_batch(impulse, "rician_selective", np.random.default_rng(21))
-        assert out.shape == (6, 32 + 3)
-        # ...and those are the drawn taps in delay order, tap 0 first.
+        outer, inner = grid_pair(tx, radius, 31)
+        _fade_batch(outer, inner, "rician_selective", np.random.default_rng(21), radius)
+        taps = _fade_taps("rician_selective", 6, np.random.default_rng(21))
         ref = np.random.default_rng(21)
         psi = ref.uniform(0.0, 2.0 * np.pi, (6, 4))
         diffuse = ref.standard_normal((6, 4)) + 1j * ref.standard_normal((6, 4))
@@ -319,19 +330,38 @@ class TestSelectiveFade:
             np.sqrt(10 / 11) * np.exp(1j * psi) + np.sqrt(1 / 22) * diffuse
         )
         np.testing.assert_allclose(taps, want, rtol=1e-15, atol=0)
-        for row, x, h in zip(out, tx, taps):
-            np.testing.assert_allclose(row, np.convolve(x, h), rtol=0, atol=1e-14)
+        rows = np.array([np.convolve(x, h) for x, h in zip(tx, want)])
+        assert rows.shape == (6, 32 + 3)
+        for got, values in zip((outer, inner), grid_pair(rows, radius, 31)):
+            assert relative_error(got, values) < 1e-12
 
     def test_draws_a_uniform_block_then_two_normal_blocks(self):
         # run_ber draws a block's messages, then its fade, from the block's
         # one stream, so the tap draws fix the channels of the whole block.
         rng = np.random.default_rng(22)
-        _fade_batch(np.ones((5, 9), dtype=complex), "rician_selective", rng)
+        grids = np.ones((2, 5, 9), dtype=complex)
+        _fade_batch(grids[0], grids[1], "rician_selective", rng, 1.1)
         ref = np.random.default_rng(22)
         ref.uniform(0.0, 2.0 * np.pi, (5, 4))
         ref.standard_normal((5, 4))
         ref.standard_normal((5, 4))
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [31, 127, 511])
+@pytest.mark.parametrize("model", ["rayleigh_flat", "rician_selective"])
+def test_grid_fade_is_the_grid_of_the_convolved_packets(model, k):
+    # The channel multiplies the packet's polynomial by its own, so fading
+    # the clean grids must give the grids of the packets convolved with the
+    # same draws in the sample domain.
+    p = ModulationParams(k)
+    radius = p.outer_radius
+    tx = encode_batch(np.random.default_rng(k).integers(0, 2, (64, k)), p)
+    outer, inner = grid_pair(tx, radius, k)
+    _fade_batch(outer, inner, model, np.random.default_rng(k + 1), radius)
+    rows = fade_samples(tx, model, np.random.default_rng(k + 1))
+    for got, want in zip((outer, inner), grid_pair(rows, radius, k)):
+        assert relative_error(got, want) < 1e-12
 
 
 def reference_wishart(dim, dof, rng):

@@ -58,7 +58,8 @@ class TestGridEvaluation:
     @pytest.mark.parametrize("n", [128, 131, 300])
     def test_slice_fold_equals_zero_padded_fold_exactly(self, n):
         # Oracle: zero-pad to whole blocks of K, scale block q by R^(qK), sum
-        # the reshaped blocks, then scale column j by R^j.
+        # the reshaped blocks, scale column j by R^j, then take the unscaled
+        # inverse transform.
         k = 127
         rng = np.random.default_rng(n)
         y = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
@@ -69,7 +70,7 @@ class TestGridEvaluation:
         padded[:, :n] = y
         scaled = padded.reshape(4, blocks, k) * weights[::k, None]
         folded = scaled.sum(axis=1) * weights[:k]
-        want = k * np.fft.ifft(folded, axis=-1)
+        want = np.fft.ifft(folded, axis=-1, norm="forward")
         assert np.array_equal(eval_on_zero_grid(y, radius, k), want)
 
 

@@ -144,7 +144,7 @@ class TestEncode:
         x = encode([1, 0], ModulationParams(2))
         np.testing.assert_allclose(x, [0.632456, 0.447214, -0.632456], atol=1e-6)
 
-    @pytest.mark.parametrize("k", [2, 5, 31, 127, 511])
+    @pytest.mark.parametrize("k", [2, 5, 31, 127, 511, 1023, 2047])
     def test_unit_energy_and_positive_first_sample(self, k):
         p = ModulationParams(k)
         rng = np.random.default_rng(k)
@@ -302,11 +302,14 @@ class TestEncodeBatch:
     @pytest.mark.parametrize("k", [2, 31, 127, 511])
     def test_cached_basis_matches_uncached_formula_exactly(self, k):
         # Oracle: the complex (K+1, K) log basis rebuilt inline and applied
-        # by a complex product, with the leading coefficient and the 1/(K+1)
-        # scale.  The library takes one real product with the cached real
-        # view and leaves out the two row scalings that the normalisation
-        # absorbs, so the sums round differently: equal to 1e-13, not bit
-        # for bit (measured 2e-15 at K=511).
+        # by a complex product, with the leading coefficient (whose sign
+        # makes the first sample positive), the 1/(K+1) scale and a norm
+        # per row.  The library sums only the phases, in one real product
+        # with the cached phase basis, and takes the magnitudes, the sign
+        # and the unit energy from one cached row, so the sums round
+        # differently: equal to 1e-13, not bit for bit (measured 6e-15 at
+        # K=511).  Neither rotates a row: both keep the rounding of the
+        # phase sums in the first sample's phase.
         p = ModulationParams(k)
         msgs = np.random.default_rng(k + 1).integers(0, 2, (16, k))
         grid = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
@@ -317,10 +320,36 @@ class TestEncodeBatch:
         evals = np.exp(log_inner.sum(axis=1)[:, None] + (log_outer - log_inner) @ m.T)
         evals *= -np.sqrt(p.side_peak * p.outer_radius ** (k - 2.0 * m.sum(axis=1)))[None, :]
         x = (np.fft.fft(evals, axis=0) / (k + 1)).T
-        x *= np.exp(-1j * np.angle(x[:, :1]))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         for _ in range(2):  # first call fills the cache, second reads it
             np.testing.assert_allclose(encode_batch(msgs, p), x, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [5, 31, 127, 511])
+    def test_set_bits_scale_every_unit_root_value_by_r(self, k):
+        # |w - R a| = R |w - a/R| for |w| = 1: on the K+1 roots of unity the
+        # zero polynomial of m has the all-zero message's magnitudes times
+        # R^|m|.  Products of the zero factors, taken as sums of logs.
+        p = ModulationParams(k)
+        w = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
+
+        def log_magnitudes(bits):
+            return np.log(np.abs(w - encode_zeros(bits, p)[None, :])).sum(axis=1)
+
+        base = log_magnitudes(np.zeros(k, dtype=int))
+        for bits in np.random.default_rng(k).integers(0, 2, (4, k)):
+            np.testing.assert_allclose(
+                log_magnitudes(bits) - base, bits.sum() * np.log(p.outer_radius), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("k", [5, 31, 127, 511, 2047])
+    def test_every_codeword_has_the_all_zero_message_spectrum(self, k):
+        # So after the unit-energy scaling every codeword has one magnitude
+        # spectrum on the K+1 roots of unity, the one the encoder caches.
+        p = ModulationParams(k)
+        msgs = np.random.default_rng(k).integers(0, 2, (8, k))
+        spectra = np.abs(np.fft.fft(encode_batch(msgs, p), axis=1))
+        flat = np.abs(np.fft.fft(encode_batch(np.zeros((1, k), dtype=int), p), axis=1))
+        np.testing.assert_allclose(spectra, np.broadcast_to(flat, spectra.shape), rtol=1e-12, atol=0)
 
     def test_cached_basis_is_read_only(self):
         from moczsim.huffman import _log_basis

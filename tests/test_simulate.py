@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import radar_oracle
 from cfar_gather import normal_chunk_power
+from fade_oracle import fade_samples
 from moczsim import (
     SPEED_OF_LIGHT,
     ArrayConfig,
@@ -262,7 +263,7 @@ class TestRunBer:
         for point, (snr_db, rec) in enumerate(zip(cfg.snr_grid_db, records)):
             rng = np.random.default_rng([404, point])
             msgs = rng.integers(0, 2, (cfg.trials, k), dtype=np.int8)
-            tx = simulate._fade_batch(simulate.encode_batch(msgs, params), model, rng)
+            tx = fade_samples(simulate.encode_batch(msgs, params), model, rng)
             rx = simulate.awgn(tx, 10.0 ** (-snr_db / 10.0) / k, rng)
             bits, _ = simulate.dizet_decode_batch(rx, params)
             ref_errors = int(np.count_nonzero(bits != msgs))
@@ -281,7 +282,7 @@ class TestRunBer:
         radius = params.outer_radius
         rng = np.random.default_rng(k)
         msgs = rng.integers(0, 2, (64, k), dtype=np.int8)
-        clean = simulate._fade_batch(simulate.encode_batch(msgs, params), model, rng)
+        clean = fade_samples(simulate.encode_batch(msgs, params), model, rng)
         z = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
         grids = [
             simulate.eval_on_zero_grid(x, r, k) for x in (clean, z) for r in (radius, 1.0 / radius)
