@@ -27,7 +27,6 @@ __all__ = [
     "make_beamformers",
     "radar_gain",
     "fractional_delay",
-    "radar_channel_factors",
     "apply_radar_channel",
     "receive_radar",
     "awgn",
@@ -246,7 +245,8 @@ def _target_gains(targets, bf: Beamformer, start) -> np.ndarray:
 
 
 def _delayed_waveforms(spectrum, targets, sample_period: float) -> np.ndarray:
-    """The (..., T, N) delayed, Doppler-ramped waveforms of ``radar_channel_factors``."""
+    """The (..., T, N) waveforms s(nT - tau_q) e^{2i pi nu_q nT} of the frames
+    whose N-point spectrum is ``spectrum`` (..., N)."""
     if sample_period <= 0:
         raise ValueError("sample_period must be positive")
     n = spectrum.shape[-1]
@@ -260,39 +260,26 @@ def _delayed_waveforms(spectrum, targets, sample_period: float) -> np.ndarray:
     return delayed
 
 
-def radar_channel_factors(
-    spectrum, targets, bf: Beamformer, sample_period: float, start_time=0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backscatter response at the RF chains as rank-one factors per frame and target.
-
-    ``spectrum`` (..., N) is the N-point DFT of the zero-padded transmit
-    frames, already amplitude-scaled, whose leading axes index frames;
-    ``start_time`` (...) is the absolute time of each frame's sample 0, so
-    Doppler stays coherent across frames; delays wrap circularly on frames of
-    N samples of ``sample_period`` T.  Returns the gains (..., T, N_rf),
-    rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, and the delayed,
-    Doppler-ramped waveforms (..., T, N), s(nT - tau_q) e^{2i pi nu_q nT}: the
-    Doppler factor splits into a per-frame phase and one per-sample ramp, so
-    a target costs F + N complex exponentials, not F*N, and its two ramps
-    are computed once per (N, delay, Doppler, T).
-    """
-    delayed = _delayed_waveforms(spectrum, targets, sample_period)
-    start = np.broadcast_to(np.asarray(start_time, dtype=float), spectrum.shape[:-1])
-    return _target_gains(targets, bf, start), delayed
-
-
 def apply_radar_channel(
     samples, targets, bf: Beamformer, sample_period: float, frame_len: int, start_time=0.0
 ) -> np.ndarray:
     """The (..., N_rf, N) response to (..., L) transmit ``samples`` on frames of ``frame_len``.
 
-    y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n},
-    the product of ``radar_channel_factors`` over targets.
+    y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
+    The leading axes of ``samples`` index frames; ``start_time`` (...) is the
+    absolute time of each frame's sample 0, so Doppler stays coherent across
+    frames; delays wrap circularly on frames of N samples of ``sample_period``
+    T.  Each target's response is rank one per frame: its gains (..., T,
+    N_rf), rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, times its
+    delayed, Doppler-ramped waveform (..., T, N), s(nT - tau_q) e^{2i pi nu_q
+    nT}.  The Doppler factor splits into a per-frame phase and one per-sample
+    ramp, so a target costs F + N complex exponentials, not F*N, and its two
+    ramps are computed once per (N, delay, Doppler, T).
     """
-    gains, delayed = radar_channel_factors(
-        _padded_spectrum(samples, frame_len), targets, bf, sample_period, start_time
-    )
-    return np.swapaxes(gains, -1, -2) @ delayed
+    spectrum = _padded_spectrum(samples, frame_len)
+    delayed = _delayed_waveforms(spectrum, targets, sample_period)
+    start = np.broadcast_to(np.asarray(start_time, dtype=float), spectrum.shape[:-1])
+    return np.swapaxes(_target_gains(targets, bf, start), -1, -2) @ delayed
 
 
 @lru_cache(maxsize=4)

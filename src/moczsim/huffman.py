@@ -141,7 +141,7 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     messages : array_like, shape (B, K) or (K,)
         Rows of 0/1 payload bits; float64 rows are read without a copy.
     params : ModulationParams
-    out : ndarray, shape (B, K+1), complex, C-contiguous, optional
+    out : ndarray, shape (B, K+1), complex, optional
         Where the sequences are built; allocated when omitted.
 
     Returns
@@ -160,15 +160,12 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  That spectrum is the
     all-zero message's times R^|m|, so only the phases of the values depend
     on the message: one real GEMM of the messages with the cached (K, K+1)
-    phase basis, written into the first half of ``out``'s floats.  A row of
-    log-values is the cached constant row with those phases added to its
-    imaginary part; the rows are copied out to their complex slots from the
-    last ones down, in blocks that halve, so each block lands past the
-    phases still to be read.  The constant row carries the unit energy and
-    the sign of the first sample, so ``exp`` and the FFT along the rows in
-    place finish the sequences, with no per-row factor.  The row and the
-    basis depend only on ``params`` and are cached for the four most recent
-    parameter sets.
+    phase basis, written straight into the imaginary parts of ``out``, plus
+    the cached constant row of log-values, whose real parts are copied in
+    unchanged.  The constant row carries the unit energy and the sign of the
+    first sample, so ``exp`` and the FFT along the rows in place finish the
+    sequences, with no per-row factor.  The row and the basis depend only on
+    ``params`` and are cached for the four most recent parameter sets.
     """
     m = np.atleast_2d(np.asarray(messages))
     if m.ndim != 2 or m.shape[1] != params.num_bits:
@@ -177,23 +174,11 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
         raise ValueError("bit message entries must be 0 or 1")
 
     row, basis = _log_basis(params)
-    b, n = m.shape[0], params.seq_len
     if out is None:
-        out = np.empty((b, n), dtype=complex)
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    phases = out.reshape(-1).view(np.float64)[: b * n].reshape(b, n)
-    np.matmul(np.asarray(m, dtype=np.float64), basis, out=phases)
-    broadcast_into(np.add, phases, row.imag, phases)
-    # Rows [lo, hi) fill floats [2 lo n, 2 hi n) and read their phases at
-    # [lo n, hi n): disjoint while 2 lo >= hi.  Row 0 overlaps its own
-    # phases, which numpy copies first; its real parts go in last.
-    hi = b
-    while hi:
-        lo = (hi + 1) // 2 if hi > 1 else 0
-        np.copyto(out.imag[lo:hi], phases[lo:hi])
-        np.copyto(out.real[lo:hi], row.real)
-        hi = lo
+        out = np.empty((m.shape[0], params.seq_len), dtype=complex)
+    np.matmul(np.asarray(m, dtype=np.float64), basis, out=out.imag)
+    broadcast_into(np.add, out.imag, row.imag, out.imag)
+    np.copyto(out.real, row.real)
     # exp of summed logs equals the zero product; branch offsets cancel in exp.
     np.exp(out, out=out)
     return np.fft.fft(out, axis=1, out=out)

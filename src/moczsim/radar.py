@@ -280,15 +280,6 @@ def _refine_kernel(n: int) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=4)
-def _roots_of_unity(n: int) -> np.ndarray:
-    # exp(2i pi k / n) for k < n, read-only: estimate_delay's whole-cell
-    # ramp gathers from it.
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    roots.flags.writeable = False
-    return roots
-
-
 def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
     """Delay in seconds from a correlation peak with sub-cell interpolation.
 
@@ -310,8 +301,7 @@ def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
         to one cell after it, and a parabola is fitted to the largest grid
         value and its two neighbours; the offset is clamped to half a grid
         step.  The grid comes from a (129, N) kernel cached per N and one
-        N-point phase ramp that shifts the spectrum to the grid start,
-        gathered from a table of the N-th roots of unity cached per N.
+        N-point phase ramp that shifts the spectrum to the grid start.
     """
     spec = np.asarray(spectrum, dtype=complex)
     if spec.ndim != 1 or spec.size < 3:
@@ -320,7 +310,7 @@ def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
     # Shift the spectrum to the grid start; for a whole number of cells the
     # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
     start = peak_cell - 1
-    shifted = spec * _roots_of_unity(n)[(start * np.arange(n)) % n]
+    shifted = spec * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
     vals = np.abs(_refine_kernel(n) @ shifted) / n
     j = int(np.argmax(vals))
     j = min(max(j, 1), vals.size - 2)

@@ -17,7 +17,7 @@ import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Iterable, get_args, get_origin, get_type_hints
 
@@ -285,16 +285,6 @@ def _fade_taps(model: str, b: int, rng: np.random.Generator) -> np.ndarray | Non
     raise ValueError(f"unknown channel model {model!r}")
 
 
-@lru_cache(maxsize=8)
-def _tap_powers(radius: float, n_taps: int, k: int) -> np.ndarray:
-    # (r a_k)^j for the taps j and the grid points a_k = exp(2i pi k / K),
-    # the angles reduced modulo K.  Read-only, since every caller shares it.
-    j = np.arange(n_taps)[:, None]
-    powers = radius**j * np.exp(2j * np.pi * (j * np.arange(k) % k) / k)
-    powers.flags.writeable = False
-    return powers
-
-
 def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: float, mix=None):
     """Fade a block of packets on its two zero grids, in place.
 
@@ -302,16 +292,20 @@ def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: floa
     the grids of radius ``radius`` and 1/``radius``.  A multipath channel
     multiplies the transmit polynomial by its own, H(z) = sum_j h_j z^j, so
     each grid is multiplied by H's values there: one (B, n_taps) @
-    (n_taps, K) product of the taps with a cached power table per grid,
-    written to ``mix`` (allocated when omitted).  The grids are then those
-    of the packets convolved with their taps: for ``rician_selective`` a
-    full linear convolution of K+4 samples.  Returns (outer, inner).
+    (n_taps, K) product of the taps with the powers (r a_k)^j of its points
+    r a_k, written to ``mix`` (allocated when omitted).  The grids are then
+    those of the packets convolved with their taps: for ``rician_selective``
+    a full linear convolution of K+4 samples.  Returns (outer, inner).
     """
     taps = _fade_taps(model, outer.shape[0], rng)
     if taps is not None:
         mix = np.empty_like(outer) if mix is None else mix
+        # a_k^j = exp(2i pi k / K)^j, the angles reduced modulo K
+        k = outer.shape[1]
+        j = np.arange(taps.shape[1])[:, None]
+        roots = np.exp(2j * np.pi * (j * np.arange(k) % k) / k)
         for grid, r in ((outer, radius), (inner, 1.0 / radius)):
-            np.matmul(taps, _tap_powers(r, taps.shape[1], outer.shape[1]), out=mix)
+            np.matmul(taps, r**j * roots, out=mix)
             grid *= mix
     return outer, inner
 

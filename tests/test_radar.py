@@ -30,11 +30,13 @@ from moczsim import (
     sample_covariance,
     steering,
 )
+from moczsim.channel import _circulant_index, _gram_side, _target_ramps
+from moczsim.huffman import _log_basis
 from moczsim.radar import (
     _STAGE_TWO_SHARE,
+    _music_scan,
     _parabolic_offset,
     _refine_kernel,
-    _roots_of_unity,
     _stage_two_share,
 )
 from cfar_gather import os_cfar as gather_os_cfar
@@ -456,17 +458,6 @@ class TestDelayEstimation:
         with pytest.raises(ValueError, match=re.escape("got (2,)")):
             estimate_delay(np.ones(2), 0, 1e-8)
 
-    @pytest.mark.parametrize("n", [7, 64, 1024])
-    def test_whole_cell_ramp_is_the_direct_exponential_bitwise(self, n):
-        # estimate_delay gathers its grid-start ramp from the roots table;
-        # the peak cell runs over [0, n), so the start over [-1, n).
-        k = np.arange(n)
-        roots = _roots_of_unity(n)
-        assert not roots.flags.writeable
-        for start in range(-1, n):
-            want = np.exp(2j * np.pi * ((start * k) % n) / n)
-            assert roots[(start * k) % n].tobytes() == want.tobytes(), start
-
     def test_refinement_kernel_is_read_only(self):
         kernel = _refine_kernel(32)
         assert kernel.shape == (129, 32)
@@ -709,3 +700,30 @@ class TestAmbiguityFunction:
         with pytest.raises(ValueError):
             ambiguity_function(np.ones(8, dtype=complex), 8, 16)
 
+
+# Every lru_cache'd table, called with small arguments.  Each call returns
+# the same shared arrays, so a write through one caller would corrupt every
+# later trial that reads them.
+_RX = np.eye(8, 4, dtype=complex)
+CACHED_TABLES = {
+    "_log_basis": lambda: _log_basis(ModulationParams(15)),
+    "_refine_kernel": lambda: _refine_kernel(32),
+    "_music_scan": lambda: _music_scan(_RX.tobytes(), _RX.shape, (-0.5, 0.5)),
+    "_target_ramps": lambda: _target_ramps(64, 3.25, 1e3, 1e-8),
+    "_gram_side": lambda: _gram_side(64, 16, 3.25, 0.01),
+    "_circulant_index": lambda: _circulant_index(64, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_TABLES))
+def test_cached_table_is_shared_and_rejects_a_write(name):
+    got = CACHED_TABLES[name]()
+    assert CACHED_TABLES[name]() is got
+    arrays = [a for a in (got if isinstance(got, tuple) else (got,)) if isinstance(a, np.ndarray)]
+    assert arrays
+    for a in arrays:
+        before = a.copy()
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+        assert a.tobytes() == before.tobytes()
