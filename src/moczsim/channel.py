@@ -35,7 +35,6 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 _ANGLE_TOL = 1e-12
 DB_LIMIT = 3082  # largest |x| dB whose ratio 10 ** (x / 10) is a finite float
-_DRAW_CHUNK = 8192  # noise values per awgn draw: 64 KB, below glibc's mmap threshold
 
 
 def steering(angle_rad: float, num_antennas: int) -> np.ndarray:
@@ -356,16 +355,11 @@ def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray
 def _wishart(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
     """A complex Wishart W_dim(dof, I) by Bartlett's decomposition L L^H; needs dof >= dim.
 
-    L's strictly lower entries are CN(0, 1), from one draw of dim^2 real
-    parts, then dim^2 imaginary parts, of which the rest is dropped; its
-    diagonal holds the square roots of Gamma(dof - i) draws, i = 0..dim-1.
+    L's strictly lower entries are CN(0, 1), the strict lower triangle of
+    ``awgn`` on a (dim, dim) zero block; its diagonal holds the square roots
+    of Gamma(dof - i) draws, i = 0..dim-1.
     """
-    parts = rng.standard_normal((2, dim, dim))
-    parts *= math.sqrt(0.5)
-    lower = np.empty((dim, dim), dtype=complex)
-    lower.real, lower.imag = parts
-    for i in range(dim):
-        lower[i, i + 1 :] = 0
+    lower = np.tril(awgn(np.zeros((dim, dim)), 1.0, rng), -1)
     lower.flat[:: dim + 1] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
     return lower @ lower.conj().T
 
@@ -427,35 +421,19 @@ def receive_radar(
     return combined, rest
 
 
-def awgn(samples, noise_variance: float, rng: np.random.Generator, out=None) -> np.ndarray:
+def awgn(samples, noise_variance: float, rng: np.random.Generator) -> np.ndarray:
     """Add circular complex Gaussian noise of the given per-sample variance, drawn from ``rng``.
 
-    The noise of the whole array is drawn as its real part, then its
-    imaginary part.  The result goes to ``out`` when given, which may be
-    ``samples`` itself.
+    The noise of the whole array is one draw of its real parts, then its
+    imaginary parts; at variance 0 nothing is drawn and a copy is returned.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be non-negative")
-    x = np.asarray(samples, dtype=complex)
-    if out is None:
-        out = np.empty(x.shape, dtype=complex)
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+    out = np.array(samples, dtype=complex)
     if noise_variance == 0:
-        np.copyto(out, x)
         return out
-    # The stream fills the float (2, size) view of real then imaginary
-    # parts, in pieces of at most _DRAW_CHUNK values: whole while it fits,
-    # else cuts along each part.
-    size = x.size
-    xs, outs = (a.reshape(size, 1).view(np.float64).T for a in (x, out))
-    pieces = [np.s_[:]] if 2 * size <= _DRAW_CHUNK else [
-        np.s_[p, s : s + _DRAW_CHUNK] for p in (0, 1) for s in range(0, size, _DRAW_CHUNK)
-    ]
-    draw = np.empty(min(2 * size, _DRAW_CHUNK))
-    scale = math.sqrt(noise_variance / 2.0)
-    for piece in pieces:
-        noise = rng.standard_normal(out=draw[: xs[piece].size]).reshape(xs[piece].shape)
-        noise *= scale
-        np.add(xs[piece], noise, out=outs[piece])
+    noise = rng.standard_normal((2,) + out.shape)
+    noise *= math.sqrt(noise_variance / 2.0)
+    out.real += noise[0]
+    out.imag += noise[1]
     return out

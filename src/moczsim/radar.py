@@ -170,7 +170,7 @@ def _stage_two_share(config: CfarConfig) -> float:
     )
 
 
-def os_cfar(power, config: CfarConfig, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ordered-statistic CFAR on a real 1-D correlation power |zeta|^2.
 
     Callers square the profile (calibration draws the power directly); a
@@ -183,9 +183,8 @@ def os_cfar(power, config: CfarConfig, scratch=None) -> tuple[np.ndarray, np.nda
     references, and ``power[c] > alpha * kth[c]`` holds exactly when at
     least os_rank of the 2*window values ``alpha * ref`` lie below
     ``power[c]``.  The comparisons read shifted views of one circularly
-    extended copy of ``alpha * power``, written into ``scratch`` (a float
-    array of ``power.size + 2 * (window + guard)`` values, allocated when
-    omitted).  When at most 5 % of Exp(1) noise cells are expected to
+    extended copy of ``alpha * power``, ``window + guard`` cells longer at
+    each end.  When at most 5 % of Exp(1) noise cells are expected to
     reach the second stage (``_stage_two_share``), the count runs in two
     stages: the window references before every cell first, then the window
     after it only for the cells within window of os_rank.  Both stages make
@@ -208,21 +207,20 @@ def os_cfar(power, config: CfarConfig, scratch=None) -> tuple[np.ndarray, np.nda
     one_side = np.arange(config.guard + 1, reach + 1)
     offsets = np.concatenate([-one_side, one_side])
 
-    if scratch is None:
-        scratch = np.empty(n + 2 * reach, dtype=np.result_type(config.alpha, power))
-    np.multiply(config.alpha, power, out=scratch[reach : reach + n])
-    scratch[:reach] = scratch[n : n + reach]
-    scratch[reach + n :] = scratch[reach : 2 * reach]
+    wrapped = np.empty(n + 2 * reach, dtype=np.result_type(config.alpha, power))
+    np.multiply(config.alpha, power, out=wrapped[reach : reach + n])
+    wrapped[:reach] = wrapped[n : n + reach]
+    wrapped[reach + n :] = wrapped[reach : 2 * reach]
     first = window if _stage_two_share(config) <= _STAGE_TWO_SHARE else offsets.size
     below = np.empty(n, dtype=bool)
     count = np.zeros(n, dtype=np.min_scalar_type(offsets.size))
     for off in offsets[:first]:
-        np.less(scratch[reach + off : reach + off + n], power, out=below)
+        np.less(wrapped[reach + off : reach + off + n], power, out=below)
         count += below.view(np.uint8)  # as integers, without a cast per element
     cells = np.nonzero(count >= rank - (offsets.size - first))[0]
     count, cell_power = count[cells], power[cells]
     for off in offsets[first:]:
-        count += scratch[reach + off :][cells] < cell_power
+        count += wrapped[reach + off :][cells] < cell_power
     cells = cells[count >= rank]
 
     ref = power[(cells[:, None] + offsets[None, :]) % n]

@@ -30,7 +30,6 @@ from .channel import (
     Beamformer,
     LinkBudget,
     RadarTarget,
-    awgn,
     make_beamformers,
     receive_radar,
 )
@@ -48,9 +47,10 @@ from .radar import (
 )
 
 # Unused here, but bench/spans.py wraps them by name as attributes of this
-# module, and tests reach the decoder through it.  run_ber decides from the
-# zero-grid values itself, so dizet_decode_batch is among them.
-from .channel import apply_radar_channel  # noqa: F401
+# module, and tests reach the decoder through it.  run_ber draws its noise
+# and decides from the zero-grid values itself, so awgn and
+# dizet_decode_batch are among them.
+from .channel import apply_radar_channel, awgn  # noqa: F401
 from .dizet import dizet_decode_batch  # noqa: F401
 from .radar import cross_correlate, sample_covariance  # noqa: F401
 
@@ -285,7 +285,7 @@ def _fade_taps(model: str, b: int, rng: np.random.Generator) -> np.ndarray | Non
     raise ValueError(f"unknown channel model {model!r}")
 
 
-def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: float, mix=None):
+def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: float, mix):
     """Fade a block of packets on its two zero grids, in place.
 
     ``outer`` and ``inner`` hold the (B, K) values of the clean packets on
@@ -293,13 +293,12 @@ def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: floa
     multiplies the transmit polynomial by its own, H(z) = sum_j h_j z^j, so
     each grid is multiplied by H's values there: one (B, n_taps) @
     (n_taps, K) product of the taps with the powers (r a_k)^j of its points
-    r a_k, written to ``mix`` (allocated when omitted).  The grids are then
+    r a_k, written to the (B, K) complex ``mix``.  The grids are then
     those of the packets convolved with their taps: for ``rician_selective``
     a full linear convolution of K+4 samples.  Returns (outer, inner).
     """
     taps = _fade_taps(model, outer.shape[0], rng)
     if taps is not None:
-        mix = np.empty_like(outer) if mix is None else mix
         # a_k^j = exp(2i pi k / K)^j, the angles reduced modulo K
         k = outer.shape[1]
         j = np.arange(taps.shape[1])[:, None]
@@ -365,32 +364,33 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     scales = [math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0) for snr_db in cfg.snr_grid_db]
 
     def task_errors(blocks: range) -> list[int]:
-        # ``grids`` first carries the messages as floats into the encoder,
-        # then holds the four grids.  ``signal`` holds the packets, then z
-        # (rx_len samples a packet), then each point's two magnitude arrays
-        # as floats; ``spare`` the channels' values on each grid in turn,
-        # then each point's noisy values.  Each is sized for the task's
-        # first block, its largest.
+        # ``grids`` holds the four grids.  ``signal`` holds the packets,
+        # then z (rx_len samples a packet), then each point's two magnitude
+        # arrays as floats; ``spare`` the channels' values on each grid in
+        # turn, then z's drawn real and imaginary parts as floats, then each
+        # point's noisy values.  Each is sized for the task's first block,
+        # its largest.
         rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
         signal = np.empty(rows * rx_len, dtype=complex)
-        spare = np.empty(rows * k, dtype=complex)
+        spare = np.empty(rows * rx_len, dtype=complex)
         grids = np.empty((4, rows * k), dtype=complex)
         errors = [0] * len(scales)
         for block in blocks:
             rng = _rng_for(cfg.seed, 4, block)
             size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
             msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
-            real = _rows(grids[0].view(np.float64), size, k)
-            np.copyto(real, msgs)
-            tx = encode_batch(real, params, out=_rows(signal, size, params.seq_len))
+            tx = encode_batch(msgs, params, out=_rows(signal, size, params.seq_len))
             views = [_rows(grid, size, k) for grid in grids]
             eval_on_zero_grid(tx, radius, k, out=views[0])
             eval_on_zero_grid(tx, 1.0 / radius, k, out=views[1])
             mix = _rows(spare, size, k)
             _fade_batch(views[0], views[1], cfg.channel_model, rng, radius, mix)
-            rx = _rows(signal, size, rx_len)
-            rx[...] = 0
-            z = awgn(rx, 2.0, rng, out=rx)  # variance 2: unit real and imaginary parts
+            # z's real parts, then its imaginary parts, in one N(0, 1) draw:
+            # the stream of awgn at variance 2
+            parts = spare.view(np.float64)[: 2 * size * rx_len].reshape(2, size, rx_len)
+            rng.standard_normal(out=parts)
+            z = _rows(signal, size, rx_len)
+            z.real, z.imag = parts
             eval_on_zero_grid(z, radius, k, out=views[2])
             eval_on_zero_grid(z, 1.0 / radius, k, out=views[3])
             floats = signal.view(np.float64)
@@ -599,9 +599,8 @@ def run_cfar_calibration(cfg: SimConfig) -> MonteCarloResult:
     The detector reads only cell power, and |z|^2 of CN(0, 1) noise is exactly
     Exp(1), so each chunk draws Exp(1) power from its own stream.
     The chunks run as one contiguous range per worker; a task allocates the
-    power and the detector's wrapped buffer once and every chunk of it
-    draws and detects in them.  Returns the empirical rate with a 95% Wilson
-    score interval.
+    power buffer once and every chunk of it draws there.  Returns the
+    empirical rate with a 95% Wilson score interval.
     """
     total = cfg.trials * cfg.frame_len
     need = 100.0 / cfg.cfar.pfa
@@ -616,11 +615,10 @@ def run_cfar_calibration(cfg: SimConfig) -> MonteCarloResult:
 
     def task_hits(chunks: range) -> int:
         power = np.empty(chunk)
-        wrapped = np.empty(chunk + 2 * (cfg.cfar.window + cfg.cfar.guard))
         hits = 0
         for idx in chunks:
             _rng_for(cfg.seed, 2, idx).standard_exponential(out=power)
-            hits += len(os_cfar(power, cfg.cfar, wrapped)[0])
+            hits += len(os_cfar(power, cfg.cfar)[0])
         return hits
 
     hits = sum(_parallel_map(task_hits, tasks))

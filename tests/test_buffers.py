@@ -9,14 +9,12 @@ the last block of a run whose trials are not a multiple of the block, and
 pass: the bounds hold at any row count.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from moczsim import ModulationParams, awgn, dizet_decode_batch, encode_batch, eval_on_zero_grid
-from moczsim.channel import _DRAW_CHUNK
 from moczsim.simulate import _BER_BLOCK, _decide_from_grids, _fade_batch, _rows
 from fade_oracle import fade_samples
 
@@ -80,7 +78,9 @@ def test_fade_into_out_is_the_allocating_fade(k, model, size):
     tx = encode_batch(messages(size, k), p)
     clean = [eval_on_zero_grid(tx, r, k) for r in (radius, 1.0 / radius)]
     want_rng = np.random.default_rng(5)
-    want = _fade_batch(clean[0].copy(), clean[1].copy(), model, want_rng, radius)
+    want = _fade_batch(
+        clean[0].copy(), clean[1].copy(), model, want_rng, radius, np.empty_like(clean[0])
+    )
     grids = [_rows(flat_buffer(k), size, k) for _ in range(2)]
     for grid, values in zip(grids, clean):
         grid[...] = values
@@ -109,48 +109,6 @@ def test_awgn_model_fade_returns_its_input():
     assert got[0] is grids[0] and got[1] is grids[1]
     assert same(grids[0], before[0]) and same(grids[1], before[1])
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-
-
-def reference_awgn(x, noise_variance, rng):
-    """One draw of the whole (2, ...) noise stack: the stream awgn must keep."""
-    re, im = rng.standard_normal((2,) + x.shape) * math.sqrt(noise_variance / 2.0)
-    out = np.empty(x.shape, dtype=complex)
-    np.add(x.real, re, out=out.real)
-    np.add(x.imag, im, out=out.imag)
-    return out
-
-
-class TestAwgnOut:
-    @pytest.mark.parametrize("size", SIZES)
-    def test_in_place_block_is_the_one_draw_stream(self, size):
-        # A (size, 132) block is 2 * size * 132 draws: many chunks, the last
-        # one partial.
-        x = faded_rows(size, 127, "rician_selective")
-        assert (2 * x.size) % _DRAW_CHUNK
-        want_rng = np.random.default_rng(6)
-        want = reference_awgn(x, 0.01, want_rng)
-        rng = np.random.default_rng(6)
-        assert awgn(x, 0.01, rng, out=x) is x
-        assert same(x, want)
-        assert rng.bit_generator.state == want_rng.bit_generator.state
-
-    def test_zero_variance_copies_into_out_without_a_draw(self):
-        x = faded_rows(8, 31, "awgn")
-        out = np.empty_like(x)
-        rng = np.random.default_rng(8)
-        assert awgn(x, 0.0, rng, out=out) is out
-        assert same(out, x)
-        assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
-
-    def test_draw_is_bounded_by_the_chunk(self):
-        x = faded_rows(_BER_BLOCK, 127, "awgn")
-        peak = peak_bytes(lambda: awgn(x, 0.01, np.random.default_rng(9), out=x))
-        assert peak < 2 * _DRAW_CHUNK * 8
-
-    def test_non_contiguous_out_is_rejected(self):
-        x = np.zeros((4, 6), dtype=complex)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            awgn(x[:, :3], 1.0, np.random.default_rng(0), out=x[:, 3:])
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -266,8 +266,13 @@ class TestRadarChannel:
 
 class TestNoise:
     def test_zero_variance_is_identity(self):
+        # A copy of the input, and nothing is drawn.
         x = np.arange(5, dtype=complex)
-        np.testing.assert_array_equal(awgn(x, 0.0, np.random.default_rng(0)), x)
+        rng = np.random.default_rng(0)
+        got = awgn(x, 0.0, rng)
+        assert got is not x
+        np.testing.assert_array_equal(got, x)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_empirical_variance(self):
         rng = np.random.default_rng(9)
@@ -321,7 +326,9 @@ class TestSelectiveFade:
         msgs = np.random.default_rng(20).integers(0, 2, (6, 31))
         tx = encode_batch(msgs, p)
         outer, inner = grid_pair(tx, radius, 31)
-        _fade_batch(outer, inner, "rician_selective", np.random.default_rng(21), radius)
+        _fade_batch(
+            outer, inner, "rician_selective", np.random.default_rng(21), radius, np.empty_like(outer)
+        )
         taps = _fade_taps("rician_selective", 6, np.random.default_rng(21))
         ref = np.random.default_rng(21)
         psi = ref.uniform(0.0, 2.0 * np.pi, (6, 4))
@@ -340,7 +347,7 @@ class TestSelectiveFade:
         # one stream, so the tap draws fix the channels of the whole block.
         rng = np.random.default_rng(22)
         grids = np.ones((2, 5, 9), dtype=complex)
-        _fade_batch(grids[0], grids[1], "rician_selective", rng, 1.1)
+        _fade_batch(grids[0], grids[1], "rician_selective", rng, 1.1, np.empty_like(grids[0]))
         ref = np.random.default_rng(22)
         ref.uniform(0.0, 2.0 * np.pi, (5, 4))
         ref.standard_normal((5, 4))
@@ -358,7 +365,7 @@ def test_grid_fade_is_the_grid_of_the_convolved_packets(model, k):
     radius = p.outer_radius
     tx = encode_batch(np.random.default_rng(k).integers(0, 2, (64, k)), p)
     outer, inner = grid_pair(tx, radius, k)
-    _fade_batch(outer, inner, model, np.random.default_rng(k + 1), radius)
+    _fade_batch(outer, inner, model, np.random.default_rng(k + 1), radius, np.empty_like(outer))
     rows = fade_samples(tx, model, np.random.default_rng(k + 1))
     for got, want in zip((outer, inner), grid_pair(rows, radius, k)):
         assert relative_error(got, want) < 1e-12
