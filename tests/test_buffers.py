@@ -111,6 +111,18 @@ def test_awgn_model_fade_returns_its_input():
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
+class TestAwgnOut:
+    def test_zero_variance_copies_into_out_without_a_draw(self):
+        # At variance 0 the block of received rows comes back as a fresh
+        # array, bitwise the input, and nothing is drawn.
+        x = faded_rows(8, 31, "awgn")
+        rng = np.random.default_rng(8)
+        out = awgn(x, 0.0, rng)
+        assert out is not x and not np.shares_memory(out, x)
+        assert same(out, x)
+        assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+
+
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("k, model", [(127, "awgn"), (511, "rician_selective")])
 def test_decode_into_out_is_the_allocating_decode(k, model, size):
