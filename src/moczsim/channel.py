@@ -5,7 +5,9 @@ beam per angular segment; receive reduction selects a few orthonormal DFT
 codebook beams around the segment.  Channel application realizes fractional
 delays by a spectral phase ramp on the zero-padded frame (band-limited
 interpolation under ideal Nyquist pulse shaping) and Doppler as a per-sample
-phase ramp on the output grid.
+phase ramp on the output grid.  The zero-padded spectrum and that ramp,
+exp(-2i pi f s) for a shift by s, are defined here once and ``radar`` reads
+both: its interpolation at a lag l is the ramp at s = -l.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Unit-norm Tx beam, orthonormal Rx reduction U, unit-norm combiner c, unitary Q = [c, B]."""
+    """Unit-norm Tx beam, orthonormal Rx reduction U, unitary Q = [c, B] whose
+    first column ``basis[:, 0]`` is the unit-norm combiner c."""
 
     tx_beam: np.ndarray
     rx_matrix: np.ndarray
-    combiner: np.ndarray
     basis: np.ndarray
 
 
@@ -108,7 +110,7 @@ def make_beamformers(segment: tuple[float, float], cfg: ArrayConfig) -> Beamform
     # Householder QR of [c, I] spans c with its first column, up to a unit phase.
     basis = np.linalg.qr(np.column_stack([combiner, np.eye(cfg.num_rf_chains)]))[0]
     basis[:, 0] = combiner
-    return Beamformer(a / math.sqrt(cfg.num_antennas), rx_matrix, combiner, basis)
+    return Beamformer(a / math.sqrt(cfg.num_antennas), rx_matrix, basis)
 
 
 @dataclass(frozen=True)
@@ -200,10 +202,10 @@ def _padded_spectrum(samples, out_len: int) -> np.ndarray:
     return np.fft.fft(x, int(out_len), axis=-1)
 
 
-def _delay_ramp(n: int, shift_samples: float) -> np.ndarray:
+def _delay_ramp(n: int, shift_samples) -> np.ndarray:
     """The spectrum exp(-2i pi f shift) of a band-limited circular delay on the
-    n FFT frequencies f."""
-    return np.exp(-2j * np.pi * (np.fft.fftfreq(n) * shift_samples))
+    n FFT frequencies f: (n,) for a scalar shift, (n, S) for S shifts."""
+    return np.exp(-2j * np.pi * np.multiply.outer(np.fft.fftfreq(n), shift_samples))
 
 
 def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:

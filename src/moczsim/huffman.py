@@ -79,18 +79,6 @@ class ModulationParams:
         return self.num_bits + 1
 
 
-def _as_bits(bits, num_bits: int | None = None) -> np.ndarray:
-    m = np.atleast_1d(np.asarray(bits))
-    if m.ndim != 1:
-        raise ValueError("bit message must be one-dimensional")
-    if num_bits is not None and m.size != num_bits:
-        raise ValueError(f"expected {num_bits} bits, got {m.size}")
-    mi = m.astype(np.int64)
-    if np.any((mi != 0) & (mi != 1)) or not np.all(mi == m):
-        raise ValueError("bit message entries must be 0 or 1")
-    return mi
-
-
 def broadcast_into(ufunc, a, b, out):
     """``ufunc(a, b, out=out)`` where one operand is broadcast over ``out``'s rows.
 
@@ -186,7 +174,9 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
 
 def encode(bits, params: ModulationParams) -> np.ndarray:
     """Encode one bit message; returns the K+1 complex transmit samples."""
-    m = _as_bits(bits, params.num_bits)
+    m = np.asarray(bits)
+    if m.ndim != 1:
+        raise ValueError("bit message must be one-dimensional")
     return encode_batch(m[None, :], params)[0]
 
 

@@ -5,6 +5,7 @@ ordered-statistic CFAR thresholding on correlation power, parabolic delay
 refinement on a band-limited local grid of 64 points per cell, linear
 multi-frame Doppler fitting, and beam-domain MUSIC for the angle of arrival.
 Delay refinement and the Doppler phases take the cross-spectrum as input.
+The zero-padded spectrum and the band-limited shift ramp are ``channel``'s.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import steering
+from .channel import _delay_ramp, _padded_spectrum, _read_only, steering
 
 __all__ = [
     "CfarConfig",
@@ -51,12 +52,8 @@ def cross_spectrum(reference, received) -> np.ndarray:
         The N-point DFT of the correlation profile that ``cross_correlate``
         returns; ``correlation_value_at`` and ``estimate_delay`` take it.
     """
-    x = np.asarray(reference, dtype=complex)
     y = np.asarray(received, dtype=complex)
-    n = y.shape[-1]
-    if x.shape[-1] > n:
-        raise ValueError("reference longer than frame after padding")
-    return np.fft.fft(y, axis=-1) * np.conj(np.fft.fft(x, n, axis=-1))
+    return np.fft.fft(y, axis=-1) * np.conj(_padded_spectrum(reference, y.shape[-1]))
 
 
 def cross_correlate(reference, received) -> np.ndarray:
@@ -75,11 +72,11 @@ def correlation_value_at(spectrum, lag_samples) -> complex | np.ndarray:
     Evaluates (1/N) sum_k Z[k] exp(2i pi f_k lag) on the FFT frequencies f_k
     for (..., N) spectra Z, one per frame as ``cross_spectrum`` returns; the
     result has their leading axes, then a lag axis unless the lag is 0-d.
+    The exponential is the delay ramp of a shift by -lag.
     """
     spec = np.asarray(spectrum, dtype=complex)
-    freqs = np.fft.fftfreq(spec.shape[-1])
     lags = np.atleast_1d(np.asarray(lag_samples, dtype=float))
-    vals = spec @ np.exp(2j * np.pi * np.outer(freqs, lags)) / spec.shape[-1]
+    vals = spec @ _delay_ramp(spec.shape[-1], -lags) / spec.shape[-1]
     if np.ndim(lag_samples) != 0:
         return vals
     return complex(vals[0]) if spec.ndim == 1 else vals[..., 0]
@@ -270,12 +267,10 @@ _REFINE = 64
 @lru_cache(maxsize=4)
 def _refine_kernel(n: int) -> np.ndarray:
     # Row k evaluates the band-limited profile k/_REFINE cells after the
-    # cell the spectrum is shifted to: exp(2i pi (k/_REFINE) f) on the FFT
-    # frequencies f.  Read-only, since every caller shares it.
+    # cell the spectrum is shifted to: the delay ramp of a shift by
+    # -k/_REFINE.  Read-only, since every caller shares it.
     offsets = np.arange(2 * _REFINE + 1) / _REFINE
-    kernel = np.exp(2j * np.pi * np.outer(offsets, np.fft.fftfreq(n)))
-    kernel.flags.writeable = False
-    return kernel
+    return _read_only(np.ascontiguousarray(_delay_ramp(n, -offsets).T))[0]
 
 
 def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
@@ -372,9 +367,7 @@ def _music_scan(rx_bytes: bytes, shape: tuple[int, int], segment: tuple[float, f
     manifold = np.exp(1j * np.pi * np.outer(np.arange(shape[0]), np.sin(grid)))
     beam_manifold = rx_matrix.conj().T @ manifold
     energy = (np.abs(beam_manifold) ** 2).sum(axis=0)
-    for a in (grid, beam_manifold, energy):
-        a.flags.writeable = False
-    return grid, beam_manifold, energy
+    return _read_only(grid, beam_manifold, energy)
 
 
 def music_angles(

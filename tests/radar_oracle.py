@@ -21,7 +21,7 @@ def receive_radar(
     rx = apply_radar_channel(samples, targets, bf, sample_period, frame_len, start_time)
     rx = np.stack([awgn(f, noise_variance, rng) for f in rx])
     # A (1, N_rf) row, not a vector: matmul then makes one BLAS call per frame.
-    combined = (bf.combiner.conj()[None, :] @ rx)[..., 0, :]
+    combined = (bf.basis[:, 0].conj()[None, :] @ rx)[..., 0, :]
 
     def rest(lags):
         lags = np.asarray(lags, dtype=float)

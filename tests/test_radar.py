@@ -492,6 +492,20 @@ class TestDelayEstimation:
         assert rows.shape == (6,)
         assert np.array_equal(rows, correlation_value_at(block, 5.5))
 
+    @pytest.mark.parametrize("n", [7, 64, 1024])
+    def test_shift_exponentials_equal_the_explicit_forms_bitwise(self, n):
+        # Both read channel's delay ramp at the negated shift; the values
+        # must be exactly those of exp(+2i pi f s) written out.
+        freqs = np.fft.fftfreq(n)
+        offsets = np.arange(129) / 64
+        kernel = np.exp(2j * np.pi * np.outer(offsets, freqs))
+        assert _refine_kernel(n).tobytes() == kernel.tobytes()
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        lags = np.concatenate([rng.uniform(-n, 2 * n, 6), [0.0, 1.0, n - 1.0, -3.0]])
+        want = block @ np.exp(2j * np.pi * np.outer(freqs, lags)) / n
+        assert correlation_value_at(block, lags).tobytes() == want.tobytes()
+
 
 class TestDopplerEstimation:
     def test_constant_phases_give_zero(self):

@@ -3,12 +3,15 @@ codebook: closed forms that the encoder is checked against."""
 
 import numpy as np
 
-from moczsim.huffman import ModulationParams, _as_bits
+from moczsim.huffman import ModulationParams
 
 
 def encode_zeros(bits, params: ModulationParams) -> np.ndarray:
     """Zero pattern exp(2i*pi*(k-1)/K) * R^(2*m_k - 1) selected by the bits."""
-    m = _as_bits(bits, params.num_bits)
+    m = np.asarray(bits)
+    if m.shape != (params.num_bits,) or not np.isin(m, (0, 1)).all():
+        raise ValueError(f"expected {params.num_bits} bits of 0 or 1, got {m!r}")
+    m = m.astype(np.int64)
     angles = 2.0 * np.pi * np.arange(params.num_bits) / params.num_bits
     return np.exp(1j * angles) * params.outer_radius ** (2 * m - 1)
 
