@@ -7,7 +7,8 @@ delays by a spectral phase ramp on the zero-padded frame (band-limited
 interpolation under ideal Nyquist pulse shaping) and Doppler as a per-sample
 phase ramp on the output grid.  The zero-padded spectrum and that ramp,
 exp(-2i pi f s) for a shift by s, are defined here once and ``radar`` reads
-both: its interpolation at a lag l is the ramp at s = -l.
+both: its interpolation at a lag l is the ramp at s = -l.  ``steering`` is
+the one form of the array manifold, for one angle or many.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ _ANGLE_TOL = 1e-12
 DB_LIMIT = 3082  # largest |x| dB whose ratio 10 ** (x / 10) is a finite float
 
 
-def steering(angle_rad: float, num_antennas: int) -> np.ndarray:
-    """ULA response a_n = exp(i*(n-1)*pi*sin(angle)), n = 1..N_a."""
-    if abs(angle_rad) > np.pi / 2 + _ANGLE_TOL:
+def steering(angle_rad, num_antennas: int) -> np.ndarray:
+    """ULA response a_n = exp(i*(n-1)*pi*sin(angle)), n = 1..N_a: (N_a,) for
+    one angle, (N_a, A) for an array of A angles.  A NaN angle raises."""
+    if not np.all(np.abs(angle_rad) <= np.pi / 2 + _ANGLE_TOL):
         raise ValueError(f"steering angle must lie in [-pi/2, pi/2], got {angle_rad}")
     if num_antennas < 1:
         raise ValueError("array needs at least one antenna")
-    return np.exp(1j * np.pi * np.sin(angle_rad) * np.arange(num_antennas))
+    return np.exp(1j * np.pi * np.multiply.outer(np.arange(num_antennas), np.sin(angle_rad)))
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,8 @@ def dft_codebook(num_antennas: int):
     points at sin(angle) = 2*d/D for d in [-D/2, D/2).
     """
     d = np.arange(num_antennas) - num_antennas // 2
-    sin_dirs = 2.0 * d / num_antennas
-    angles = np.arcsin(sin_dirs)
-    n = np.arange(num_antennas)
-    book = np.exp(1j * np.pi * np.outer(n, sin_dirs)) / math.sqrt(num_antennas)
-    return angles, book
+    angles = np.arcsin(2.0 * d / num_antennas)
+    return angles, steering(angles, num_antennas) / math.sqrt(num_antennas)
 
 
 def make_beamformers(segment: tuple[float, float], cfg: ArrayConfig) -> Beamformer:

@@ -5,7 +5,8 @@ ordered-statistic CFAR thresholding on correlation power, parabolic delay
 refinement on a band-limited local grid of 64 points per cell, linear
 multi-frame Doppler fitting, and beam-domain MUSIC for the angle of arrival.
 Delay refinement and the Doppler phases take the cross-spectrum as input.
-The zero-padded spectrum and the band-limited shift ramp are ``channel``'s.
+The zero-padded spectrum, the band-limited shift ramp and the ULA manifold
+(``steering``) are ``channel``'s.  Delays are in cells.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import _delay_ramp, _padded_spectrum, _read_only, steering
 
@@ -75,11 +77,8 @@ def correlation_value_at(spectrum, lag_samples) -> complex | np.ndarray:
     The exponential is the delay ramp of a shift by -lag.
     """
     spec = np.asarray(spectrum, dtype=complex)
-    lags = np.atleast_1d(np.asarray(lag_samples, dtype=float))
-    vals = spec @ _delay_ramp(spec.shape[-1], -lags) / spec.shape[-1]
-    if np.ndim(lag_samples) != 0:
-        return vals
-    return complex(vals[0]) if spec.ndim == 1 else vals[..., 0]
+    n = spec.shape[-1]
+    return spec @ _delay_ramp(n, -np.asarray(lag_samples, dtype=float)) / n
 
 
 # os_rank = 1 at the smallest normal pfa, the slowest case, takes ~140 steps.
@@ -187,8 +186,9 @@ def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     after it only for the cells within window of os_rank.  Both stages make
     the same comparisons, so the result is exact.  Otherwise too many cells
     would reach the second stage, and one pass counts all 2*window.  The
-    ordered statistic, and so the threshold, is computed for the detected
-    cells only.
+    threshold, the os_rank-th smallest of the scaled references (alpha * kth
+    by the same monotonicity), is read from that copy for the detected cells
+    only.
 
     Returns the detected cells in ascending order, as an integer array, and
     their thresholds alpha * kth.
@@ -220,9 +220,8 @@ def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
         count += wrapped[reach + off :][cells] < cell_power
     cells = cells[count >= rank]
 
-    ref = power[(cells[:, None] + offsets[None, :]) % n]
-    kth = np.partition(ref, rank - 1, axis=1)[:, rank - 1]
-    return cells, config.alpha * kth
+    ref = wrapped[reach + cells[:, None] + offsets]
+    return cells, np.partition(ref, rank - 1, axis=1)[:, rank - 1]
 
 
 _CLUSTER_GAP = 2  # cells
@@ -273,8 +272,8 @@ def _refine_kernel(n: int) -> np.ndarray:
     return _read_only(np.ascontiguousarray(_delay_ramp(n, -offsets).T))[0]
 
 
-def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
-    """Delay in seconds from a correlation peak with sub-cell interpolation.
+def estimate_delay(spectrum, peak_cell: int) -> float:
+    """Delay in cells from a correlation peak with sub-cell interpolation.
 
     Parameters
     ----------
@@ -283,13 +282,11 @@ def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
         returns for one frame.
     peak_cell : int
         Index of the profile's magnitude maximum.
-    sample_period : float
-        Cell width T in seconds.
 
     Returns
     -------
     float
-        (grid point + offset) * T.  The band-limited |zeta(t)| is evaluated
+        Grid point + offset, in cells.  The band-limited |zeta(t)| is evaluated
         on a fixed grid of 64 points per cell, from one cell before the peak
         to one cell after it, and a parabola is fitted to the largest grid
         value and its two neighbours; the offset is clamped to half a grid
@@ -300,15 +297,12 @@ def estimate_delay(spectrum, peak_cell: int, sample_period: float) -> float:
     if spec.ndim != 1 or spec.size < 3:
         raise ValueError(f"delay refinement needs a 1-D spectrum of >= 3 cells, got {spec.shape}")
     n = spec.size
-    # Shift the spectrum to the grid start; for a whole number of cells the
-    # ramp phase start*f reduces exactly to ((start*k) mod N)/N cycles.
     start = peak_cell - 1
-    shifted = spec * np.exp(2j * np.pi * ((start * np.arange(n)) % n) / n)
-    vals = np.abs(_refine_kernel(n) @ shifted) / n
+    vals = np.abs(_refine_kernel(n) @ (spec * _delay_ramp(n, -start))) / n
     j = int(np.argmax(vals))
     j = min(max(j, 1), vals.size - 2)
     offset = _parabolic_offset(vals[j - 1], vals[j], vals[j + 1])
-    return (start + (j + offset) / _REFINE) * sample_period
+    return start + (j + offset) / _REFINE
 
 
 def estimate_doppler(peak_phases, frame_times) -> float:
@@ -364,8 +358,7 @@ def _music_scan(rx_bytes: bytes, shape: tuple[int, int], segment: tuple[float, f
     lo, hi = segment
     grid = np.arange(lo, hi + _MUSIC_STEP / 2, _MUSIC_STEP)
     grid = np.clip(grid, -np.pi / 2, np.pi / 2)
-    manifold = np.exp(1j * np.pi * np.outer(np.arange(shape[0]), np.sin(grid)))
-    beam_manifold = rx_matrix.conj().T @ manifold
+    beam_manifold = rx_matrix.conj().T @ steering(grid, shape[0])
     energy = (np.abs(beam_manifold) ** 2).sum(axis=0)
     return _read_only(grid, beam_manifold, energy)
 
@@ -465,12 +458,9 @@ def ambiguity_function(samples, max_lag: int, doppler_bins: int) -> AmbiguitySur
     if doppler_bins < 1:
         raise ValueError("doppler_bins must be positive")
     lags = np.arange(-max_lag, max_lag + 1)
-    prods = np.zeros((lags.size, n), dtype=complex)
-    for i, lag in enumerate(lags):
-        if lag >= 0:
-            prods[i, lag:] = x[lag:] * np.conj(x[: n - lag])
-        else:
-            prods[i, : n + lag] = x[: n + lag] * np.conj(x[-lag:])
+    # Row i is x[m] x*[m - lags[i]], zero where m - lags[i] leaves the frame.
+    pad = np.zeros(max_lag, dtype=complex)
+    prods = x * sliding_window_view(np.concatenate((pad, np.conj(x), pad)), n)[::-1]
     p = np.arange(doppler_bins) - doppler_bins // 2
     phases = np.exp(2j * np.pi * np.outer(np.arange(n), p) / doppler_bins)
     return AmbiguitySurface(

@@ -46,10 +46,9 @@ from .radar import (
     os_cfar,
 )
 
-# Unused here, but bench/spans.py wraps them by name as attributes of this
-# module, and tests reach the decoder through it.  run_ber draws its noise
-# and decides from the zero-grid values itself, so awgn and
-# dizet_decode_batch are among them.
+# Unused here, but the benchmark's tracer (bench/spans.py) wraps them by name
+# as attributes of this module.  run_ber draws its noise and decides from the
+# zero-grid values itself, so awgn and dizet_decode_batch are among them.
 from .channel import apply_radar_channel, awgn  # noqa: F401
 from .dizet import dizet_decode_batch  # noqa: F401
 from .radar import cross_correlate, sample_covariance  # noqa: F401
@@ -426,11 +425,15 @@ def _radar_trial(
     The receiver reads frames 1..F-1 only through one correlation value per
     target detected on frame 0, at its frame-0 delay, and the covariance, so
     ``receive_radar`` draws them after detection, exactly in distribution.
+    MUSIC's source count is ``min(len(matched), n_rf - 1)``, where ``matched``
+    holds the clusters within two cells of a true target cell: it comes from
+    the ground truth, which a receiver does not have.
 
     Returns the count of CFAR cells more than two cells from every target,
     then two lists with one entry per detected target, in target order: the
     sample record of its strongest cluster within two cells, and its
-    (range, velocity, angle in degrees) errors.  A missed target is absent.
+    (range, velocity, angle in degrees) errors against its ``TargetSpec``.
+    A missed target is absent.
     """
     rng = _rng_for(cfg.seed, 3, sweep_idx, trial)
     params = cfg.modulation
@@ -479,48 +482,45 @@ def _radar_trial(
 
     false_cells = sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
     matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
-    detected = []  # (target, cell, delay) of each detected target
-    for tg, tc in zip(targets, true_cells):
+    detected = []  # (spec, target, cell) of each detected target
+    for spec, tg, tc in zip(specs, targets, true_cells):
         best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
         if best is not None:
-            detected.append((tg, best, estimate_delay(spectrum, best, t_sample)))
-    values, cov = rest([delay_hat / t_sample for _, _, delay_hat in detected])
+            detected.append((spec, tg, best))
+    lags = [estimate_delay(spectrum, best) for _, _, best in detected]
+    values, cov = rest(lags)
     num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
     angles = music_angles(cov, bf.rx_matrix, num_sources, cfg.schedule.segment)
+    phases = np.angle(np.vstack((correlation_value_at(spectrum, lags), values)))  # (F, D)
 
     unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
     samples, errors = [], []
-    for j, (tg, best, delay_hat) in enumerate(detected):
-        if n_frames >= 2:
-            first = correlation_value_at(spectrum, delay_hat / t_sample)
-            doppler_hat = estimate_doppler(np.angle([first, *values[:, j]]), frame_times)
-        else:
-            doppler_hat = float("nan")
+    for j, ((spec, tg, best), lag) in enumerate(zip(detected, lags)):
+        doppler_hat = (
+            estimate_doppler(phases[:, j], frame_times) if n_frames >= 2 else float("nan")
+        )
         angle_hat = (
             float(angles[np.argmin(np.abs(angles - tg.angle_rad))])
             if angles.size
             else float("nan")
         )
-        range_m = SPEED_OF_LIGHT * delay_hat / 2.0
-        velocity_mps = SPEED_OF_LIGHT * doppler_hat / (2.0 * link.carrier_hz)
-        samples.append(
-            {
-                "cell": best,
-                "range_m": range_m,
-                "velocity_mps": velocity_mps,
-                "angle_deg": math.degrees(angle_hat),
-                "statistic": float(power[best]),
-                "threshold": float(thresholds[np.searchsorted(cells, best)]),
-            }
-        )
+        sample = {
+            "cell": best,
+            "range_m": SPEED_OF_LIGHT * lag * t_sample / 2.0,
+            "velocity_mps": SPEED_OF_LIGHT * doppler_hat / (2.0 * link.carrier_hz),
+            "angle_deg": math.degrees(angle_hat),
+            "statistic": float(power[best]),
+            "threshold": float(thresholds[np.searchsorted(cells, best)]),
+        }
+        samples.append(sample)
         # Delays wrap on the frame, so score the range error modulo the
         # unambiguous range, in [-1/2, 1/2) of it.
-        range_err = range_m - SPEED_OF_LIGHT * tg.delay_s / 2.0
+        range_err = sample["range_m"] - spec.range_m
         errors.append(
             (
                 range_err - unambiguous_m * math.floor(range_err / unambiguous_m + 0.5),
-                velocity_mps - SPEED_OF_LIGHT * tg.doppler_hz / (2.0 * link.carrier_hz),
-                math.degrees(angle_hat - tg.angle_rad),
+                sample["velocity_mps"] - spec.velocity_mps,
+                sample["angle_deg"] - spec.angle_deg,
             )
         )
     return false_cells, samples, errors

@@ -246,7 +246,7 @@ def test_criterion_6_delay_estimation():
         rx = fractional_delay(x, shift, frame)
         spec = cross_spectrum(x, rx)
         peak = int(np.argmax(np.abs(np.fft.ifft(spec))))
-        got = estimate_delay(spec, peak, t_sample)
+        got = estimate_delay(spec, peak) * t_sample
         worst_frac = max(worst_frac, abs(got - shift * t_sample) / t_sample)
 
     sq_err = []
@@ -256,7 +256,7 @@ def test_criterion_6_delay_estimation():
         rx = awgn(rx, 0.01, rng)  # unit peak power: post-correlation SNR 20 dB
         spec = cross_spectrum(x, rx)
         peak = int(np.argmax(np.abs(np.fft.ifft(spec))))
-        got = estimate_delay(spec, peak, t_sample)
+        got = estimate_delay(spec, peak) * t_sample
         sq_err.append(((got - shift * t_sample) * SPEED_OF_LIGHT / 2) ** 2)
     rmse_m = math.sqrt(np.mean(sq_err))
 

@@ -41,6 +41,18 @@ class TestSteering:
         with pytest.raises(ValueError):
             steering(1.8, 8)
 
+    def test_array_columns_equal_the_scalar_calls_bitwise(self):
+        angles = np.concatenate([np.linspace(-np.pi / 2, np.pi / 2, 37), [0.3e-3, -1.1]])
+        manifold = steering(angles, 24)
+        assert manifold.shape == (24, angles.size)
+        for col, angle in enumerate(angles):
+            assert manifold[:, col].tobytes() == steering(float(angle), 24).tobytes()
+
+    @pytest.mark.parametrize("bad", [1.8, -np.pi / 2 - 1e-9, np.nan])
+    def test_one_bad_angle_in_an_array_raises(self, bad):
+        with pytest.raises(ValueError, match="steering angle"):
+            steering(np.array([0.0, 0.4, bad, -0.2]), 8)
+
     @settings(max_examples=50, deadline=None)
     @given(angle=st.floats(min_value=-np.pi / 2, max_value=np.pi / 2))
     def test_unit_modulus_entries_give_sqrt_n_norm(self, angle):

@@ -28,8 +28,10 @@ from moczsim import (
     ModulationParams,
     SimConfig,
     TargetSpec,
+    awgn,
     config_from_dict,
     config_to_dict,
+    dizet_decode_batch,
     encode,
     load_config,
     os_cfar,
@@ -267,8 +269,8 @@ class TestRunBer:
             rng = np.random.default_rng([404, point])
             msgs = rng.integers(0, 2, (cfg.trials, k), dtype=np.int8)
             tx = fade_samples(simulate.encode_batch(msgs, params), model, rng)
-            rx = simulate.awgn(tx, 10.0 ** (-snr_db / 10.0) / k, rng)
-            bits, _ = simulate.dizet_decode_batch(rx, params)
+            rx = awgn(tx, 10.0 ** (-snr_db / 10.0) / k, rng)
+            bits, _ = dizet_decode_batch(rx, params)
             ref_errors = int(np.count_nonzero(bits != msgs))
             rate = (rec["bit_errors"] + ref_errors) / (2 * n)
             sigma = math.sqrt(2 * 1.5 * n * rate * (1 - rate))
@@ -297,7 +299,7 @@ class TestRunBer:
             bits, margins = simulate._decide_from_grids(
                 grids, scale, radius, clean.shape[1], mix, mags
             )
-            want_bits, want_margins = simulate.dizet_decode_batch(clean + scale * z, params)
+            want_bits, want_margins = dizet_decode_batch(clean + scale * z, params)
             assert np.max(np.abs(margins - want_margins)) <= 1e-9, snr_db
             sure = np.abs(want_margins) > 1e-9
             assert np.array_equal(bits[sure], want_bits[sure]), snr_db
