@@ -33,8 +33,8 @@ from .channel import (
     make_beamformers,
     receive_radar,
 )
-from .dizet import decide, eval_on_zero_grid
-from .huffman import ModulationParams, encode_batch
+from .dizet import _normalizers, eval_on_zero_grid
+from .huffman import ModulationParams, broadcast_into, encode_batch
 from .radar import (
     CfarConfig,
     cluster_detections,
@@ -47,8 +47,9 @@ from .radar import (
 )
 
 # Unused here, but the benchmark's tracer (bench/spans.py) wraps them by name
-# as attributes of this module.  run_ber draws its noise and decides from the
-# zero-grid values itself, so awgn and dizet_decode_batch are among them.
+# as attributes of this module, and reports a missing one as a lost layer:
+# awgn, dizet_decode_batch, apply_radar_channel, cross_correlate and
+# sample_covariance.
 from .channel import apply_radar_channel, awgn  # noqa: F401
 from .dizet import dizet_decode_batch  # noqa: F401
 from .radar import cross_correlate, sample_covariance  # noqa: F401
@@ -284,50 +285,176 @@ def _fade_taps(model: str, b: int, rng: np.random.Generator) -> np.ndarray | Non
     raise ValueError(f"unknown channel model {model!r}")
 
 
-def _fade_batch(outer, inner, model: str, rng: np.random.Generator, radius: float, mix):
-    """Fade a block of packets on its two zero grids, in place.
+def _bit_table(params: ModulationParams) -> tuple[int, np.ndarray, np.ndarray]:
+    """What ``_clean_values`` needs of ``params``: (M, spectrum, rows).
 
-    ``outer`` and ``inner`` hold the (B, K) values of the clean packets on
-    the grids of radius ``radius`` and 1/``radius``.  A multipath channel
-    multiplies the transmit polynomial by its own, H(z) = sum_j h_j z^j, so
-    each grid is multiplied by H's values there: one (B, n_taps) @
-    (n_taps, K) product of the taps with the powers (r a_k)^j of its points
-    r a_k, written to the (B, K) complex ``mix``.  The grids are then
-    those of the packets convolved with their taps: for ``rician_selective``
-    a full linear convolution of K+4 samples.  Returns (outer, inner).
+    A codeword has one zero of each conjugate-reciprocal pair: bit k puts
+    it at R a_k when set and at a_k / R when cleared, a_k = w^k with
+    w = exp(2i pi / K).  The encoder's values make the codeword of bits m
+    X_m(z) = X_0(z) prod_{j set} (z - R a_j) / (R z - a_j), X_0 the all-zero
+    codeword's (the 1/R in each term is the unit-energy factor R^-|m|).  At
+    a cleared bit's outer point R a_k, set bit j contributes exp(D_{k-j}),
+    D_d = log((w^d - 1) / (R w^d - 1/R)) and D_0 = 0, so
+    log X_m(R a_k) = log X_0(R a_k) + (m * D)_k, * the circular
+    convolution.  By conjugate-reciprocal symmetry, each cleared bit j of
+    the all-ones codeword X_1 contributes exp(conj D_{k-j}) at a set bit's
+    inner point a_k / R, so log X_m(a_k / R) = log X_1(a_k / R)
+    + conj(sum D) - conj((m * D)_k).
+
+    M is the least power of two >= 2K - 1, so one cyclic convolution of
+    length M holds the circular one of length K: the kernel holds D at lags
+    0..K-1 and again at lags -(K-1)..-1, wrapped to M-K+1..M-1, and the
+    bits' K entries never reach the wrapped lags' products.  ``spectrum``
+    holds the kernel's length-M DFT S at bins 0..M/2, then conj(S) at bins
+    M-1 down to M/2+1, the order in which ``_clean_values`` reads them.
+    Row 0 is log X_0 on the outer grid; row 1 is log X_1 on the inner grid
+    plus conj(sum D), less row 0.  Both come from ``encode_batch`` and
+    ``eval_on_zero_grid``, so they carry the encoder's energy and sign.
     """
-    taps = _fade_taps(model, outer.shape[0], rng)
+    k = params.num_bits
+    radius = params.outer_radius
+    m_len = 1 << (2 * k - 1).bit_length()
+    w = np.exp(2j * np.pi * np.arange(1, k) / k)
+    kernel = np.zeros(m_len, dtype=complex)
+    kernel[1:k] = np.log((w - 1.0) / (radius * w - 1.0 / radius))
+    kernel[m_len - k + 1 :] = kernel[1:k]
+    rows = np.log([
+        eval_on_zero_grid(encode_batch(np.full((1, k), bit), params), r, k)[0]
+        for bit, r in ((0, radius), (1, 1.0 / radius))
+    ])
+    rows[1] += np.conj(kernel[:k].sum()) - rows[0]
+    spectrum = np.fft.fft(kernel)
+    spectrum[m_len // 2 + 1 :] = np.conj(spectrum[: m_len // 2 : -1])
+    return m_len, spectrum, rows
+
+
+def _clean_values(bits, table, conv, scratch, out):
+    """Each bit's clean value at its signal point, from the bits alone.
+
+    ``bits`` is a (B, K) float block of 0/1 messages and ``table`` their
+    ``_bit_table``.  Returns ``out``, the (B, K) complex values X_m(R a_k)
+    at a cleared bit and X_m(a_k / R) at a set one; the codeword's value at
+    each bit's other point is its zero there.  c = (m * D) is one length-M
+    FFT convolution in the (B, M) complex ``conv``: ``rfft`` gives the
+    bits' spectrum X at bins 0..M/2, and since the bits are real, bin M - f
+    holds conj(X[f]), so conj(X[f] conj(S[M - f])) fills the upper bins,
+    S the kernel's spectrum; then one inverse transform.  The log-values
+    are row 0 + c at a cleared bit and row 0 + row 1 - conj(c) = row 0 +
+    row 1 - Re c + i Im c at a set one, so a set bit adds row 1 - 2 Re c to
+    them, through the (B, K) float ``scratch``.  One ``exp`` finishes.
+    The ufuncs over ``conv``'s strided halves run through
+    ``broadcast_into``: numpy would otherwise allocate its 8192-value
+    buffer (262 KB) for each.
+    """
+    m_len, spectrum, rows = table
+    half = m_len // 2
+    lower, upper = conv[:, : half + 1], conv[:, :half:-1]
+    np.fft.rfft(bits, n=m_len, axis=1, out=lower)
+    broadcast_into(np.multiply, conv[:, 1:half], spectrum[half + 1 :], upper)
+    broadcast_into(np.multiply, upper.imag, -1.0, upper.imag)
+    broadcast_into(np.multiply, lower, spectrum[: half + 1], lower)
+    np.fft.ifft(conv, axis=1, out=conv)
+    np.copyto(out, conv[:, : out.shape[1]])
+    np.multiply(out.real, -2.0, out=scratch)
+    broadcast_into(np.add, scratch, rows[1].real, scratch)
+    scratch *= bits
+    out.real += scratch
+    broadcast_into(np.multiply, bits, rows[1].imag, scratch)
+    out.imag += scratch
+    broadcast_into(np.add, out, rows[0], out)
+    return np.exp(out, out=out)
+
+
+def _select(mask, if_set, if_clear):
+    """``np.where(mask, if_set, if_clear)``, written over ``if_set``.
+
+    ``if_set`` and ``if_clear`` are contiguous (B, K) float or complex
+    arrays, and ``mask`` is int64 in the shape of their int64 view, (B, K)
+    or (B, K, 2): -1 (every bit of the word set) at a set message bit and 0
+    at a cleared one.  Three passes over the values' bit patterns: exact,
+    and two to three times faster than a copy with ``where=``, whose loop
+    cannot be vectorised over random bits.
+    """
+    chosen, other = (a.view(np.int64).reshape(mask.shape) for a in (if_set, if_clear))
+    np.bitwise_xor(chosen, other, out=chosen)
+    np.bitwise_and(chosen, mask, out=chosen)
+    np.bitwise_xor(chosen, other, out=chosen)
+    return if_set
+
+
+def _fade_batch(values, mask, model: str, rng: np.random.Generator, radius: float, grids):
+    """Fade each bit's clean value, in place, by the channel at its signal point.
+
+    ``values`` holds the (B, K) clean values of ``_clean_values``, at R a_k
+    for a cleared bit and a_k / R for a set one (``mask``, the (B, K, 2)
+    mask of ``_select``).  A multipath channel multiplies the transmit
+    polynomial by its own, H(z) = sum_j h_j z^j, and so keeps each bit's
+    zero at its other point.  H on each grid is one (B, n_taps) @ (n_taps, K) product of the
+    taps with the powers (r a_k)^j of its points, written to the (B, K)
+    complex ``grids[0]`` (radius R) and ``grids[1]`` (1/R), and each bit
+    takes its own point's.  The values are then those of the packets
+    convolved with their taps: for ``rician_selective`` a full linear
+    convolution of K+4 samples.  Returns ``values``.
+    """
+    taps = _fade_taps(model, values.shape[0], rng)
     if taps is not None:
         # a_k^j = exp(2i pi k / K)^j, the angles reduced modulo K
-        k = outer.shape[1]
+        k = values.shape[1]
         j = np.arange(taps.shape[1])[:, None]
         roots = np.exp(2j * np.pi * (j * np.arange(k) % k) / k)
-        for grid, r in ((outer, radius), (inner, 1.0 / radius)):
-            np.matmul(taps, r**j * roots, out=mix)
-            grid *= mix
-    return outer, inner
+        for grid, r in zip(grids, (radius, 1.0 / radius)):
+            np.matmul(taps, r**j * roots, out=grid)
+        values *= _select(mask, grids[1], grids[0])
+    return values
+
+
+def _signal_and_threshold(outer, inner, mask, radius: float, n: int, thresholds, scratch):
+    """What every SNR point's decision reads of a block's noise grids.
+
+    ``outer`` and ``inner`` hold the (B, K) values Z of the unit noise on
+    the grids of radius ``radius`` and 1/``radius``, and ``mask`` the bits,
+    as the (B, K, 2) mask of ``_select``.  The decoder (``dizet.decide``)
+    decides bit 1 where |Y(a_k / R)| / c- > |Y(R a_k)| / c+, c+- the norms
+    of the weight vectors of n-sample packets, and 0 at a tie.  The packet's value C is 0
+    at each bit's other point, so with Y = C + s Z a cleared bit errs where
+    |C/s + Z(R a_k)| < |Z(a_k / R)| c+/c-, and a set bit where
+    |C/s + Z(a_k / R)| <= |Z(R a_k)| c-/c+.  Returns Z at each bit's signal
+    point, written over ``inner``, and the (B, K) float ``thresholds``: the
+    other point's |Z| times its ratio, one float up at a set bit, so that
+    ``<`` decides a tie as the decoder does.  ``scratch`` is a (B, K) float
+    buffer.  The decoder's floor at 1e-300 never binds here: Z would have
+    to fall below it divided by s, and s > 1e-156 on the SNR grid.
+    """
+    c_outer, c_inner = _normalizers(radius, n)
+    np.abs(outer, out=thresholds)
+    thresholds *= c_inner / c_outer
+    np.abs(inner, out=scratch)
+    scratch *= c_outer / c_inner
+    _select(mask[..., 0], thresholds, scratch)
+    # The next float up from a non-negative finite float is its bit
+    # pattern plus one: the mask subtracts -1 at the set bits.
+    np.subtract(thresholds.view(np.int64), mask[..., 0], out=thresholds.view(np.int64))
+    return _select(mask, inner, outer), thresholds
+
+
+def _bit_errors(clean, signal, thresholds, scale: float, mix, mags) -> int:
+    """The block's bit errors at noise scale ``scale`` > 0.
+
+    ``clean``, ``signal`` and ``thresholds`` are the (B, K) values of
+    ``_fade_batch`` and ``_signal_and_threshold``: a bit errs where
+    |C/s + Z| < its threshold, the decision's comparison divided by s.
+    One multiply-add into the complex ``mix``, one magnitude into the float
+    ``mags``, one count.
+    """
+    np.multiply(clean, 1.0 / scale, out=mix)
+    mix += signal
+    np.abs(mix, out=mags)
+    return int(np.count_nonzero(mags < thresholds))
 
 
 def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The first rows * cols values of a flat buffer as a (rows, cols) array."""
     return buffer[: rows * cols].reshape(rows, cols)
-
-
-def _decide_from_grids(grids, scale: float, radius: float, n: int, mix, mags):
-    """``dizet_decode_batch(x + scale * z)`` from the zero-grid values of x and z.
-
-    ``grids`` holds the (B, K) values of the packets x on the outer and
-    inner grids, then those of the noise z.  The values are linear in the
-    samples, so C + scale * Z are the noisy packets' values; their
-    magnitudes go to the two float arrays ``mags`` through the complex
-    ``mix`` and the decoder's ``decide`` takes them from there.  Returns
-    (bits, margins), the margins in ``mags[0]``.
-    """
-    for clean, noise, out in zip(grids[:2], grids[2:], mags):
-        np.multiply(noise, scale, out=mix)
-        mix += clean
-        np.abs(mix, out=out)
-    return decide(mags[0], mags[1], radius, n)
 
 
 def run_ber(cfg: SimConfig) -> MonteCarloResult:
@@ -341,12 +468,16 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     the block's messages, its fade and then one unit noise block z (real and
     imaginary parts N(0, 1)).  Every SNR point sees the same packets,
     channels and noise (common random numbers), scaled by
-    s = sqrt(noise variance / 2).  The decoder's zero-grid values are linear
-    in the samples, so the block is evaluated on the two grids once for its
-    packets, which the fade then multiplies by each channel's polynomial
-    there (C), and once for z (Z), and each point decides from C + s Z with
-    the decoder's own rule: one encode, fade, noise draw and four grid
-    evaluations per block, whatever the grid length.
+    s = sqrt(noise variance / 2).  The decoder reads each bit at two zero-grid
+    points, and the packet's value is exactly 0 at one of them, so the
+    samples are never built: each bit's value at the other point comes from
+    its bits through one FFT convolution (``_clean_values``), and the fade
+    multiplies it by the channel's value there (C).  The decoder's grid
+    values are linear in the samples, so z is evaluated on both grids once
+    (Z), and the block keeps Z at each bit's signal point and a threshold
+    from the other point's |Z| (``_signal_and_threshold``).  Each point
+    then counts the bits where |C/s + Z| falls below the threshold, which
+    is the decoder's own decision (``_bit_errors``).
     ``batch_size`` only sets the packets of one worker task, rounded up to
     whole blocks; it never changes the output.  A task allocates one buffer
     set, sized to its first block, and every stage of every block runs in
@@ -355,6 +486,8 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     params = cfg.modulation
     k = params.num_bits
     radius = params.outer_radius
+    table = _bit_table(params)
+    m_len = table[0]
     n_blocks = -(-cfg.trials // _BER_BLOCK)
     per_task = -(-cfg.batch_size // _BER_BLOCK)
     tasks = [range(b, min(b + per_task, n_blocks)) for b in range(0, n_blocks, per_task)]
@@ -363,40 +496,51 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     scales = [math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0) for snr_db in cfg.snr_grid_db]
 
     def task_errors(blocks: range) -> list[int]:
-        # ``grids`` holds the four grids.  ``signal`` holds the packets,
-        # then z (rx_len samples a packet), then each point's two magnitude
-        # arrays as floats; ``spare`` the channels' values on each grid in
-        # turn, then z's drawn real and imaginary parts as floats, then each
-        # point's noisy values.  Each is sized for the task's first block,
-        # its largest.
+        # ``conv`` holds the convolution (M a packet), then the fade's two
+        # channel grids, then z's drawn real and imaginary parts as floats,
+        # then z's two grids, of which the first holds each point's noisy
+        # values once the second holds the signal points' Z.  ``noise``
+        # holds the log-values' scratch, then z (rx_len samples a packet),
+        # then the thresholds and each point's magnitudes as floats.
+        # ``mask`` holds the messages as floats, then the (B, K, 2) mask of
+        # ``_select``.  Each is sized for the task's first block, its largest.
         rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
-        signal = np.empty(rows * rx_len, dtype=complex)
-        spare = np.empty(rows * rx_len, dtype=complex)
-        grids = np.empty((4, rows * k), dtype=complex)
+        conv = np.empty(rows * max(m_len, rx_len), dtype=complex)
+        clean = np.empty(rows * k, dtype=complex)
+        noise = np.empty(rows * rx_len, dtype=complex)
+        mask = np.empty(rows * k * 2, dtype=np.int64)
+        floats = noise.view(np.float64)
         errors = [0] * len(scales)
         for block in blocks:
             rng = _rng_for(cfg.seed, 4, block)
             size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
             msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
-            tx = encode_batch(msgs, params, out=_rows(signal, size, params.seq_len))
-            views = [_rows(grid, size, k) for grid in grids]
-            eval_on_zero_grid(tx, radius, k, out=views[0])
-            eval_on_zero_grid(tx, 1.0 / radius, k, out=views[1])
-            mix = _rows(spare, size, k)
-            _fade_batch(views[0], views[1], cfg.channel_model, rng, radius, mix)
+            bit_floats = _rows(mask.view(np.float64), size, k)
+            np.copyto(bit_floats, msgs)
+            values = _clean_values(
+                bit_floats, table, _rows(conv, size, m_len), _rows(floats, size, k),
+                _rows(clean, size, k),
+            )
+            bits = _rows(mask, size, 2 * k).reshape(size, k, 2)
+            np.copyto(bits[..., 0], msgs)
+            np.negative(bits[..., 0], out=bits[..., 0])
+            np.copyto(bits[..., 1], bits[..., 0])
+            grids = _rows(conv, 2 * size, k).reshape(2, size, k)
+            _fade_batch(values, bits, cfg.channel_model, rng, radius, grids)
             # z's real parts, then its imaginary parts, in one N(0, 1) draw:
             # the stream of awgn at variance 2
-            parts = spare.view(np.float64)[: 2 * size * rx_len].reshape(2, size, rx_len)
+            parts = conv.view(np.float64)[: 2 * size * rx_len].reshape(2, size, rx_len)
             rng.standard_normal(out=parts)
-            z = _rows(signal, size, rx_len)
+            z = _rows(noise, size, rx_len)
             z.real, z.imag = parts
-            eval_on_zero_grid(z, radius, k, out=views[2])
-            eval_on_zero_grid(z, 1.0 / radius, k, out=views[3])
-            floats = signal.view(np.float64)
-            mags = (_rows(floats, size, k), _rows(floats[size * k :], size, k))
+            eval_on_zero_grid(z, radius, k, out=grids[0])
+            eval_on_zero_grid(z, 1.0 / radius, k, out=grids[1])
+            mags = _rows(floats[size * k :], size, k)
+            signal, thresholds = _signal_and_threshold(
+                grids[0], grids[1], bits, radius, rx_len, _rows(floats, size, k), mags
+            )
             for point, scale in enumerate(scales):
-                bits, _ = _decide_from_grids(views, scale, radius, rx_len, mix, mags)
-                errors[point] += int(np.count_nonzero(bits != msgs))
+                errors[point] += _bit_errors(values, signal, thresholds, scale, grids[0], mags)
         return errors
 
     totals = [sum(counts) for counts in zip(*_parallel_map(task_errors, tasks))]
@@ -424,10 +568,11 @@ def _radar_trial(
 
     The receiver reads frames 1..F-1 only through one correlation value per
     target detected on frame 0, at its frame-0 delay, and the covariance, so
-    ``receive_radar`` draws them after detection, exactly in distribution.
-    MUSIC's source count is ``min(len(matched), n_rf - 1)``, where ``matched``
-    holds the clusters within two cells of a true target cell: it comes from
-    the ground truth, which a receiver does not have.
+    ``receive_radar`` draws them after detection, exactly in distribution,
+    and not at all when no cluster matches a target.  MUSIC's source count
+    is ``min(len(matched), n_rf - 1)``, where ``matched`` holds the clusters
+    within two cells of a true target cell: it comes from the ground truth,
+    which a receiver does not have.
 
     Returns the count of CFAR cells more than two cells from every target,
     then two lists with one entry per detected target, in target order: the
@@ -482,6 +627,10 @@ def _radar_trial(
 
     false_cells = sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
     matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
+    if not matched:
+        # Nothing to estimate.  ``rest`` would make the trial's last draws,
+        # and MUSIC with no source never reads their covariance.
+        return false_cells, [], []
     detected = []  # (spec, target, cell) of each detected target
     for spec, tg, tc in zip(specs, targets, true_cells):
         best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)

@@ -9,13 +9,22 @@ the last block of a run whose trials are not a multiple of the block, and
 pass: the bounds hold at any row count.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from moczsim import ModulationParams, awgn, dizet_decode_batch, encode_batch, eval_on_zero_grid
-from moczsim.simulate import _BER_BLOCK, _decide_from_grids, _fade_batch, _rows
+from moczsim.simulate import (
+    _BER_BLOCK,
+    _bit_errors,
+    _bit_table,
+    _clean_values,
+    _fade_batch,
+    _rows,
+    _signal_and_threshold,
+)
 from fade_oracle import fade_samples
 
 
@@ -66,48 +75,55 @@ def test_encode_into_out_is_the_allocating_encode(k, size):
     assert peak_bytes(lambda: encode_batch(real, p, out=out)) < out.nbytes / 4
 
 
+def clean_block(size: int, k: int):
+    """The (B, K) clean values of a block of messages, and its (B, K, 2) mask."""
+    msgs = messages(size, k)
+    table = _bit_table(ModulationParams(k))
+    values = _clean_values(
+        msgs.astype(np.float64), table, np.empty((size, table[0]), dtype=complex),
+        np.empty((size, k)), np.empty((size, k), dtype=complex),
+    )
+    mask = np.repeat(-msgs.astype(np.int64)[..., None], 2, axis=2)
+    return msgs, values, mask
+
+
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize(
     "k, model", [(127, "rayleigh_flat"), (127, "rician_selective"), (511, "rician_selective")]
 )
 def test_fade_into_out_is_the_allocating_fade(k, model, size):
-    # As in run_ber, the fade multiplies the clean packets' two grids in
-    # place, through the spare buffer's complex rows.
+    # As in run_ber, the fade multiplies the clean values in place, with
+    # the channel's two grids in the convolution buffer's complex rows.
     p = ModulationParams(k)
     radius = p.outer_radius
-    tx = encode_batch(messages(size, k), p)
-    clean = [eval_on_zero_grid(tx, r, k) for r in (radius, 1.0 / radius)]
+    _, clean, mask = clean_block(size, k)
     want_rng = np.random.default_rng(5)
     want = _fade_batch(
-        clean[0].copy(), clean[1].copy(), model, want_rng, radius, np.empty_like(clean[0])
+        clean.copy(), mask, model, want_rng, radius, np.empty((2,) + clean.shape, dtype=complex)
     )
-    grids = [_rows(flat_buffer(k), size, k) for _ in range(2)]
-    for grid, values in zip(grids, clean):
-        grid[...] = values
-    mix = _rows(flat_buffer(k), size, k)
+    values = _rows(flat_buffer(k), size, k)
+    values[...] = clean
+    grids = _rows(flat_buffer(2 * k), 2 * size, k).reshape(2, size, k)
     rng = np.random.default_rng(5)
-    got = _fade_batch(grids[0], grids[1], model, rng, radius, mix)
-    assert got[0] is grids[0] and got[1] is grids[1]
-    assert same(got[0], want[0]) and same(got[1], want[1])
+    assert _fade_batch(values, mask, model, rng, radius, grids) is values
+    assert same(values, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
-    for grid, values in zip(grids, clean):
-        grid[...] = values
+    values[...] = clean
     peak = peak_bytes(
-        lambda: _fade_batch(grids[0], grids[1], model, np.random.default_rng(5), radius, mix)
+        lambda: _fade_batch(values, mask, model, np.random.default_rng(5), radius, grids)
     )
-    assert peak < grids[0].nbytes / 4
+    assert peak < values.nbytes / 4
 
 
 def test_awgn_model_fade_returns_its_input():
-    # The grids come back as they went in, and nothing is drawn.
+    # The values come back as they went in, and nothing is drawn.
     p = ModulationParams(31)
-    tx = encode_batch(messages(4, 31), p)
-    grids = [eval_on_zero_grid(tx, r, 31) for r in (p.outer_radius, 1.0 / p.outer_radius)]
-    before = [grid.copy() for grid in grids]
+    _, values, mask = clean_block(4, 31)
+    before = values.copy()
     rng = np.random.default_rng(0)
-    got = _fade_batch(grids[0], grids[1], "awgn", rng, p.outer_radius, np.empty_like(grids[0]))
-    assert got[0] is grids[0] and got[1] is grids[1]
-    assert same(grids[0], before[0]) and same(grids[1], before[1])
+    grids = np.empty((2,) + values.shape, dtype=complex)
+    assert _fade_batch(values, mask, "awgn", rng, p.outer_radius, grids) is values
+    assert same(values, before)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -126,27 +142,36 @@ class TestAwgnOut:
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("k, model", [(127, "awgn"), (511, "rician_selective")])
 def test_decode_into_out_is_the_allocating_decode(k, model, size):
-    # run_ber's decode: the packets and the noise on both zero grids, then the
-    # decision into its magnitude buffers.  At noise scale 0 the mixed values
-    # are the packets' own, so the result is the allocating decode's.
+    # run_ber's decode: the noise on both zero grids, the signal points'
+    # noise and the thresholds, then one point's errors, each into its
+    # buffers.  The erring bits are those of the allocating decode of the
+    # same noisy packets (the decoder is encode -> sample-domain fade -> awgn).
     p = ModulationParams(k)
-    rx = faded_rows(size, k, model)
-    noise = np.random.default_rng(7).standard_normal(rx.shape) + 0j
-    want_bits, want_margins = dizet_decode_batch(rx, p)
-    grids = [_rows(flat_buffer(k), size, k) for _ in range(4)]
-    radii = [p.outer_radius, 1.0 / p.outer_radius] * 2
-    for x, radius, grid in zip([rx, rx, noise, noise], radii, grids):
-        assert eval_on_zero_grid(x, radius, k, out=grid) is grid
-        assert peak_bytes(lambda: eval_on_zero_grid(x, radius, k, out=grid)) < rx.nbytes / 4
-    mix = _rows(flat_buffer(k), size, k)
-    mags = [_rows(flat_buffer(k, dtype=float), size, k) for _ in range(2)]
-    bits, margins = _decide_from_grids(grids, 0.0, p.outer_radius, rx.shape[1], mix, mags)
-    assert margins is mags[0]
-    assert same(margins, want_margins)
-    assert same(bits, want_bits)
-    peak = peak_bytes(
-        lambda: _decide_from_grids(grids, 0.0, p.outer_radius, rx.shape[1], mix, mags)
+    radius = p.outer_radius
+    msgs, values, mask = clean_block(size, k)
+    _fade_batch(
+        values, mask, model, np.random.default_rng(3), radius,
+        np.empty((2,) + values.shape, dtype=complex),
     )
+    rx = faded_rows(size, k, model)
+    parts = np.random.default_rng(4).standard_normal((2,) + rx.shape)
+    noise = parts[0] + 1j * parts[1]
+    scale = math.sqrt(0.5 / k / 2.0)
+    want_bits, _ = dizet_decode_batch(rx, p)
+    grids = [_rows(flat_buffer(k), size, k) for _ in range(2)]
+    for r, grid in zip([radius, 1.0 / radius], grids):
+        assert eval_on_zero_grid(noise, r, k, out=grid) is grid
+        assert peak_bytes(lambda: eval_on_zero_grid(noise, r, k, out=grid)) < rx.nbytes / 4
+    thresholds, mags = (_rows(flat_buffer(k, dtype=float), size, k) for _ in range(2))
+    signal, got = _signal_and_threshold(
+        grids[0], grids[1], mask, radius, rx.shape[1], thresholds, mags
+    )
+    assert signal is grids[1] and got is thresholds
+    mix = grids[0]
+    errors = _bit_errors(values, signal, thresholds, scale, mix, mags)
+    assert np.array_equal(mags < thresholds, want_bits != msgs)
+    assert errors == np.count_nonzero(want_bits != msgs)
+    peak = peak_bytes(lambda: _bit_errors(values, signal, thresholds, scale, mix, mags))
     assert peak < rx.nbytes / 4
 
 

@@ -329,19 +329,27 @@ def relative_error(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def fade_inputs(x, msgs, radius, k):
+    """Each bit's value at its signal point (R a_k cleared, a_k / R set), and
+    the (B, K, 2) mask that ``_fade_batch`` takes."""
+    bits = np.asarray(msgs).astype(bool)
+    outer, inner = grid_pair(x, radius, k)
+    mask = np.repeat(-np.asarray(msgs, dtype=np.int64)[..., None], 2, axis=2)
+    return np.where(bits, inner, outer), mask
+
+
 class TestSelectiveFade:
     def test_rows_are_linear_convolutions_with_the_drawn_taps(self):
         # The taps are the Rician draws in delay order, tap 0 first, and the
-        # faded grids are those of each packet's full linear convolution
+        # faded values are those of each packet's full linear convolution
         # with its taps (K+4 samples).
         p = ModulationParams(31)
         radius = p.outer_radius
         msgs = np.random.default_rng(20).integers(0, 2, (6, 31))
         tx = encode_batch(msgs, p)
-        outer, inner = grid_pair(tx, radius, 31)
-        _fade_batch(
-            outer, inner, "rician_selective", np.random.default_rng(21), radius, np.empty_like(outer)
-        )
+        values, mask = fade_inputs(tx, msgs, radius, 31)
+        grids = np.empty((2,) + values.shape, dtype=complex)
+        _fade_batch(values, mask, "rician_selective", np.random.default_rng(21), radius, grids)
         taps = _fade_taps("rician_selective", 6, np.random.default_rng(21))
         ref = np.random.default_rng(21)
         psi = ref.uniform(0.0, 2.0 * np.pi, (6, 4))
@@ -352,15 +360,16 @@ class TestSelectiveFade:
         np.testing.assert_allclose(taps, want, rtol=1e-15, atol=0)
         rows = np.array([np.convolve(x, h) for x, h in zip(tx, want)])
         assert rows.shape == (6, 32 + 3)
-        for got, values in zip((outer, inner), grid_pair(rows, radius, 31)):
-            assert relative_error(got, values) < 1e-12
+        assert relative_error(values, fade_inputs(rows, msgs, radius, 31)[0]) < 1e-12
 
     def test_draws_a_uniform_block_then_two_normal_blocks(self):
         # run_ber draws a block's messages, then its fade, from the block's
         # one stream, so the tap draws fix the channels of the whole block.
         rng = np.random.default_rng(22)
-        grids = np.ones((2, 5, 9), dtype=complex)
-        _fade_batch(grids[0], grids[1], "rician_selective", rng, 1.1, np.empty_like(grids[0]))
+        values = np.ones((5, 9), dtype=complex)
+        mask = np.zeros((5, 9, 2), dtype=np.int64)
+        grids = np.empty((2, 5, 9), dtype=complex)
+        _fade_batch(values, mask, "rician_selective", rng, 1.1, grids)
         ref = np.random.default_rng(22)
         ref.uniform(0.0, 2.0 * np.pi, (5, 4))
         ref.standard_normal((5, 4))
@@ -372,16 +381,17 @@ class TestSelectiveFade:
 @pytest.mark.parametrize("model", ["rayleigh_flat", "rician_selective"])
 def test_grid_fade_is_the_grid_of_the_convolved_packets(model, k):
     # The channel multiplies the packet's polynomial by its own, so fading
-    # the clean grids must give the grids of the packets convolved with the
-    # same draws in the sample domain.
+    # each bit's clean value at its signal point must give the value there
+    # of the packets convolved with the same draws in the sample domain.
     p = ModulationParams(k)
     radius = p.outer_radius
-    tx = encode_batch(np.random.default_rng(k).integers(0, 2, (64, k)), p)
-    outer, inner = grid_pair(tx, radius, k)
-    _fade_batch(outer, inner, model, np.random.default_rng(k + 1), radius, np.empty_like(outer))
+    msgs = np.random.default_rng(k).integers(0, 2, (64, k))
+    tx = encode_batch(msgs, p)
+    values, mask = fade_inputs(tx, msgs, radius, k)
+    grids = np.empty((2,) + values.shape, dtype=complex)
+    _fade_batch(values, mask, model, np.random.default_rng(k + 1), radius, grids)
     rows = fade_samples(tx, model, np.random.default_rng(k + 1))
-    for got, want in zip((outer, inner), grid_pair(rows, radius, k)):
-        assert relative_error(got, want) < 1e-12
+    assert relative_error(values, fade_inputs(rows, msgs, radius, k)[0]) < 1e-12
 
 
 def reference_wishart(dim, dof, rng):

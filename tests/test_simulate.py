@@ -31,6 +31,7 @@ from moczsim import (
     awgn,
     config_from_dict,
     config_to_dict,
+    decide,
     dizet_decode_batch,
     encode,
     load_config,
@@ -39,6 +40,7 @@ from moczsim import (
     run_cfar_calibration,
     run_radar,
 )
+import moczsim.channel as channel
 import moczsim.simulate as simulate
 from moczsim.channel import DB_LIMIT
 from moczsim.simulate import _max_workers, atomic_write_text, write_result
@@ -213,9 +215,11 @@ class TestRunBer:
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     def test_each_block_is_encoded_and_faded_once_for_the_grid(self, monkeypatch, model):
         # 1300 packets are eleven blocks, the last one short.  Each block
-        # is evaluated on the two zero grids twice (its faded packets, its
-        # noise); every SNR point decides from those values, and the
-        # allocating decoder never runs.
+        # takes its clean values from its bits once, is faded once, and its
+        # noise is evaluated on the two zero grids once; every SNR point
+        # counts its errors from those values, and the allocating decoder
+        # never runs.  The run's bit table encodes the all-zero and
+        # all-ones messages and evaluates each on one grid.
         calls = {}
 
         def counting(name, fn):
@@ -225,7 +229,8 @@ class TestRunBer:
             return wrapper
 
         names = (
-            "encode_batch", "_fade_batch", "eval_on_zero_grid", "decide", "dizet_decode_batch",
+            "_clean_values", "_fade_batch", "eval_on_zero_grid", "_bit_errors", "encode_batch",
+            "dizet_decode_batch",
         )
         for name in names:
             monkeypatch.setattr(simulate, name, counting(name, getattr(simulate, name)))
@@ -234,10 +239,11 @@ class TestRunBer:
             calls.clear()
             run_ber(small_ber_config(channel_model=model, snr_grid_db=grid, trials=1300))
             assert calls == {
-                "encode_batch": blocks,
+                "encode_batch": 2,
+                "_clean_values": blocks,
                 "_fade_batch": blocks,
-                "eval_on_zero_grid": 4 * blocks,
-                "decide": blocks * len(grid),
+                "eval_on_zero_grid": 2 * blocks + 2,
+                "_bit_errors": blocks * len(grid),
             }
 
     def test_appending_points_leaves_the_earlier_records_unchanged(self, monkeypatch):
@@ -279,30 +285,67 @@ class TestRunBer:
     @pytest.mark.parametrize("k", [31, 127, 511])
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     def test_grid_decision_is_the_decode_of_the_noisy_packets(self, model, k):
-        # The zero-grid values are linear in the samples, so deciding from
-        # C + s Z must be decoding x + s z.  The two orders of the same sums
-        # round differently: the margins agree to 1e-9 (3e-13 at most here),
-        # and the bits wherever a margin is further than that from zero.
+        # Counting |C/s + Z| below its threshold must be decoding x + s z:
+        # the same bits err, at every SNR point, where C are the bits'
+        # clean values faded at their signal points and x the encoded
+        # packets faded in the sample domain.  The two round differently, so
+        # the bits agree wherever the decoder's margin is further than 1e-9
+        # from zero (all of them here).
         params = ModulationParams(k)
         radius = params.outer_radius
-        rng = np.random.default_rng(k)
-        msgs = rng.integers(0, 2, (64, k), dtype=np.int8)
-        clean = fade_samples(simulate.encode_batch(msgs, params), model, rng)
-        z = rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-        grids = [
-            simulate.eval_on_zero_grid(x, r, k) for x in (clean, z) for r in (radius, 1.0 / radius)
-        ]
-        mix = np.empty((64, k), dtype=complex)
-        mags = np.empty((2, 64, k))
+        table = simulate._bit_table(params)
+        msgs = np.random.default_rng(k).integers(0, 2, (64, k), dtype=np.int8)
+        mask = np.repeat(-msgs.astype(np.int64)[..., None], 2, axis=2)
+        clean = simulate._clean_values(
+            msgs.astype(np.float64), table, np.empty((64, table[0]), dtype=complex),
+            np.empty((64, k)), np.empty((64, k), dtype=complex),
+        )
+        grids = np.empty((2, 64, k), dtype=complex)
+        simulate._fade_batch(clean, mask, model, np.random.default_rng(5), radius, grids)
+        rx = fade_samples(simulate.encode_batch(msgs, params), model, np.random.default_rng(5))
+        rng = np.random.default_rng(k + 1)
+        z = rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape)
+        for grid, r in zip(grids, (radius, 1.0 / radius)):
+            simulate.eval_on_zero_grid(z, r, k, out=grid)
+        thresholds, mags = np.empty((2, 64, k))
+        signal, _ = simulate._signal_and_threshold(
+            grids[0], grids[1], mask, radius, rx.shape[1], thresholds, mags
+        )
         for snr_db in (0.0, 6.0, 12.0):
             scale = math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0)
-            bits, margins = simulate._decide_from_grids(
-                grids, scale, radius, clean.shape[1], mix, mags
-            )
-            want_bits, want_margins = dizet_decode_batch(clean + scale * z, params)
-            assert np.max(np.abs(margins - want_margins)) <= 1e-9, snr_db
+            errors = simulate._bit_errors(clean, signal, thresholds, scale, grids[0], mags)
+            want_bits, want_margins = dizet_decode_batch(rx + scale * z, params)
+            wrong = want_bits != msgs
             sure = np.abs(want_margins) > 1e-9
-            assert np.array_equal(bits[sure], want_bits[sure]), snr_db
+            assert np.array_equal((mags < thresholds)[sure], wrong[sure]), snr_db
+            assert errors == np.count_nonzero(mags < thresholds)
+            assert abs(errors - np.count_nonzero(wrong)) <= np.count_nonzero(~sure), snr_db
+
+    # The decoder's side of run_ber's stream: each block's messages,
+    # encoded, faded in the sample domain (tests/fade_oracle.py) and given
+    # s z.  Three blocks, the last one short, in three worker tasks.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
+    @pytest.mark.parametrize("k", [2, 3, 64, 65, 127])
+    def test_bit_errors_are_the_decoders_on_the_same_stream(self, monkeypatch, threads, model, k):
+        monkeypatch.setenv("MOCZSIM_THREADS", threads)
+        cfg = small_ber_config(
+            modulation=ModulationParams(k), channel_model=model, snr_grid_db=(-2.0, 4.0, 10.0),
+            trials=300, batch_size=128,
+        )
+        want = [0] * len(cfg.snr_grid_db)
+        for block in range(-(-cfg.trials // simulate._BER_BLOCK)):
+            rng = simulate._rng_for(cfg.seed, 4, block)
+            size = min(simulate._BER_BLOCK, cfg.trials - block * simulate._BER_BLOCK)
+            msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
+            rx = fade_samples(simulate.encode_batch(msgs, cfg.modulation), model, rng)
+            parts = rng.standard_normal((2,) + rx.shape)
+            z = parts[0] + 1j * parts[1]
+            for point, snr_db in enumerate(cfg.snr_grid_db):
+                scale = math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0)
+                bits, _ = dizet_decode_batch(rx + scale * z, cfg.modulation)
+                want[point] += int(np.count_nonzero(bits != msgs))
+        assert [rec["bit_errors"] for rec in run_ber(cfg).records] == want
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [31, 511])
@@ -412,6 +455,120 @@ class TestRunBer:
             small_ber_config(channel_model="rayleigh_flat", snr_grid_db=(8.0,), trials=30_000)
         ).records[0]
         assert ray_rec["ber"] > awgn_rec["ber"]
+
+
+def point_rule_errors(clean, z_outer, z_inner, msgs, scale, radius, n):
+    """The bits that err under run_ber's per-point rule, as a bool array."""
+    mask = np.repeat(-msgs.astype(np.int64)[..., None], 2, axis=2)
+    thresholds, mags = np.empty((2,) + msgs.shape)
+    signal, _ = simulate._signal_and_threshold(
+        z_outer.copy(), z_inner.copy(), mask, radius, n, thresholds, mags
+    )
+    count = simulate._bit_errors(clean, signal, thresholds, scale, np.empty_like(clean), mags)
+    errs = mags < thresholds
+    assert count == np.count_nonzero(errs)
+    return errs
+
+
+def decide_errors(clean, z_outer, z_inner, msgs, scale, radius, n):
+    """The bits that err under dizet.decide, the packet's value 0 at each bit's other point."""
+    bits = msgs.astype(bool)
+    c_outer, c_inner = np.where(bits, 0, clean), np.where(bits, clean, 0)
+    outer, inner = np.abs(c_outer + scale * z_outer), np.abs(c_inner + scale * z_inner)
+    decided, _ = decide(outer, inner, radius, n)
+    return decided != msgs
+
+
+class TestBitDomain:
+    def test_inner_kernel_is_the_conjugate_of_the_outer(self):
+        # At K=7, from direct logs: set bit j's factor on the all-zero
+        # codeword at the outer point R a_k, (z - R a_j) / (R z - a_j), and
+        # cleared bit j's on the all-ones codeword at the inner point a_k / R,
+        # (R z - a_j) / (z - R a_j), at k - j = d.  The kernel sits at lags
+        # 0..K-1 and again at M-K+1..M-1, zero at lag 0 and in between; the
+        # table holds conj of its upper bins in reverse.
+        params = ModulationParams(7)
+        r = params.outer_radius
+        m_len, spectrum, _ = simulate._bit_table(params)
+        assert m_len == 16
+        kernel = np.fft.ifft(np.concatenate((spectrum[:9], np.conj(spectrum[9:])[::-1])))
+        w = np.exp(2j * np.pi * np.arange(1, 7) / 7)
+        outer = np.log((r * w - r) / (r * r * w - 1.0))
+        inner = np.log((w - 1.0) / (w / r - r))
+        np.testing.assert_allclose(kernel[1:7], outer, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.conj(kernel[1:7]), inner, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(kernel[10:], kernel[1:7], rtol=0, atol=1e-14)
+        assert np.max(np.abs(kernel[[0, 7, 8, 9]])) < 1e-14
+
+    # K = 64 and 65 are the edges of the convolution length: 2K - 1 = 127
+    # fits in 128, and 129 takes 256.
+    @pytest.mark.parametrize("k", [2, 3, 31, 64, 65, 127, 511])
+    def test_clean_values_are_the_encoded_packets_values(self, k):
+        params = ModulationParams(k)
+        radius = params.outer_radius
+        table = simulate._bit_table(params)
+        assert 2 * k - 1 <= table[0] < 2 * (2 * k - 1)
+        assert table[0] & (table[0] - 1) == 0
+        msgs = np.random.default_rng(k).integers(0, 2, (40, k), dtype=np.int8)
+        msgs[0], msgs[1] = 0, 1
+        got = simulate._clean_values(
+            msgs.astype(np.float64), table, np.empty((40, table[0]), dtype=complex),
+            np.empty((40, k)), np.empty((40, k), dtype=complex),
+        )
+        tx = simulate.encode_batch(msgs, params)
+        outer, inner = (simulate.eval_on_zero_grid(tx, r, k) for r in (radius, 1.0 / radius))
+        bits = msgs.astype(bool)
+        want = np.where(bits, inner, outer)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # The encoder's values at each bit's other point are rounding of
+        # the zero that the table takes as exact.
+        assert np.max(np.abs(np.where(bits, outer, inner))) < 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e150])
+    @pytest.mark.parametrize("n", [32, 35])
+    def test_point_rule_is_the_decoders_decision(self, scale, n):
+        # Hand-built grids at K=31 (the packet's value at the signal point
+        # as large as the noise there, so both decisions occur) at every
+        # scale: the same bits err.
+        radius = ModulationParams(31).outer_radius
+        rng = np.random.default_rng(n)
+        shape = (48, 31)
+        msgs = rng.integers(0, 2, shape, dtype=np.int8)
+        clean, z_outer, z_inner = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3)
+        )
+        clean *= scale
+        errs = point_rule_errors(clean, z_outer, z_inner, msgs, scale, radius, n)
+        assert 0 < np.count_nonzero(errs) < errs.size
+        assert np.array_equal(errs, decide_errors(clean, z_outer, z_inner, msgs, scale, radius, n))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_exact_ties_decide_bit_zero(self, scale):
+        # With one-sample packets both norms are 1, and these magnitudes are
+        # exact: 3-4-5 triangles.  A tie decides bit 0, so it errs at a set
+        # bit and not at a cleared one.
+        radius = ModulationParams(31).outer_radius
+        msgs = np.array([[0, 1, 0, 1]], dtype=np.int8)
+        bits = msgs.astype(bool)
+        # C/s + Z at the signal point, Z there, and Z at the other point
+        at_signal = np.array([[3 + 4j, 3 + 4j, 5.0, 5j]])
+        z_signal = np.array([[0, 0, 4 - 3j, 3]], dtype=complex)
+        z_other = np.array([[5.0, 5j, 3 - 4j, -5.0]])
+        clean = (at_signal - z_signal) * scale
+        z_outer, z_inner = np.where(bits, z_other, z_signal), np.where(bits, z_signal, z_other)
+        for rule in (point_rule_errors, decide_errors):
+            got = rule(clean, z_outer, z_inner, msgs, scale, radius, 1)
+            assert np.array_equal(got, bits), rule
+        # One float either side of the tie decides by it: with the other
+        # point's magnitude one float above the signal point's both bits err,
+        # one float below neither does.  The decoder's logs round such a
+        # pair to one value, so this is the rule alone.
+        for other, want in ((np.nextafter(5.0, 6.0), True), (np.nextafter(5.0, 4.0), False)):
+            z_outer, z_inner = np.array([[0, other]]), np.array([[other, 0]])
+            got = point_rule_errors(
+                clean[:, :2], z_outer + 0j, z_inner + 0j, msgs[:, :2], scale, radius, 1
+            )
+            assert got.tolist() == [[want, want]]
 
 
 # run_ber bit_errors pinned from the sweep that draws each 128-packet
@@ -901,6 +1058,22 @@ class TestRadarRegression:
 
     def test_scene_records_match_the_reduced_draw_pin(self):
         self.assert_records(run_radar(self.scene()).records, REDUCED_SCENE_RECORDS)
+
+    def test_no_detection_trial_draws_no_later_frames(self, monkeypatch):
+        # A CPI whose clusters match no target returns after scoring: the
+        # later frames' draw (rest, the trial's last) never forms its Gram.
+        # The pinned run detects in 16 of its 24 CPIs (6, 6, 4 and 0 at 30,
+        # 60, 120 and 200 m) and keeps the records of every CPI drawing them.
+        grams = []
+        gram = channel._codeword_gram
+
+        def counting(*args):
+            grams.append(args)
+            return gram(*args)
+
+        monkeypatch.setattr(channel, "_codeword_gram", counting)
+        self.assert_records(run_radar(self.scene()).records, REDUCED_SCENE_RECORDS)
+        assert len(grams) == 16
 
     def test_worker_count_does_not_change_radar_output(self, monkeypatch):
         cfg = dataclasses.replace(self.scene(), trials=3)
