@@ -121,7 +121,7 @@ def _log_basis(params: ModulationParams) -> tuple[np.ndarray, np.ndarray]:
     return row, basis
 
 
-def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
+def encode_batch(messages, params: ModulationParams) -> np.ndarray:
     """Encode a batch of bit messages into transmit sequences.
 
     Parameters
@@ -129,8 +129,6 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     messages : array_like, shape (B, K) or (K,)
         Rows of 0/1 payload bits; float64 rows are read without a copy.
     params : ModulationParams
-    out : ndarray, shape (B, K+1), complex, optional
-        Where the sequences are built; allocated when omitted.
 
     Returns
     -------
@@ -148,7 +146,7 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
     [1 - 2*eta, 1 + 2*eta] of flat on the unit circle.  That spectrum is the
     all-zero message's times R^|m|, so only the phases of the values depend
     on the message: one real GEMM of the messages with the cached (K, K+1)
-    phase basis, written straight into the imaginary parts of ``out``, plus
+    phase basis, written straight into the imaginary parts of the result, plus
     the cached constant row of log-values, whose real parts are copied in
     unchanged.  The constant row carries the unit energy and the sign of the
     first sample, so ``exp`` and the FFT along the rows in place finish the
@@ -162,8 +160,7 @@ def encode_batch(messages, params: ModulationParams, out=None) -> np.ndarray:
         raise ValueError("bit message entries must be 0 or 1")
 
     row, basis = _log_basis(params)
-    if out is None:
-        out = np.empty((m.shape[0], params.seq_len), dtype=complex)
+    out = np.empty((m.shape[0], params.seq_len), dtype=complex)
     np.matmul(np.asarray(m, dtype=np.float64), basis, out=out.imag)
     broadcast_into(np.add, out.imag, row.imag, out.imag)
     np.copyto(out.real, row.real)

@@ -141,8 +141,8 @@ class SimConfig:
         for i, snr_db in enumerate(self.snr_grid_db):
             if not abs(snr_db) <= DB_LIMIT:
                 raise ValueError(f"snr_grid_db[{i}] must lie within +-{DB_LIMIT} dB, got {snr_db}")
-        if self.frame_len < self.modulation.seq_len:
-            raise ValueError("frame_len must cover the transmit sequence")
+        if self.frame_len < 1:
+            raise ValueError("frame_len must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.range_grid_m and len(self.targets) != 1:
@@ -156,19 +156,9 @@ class SimConfig:
                 raise ValueError(
                     f"targets[{i}].rcs_dbsm must lie within +-{DB_LIMIT} dB, got {spec.rcs_dbsm}"
                 )
-        # The two Wishart draws of channel.receive_radar need these, with D <= T.
-        n_frames, n_rf = self.schedule.frames_per_cpi, self.array.num_rf_chains
-        n_targets = len(self.targets)
-        if self.frame_len - n_targets - 1 < n_rf - 1 or (
-            n_frames >= 2 and (n_frames - 1) * (self.frame_len - 2 * n_targets) < n_rf
-        ):
-            raise ValueError(
-                f"frame_len = {self.frame_len} is too short for the radar receive draw: need "
-                "frame_len - targets - 1 >= n_rf - 1 and, with frames_per_cpi >= 2, "
-                "(frames_per_cpi - 1) * (frame_len - 2 * targets) >= n_rf"
-            )
         # The CPI's summed peak correlation power is at most
         # F EIRP L N_a lambda^2 sigma / ((4 pi)^3 r^4); in dB no term overflows.
+        n_frames = self.schedule.frames_per_cpi
         gain = n_frames * self.modulation.seq_len * self.array.num_antennas / (4 * math.pi) ** 3
         gain_db = self.link.eirp_dbm - 30 + 10 * math.log10(gain)
         gain_db += 20 * math.log10(self.link.wavelength)
@@ -285,8 +275,8 @@ def _fade_taps(model: str, b: int, rng: np.random.Generator) -> np.ndarray | Non
     raise ValueError(f"unknown channel model {model!r}")
 
 
-def _bit_table(params: ModulationParams) -> tuple[int, np.ndarray, np.ndarray]:
-    """What ``_clean_values`` needs of ``params``: (M, spectrum, rows).
+def _bit_table(params: ModulationParams) -> tuple[int, np.ndarray, complex, complex]:
+    """What ``_clean_values`` needs of ``params``: (M, spectrum, log_zero, log_set).
 
     A codeword has one zero of each conjugate-reciprocal pair: bit k puts
     it at R a_k when set and at a_k / R when cleared, a_k = w^k with
@@ -307,9 +297,17 @@ def _bit_table(params: ModulationParams) -> tuple[int, np.ndarray, np.ndarray]:
     bits' K entries never reach the wrapped lags' products.  ``spectrum``
     holds the kernel's length-M DFT S at bins 0..M/2, then conj(S) at bins
     M-1 down to M/2+1, the order in which ``_clean_values`` reads them.
-    Row 0 is log X_0 on the outer grid; row 1 is log X_1 on the inner grid
-    plus conj(sum D), less row 0.  Both come from ``encode_batch`` and
-    ``eval_on_zero_grid``, so they carry the encoder's energy and sign.
+
+    The two codewords are binomials in z^K, since prod_k (z - c a_k) =
+    z^K - c^K.  With unit energy and the encoder's positive first sample,
+    X_0(z) = (R^-K - z^K) / sqrt(1 + R^-2K) and X_1(z) = (R^K - z^K) /
+    sqrt(1 + R^2K), so each is one constant on its grid: ``log_zero`` =
+    log X_0(R a_k) = log((R^K - R^-K) / sqrt(1 + R^-2K)) + i pi, and
+    ``log_set``, what a set bit adds to it, = log X_1(a_k / R)
+    + conj(sum D) - ``log_zero``, with log X_1(a_k / R) =
+    log((R^K - R^-K) / sqrt(1 + R^2K)).  Only their values modulo 2 pi i
+    matter, since one ``exp`` follows.  No encoder table is built: the
+    table is O(M) however large K is.
     """
     k = params.num_bits
     radius = params.outer_radius
@@ -318,14 +316,13 @@ def _bit_table(params: ModulationParams) -> tuple[int, np.ndarray, np.ndarray]:
     kernel = np.zeros(m_len, dtype=complex)
     kernel[1:k] = np.log((w - 1.0) / (radius * w - 1.0 / radius))
     kernel[m_len - k + 1 :] = kernel[1:k]
-    rows = np.log([
-        eval_on_zero_grid(encode_batch(np.full((1, k), bit), params), r, k)[0]
-        for bit, r in ((0, radius), (1, 1.0 / radius))
-    ])
-    rows[1] += np.conj(kernel[:k].sum()) - rows[0]
+    rk = radius**k
+    log_zero = complex(math.log((rk - 1.0 / rk) / math.sqrt(1.0 + rk**-2)), math.pi)
+    log_one = math.log((rk - 1.0 / rk) / math.sqrt(1.0 + rk**2))
+    log_set = log_one + complex(np.conj(kernel[:k].sum())) - log_zero
     spectrum = np.fft.fft(kernel)
     spectrum[m_len // 2 + 1 :] = np.conj(spectrum[: m_len // 2 : -1])
-    return m_len, spectrum, rows
+    return m_len, spectrum, log_zero, log_set
 
 
 def _clean_values(bits, table, conv, scratch, out):
@@ -339,14 +336,14 @@ def _clean_values(bits, table, conv, scratch, out):
     bits' spectrum X at bins 0..M/2, and since the bits are real, bin M - f
     holds conj(X[f]), so conj(X[f] conj(S[M - f])) fills the upper bins,
     S the kernel's spectrum; then one inverse transform.  The log-values
-    are row 0 + c at a cleared bit and row 0 + row 1 - conj(c) = row 0 +
-    row 1 - Re c + i Im c at a set one, so a set bit adds row 1 - 2 Re c to
-    them, through the (B, K) float ``scratch``.  One ``exp`` finishes.
-    The ufuncs over ``conv``'s strided halves run through
+    are log_zero + c at a cleared bit and log_zero + log_set - conj(c) =
+    log_zero + log_set - Re c + i Im c at a set one, so a set bit adds
+    log_set - 2 Re c to them, through the (B, K) float ``scratch``.  One
+    ``exp`` finishes.  The ufuncs over ``conv``'s strided halves run through
     ``broadcast_into``: numpy would otherwise allocate its 8192-value
     buffer (262 KB) for each.
     """
-    m_len, spectrum, rows = table
+    m_len, spectrum, log_zero, log_set = table
     half = m_len // 2
     lower, upper = conv[:, : half + 1], conv[:, :half:-1]
     np.fft.rfft(bits, n=m_len, axis=1, out=lower)
@@ -356,12 +353,12 @@ def _clean_values(bits, table, conv, scratch, out):
     np.fft.ifft(conv, axis=1, out=conv)
     np.copyto(out, conv[:, : out.shape[1]])
     np.multiply(out.real, -2.0, out=scratch)
-    broadcast_into(np.add, scratch, rows[1].real, scratch)
+    scratch += log_set.real
     scratch *= bits
     out.real += scratch
-    broadcast_into(np.multiply, bits, rows[1].imag, scratch)
+    np.multiply(bits, log_set.imag, out=scratch)
     out.imag += scratch
-    broadcast_into(np.add, out, rows[0], out)
+    out += log_zero
     return np.exp(out, out=out)
 
 
@@ -687,8 +684,24 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     and the covariance; the noise they do not show one by one enters as two
     complex Wisharts (Goodman 1963) drawn by Bartlett's decomposition (1933).
     One record per sweep point; with no range_grid_m configured there is a
-    single point at the scenario ranges.
+    single point at the scenario ranges.  A frame too short for the
+    transmit sequence or the receive draw raises ValueError before any draw.
     """
+    # Only the radar reads frame_len against the codeword and the RF chains.
+    # The two Wishart draws of channel.receive_radar need these, with D <= T.
+    n = cfg.frame_len
+    if n < cfg.modulation.seq_len:
+        raise ValueError("frame_len must cover the transmit sequence")
+    n_frames, n_rf = cfg.schedule.frames_per_cpi, cfg.array.num_rf_chains
+    n_targets = len(cfg.targets)
+    if n - n_targets - 1 < n_rf - 1 or (
+        n_frames >= 2 and (n_frames - 1) * (n - 2 * n_targets) < n_rf
+    ):
+        raise ValueError(
+            f"frame_len = {n} is too short for the radar receive draw: need "
+            "frame_len - targets - 1 >= n_rf - 1 and, with frames_per_cpi >= 2, "
+            "(frames_per_cpi - 1) * (frame_len - 2 * targets) >= n_rf"
+        )
     specs = cfg.targets
     sweep = [(replace(specs[0], range_m=r),) for r in cfg.range_grid_m] or [specs]
     # The transmit beam and the receive beams are fixed by the scanned segment.

@@ -61,20 +61,6 @@ def faded_rows(size: int, k: int, model: str) -> np.ndarray:
     return awgn(fade_samples(tx, model, np.random.default_rng(3)), 0.5 / k, np.random.default_rng(4))
 
 
-@pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("k", [127, 511])
-def test_encode_into_out_is_the_allocating_encode(k, size):
-    p = ModulationParams(k)
-    msgs = messages(size, k)
-    want = encode_batch(msgs, p)
-    real = msgs.astype(np.float64)
-    out = _rows(flat_buffer(k), size, p.seq_len)
-    assert encode_batch(real, p, out=out) is out
-    assert same(out, want)
-    # The float messages are read in place.
-    assert peak_bytes(lambda: encode_batch(real, p, out=out)) < out.nbytes / 4
-
-
 def clean_block(size: int, k: int):
     """The (B, K) clean values of a block of messages, and its (B, K, 2) mask."""
     msgs = messages(size, k)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import moczsim
 from moczsim import ModulationParams, autocorrelation, encode, sequence_from_csv
 from moczsim.cli import main, parse_bit_string
-from test_simulate import BAD_CONFIG_IDS, BAD_CONFIGS
+from test_simulate import BAD_CONFIG_IDS, BAD_CONFIGS, RADAR_BAD_CONFIG_IDS, RADAR_BAD_CONFIGS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +256,19 @@ class TestExperimentCommands:
             outputs.append((stdout.replace(str(out), ""), written))
         assert outputs[0] == outputs[1]
 
+    def test_ber_at_k2047_runs_from_the_shipped_awgn_config(self, capsys, tmp_path):
+        # A K=2047 codeword is longer than the default 1024-sample frame,
+        # which only the radar reads, so the sweep runs.
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "ber", "--config", str(ROOT / "configs" / "awgn.json"),
+            "--set", "modulation.k=2047", "--set", "trials=300", "--out", str(out),
+        )
+        assert code == 0, err
+        records = json.loads((out / "ber_summary.json").read_text())["records"]
+        assert [r["packets"] for r in records] == [300] * 7
+        assert records[0]["ber"] > records[-1]["ber"]
+
     def test_calibrate_cfar_command(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, cfar={"pfa": 0.5, "window": 12, "guard": 2, "os_rank": 18})
         out_dir = tmp_path / "cfar_out"
@@ -362,6 +377,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg))
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("doc, key", RADAR_BAD_CONFIGS, ids=RADAR_BAD_CONFIG_IDS)
+    def test_short_radar_frame_exit_2_from_radar(self, capsys, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "radar", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert key in err
+        assert not (tmp_path / "radar.csv").exists()
+
+    @pytest.mark.parametrize("doc, key", RADAR_BAD_CONFIGS, ids=RADAR_BAD_CONFIG_IDS)
+    def test_short_radar_frame_runs_ber(self, capsys, tmp_path, doc, key):
+        # The BER sweep reads neither the frame nor the RF chains.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "trials": 10}))
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0, err
 
     def test_bad_section_value_exit_2_from_radar(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -41,6 +41,7 @@ from moczsim import (
     run_radar,
 )
 import moczsim.channel as channel
+import moczsim.huffman as huffman
 import moczsim.simulate as simulate
 from moczsim.channel import DB_LIMIT
 from moczsim.simulate import _max_workers, atomic_write_text, write_result
@@ -111,6 +112,14 @@ BAD_CONFIGS = [
         {"targets": [{"range_m": 50.0, "rcs_dbsm": 3000.0}], "range_grid_m": [50.0, 1e-3]},
         "range_grid_m[1] = 0.001 m: the peak correlation power",
     ),
+]
+BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
+
+# Configs that load, since only the radar reads frame_len against the
+# codeword and the RF chains, and that run_radar rejects before its first
+# draw: (document, text the error must contain).
+RADAR_BAD_CONFIGS = [
+    ({"modulation": {"k": 511}, "frame_len": 256}, "frame_len must cover the transmit sequence"),
     # The radar's two Wishart draws need frame 0's N - T - 1 >= n_rf - 1 and,
     # for F >= 2, the later frames' (F - 1)(N - 2T) >= n_rf degrees of
     # freedom.  Each of these is one n_rf past its bound, and the other
@@ -148,7 +157,7 @@ BAD_CONFIGS = [
         "frame_len = 32 is too short for the radar receive draw: need",
     ),
 ]
-BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
+RADAR_BAD_CONFIG_IDS = [key for _, key in RADAR_BAD_CONFIGS]
 
 NARROW = FrameSchedule(segment_deg=(-180 / 22, 180 / 22), frames_per_cpi=8)
 
@@ -218,8 +227,8 @@ class TestRunBer:
         # takes its clean values from its bits once, is faded once, and its
         # noise is evaluated on the two zero grids once; every SNR point
         # counts its errors from those values, and the allocating decoder
-        # never runs.  The run's bit table encodes the all-zero and
-        # all-ones messages and evaluates each on one grid.
+        # never runs.  The run's bit table is in closed form, so nothing is
+        # encoded: every grid evaluation is of a block's noise.
         calls = {}
 
         def counting(name, fn):
@@ -239,10 +248,9 @@ class TestRunBer:
             calls.clear()
             run_ber(small_ber_config(channel_model=model, snr_grid_db=grid, trials=1300))
             assert calls == {
-                "encode_batch": 2,
                 "_clean_values": blocks,
                 "_fade_batch": blocks,
-                "eval_on_zero_grid": 2 * blocks + 2,
+                "eval_on_zero_grid": 2 * blocks,
                 "_bit_errors": blocks * len(grid),
             }
 
@@ -368,8 +376,8 @@ class TestRunBer:
         # One 16384-packet task at K=127 held ~150 MB when the whole batch
         # went through each stage at once, and ~10.7 MB when each block
         # allocated its own temporaries.  The task's one buffer set is
-        # 1.58 MB (3.7 MB for 512-packet blocks and one grid); with the first
-        # call's log basis the peak reads 3.1 MB (was 5.3 MB).
+        # 1.58 MB (3.7 MB for 512-packet blocks and one grid); with the bit
+        # table the peak reads 2.5 MB (was 5.3 MB).
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         cfg = SimConfig(
             modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384, batch_size=16384
@@ -391,7 +399,7 @@ class TestRunBer:
             modulation=ModulationParams(511), channel_model="rician_selective",
             snr_grid_db=(6.0,), trials=16, batch_size=16,
         )
-        first = run_ber(cfg)  # fills the encoder's cached log basis
+        first = run_ber(cfg)  # builds the FFT plans; the bit table is not cached
         tracemalloc.start()
         try:
             again = run_ber(cfg)
@@ -489,7 +497,7 @@ class TestBitDomain:
         # table holds conj of its upper bins in reverse.
         params = ModulationParams(7)
         r = params.outer_radius
-        m_len, spectrum, _ = simulate._bit_table(params)
+        m_len, spectrum, _, _ = simulate._bit_table(params)
         assert m_len == 16
         kernel = np.fft.ifft(np.concatenate((spectrum[:9], np.conj(spectrum[9:])[::-1])))
         w = np.exp(2j * np.pi * np.arange(1, 7) / 7)
@@ -501,9 +509,14 @@ class TestBitDomain:
         assert np.max(np.abs(kernel[[0, 7, 8, 9]])) < 1e-14
 
     # K = 64 and 65 are the edges of the convolution length: 2K - 1 = 127
-    # fits in 128, and 129 takes 256.
-    @pytest.mark.parametrize("k", [2, 3, 31, 64, 65, 127, 511])
-    def test_clean_values_are_the_encoded_packets_values(self, k):
+    # fits in 128, and 129 takes 256.  At K=2047 the encoder's own rounding
+    # is larger: its values at the zeros read 9.6e-13 of the largest value
+    # and the clean values differ from its grids by 1.8e-12 relative.
+    @pytest.mark.parametrize(
+        "k, rtol", [(2, 1e-12), (3, 1e-12), (31, 1e-12), (64, 1e-12), (65, 1e-12),
+                    (127, 1e-12), (511, 1e-12), (2047, 4e-12)]
+    )
+    def test_clean_values_are_the_encoded_packets_values(self, k, rtol):
         params = ModulationParams(k)
         radius = params.outer_radius
         table = simulate._bit_table(params)
@@ -519,10 +532,51 @@ class TestBitDomain:
         outer, inner = (simulate.eval_on_zero_grid(tx, r, k) for r in (radius, 1.0 / radius))
         bits = msgs.astype(bool)
         want = np.where(bits, inner, outer)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
         # The encoder's values at each bit's other point are rounding of
         # the zero that the table takes as exact.
-        assert np.max(np.abs(np.where(bits, outer, inner))) < 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(np.where(bits, outer, inner))) < rtol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 31, 127, 511, 2047])
+    def test_closed_form_rows_are_the_encoded_codewords_rows(self, k):
+        # The oracle builds the rows from the encoder: the all-zero
+        # codeword's log-values on the outer grid, and the all-ones
+        # codeword's on the inner grid plus conj(sum D) less those.  Every
+        # entry of each row is the table's constant modulo 2 pi i, to the
+        # encoder's rounding (1.3e-12 and 1.7e-12 at K=2047).
+        params = ModulationParams(k)
+        radius = params.outer_radius
+        _, _, log_zero, log_set = simulate._bit_table(params)
+        rows = np.log([
+            simulate.eval_on_zero_grid(simulate.encode_batch(np.full((1, k), bit), params), r, k)[0]
+            for bit, r in ((0, radius), (1, 1.0 / radius))
+        ])
+        w = np.exp(2j * np.pi * np.arange(1, k) / k)
+        rows[1] += np.conj(np.log((w - 1.0) / (radius * w - 1.0 / radius)).sum()) - rows[0]
+        for row, value in zip(rows, (log_zero, log_set)):
+            gap = row - value
+            gap.imag = (gap.imag + np.pi) % (2 * np.pi) - np.pi
+            assert np.max(np.abs(gap)) < 4e-15 * k
+
+    def test_bit_table_is_small_at_large_k(self):
+        # The table holds M-value kernel spectra: 0.2 MB traced at K=2047,
+        # where the encoder's phase table peaked at 160 MB.
+        tracemalloc.start()
+        try:
+            simulate._bit_table(ModulationParams(2047))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_ber_run_builds_no_encoder_table(self, monkeypatch):
+        # run_ber never encodes, so the encoder's cached phase basis stays
+        # empty on every channel model.
+        monkeypatch.setattr(simulate, "encode_batch", None)
+        huffman._log_basis.cache_clear()
+        for model in simulate.CHANNEL_MODELS:
+            run_ber(small_ber_config(channel_model=model, trials=300))
+        assert huffman._log_basis.cache_info().currsize == 0
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e150])
     @pytest.mark.parametrize("n", [32, 35])
@@ -983,9 +1037,9 @@ class TestRadarEdges:
         ids=["frame-0-bound", "later-frames-bound", "later-frames-bound-two-targets"],
     )
     def test_configs_at_the_receive_draw_bounds_run(self, n_rf, frames, ranges):
-        # Each config sits on a bound that the BAD_CONFIGS entries step past,
-        # and every target is detected, so the later frames' Wishart gets
-        # exactly n_rf degrees of freedom when frames >= 2.
+        # Each config sits on a bound that the RADAR_BAD_CONFIGS entries
+        # step past, and every target is detected, so the later frames'
+        # Wishart gets exactly n_rf degrees of freedom when frames >= 2.
         cfg = SimConfig(
             modulation=ModulationParams(31),
             frame_len=32,
@@ -1192,8 +1246,18 @@ class TestConfigRoundTrip:
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=re.escape("snr_grid_db[1]")):
                 SimConfig(modulation=ModulationParams(31), snr_grid_db=(6.0, bad))
-        with pytest.raises(ValueError):
-            SimConfig(modulation=ModulationParams(511), frame_len=256)
+        # A frame shorter than the codeword is the radar's concern alone
+        # (RADAR_BAD_CONFIGS); load rejects only an empty frame.
+        with pytest.raises(ValueError, match="frame_len must be >= 1"):
+            SimConfig(frame_len=0)
+
+    @pytest.mark.parametrize("doc, key", RADAR_BAD_CONFIGS, ids=RADAR_BAD_CONFIG_IDS)
+    def test_short_radar_frame_loads_and_raises_from_run_radar(self, monkeypatch, doc, key):
+        # The check runs before the first draw: no trial starts.
+        cfg = config_from_dict(doc)
+        monkeypatch.setattr(simulate, "_rng_for", None)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            run_radar(cfg)
 
 
 class TestOutputFiles:
