@@ -1,6 +1,6 @@
 """The BER chain's caller-supplied buffers: each kernel's ``out=`` result is
 bitwise the allocating result, and the call allocates less than a quarter of
-the block it reads or writes.
+the block it reads or writes, beyond the screen's indices of the open bits.
 
 The buffers are views of flat arrays, as ``run_ber`` carves them from its
 per-task set.  The sizes are one whole block and a short block (100 rows),
@@ -20,9 +20,10 @@ from moczsim.simulate import (
     _BER_BLOCK,
     _bit_errors,
     _bit_table,
-    _clean_values,
+    _clean_logs,
     _fade_batch,
     _rows,
+    _screened_errors,
     _signal_and_threshold,
 )
 from fade_oracle import fade_samples
@@ -62,15 +63,15 @@ def faded_rows(size: int, k: int, model: str) -> np.ndarray:
 
 
 def clean_block(size: int, k: int):
-    """The (B, K) clean values of a block of messages, and its (B, K, 2) mask."""
+    """The (B, K) clean logs of a block of messages, and its (B, K, 2) mask."""
     msgs = messages(size, k)
     table = _bit_table(ModulationParams(k))
-    values = _clean_values(
+    logs = _clean_logs(
         msgs.astype(np.float64), table, np.empty((size, table[0]), dtype=complex),
         np.empty((size, k)), np.empty((size, k), dtype=complex),
     )
     mask = np.repeat(-msgs.astype(np.int64)[..., None], 2, axis=2)
-    return msgs, values, mask
+    return msgs, logs, mask
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -78,38 +79,41 @@ def clean_block(size: int, k: int):
     "k, model", [(127, "rayleigh_flat"), (127, "rician_selective"), (511, "rician_selective")]
 )
 def test_fade_into_out_is_the_allocating_fade(k, model, size):
-    # As in run_ber, the fade multiplies the clean values in place, with
-    # the channel's two grids in the convolution buffer's complex rows.
+    # As in run_ber, the fade adds the channel's logs to the clean logs in
+    # place, with the channel's two grids in the convolution buffer's
+    # complex rows and its scratch in the noise buffer's floats.
     p = ModulationParams(k)
     radius = p.outer_radius
     _, clean, mask = clean_block(size, k)
     want_rng = np.random.default_rng(5)
     want = _fade_batch(
-        clean.copy(), mask, model, want_rng, radius, np.empty((2,) + clean.shape, dtype=complex)
+        clean.copy(), mask, model, want_rng, radius, np.empty((2,) + clean.shape, dtype=complex),
+        np.empty(clean.shape),
     )
-    values = _rows(flat_buffer(k), size, k)
-    values[...] = clean
+    logs = _rows(flat_buffer(k), size, k)
+    logs[...] = clean
     grids = _rows(flat_buffer(2 * k), 2 * size, k).reshape(2, size, k)
+    scratch = _rows(flat_buffer(k, dtype=float), size, k)
     rng = np.random.default_rng(5)
-    assert _fade_batch(values, mask, model, rng, radius, grids) is values
-    assert same(values, want)
+    assert _fade_batch(logs, mask, model, rng, radius, grids, scratch) is logs
+    assert same(logs, want)
     assert rng.bit_generator.state == want_rng.bit_generator.state
-    values[...] = clean
+    logs[...] = clean
     peak = peak_bytes(
-        lambda: _fade_batch(values, mask, model, np.random.default_rng(5), radius, grids)
+        lambda: _fade_batch(logs, mask, model, np.random.default_rng(5), radius, grids, scratch)
     )
-    assert peak < values.nbytes / 4
+    assert peak < logs.nbytes / 4
 
 
 def test_awgn_model_fade_returns_its_input():
-    # The values come back as they went in, and nothing is drawn.
+    # The logs come back as they went in, and nothing is drawn.
     p = ModulationParams(31)
-    _, values, mask = clean_block(4, 31)
-    before = values.copy()
+    _, logs, mask = clean_block(4, 31)
+    before = logs.copy()
     rng = np.random.default_rng(0)
-    grids = np.empty((2,) + values.shape, dtype=complex)
-    assert _fade_batch(values, mask, "awgn", rng, p.outer_radius, grids) is values
-    assert same(values, before)
+    grids, scratch = np.empty((2,) + logs.shape, dtype=complex), np.empty(logs.shape)
+    assert _fade_batch(logs, mask, "awgn", rng, p.outer_radius, grids, scratch) is logs
+    assert same(logs, before)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -129,16 +133,19 @@ class TestAwgnOut:
 @pytest.mark.parametrize("k, model", [(127, "awgn"), (511, "rician_selective")])
 def test_decode_into_out_is_the_allocating_decode(k, model, size):
     # run_ber's decode: the noise on both zero grids, the signal points'
-    # noise and the thresholds, then one point's errors, each into its
-    # buffers.  The erring bits are those of the allocating decode of the
-    # same noisy packets (the decoder is encode -> sample-domain fade -> awgn).
+    # noise and the thresholds, then the screened errors of three points,
+    # each into its buffers.  The erring bits are those of the allocating
+    # decode of the same noisy packets (the decoder is encode ->
+    # sample-domain fade -> awgn), and each point's count is the full
+    # evaluation's of every bit.
     p = ModulationParams(k)
     radius = p.outer_radius
-    msgs, values, mask = clean_block(size, k)
+    msgs, logs, mask = clean_block(size, k)
     _fade_batch(
-        values, mask, model, np.random.default_rng(3), radius,
-        np.empty((2,) + values.shape, dtype=complex),
+        logs, mask, model, np.random.default_rng(3), radius,
+        np.empty((2,) + logs.shape, dtype=complex), np.empty(logs.shape),
     )
+    values = np.exp(logs)
     rx = faded_rows(size, k, model)
     parts = np.random.default_rng(4).standard_normal((2,) + rx.shape)
     noise = parts[0] + 1j * parts[1]
@@ -159,6 +166,24 @@ def test_decode_into_out_is_the_allocating_decode(k, model, size):
     assert errors == np.count_nonzero(want_bits != msgs)
     peak = peak_bytes(lambda: _bit_errors(values, signal, thresholds, scale, mix, mags))
     assert peak < rx.nbytes / 4
+    # The screen and the open bits' points, in the buffers that run_ber
+    # passes: the first grid, the mask and the floats behind the thresholds.
+    # Beyond them it allocates only the open bits' indices (8 bytes a bit)
+    # and each point's flags (1 byte a bit).
+    scales = [scale * 4.0, scale, scale / 4.0]
+    full = [_bit_errors(values, signal, thresholds, s, mix, mags) for s in scales]
+    assert full[1] == errors
+    held = logs.copy(), signal.copy(), thresholds.copy()
+    words, behind = _rows(flat_buffer(k), size, k), _rows(flat_buffer(k, dtype=float), size, k)
+
+    def screened():
+        for array, value in zip((logs, signal, thresholds), held):
+            array[...] = value
+        return _screened_errors(logs, signal, thresholds, scales, mix, words, behind)
+
+    assert screened() == full
+    peak = peak_bytes(screened)
+    assert peak < 9 * logs.size + rx.nbytes / 4
 
 
 @pytest.mark.parametrize("n", [20, 31, 32, 75, 93])

@@ -338,6 +338,15 @@ def fade_inputs(x, msgs, radius, k):
     return np.where(bits, inner, outer), mask
 
 
+def faded_values(values, mask, model, rng, radius):
+    """``values`` faded as ``run_ber`` fades them: ``_fade_batch`` adds the
+    channel's logs to theirs, and exp gives the faded values back."""
+    logs = np.log(values)
+    grids = np.empty((2,) + values.shape, dtype=complex)
+    assert _fade_batch(logs, mask, model, rng, radius, grids, np.empty(values.shape)) is logs
+    return np.exp(logs)
+
+
 class TestSelectiveFade:
     def test_rows_are_linear_convolutions_with_the_drawn_taps(self):
         # The taps are the Rician draws in delay order, tap 0 first, and the
@@ -348,8 +357,7 @@ class TestSelectiveFade:
         msgs = np.random.default_rng(20).integers(0, 2, (6, 31))
         tx = encode_batch(msgs, p)
         values, mask = fade_inputs(tx, msgs, radius, 31)
-        grids = np.empty((2,) + values.shape, dtype=complex)
-        _fade_batch(values, mask, "rician_selective", np.random.default_rng(21), radius, grids)
+        values = faded_values(values, mask, "rician_selective", np.random.default_rng(21), radius)
         taps = _fade_taps("rician_selective", 6, np.random.default_rng(21))
         ref = np.random.default_rng(21)
         psi = ref.uniform(0.0, 2.0 * np.pi, (6, 4))
@@ -368,8 +376,7 @@ class TestSelectiveFade:
         rng = np.random.default_rng(22)
         values = np.ones((5, 9), dtype=complex)
         mask = np.zeros((5, 9, 2), dtype=np.int64)
-        grids = np.empty((2, 5, 9), dtype=complex)
-        _fade_batch(values, mask, "rician_selective", rng, 1.1, grids)
+        faded_values(values, mask, "rician_selective", rng, 1.1)
         ref = np.random.default_rng(22)
         ref.uniform(0.0, 2.0 * np.pi, (5, 4))
         ref.standard_normal((5, 4))
@@ -388,8 +395,7 @@ def test_grid_fade_is_the_grid_of_the_convolved_packets(model, k):
     msgs = np.random.default_rng(k).integers(0, 2, (64, k))
     tx = encode_batch(msgs, p)
     values, mask = fade_inputs(tx, msgs, radius, k)
-    grids = np.empty((2,) + values.shape, dtype=complex)
-    _fade_batch(values, mask, model, np.random.default_rng(k + 1), radius, grids)
+    values = faded_values(values, mask, model, np.random.default_rng(k + 1), radius)
     rows = fade_samples(tx, model, np.random.default_rng(k + 1))
     assert relative_error(values, fade_inputs(rows, msgs, radius, k)[0]) < 1e-12
 

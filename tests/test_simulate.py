@@ -224,35 +224,48 @@ class TestRunBer:
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     def test_each_block_is_encoded_and_faded_once_for_the_grid(self, monkeypatch, model):
         # 1300 packets are eleven blocks, the last one short.  Each block
-        # takes its clean values from its bits once, is faded once, and its
-        # noise is evaluated on the two zero grids once; every SNR point
-        # counts its errors from those values, and the allocating decoder
-        # never runs.  The run's bit table is in closed form, so nothing is
+        # takes its clean logs from its bits once, is faded once, its noise
+        # is evaluated on the two zero grids once, and it is screened once,
+        # at the grid's largest noise scale; every SNR point then counts the
+        # errors of the open bits alone, and the allocating decoder never
+        # runs.  The run's bit table is in closed form, so nothing is
         # encoded: every grid evaluation is of a block's noise.
         calls = {}
+        screened_at, open_sizes = [], []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
+                if name == "_open_bits":
+                    screened_at.append(args[3])
+                if name == "_bit_errors":
+                    open_sizes.append(args[0].shape)
                 return fn(*args, **kwargs)
             return wrapper
 
         names = (
-            "_clean_values", "_fade_batch", "eval_on_zero_grid", "_bit_errors", "encode_batch",
-            "dizet_decode_batch",
+            "_clean_logs", "_fade_batch", "eval_on_zero_grid", "_open_bits", "_bit_errors",
+            "encode_batch", "dizet_decode_batch",
         )
         for name in names:
             monkeypatch.setattr(simulate, name, counting(name, getattr(simulate, name)))
         blocks = -(-1300 // simulate._BER_BLOCK)
-        for grid in ((4.0,), (0.0, 3.0, 6.0, 9.0)):
+        for grid in ((4.0,), (0.0, 3.0, 6.0, 9.0), (9.0, 0.0, 6.0)):
             calls.clear()
+            screened_at.clear()
+            open_sizes.clear()
             run_ber(small_ber_config(channel_model=model, snr_grid_db=grid, trials=1300))
             assert calls == {
-                "_clean_values": blocks,
+                "_clean_logs": blocks,
                 "_fade_batch": blocks,
                 "eval_on_zero_grid": 2 * blocks,
+                "_open_bits": blocks,
                 "_bit_errors": blocks * len(grid),
             }
+            assert screened_at == [math.sqrt(10.0 ** (-min(grid) / 10.0) / 31 / 2.0)] * blocks
+            # Each point reads the open bits' gathered values, fewer than the
+            # block's bits at these SNRs.
+            assert all(len(shape) == 1 and shape[0] < 128 * 31 for shape in open_sizes)
 
     def test_appending_points_leaves_the_earlier_records_unchanged(self, monkeypatch):
         # A block's packets, fades and noise do not depend on the grid at
@@ -294,8 +307,8 @@ class TestRunBer:
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     def test_grid_decision_is_the_decode_of_the_noisy_packets(self, model, k):
         # Counting |C/s + Z| below its threshold must be decoding x + s z:
-        # the same bits err, at every SNR point, where C are the bits'
-        # clean values faded at their signal points and x the encoded
+        # the same bits err, at every SNR point, where C = exp(L), L the
+        # bits' clean logs faded at their signal points, and x the encoded
         # packets faded in the sample domain.  The two round differently, so
         # the bits agree wherever the decoder's margin is further than 1e-9
         # from zero (all of them here).
@@ -304,12 +317,15 @@ class TestRunBer:
         table = simulate._bit_table(params)
         msgs = np.random.default_rng(k).integers(0, 2, (64, k), dtype=np.int8)
         mask = np.repeat(-msgs.astype(np.int64)[..., None], 2, axis=2)
-        clean = simulate._clean_values(
+        logs = simulate._clean_logs(
             msgs.astype(np.float64), table, np.empty((64, table[0]), dtype=complex),
             np.empty((64, k)), np.empty((64, k), dtype=complex),
         )
         grids = np.empty((2, 64, k), dtype=complex)
-        simulate._fade_batch(clean, mask, model, np.random.default_rng(5), radius, grids)
+        simulate._fade_batch(
+            logs, mask, model, np.random.default_rng(5), radius, grids, np.empty((64, k))
+        )
+        clean = np.exp(logs)
         rx = fade_samples(simulate.encode_batch(msgs, params), model, np.random.default_rng(5))
         rng = np.random.default_rng(k + 1)
         z = rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape)
@@ -475,6 +491,20 @@ def point_rule_errors(clean, z_outer, z_inner, msgs, scale, radius, n):
     count = simulate._bit_errors(clean, signal, thresholds, scale, np.empty_like(clean), mags)
     errs = mags < thresholds
     assert count == np.count_nonzero(errs)
+    # The screen at three scales around this one counts what every bit's
+    # own test counts, with C = exp(log C) on both sides.
+    logs = np.log(clean)
+    scales = [scale / 4.0, scale, scale * 4.0]
+    exact = np.exp(logs)
+    full = [
+        simulate._bit_errors(exact, signal, thresholds, s, np.empty_like(clean), mags)
+        for s in scales
+    ]
+    spare, words = np.empty_like(clean), np.empty(msgs.shape + (2,), dtype=np.int64)
+    screened = simulate._screened_errors(
+        logs, signal, thresholds.copy(), scales, spare, words, np.empty(msgs.shape)
+    )
+    assert screened == full
     return errs
 
 
@@ -524,10 +554,11 @@ class TestBitDomain:
         assert table[0] & (table[0] - 1) == 0
         msgs = np.random.default_rng(k).integers(0, 2, (40, k), dtype=np.int8)
         msgs[0], msgs[1] = 0, 1
-        got = simulate._clean_values(
+        logs = simulate._clean_logs(
             msgs.astype(np.float64), table, np.empty((40, table[0]), dtype=complex),
             np.empty((40, k)), np.empty((40, k), dtype=complex),
         )
+        got = np.exp(logs)
         tx = simulate.encode_batch(msgs, params)
         outer, inner = (simulate.eval_on_zero_grid(tx, r, k) for r in (radius, 1.0 / radius))
         bits = msgs.astype(bool)
