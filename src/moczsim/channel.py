@@ -353,18 +353,6 @@ def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray
     return gram
 
 
-def _wishart(dim: int, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex Wishart W_dim(dof, I) by Bartlett's decomposition L L^H; needs dof >= dim.
-
-    L's strictly lower entries are CN(0, 1), the strict lower triangle of
-    ``awgn`` on a (dim, dim) zero block; its diagonal holds the square roots
-    of Gamma(dof - i) draws, i = 0..dim-1.
-    """
-    lower = np.tril(awgn(np.zeros((dim, dim)), 1.0, rng), -1)
-    lower.flat[:: dim + 1] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
-    return lower @ lower.conj().T
-
-
 def receive_radar(
     samples, targets, bf: Beamformer, sample_period, frame_len, start_time, noise_variance, rng
 ):
@@ -372,52 +360,41 @@ def receive_radar(
 
     The arguments are those of ``apply_radar_channel``, then s2 =
     ``noise_variance`` of W and the ``rng`` it is drawn from.  Returns frame
-    0's combined row c^H y_0 (N,) and ``rest(lags)``, to call once after
-    detection on it, which returns the (F-1, D) values <c^H y_f, k_fj> of
-    frames f >= 1 at D ``lags`` (k_fj: frame f of ``samples`` delayed by lag
-    j, as ``correlation_value_at`` reads it off the cross-spectrum) and the
-    covariance sum_f y_f y_f^H / (FN), all exactly in distribution.  In the
-    basis Q = [c, B] each target's signal is rank one per frame.  Frame 0's
-    rows 1.. enter through their coordinates on an orthonormal basis of
-    span{T delayed waveforms, combined row} and a complex Wishart
-    W_{N_rf-1}(N-T-1, s2 I) for the rest of their noise; the N_rf rows of a
-    frame f >= 1 through their coordinates on a basis of span{T waveforms,
-    D kernels k_fj} and one W_{N_rf}((F-1)(N-T-D), s2 I) for all such frames
-    (Goodman, Ann. Math. Statist. 1963; Bartlett, Proc. R. Soc. Edinb. 1933).
-    The lags depend only on frame 0's noise, so the draw stays exact.
-    Householder QR gives frame 0's coordinates.  Frames f >= 1 form neither
-    their waveforms nor their spectra: ``_codeword_gram`` gives the Gram G_f
-    of each span from the codeword, and R_f = diag(sqrt(max(lambda, 0))) V^H
-    from its eigendecomposition, with R_f^H R_f = G_f, stands for the
-    triangular factor, so the draw stays exact also when a span has lower
-    rank.
+    0's combined row c^H y_0 (N,) and ``rest(lags, values)``, to call once
+    after detection on it.  ``rest`` returns the gated beam outputs, the
+    (F, D, N_rf) values <(Q^H y_f)_i, k_fj> of every row i of every frame f
+    in the basis Q = [c, B] at D ``lags`` (k_fj: frame f of ``samples``
+    delayed by lag j, as ``correlation_value_at`` reads it off the
+    cross-spectrum), exactly in distribution; frame 0's row 0 is
+    ``values``, the (D,) values that the receiver read off the combined row.
+    Each target's signal is rank one per frame, so the rows of frame f are
+    drawn as their coordinates on a basis of span{T waveforms, D kernels
+    k_fj}: the projected signal plus CN(0, s2) noise.  The lags depend only
+    on frame 0's row 0, whose noise is independent of every other row's,
+    so the draw stays exact.  No frame forms its waveforms or spectra:
+    ``_codeword_gram`` gives the Gram G_f of each span from the codeword,
+    and R_f = diag(sqrt(max(lambda, 0))) V^H from its eigendecomposition,
+    with R_f^H R_f = G_f, stands for the triangular factor, so the draw
+    stays exact also when a span has lower rank.
     """
     x = np.asarray(samples, dtype=complex)
     n = int(frame_len)
     start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
     coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (F, T, N_rf): Q^H of gains
     delayed = _delayed_waveforms(_padded_spectrum(x[0], n), targets, sample_period)  # (T, N)
-    n_frames, n_targets = coords.shape[:2]
     combined = awgn(coords[0, :, 0] @ delayed, noise_variance, rng)
-    r = np.linalg.qr(np.column_stack((delayed.T, combined)), mode="r")  # (T+1, T+1)
-    rows = np.concatenate((r[:, -1:], awgn(r[:, :-1] @ coords[0, :, 1:], noise_variance, rng)), 1)
-    gram = rows.T @ rows.conj()  # frame 0's rows on E_0, as (N_rf, N_rf) inner products
-    gram[1:, 1:] += noise_variance * _wishart(gram.shape[0] - 1, n - n_targets - 1, rng)
 
-    def rest(lags):
-        """The (F-1, D) values at ``lags`` and the covariance: frames f >= 1
-        drawn on R_f, an eigen-factor of their codeword-domain Gram."""
+    def rest(lags, values):
+        """The (F, D, N_rf) gated outputs, every frame drawn on R_f, an
+        eigen-factor of its codeword-domain Gram, then frame 0's row 0 set
+        to ``values``."""
         lags = np.asarray(lags, dtype=float)
-        lam, vecs = np.linalg.eigh(_codeword_gram(x[1:], n, targets, sample_period, lags))
+        lam, vecs = np.linalg.eigh(_codeword_gram(x, n, targets, sample_period, lags))
         r = np.sqrt(np.maximum(lam, 0.0))[..., None] * vecs.conj().swapaxes(-1, -2)
-        rows = awgn(r[..., :n_targets] @ coords[1:], noise_variance, rng)  # all rows on E_f
-        values = np.einsum("fd,fdj->fj", rows[..., 0], r[..., n_targets:].conj())
-        total = gram + np.einsum("fdi,fdj->ij", rows, rows.conj())
-        if n_frames > 1:
-            dof = (n_frames - 1) * (n - r.shape[-1])
-            total += noise_variance * _wishart(total.shape[0], dof, rng)
-        cov = bf.basis @ total @ bf.basis.conj().T / (n_frames * n)
-        return values, 0.5 * (cov + cov.conj().T)
+        rows = awgn(r[..., : len(targets)] @ coords, noise_variance, rng)  # all rows on E_f
+        gated = r[..., len(targets) :].conj().swapaxes(-1, -2) @ rows
+        gated[0, :, 0] = values
+        return gated
 
     return combined, rest
 

@@ -639,13 +639,14 @@ def _radar_trial(
 ) -> tuple[int, list[dict], list[tuple[float, float, float]]]:
     """One coherent processing interval: frames, detection, and estimation.
 
-    The receiver reads frames 1..F-1 only through one correlation value per
-    target detected on frame 0, at its frame-0 delay, and the covariance, so
-    ``receive_radar`` draws them after detection, exactly in distribution,
-    and not at all when no cluster matches a target.  MUSIC's source count
-    is ``min(len(matched), n_rf - 1)``, where ``matched`` holds the clusters
-    within two cells of a true target cell: it comes from the ground truth,
-    which a receiver does not have.
+    The receiver reads the RF chains of frames 0..F-1 only at the delays
+    detected on frame 0's combined row, so ``receive_radar`` draws those
+    gated beam outputs after detection, exactly in distribution, and not at
+    all when no cluster matches a target.  The Doppler phases are the
+    combined row's outputs; each detected cell's angle is that of the one
+    source that MUSIC finds in its own covariance, sum_f y_f y_f^H over its
+    F gated outputs y_f, so the receiver reads no ground truth.  Two
+    targets in one cell share that cell and its one angle.
 
     Returns the count of CFAR cells more than two cells from every target,
     then two lists with one entry per detected target, in target order: the
@@ -701,31 +702,32 @@ def _radar_trial(
     false_cells = sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
     matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
     if not matched:
-        # Nothing to estimate.  ``rest`` would make the trial's last draws,
-        # and MUSIC with no source never reads their covariance.
+        # Nothing to estimate: ``rest`` would make the trial's last draws.
         return false_cells, [], []
-    detected = []  # (spec, target, cell) of each detected target
-    for spec, tg, tc in zip(specs, targets, true_cells):
+    detected = []  # (spec, cell) of each detected target
+    for spec, tc in zip(specs, true_cells):
         best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
         if best is not None:
-            detected.append((spec, tg, best))
-    lags = [estimate_delay(spectrum, best) for _, _, best in detected]
-    values, cov = rest(lags)
-    num_sources = min(len(matched), cfg.array.num_rf_chains - 1)
-    angles = music_angles(cov, bf.rx_matrix, num_sources, cfg.schedule.segment)
-    phases = np.angle(np.vstack((correlation_value_at(spectrum, lags), values)))  # (F, D)
+            detected.append((spec, best))
+    lags = [estimate_delay(spectrum, best) for _, best in detected]
+    # The gated outputs (F, D, N_rf) in Q's basis.  Their kernels are the
+    # transmitted frames amp * x_f, so frame 0's values take the same scale.
+    gated = rest(lags, amp * correlation_value_at(spectrum, lags))
+    phases = np.angle(gated[..., 0])  # (F, D)
+    beams = gated @ bf.basis.T  # the same outputs in RF-chain coordinates
+    num_sources = min(1, cfg.array.num_rf_chains - 1)
 
     unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
     samples, errors = [], []
-    for j, ((spec, tg, best), lag) in enumerate(zip(detected, lags)):
+    for j, ((spec, best), lag) in enumerate(zip(detected, lags)):
         doppler_hat = (
             estimate_doppler(phases[:, j], frame_times) if n_frames >= 2 else float("nan")
         )
-        angle_hat = (
-            float(angles[np.argmin(np.abs(angles - tg.angle_rad))])
-            if angles.size
-            else float("nan")
+        cell = beams[:, j]
+        angles = music_angles(
+            cell.T @ cell.conj(), bf.rx_matrix, num_sources, cfg.schedule.segment
         )
+        angle_hat = float(angles[0]) if angles.size else float("nan")
         sample = {
             "cell": best,
             "range_m": SPEED_OF_LIGHT * lag * t_sample / 2.0,
@@ -754,30 +756,17 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     Detection uses OS-CFAR on the first frame of the CPI (which keeps the
     per-cell false alarm probability at its calibrated value); delay comes
     from band-limited peak refinement, Doppler from the correlation-peak
-    phases across the CPI frames, and the angle from beam-domain MUSIC on the
-    CPI-averaged covariance.  A CPI draws frame 0's combined row, then, after
-    detection, the later frames' correlation values at the detected delays
-    and the covariance; the noise they do not show one by one enters as two
-    complex Wisharts (Goodman 1963) drawn by Bartlett's decomposition (1933).
-    One record per sweep point; with no range_grid_m configured there is a
+    phases across the CPI frames, and the angle from beam-domain MUSIC with
+    one source on each detected cell's covariance of its gated beam outputs
+    over the CPI.  A CPI draws frame 0's combined row, then, after
+    detection, every frame's RF-chain outputs at the detected delays.  One
+    record per sweep point; with no range_grid_m configured there is a
     single point at the scenario ranges.  A frame too short for the
-    transmit sequence or the receive draw raises ValueError before any draw.
+    transmit sequence raises ValueError before any draw.
     """
-    # Only the radar reads frame_len against the codeword and the RF chains.
-    # The two Wishart draws of channel.receive_radar need these, with D <= T.
-    n = cfg.frame_len
-    if n < cfg.modulation.seq_len:
+    # Only the radar reads frame_len against the codeword.
+    if cfg.frame_len < cfg.modulation.seq_len:
         raise ValueError("frame_len must cover the transmit sequence")
-    n_frames, n_rf = cfg.schedule.frames_per_cpi, cfg.array.num_rf_chains
-    n_targets = len(cfg.targets)
-    if n - n_targets - 1 < n_rf - 1 or (
-        n_frames >= 2 and (n_frames - 1) * (n - 2 * n_targets) < n_rf
-    ):
-        raise ValueError(
-            f"frame_len = {n} is too short for the radar receive draw: need "
-            "frame_len - targets - 1 >= n_rf - 1 and, with frames_per_cpi >= 2, "
-            "(frames_per_cpi - 1) * (frame_len - 2 * targets) >= n_rf"
-        )
     specs = cfg.targets
     sweep = [(replace(specs[0], range_m=r),) for r in cfg.range_grid_m] or [specs]
     # The transmit beam and the receive beams are fixed by the scanned segment.

@@ -23,7 +23,6 @@ from moczsim import (
     radar_gain,
     steering,
 )
-from moczsim.channel import _wishart
 from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch, _fade_taps
 from fade_oracle import fade_samples
 
@@ -398,26 +397,6 @@ def test_grid_fade_is_the_grid_of_the_convolved_packets(model, k):
     values = faded_values(values, mask, model, np.random.default_rng(k + 1), radius)
     rows = fade_samples(tx, model, np.random.default_rng(k + 1))
     assert relative_error(values, fade_inputs(rows, msgs, radius, k)[0]) < 1e-12
-
-
-def reference_wishart(dim, dof, rng):
-    """Bartlett's L L^H with L's normals drawn by ``awgn`` on a zero block."""
-    lower = np.tril(awgn(np.zeros((dim, dim)), 1.0, rng), -1)
-    lower[np.diag_indices(dim)] = np.sqrt(rng.standard_gamma(dof - np.arange(dim)))
-    return lower @ lower.conj().T
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
-@pytest.mark.parametrize("extra_dof", [0, 1, 60, 15000])
-def test_wishart_is_the_reference_draw_bitwise(dim, extra_dof):
-    # The radar's seeded records rest on this stream: the same values, bit for
-    # bit, and the generator left in the same state.
-    for seed in range(4):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _wishart(dim, dim + extra_dof, rng)
-        want = reference_wishart(dim, dim + extra_dof, ref)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_radar_target_from_geometry_two_way_scalings():

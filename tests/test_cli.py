@@ -390,7 +390,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("doc, key", RADAR_BAD_CONFIGS, ids=RADAR_BAD_CONFIG_IDS)
     def test_short_radar_frame_runs_ber(self, capsys, tmp_path, doc, key):
-        # The BER sweep reads neither the frame nor the RF chains.
+        # The BER sweep does not read the frame.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**doc, "trials": 10}))
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path))

@@ -1,16 +1,16 @@
 """The radar CPI's reduced receive draw against the full RF-chain block.
 
-``channel.receive_radar`` draws frame 0's combined row, then the later
-frames' correlation values at the detected lags and the sample covariance,
+``channel.receive_radar`` draws frame 0's combined row, then every frame's
+gated beam outputs (each RF chain's correlation value at the detected lags)
 without forming the (F, N_rf, N) block; ``radar_oracle.receive_radar`` forms
-the block and adds noise to every entry.  On a small CPI (N=16, F=3, T=1,
-N_rf=4), where the projected noise, the signal coordinates, the kernels and
-the Wisharts' degrees of freedom each move a feature, the two must agree
-exactly without noise and in distribution with it, both with one kernel
-lag (D = 1) and with none (D = 0).  The two-sample tests use numpy only.
-At scene size (N=1024, L=128) the noiseless draw is also checked where the
-later frames' Gram has its edge cases: a delayed codeword that wraps past
-the frame end under Doppler, a rank-deficient span, L = N and F = 1.
+the block, adds noise to every entry and reads them off it.  On a small CPI
+(N=16, F=3, T=1, N_rf=4), where the projected noise, the signal coordinates
+and the kernels each move a feature, the two must agree exactly without
+noise, with no lag (D = 0), one, two, or one lag twice (two targets in one
+cell), and in distribution with noise.  The two-sample tests use numpy
+only.  At scene size (N=1024, L=128) the noiseless draw is also checked
+where the frames' Gram has its edge cases: a delayed codeword that wraps
+past the frame end under Doppler, a rank-deficient span, L = N and F = 1.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ import pytest
 
 import radar_oracle
 from moczsim import ArrayConfig, ModulationParams, RadarTarget, cross_spectrum, encode_batch
+from moczsim import correlation_value_at
 from moczsim import make_beamformers
 from moczsim.channel import receive_radar
 
@@ -26,7 +27,6 @@ BF = make_beamformers((-0.3, 0.3), ArrayConfig(8, 4))
 TX = 6.0 * encode_batch(
     np.random.default_rng(7).integers(0, 2, (FRAMES, K), dtype=np.int8), ModulationParams(K)
 )
-STARTS = np.arange(FRAMES) * FRAME_LEN * SAMPLE_PERIOD
 # Off the beam center, so the target also reaches the RF-chain directions
 # orthogonal to the combiner.
 TARGET = RadarTarget(gain=0.4 - 0.3j, angle_rad=0.35, delay_s=3.4e-8, doppler_hz=2e6)
@@ -37,9 +37,21 @@ LAG = 3.1
 DRAWS = 2500
 
 
-def receive(fn, targets, noise_variance, rng, lags):
-    combined, rest = fn(TX, targets, BF, SAMPLE_PERIOD, FRAME_LEN, STARTS, noise_variance, rng)
-    return (combined, *rest(lags))
+def receive(fn, targets, noise_variance, rng, lags, tx=TX, frame_len=FRAME_LEN):
+    """Frame 0's combined row and the (F, D, N_rf) gated outputs, frame 0's
+    row 0 read off the combined row as ``simulate`` reads it."""
+    starts = np.arange(len(tx)) * frame_len * SAMPLE_PERIOD
+    combined, rest = fn(tx, targets, BF, SAMPLE_PERIOD, frame_len, starts, noise_variance, rng)
+    return combined, rest(lags, correlation_value_at(cross_spectrum(tx[0], combined), lags))
+
+
+def assert_gated_equal(got, want, lags, frames):
+    combined, gated = got
+    want_combined, want_gated = want
+    np.testing.assert_allclose(combined, want_combined, rtol=0, atol=1e-12)
+    assert gated.shape == want_gated.shape == (frames, len(lags), 4)
+    scale = max(np.max(np.abs(want_gated), initial=0.0), 1e-300)
+    assert np.max(np.abs(gated - want_gated), initial=0.0) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize(
@@ -48,61 +60,39 @@ def receive(fn, targets, noise_variance, rng, lags):
         [],
         [TARGET],
         # Two targets at one delay and Doppler: the waveforms are parallel, so
-        # each span of the waveforms and a combined row or kernel has lower
-        # rank.
+        # each span of the waveforms and a kernel has lower rank.
         [TARGET, RadarTarget(gain=0.2j, angle_rad=-0.1, delay_s=3.4e-8, doppler_hz=2e6)],
     ],
     ids=["no-target", "one-target", "two-targets-one-delay"],
 )
-def test_noiseless_receive_equals_the_full_block(targets):
-    for lags in ([], [LAG], [LAG, 9.0]):
-        combined, values, cov = receive(receive_radar, targets, 0.0, np.random.default_rng(1), lags)
-        want_combined, want_values, want_cov = receive(
-            radar_oracle.receive_radar, targets, 0.0, None, lags
-        )
-        scale = max(np.max(np.abs(want_cov)), 1e-300)
-        np.testing.assert_allclose(combined, want_combined, rtol=0, atol=1e-12)
-        assert values.shape == want_values.shape == (FRAMES - 1, len(lags))
-        np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-11)
-        assert np.max(np.abs(cov - want_cov)) <= 1e-12 * scale
-        np.testing.assert_array_equal(cov, cov.conj().T)
+@pytest.mark.parametrize(
+    "lags", [[], [LAG], [LAG, 9.0], [LAG, LAG]], ids=["D=0", "D=1", "D=2", "one-cell-twice"]
+)
+def test_noiseless_receive_equals_the_full_block(targets, lags):
+    got = receive(receive_radar, targets, 0.0, np.random.default_rng(1), lags)
+    want = receive(radar_oracle.receive_radar, targets, 0.0, None, lags)
+    assert_gated_equal(got, want, lags, FRAMES)
 
 
-UPPER = np.triu_indices(4, 1)
-
-
-def features(fn, seed, lags):
-    """Per draw: the covariance's real diagonal and the real and imaginary
-    parts of its strict upper triangle; the real and imaginary parts of the
-    correlation value of each frame >= 1 at each lag; and frame 0's
-    correlation power at the target's cell."""
+def features(fn, seed):
+    """Per draw: the real and imaginary parts of every frame's gated output
+    of every RF chain at the kernel lag, and frame 0's correlation power at
+    the target's cell."""
     combined = np.empty((DRAWS, FRAME_LEN), dtype=complex)
-    covs = np.empty((DRAWS, 4, 4), dtype=complex)
-    values = np.empty((DRAWS, FRAMES - 1, len(lags)), dtype=complex)
+    gated = np.empty((DRAWS, FRAMES, 1, 4), dtype=complex)
     for i in range(DRAWS):
-        combined[i], values[i], covs[i] = receive(
-            fn, [TARGET], 1.0, np.random.default_rng([seed, i]), lags
+        combined[i], gated[i] = receive(
+            fn, [TARGET], 1.0, np.random.default_rng([seed, i]), [LAG]
         )
     power = np.abs(np.fft.ifft(cross_spectrum(TX[0], combined))[:, PEAK_CELL]) ** 2
-    entries = np.concatenate(
-        [covs[:, range(4), range(4)].real, covs[:, UPPER[0], UPPER[1]].real,
-         covs[:, UPPER[0], UPPER[1]].imag],
-        axis=1,
-    )
-    flat = values.reshape(DRAWS, -1)
-    return entries, np.concatenate([flat.real, flat.imag], axis=1), power
+    flat = gated.reshape(DRAWS, -1)
+    return np.concatenate([flat.real, flat.imag], axis=1), power
 
 
 @pytest.fixture(scope="module")
 def samples():
     """(reduced, block) features with one kernel lag."""
-    return features(receive_radar, 1, [LAG]), features(radar_oracle.receive_radar, 2, [LAG])
-
-
-@pytest.fixture(scope="module")
-def samples_no_detection():
-    """(reduced, block) features with no lag: frames >= 1 feed only the covariance."""
-    return features(receive_radar, 3, []), features(radar_oracle.receive_radar, 4, [])
+    return features(receive_radar, 1), features(radar_oracle.receive_radar, 2)
 
 
 def two_sample_z(x, y):
@@ -117,38 +107,25 @@ def variances_z(x, y):
     return two_sample_z((x - x.mean(axis=0)) ** 2, (y - y.mean(axis=0)) ** 2)
 
 
-# At most 32 features per test; |z| < 5 fails a true null with a chance of
-# about 2e-5 over all of them.
+# 24 features per test; |z| < 5 fails a true null with a chance of about
+# 1.4e-5 over all of them.
 Z_LIMIT = 5.0
 
 
-def test_covariance_entry_means_agree(samples):
-    (reduced, *_), (block, *_) = samples
+def test_gated_output_means_agree(samples):
+    (reduced, _), (block, _) = samples
     z = two_sample_z(reduced, block)
     assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
 
 
-def test_covariance_entry_variances_agree(samples):
-    (reduced, *_), (block, *_) = samples
+def test_gated_output_variances_agree(samples):
+    (reduced, _), (block, _) = samples
     z = variances_z(reduced, block)
     assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
 
 
-def test_correlation_value_means_and_variances_agree(samples):
-    (_, reduced, _), (_, block, _) = samples
-    z = np.concatenate([two_sample_z(reduced, block), variances_z(reduced, block)])
-    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
-
-
-def test_covariance_without_detections_agrees(samples_no_detection):
-    (reduced, values, _), (block, block_values, _) = samples_no_detection
-    assert values.shape == block_values.shape == (DRAWS, 0)
-    z = np.concatenate([two_sample_z(reduced, block), variances_z(reduced, block)])
-    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
-
-
 def test_frame_zero_cfar_power_has_one_distribution(samples):
-    (*_, reduced), (*_, block) = samples
+    (_, reduced), (_, block) = samples
     # Two-sample Kolmogorov-Smirnov statistic; at 2500 draws a side its 1e-4
     # critical value is sqrt(-log(0.5e-4) / 2) * sqrt(2 / 2500) = 0.0629.
     grid = np.sort(np.concatenate([reduced, block]))
@@ -189,14 +166,6 @@ SCENE_CASES = {
 def test_noiseless_receive_equals_the_full_block_at_scene_size(case):
     frame_len, frames, target, lags = SCENE_CASES[case]
     tx = SCENE_TX[:frames]
-    starts = np.arange(frames) * frame_len * SAMPLE_PERIOD
-    args = (tx, [target], BF, SAMPLE_PERIOD, frame_len, starts, 0.0)
-    combined, rest = receive_radar(*args, np.random.default_rng(1))
-    values, cov = rest(lags)
-    want_combined, want_rest = radar_oracle.receive_radar(*args, None)
-    want_values, want_cov = want_rest(lags)
-    np.testing.assert_allclose(combined, want_combined, rtol=0, atol=1e-12)
-    assert values.shape == want_values.shape == (frames - 1, len(lags))
-    np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-11)
-    assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
-    np.testing.assert_array_equal(cov, cov.conj().T)
+    got = receive(receive_radar, [target], 0.0, np.random.default_rng(1), lags, tx, frame_len)
+    want = receive(radar_oracle.receive_radar, [target], 0.0, None, lags, tx, frame_len)
+    assert_gated_equal(got, want, lags, frames)

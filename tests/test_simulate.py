@@ -116,46 +116,10 @@ BAD_CONFIGS = [
 BAD_CONFIG_IDS = [key for _, key in BAD_CONFIGS]
 
 # Configs that load, since only the radar reads frame_len against the
-# codeword and the RF chains, and that run_radar rejects before its first
-# draw: (document, text the error must contain).
+# codeword, and that run_radar rejects before its first draw: (document,
+# text the error must contain).
 RADAR_BAD_CONFIGS = [
     ({"modulation": {"k": 511}, "frame_len": 256}, "frame_len must cover the transmit sequence"),
-    # The radar's two Wishart draws need frame 0's N - T - 1 >= n_rf - 1 and,
-    # for F >= 2, the later frames' (F - 1)(N - 2T) >= n_rf degrees of
-    # freedom.  Each of these is one n_rf past its bound, and the other
-    # bound holds: 32 - 1 - 1 < 32 - 1 with one frame, then 1 * (32 - 2) < 31
-    # and 32 - 1 - 1 >= 31 - 1 with two frames and one target, and
-    # 1 * (32 - 4) < 29 with two frames and two targets.
-    (
-        {
-            "modulation": {"k": 31},
-            "frame_len": 32,
-            "array": {"n_rf": 32},
-            "schedule": {"frames_per_cpi": 1},
-            "targets": [{"range_m": 30.0}],
-        },
-        "frame_len = 32 is too short",
-    ),
-    (
-        {
-            "modulation": {"k": 31},
-            "frame_len": 32,
-            "array": {"n_rf": 31},
-            "schedule": {"frames_per_cpi": 2},
-            "targets": [{"range_m": 30.0}],
-        },
-        "frame_len = 32 is too short for the radar receive draw",
-    ),
-    (
-        {
-            "modulation": {"k": 31},
-            "frame_len": 32,
-            "array": {"n_rf": 29},
-            "schedule": {"frames_per_cpi": 2},
-            "targets": [{"range_m": 30.0}, {"range_m": 15.0}],
-        },
-        "frame_len = 32 is too short for the radar receive draw: need",
-    ),
 ]
 RADAR_BAD_CONFIG_IDS = [key for _, key in RADAR_BAD_CONFIGS]
 
@@ -889,6 +853,37 @@ class TestRunRadar:
         assert rec["detection_rate"] == 1.0
         assert sources == [1, 1, 1]
 
+    def test_angle_at_120_m_reads_the_detected_cell(self):
+        # At 120 m CFAR detects the target in about half the CPIs, and the
+        # detected cell's gated outputs still hold its source, so every
+        # angle is grid-limited (a full-frame covariance holds none there).
+        cfg = dataclasses.replace(load_config(SCENE), trials=60, range_grid_m=(120.0,))
+        rec = run_radar(cfg).records[0]
+        assert rec["detection_rate"] > 0.3
+        assert rec["rmse_angle_deg"] < 0.1
+
+    def test_frame_zero_values_are_the_combined_rows_gated_outputs(self, monkeypatch):
+        # The receiver passes its frame-0 correlation values to rest; the
+        # full block's own gated outputs of row 0 must equal them, scale
+        # included, or MUSIC would read frame 0 off the others' direction.
+        passed = []
+
+        def checked(*args):
+            combined, rest = radar_oracle.receive_radar(*args)
+
+            def checked_rest(lags, values):
+                gated = rest(lags, values)
+                np.testing.assert_allclose(values, gated[0, :, 0], rtol=1e-9, atol=0)
+                passed.append(len(lags))
+                return gated
+
+            return combined, checked_rest
+
+        monkeypatch.setattr(simulate, "receive_radar", checked)
+        cfg = dataclasses.replace(load_config(SCENE), trials=3, range_grid_m=(60.0,))
+        assert run_radar(cfg).records[0]["detection_rate"] == 1.0
+        assert passed == [1, 1, 1]
+
     def test_cpi_calls_the_names_the_benchmark_traces(self, monkeypatch):
         # bench/spans.py times delay refinement and the Doppler phases by
         # wrapping these two names of moczsim.simulate.
@@ -1046,6 +1041,24 @@ class TestRadarEdges:
         assert res.records[0]["detection_rate"] == 1.0
         assert [s["cell"] for s in res.extra["sample_detections"][0]] == [40, 60]
 
+    def test_two_targets_in_one_cell_share_one_angle(self):
+        # Both targets sit in cell 40, so both are scored on that cell's one
+        # cluster, and its gated covariance gives MUSIC one source.
+        cfg = dataclasses.replace(
+            load_config(SCENE),
+            trials=2,
+            targets=(
+                TargetSpec(range_m=60.0, velocity_mps=15.0, angle_deg=0.9, rcs_dbsm=30.0),
+                TargetSpec(range_m=60.0, velocity_mps=15.0, angle_deg=-2.0, rcs_dbsm=30.0),
+            ),
+            range_grid_m=(),
+        )
+        res = run_radar(cfg)
+        assert res.records[0]["detection_rate"] == 1.0
+        first, second = res.extra["sample_detections"][0]
+        assert first["cell"] == second["cell"] == 40
+        assert first["angle_deg"] == pytest.approx(second["angle_deg"], abs=1e-9)
+
     def test_one_frame_cpi_has_no_velocity_error(self):
         scene = load_config(SCENE)
         cfg = dataclasses.replace(
@@ -1064,13 +1077,29 @@ class TestRadarEdges:
 
     @pytest.mark.parametrize(
         "n_rf, frames, ranges",
-        [(31, 1, (30.0,)), (30, 2, (30.0,)), (28, 2, (30.0, 15.0))],
-        ids=["frame-0-bound", "later-frames-bound", "later-frames-bound-two-targets"],
+        [
+            (31, 1, (30.0,)),
+            (32, 1, (30.0,)),
+            (30, 2, (30.0,)),
+            (31, 2, (30.0,)),
+            (28, 2, (30.0, 15.0)),
+            (29, 2, (30.0, 15.0)),
+        ],
+        ids=[
+            "frame-0-at-old-bound",
+            "frame-0-past-old-bound",
+            "later-frames-at-old-bound",
+            "later-frames-past-old-bound",
+            "two-targets-at-old-bound",
+            "two-targets-past-old-bound",
+        ],
     )
-    def test_configs_at_the_receive_draw_bounds_run(self, n_rf, frames, ranges):
-        # Each config sits on a bound that the RADAR_BAD_CONFIGS entries
-        # step past, and every target is detected, so the later frames'
-        # Wishart gets exactly n_rf degrees of freedom when frames >= 2.
+    def test_short_frames_with_many_rf_chains_run(self, n_rf, frames, ranges):
+        # A 32-sample frame leaves fewer noise dimensions than there are RF
+        # chains: N - T - 1 < n_rf - 1 in frame 0, or (F - 1)(N - 2T) < n_rf
+        # over the later frames, for the second config of each pair.  The
+        # gated draw reads every RF chain at the detected lags alone, so
+        # each config runs and every target gets a finite estimate.
         cfg = SimConfig(
             modulation=ModulationParams(31),
             frame_len=32,
@@ -1082,35 +1111,38 @@ class TestRadarEdges:
         assert config_from_dict(config_to_dict(cfg)) == cfg
         rec = run_radar(cfg).records[0]
         assert rec["detection_rate"] == 1.0
+        assert math.isfinite(rec["rmse_range_m"]) and math.isfinite(rec["rmse_angle_deg"])
+        assert math.isfinite(rec["rmse_velocity_mps"]) == (frames >= 2)
 
 
-# run_radar on configs/scene.json at 6 trials (config seed 1), recorded from
-# the frame-by-frame CPI loop before the CPI became one batched block, and
-# reproduced by the full-block receive of tests/radar_oracle.py:
+# run_radar on configs/scene.json at 6 trials (config seed 1) with the
+# full-block receive of tests/radar_oracle.py, which adds noise to the whole
+# (F, N_rf, N) block and reads the gated beam outputs off it:
 # (range_m, detection_rate, rmse_range_m, rmse_velocity_mps, rmse_angle_deg,
-# false_alarm_rate).
+# false_alarm_rate).  Detection, false alarms and range are those of the
+# frame-by-frame CPI loop that first recorded them.
 SCENE_RECORDS = (
-    (30.0, 1.0, 0.014155840436244458, 0.01849501044261908, 0.06982052807228044,
+    (30.0, 1.0, 0.014155840436242587, 0.018495010442616863, 0.06985053511862335,
      0.001953125),
-    (60.0, 1.0, 0.025991421882778615, 0.13774346882419744, 0.07250146832549348,
+    (60.0, 1.0, 0.025991421882776408, 0.13774346882419983, 0.0704721680768294,
      0.0011393229166666667),
-    (120.0, 0.6666666666666666, 0.16851556629926104, 0.5488107154702399,
-     0.11572478291626337, 0.0),
+    (120.0, 0.6666666666666666, 0.16851556629927472, 0.5488107154702174,
+     0.053025980393110905, 0.0),
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.0003255208333333333),
 )
 
 # The same run with the CPI's reduced receive draw (channel.receive_radar),
-# which draws frame 0's combined row as the full block does and frames
-# 1..F-1 as their correlation values and covariance share after detection,
-# on factors of their spans' Grams formed from the codewords.  Detection,
-# false alarms and range come from frame 0 alone.
+# which draws frame 0's combined row as the full block does and, after
+# detection, every frame's gated beam outputs on factors of their spans'
+# Grams formed from the codewords.  Detection, false alarms and range come
+# from frame 0's combined row alone.
 REDUCED_SCENE_RECORDS = (
-    (30.0, 1.0, 0.005238914835901689, 0.016746706943355366, 0.07036916083047869,
+    (30.0, 1.0, 0.005238914835913797, 0.02097427427040787, 0.0703583552615557,
      0.0021158854166666665),
-    (60.0, 1.0, 0.020053577793625363, 0.07150422590878378, 0.06866324511174025,
+    (60.0, 1.0, 0.020053577793617987, 0.11015518486574385, 0.06894836748355816,
      0.0011393229166666667),
-    (120.0, 0.6666666666666666, 0.16766086519312048, 0.40982679421517715,
-     0.2707577595780907, 0.0),
+    (120.0, 0.6666666666666666, 0.16766086519308177, 0.31668732087666196,
+     0.0776386147824298, 0.0),
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.00016276041666666666),
 )
 
@@ -1144,9 +1176,9 @@ class TestRadarRegression:
     def test_scene_records_match_the_reduced_draw_pin(self):
         self.assert_records(run_radar(self.scene()).records, REDUCED_SCENE_RECORDS)
 
-    def test_no_detection_trial_draws_no_later_frames(self, monkeypatch):
+    def test_no_detection_trial_draws_no_gated_outputs(self, monkeypatch):
         # A CPI whose clusters match no target returns after scoring: the
-        # later frames' draw (rest, the trial's last) never forms its Gram.
+        # gated outputs' draw (rest, the trial's last) never forms its Gram.
         # The pinned run detects in 16 of its 24 CPIs (6, 6, 4 and 0 at 30,
         # 60, 120 and 200 m) and keeps the records of every CPI drawing them.
         grams = []
