@@ -15,6 +15,7 @@ import moczsim
 from moczsim import ModulationParams, autocorrelation, encode, sequence_from_csv
 from moczsim.cli import main, parse_bit_string
 from test_simulate import BAD_CONFIG_IDS, BAD_CONFIGS, RADAR_BAD_CONFIG_IDS, RADAR_BAD_CONFIGS
+from test_simulate import SHORT_FRAME_CONFIG_IDS, SHORT_FRAME_CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -391,6 +392,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc, key", RADAR_BAD_CONFIGS, ids=RADAR_BAD_CONFIG_IDS)
     def test_short_radar_frame_runs_ber(self, capsys, tmp_path, doc, key):
         # The BER sweep does not read the frame.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "trials": 10}))
+        code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("doc", [d for _, d in SHORT_FRAME_CONFIGS], ids=SHORT_FRAME_CONFIG_IDS)
+    def test_short_frame_with_many_rf_chains_runs_radar(self, capsys, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, "trials": 2, "range_grid_m": []}))
+        code, _, err = run_cli(capsys, "radar", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0, err
+        (rec,) = json.loads((tmp_path / "radar_summary.json").read_text())["records"]
+        assert rec["detection_rate"] == 1.0
+        assert np.isfinite(rec["rmse_range_m"]) and np.isfinite(rec["rmse_angle_deg"])
+
+    @pytest.mark.parametrize("doc", [d for _, d in SHORT_FRAME_CONFIGS], ids=SHORT_FRAME_CONFIG_IDS)
+    def test_short_frame_with_many_rf_chains_runs_ber(self, capsys, tmp_path, doc):
+        # The BER sweep reads neither the frame nor the RF chains.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**doc, "trials": 10}))
         code, _, err = run_cli(capsys, "ber", "--config", str(cfg), "--out", str(tmp_path))

@@ -45,6 +45,10 @@ def receive(fn, targets, noise_variance, rng, lags, tx=TX, frame_len=FRAME_LEN):
     return combined, rest(lags, correlation_value_at(cross_spectrum(tx[0], combined), lags))
 
 
+LAG_CASES = [[], [LAG], [LAG, 9.0], [LAG, LAG]]
+LAG_IDS = ["D=0", "D=1", "D=2", "one-cell-twice"]
+
+
 def assert_gated_equal(got, want, lags, frames):
     combined, gated = got
     want_combined, want_gated = want
@@ -65,19 +69,45 @@ def assert_gated_equal(got, want, lags, frames):
     ],
     ids=["no-target", "one-target", "two-targets-one-delay"],
 )
-@pytest.mark.parametrize(
-    "lags", [[], [LAG], [LAG, 9.0], [LAG, LAG]], ids=["D=0", "D=1", "D=2", "one-cell-twice"]
-)
+@pytest.mark.parametrize("lags", LAG_CASES, ids=LAG_IDS)
 def test_noiseless_receive_equals_the_full_block(targets, lags):
     got = receive(receive_radar, targets, 0.0, np.random.default_rng(1), lags)
     want = receive(radar_oracle.receive_radar, targets, 0.0, None, lags)
     assert_gated_equal(got, want, lags, FRAMES)
 
 
+@pytest.mark.parametrize("lags", LAG_CASES, ids=LAG_IDS)
+def test_frame_zero_row_zero_is_the_passed_values(lags):
+    # With noise too, rest writes the receiver's own frame-0 values in row 0
+    # unchanged, so the Doppler phases and the CFAR read one draw.
+    starts = np.arange(FRAMES) * FRAME_LEN * SAMPLE_PERIOD
+    args = (TX, [TARGET], BF, SAMPLE_PERIOD, FRAME_LEN, starts, 1.0)
+    combined, rest = receive_radar(*args, np.random.default_rng(5))
+    values = correlation_value_at(cross_spectrum(TX[0], combined), lags)
+    gated = rest(lags, values)
+    assert gated.shape == (FRAMES, len(lags), 4)
+    assert gated[0, :, 0].tobytes() == np.asarray(values, dtype=complex).tobytes()
+
+
+def test_one_cell_twice_draws_one_value():
+    # Two targets in one cell give one lag twice: its two kernels are equal,
+    # so the noisy draw must give both columns the same values (a Gram of
+    # rank D - 1, factored through its eigendecomposition).
+    for seed in range(8):
+        _, gated = receive(receive_radar, [TARGET], 1.0, np.random.default_rng(seed), [LAG, LAG])
+        scale = np.max(np.abs(gated))
+        assert np.max(np.abs(gated[:, 0] - gated[:, 1])) <= 1e-12 * scale
+
+
+UPPER = np.triu_indices(4, 1)
+
+
 def features(fn, seed):
     """Per draw: the real and imaginary parts of every frame's gated output
-    of every RF chain at the kernel lag, and frame 0's correlation power at
-    the target's cell."""
+    of every RF chain at the kernel lag; the gated covariance sum_f y_f y_f^H
+    that MUSIC reads, as its real diagonal and the real and imaginary parts
+    of its strict upper triangle; and frame 0's correlation power at the
+    target's cell."""
     combined = np.empty((DRAWS, FRAME_LEN), dtype=complex)
     gated = np.empty((DRAWS, FRAMES, 1, 4), dtype=complex)
     for i in range(DRAWS):
@@ -86,7 +116,13 @@ def features(fn, seed):
         )
     power = np.abs(np.fft.ifft(cross_spectrum(TX[0], combined))[:, PEAK_CELL]) ** 2
     flat = gated.reshape(DRAWS, -1)
-    return np.concatenate([flat.real, flat.imag], axis=1), power
+    cov = np.einsum("nfi,nfj->nij", gated[:, :, 0], gated[:, :, 0].conj())
+    entries = np.concatenate(
+        [cov[:, range(4), range(4)].real, cov[:, UPPER[0], UPPER[1]].real,
+         cov[:, UPPER[0], UPPER[1]].imag],
+        axis=1,
+    )
+    return np.concatenate([flat.real, flat.imag], axis=1), entries, power
 
 
 @pytest.fixture(scope="module")
@@ -107,25 +143,39 @@ def variances_z(x, y):
     return two_sample_z((x - x.mean(axis=0)) ** 2, (y - y.mean(axis=0)) ** 2)
 
 
-# 24 features per test; |z| < 5 fails a true null with a chance of about
-# 1.4e-5 over all of them.
+# At most 24 features per test; |z| < 5 fails a true null with a chance of
+# about 1.4e-5 over all of them.
 Z_LIMIT = 5.0
 
 
 def test_gated_output_means_agree(samples):
-    (reduced, _), (block, _) = samples
+    (reduced, *_), (block, *_) = samples
     z = two_sample_z(reduced, block)
     assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
 
 
 def test_gated_output_variances_agree(samples):
-    (reduced, _), (block, _) = samples
+    (reduced, *_), (block, *_) = samples
+    z = variances_z(reduced, block)
+    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
+
+
+def test_gated_covariance_entry_means_agree(samples):
+    (_, reduced, _), (_, block, _) = samples
+    z = two_sample_z(reduced, block)
+    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
+
+
+def test_gated_covariance_entry_variances_agree(samples):
+    # The variances of the entries' parts are fourth moments of the gated
+    # outputs: they see the correlation between RF chains, not only its size.
+    (_, reduced, _), (_, block, _) = samples
     z = variances_z(reduced, block)
     assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
 
 
 def test_frame_zero_cfar_power_has_one_distribution(samples):
-    (_, reduced), (_, block) = samples
+    (*_, reduced), (*_, block) = samples
     # Two-sample Kolmogorov-Smirnov statistic; at 2500 draws a side its 1e-4
     # critical value is sqrt(-log(0.5e-4) / 2) * sqrt(2 / 2500) = 0.0629.
     grid = np.sort(np.concatenate([reduced, block]))
