@@ -4,8 +4,8 @@ Every run is a pure function of its configuration, including the seed: each
 radar trial or CFAR chunk derives its own random stream from (seed, purpose,
 index), and each block of BER packets one, keyed (seed, 4, block), for its
 messages, its fade and the one noise block that every SNR point of the
-sweep scales.  Results are reduced by summation, so neither the worker count
-nor ``batch_size`` ever changes the output.
+sweep scales.  The config alone fixes a run's worker tasks, whose tallies
+merge in task order, so the worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -78,8 +78,10 @@ _SELECTIVE_TAP_POWERS = _SELECTIVE_TAP_POWERS / _SELECTIVE_TAP_POWERS.sum()
 _RICIAN_FACTOR = 10.0
 
 # Packets per BER block stream (messages, fade and noise), and per pass
-# through the BER chain.
-_BER_BLOCK = 128
+# through the BER chain, and blocks per BER task; cells per CFAR chunk
+# stream, and chunks per CFAR task.
+_BER_BLOCK, _BER_TASK = 128, 32
+_CFAR_CHUNK, _CFAR_TASK = 65_536, 16
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -124,7 +126,7 @@ class SimConfig:
     trials: int = 10_000
     seed: int = 0
     frame_len: int = 1024
-    batch_size: int = 16_384
+    batch_size: int = 16_384  # accepted and ignored
     cfar: CfarConfig = CfarConfig()
     targets: tuple[TargetSpec, ...] = ()
     range_grid_m: tuple[float, ...] = ()
@@ -241,6 +243,11 @@ def _max_workers() -> int:
     if workers < 1:
         raise ValueError(f"MOCZSIM_THREADS must be a positive integer, got {raw!r}")
     return min(workers, os.cpu_count() or 1)
+
+
+def _split(n: int, size: int) -> list[range]:
+    """0..n-1 as consecutive ranges of ``size``, the last one shorter."""
+    return [range(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _parallel_map(fn, items) -> list:
@@ -526,6 +533,66 @@ def _rows(buffer: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buffer[: rows * cols].reshape(rows, cols)
 
 
+def _ber_task(cfg: SimConfig, table, blocks: range) -> list[int]:
+    """The bit errors per SNR point of ``blocks``, one buffer set for them all.
+
+    ``table`` is ``_bit_table(cfg.modulation)``.  ``conv`` holds the
+    convolution (M a packet), then the fade's two channel grids, then z's
+    drawn real and imaginary parts as floats, then z's two grids, of which
+    the second holds the signal points' Z and the first the screen's bounds,
+    then the open bits' C.  ``noise`` holds the logs' and the fade's
+    scratch, then z (rx_len samples a packet), then the thresholds and, as
+    floats, the open bits' thresholds behind them; the thresholds' own place
+    then holds each point's magnitudes.  ``clean`` holds the logs L, then
+    each point's C/s + Z.  ``mask`` holds the messages as floats, then the
+    (B, K, 2) mask of ``_select``, then the screen's flags, then the open
+    bits' Z.  Each is sized for the task's first block, its largest.
+    """
+    k = cfg.modulation.num_bits
+    radius = cfg.modulation.outer_radius
+    m_len = table[0]
+    growth = _SELECTIVE_TAP_POWERS.size - 1  # samples a rician_selective packet gains
+    rx_len = cfg.modulation.seq_len + (growth if cfg.channel_model == "rician_selective" else 0)
+    scales = [math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0) for snr_db in cfg.snr_grid_db]
+    rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
+    conv = np.empty(rows * max(m_len, rx_len), dtype=complex)
+    clean = np.empty(rows * k, dtype=complex)
+    noise = np.empty(rows * rx_len, dtype=complex)
+    mask = np.empty(rows * k * 2, dtype=np.int64)
+    floats = noise.view(np.float64)
+    errors = [0] * len(scales)
+    for block in blocks:
+        rng = _rng_for(cfg.seed, 4, block)
+        size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
+        msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
+        bit_floats = _rows(mask.view(np.float64), size, k)
+        np.copyto(bit_floats, msgs)
+        front, behind = _rows(floats, size, k), _rows(floats[size * k :], size, k)
+        logs = _clean_logs(
+            bit_floats, table, _rows(conv, size, m_len), front, _rows(clean, size, k)
+        )
+        bits = _rows(mask, size, 2 * k).reshape(size, k, 2)
+        np.copyto(bits[..., 0], msgs)
+        np.negative(bits[..., 0], out=bits[..., 0])
+        np.copyto(bits[..., 1], bits[..., 0])
+        grids = _rows(conv, 2 * size, k).reshape(2, size, k)
+        _fade_batch(logs, bits, cfg.channel_model, rng, radius, grids, front)
+        # z's real parts, then its imaginary parts, in one N(0, 1) draw:
+        # the stream of awgn at variance 2
+        parts = conv.view(np.float64)[: 2 * size * rx_len].reshape(2, size, rx_len)
+        rng.standard_normal(out=parts)
+        z = _rows(noise, size, rx_len)
+        z.real, z.imag = parts
+        eval_on_zero_grid(z, radius, k, out=grids[0])
+        eval_on_zero_grid(z, 1.0 / radius, k, out=grids[1])
+        signal, thresholds = _signal_and_threshold(
+            grids[0], grids[1], bits, radius, rx_len, front, behind
+        )
+        counts = _screened_errors(logs, signal, thresholds, scales, grids[0], bits, behind)
+        errors = [e + c for e, c in zip(errors, counts)]
+    return errors
+
+
 def run_ber(cfg: SimConfig) -> MonteCarloResult:
     """Bit error rate sweep of the noncoherent decoder over cfg.snr_grid_db.
 
@@ -549,74 +616,14 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     is the decoder's own decision.  A magnitude screen at the grid's
     largest s settles the bits that err at no point, and only the others
     get C = exp(L) and each point's test (``_screened_errors``).
-    ``batch_size`` only sets the packets of one worker task, rounded up to
-    whole blocks; it never changes the output.  A task allocates one buffer
-    set, sized to its first block, and every stage of every block runs in
-    it; it returns its bit errors per SNR point.
+    A worker task (``_ber_task``) is 32 blocks, 4096 packets, the last one
+    shorter; it runs every block in one buffer set and returns its bit
+    errors per SNR point.
     """
-    params = cfg.modulation
-    k = params.num_bits
-    radius = params.outer_radius
-    table = _bit_table(params)
-    m_len = table[0]
-    n_blocks = -(-cfg.trials // _BER_BLOCK)
-    per_task = -(-cfg.batch_size // _BER_BLOCK)
-    tasks = [range(b, min(b + per_task, n_blocks)) for b in range(0, n_blocks, per_task)]
-    growth = _SELECTIVE_TAP_POWERS.size - 1  # samples a rician_selective packet gains
-    rx_len = params.seq_len + (growth if cfg.channel_model == "rician_selective" else 0)
-    scales = [math.sqrt(10.0 ** (-snr_db / 10.0) / k / 2.0) for snr_db in cfg.snr_grid_db]
-
-    def task_errors(blocks: range) -> list[int]:
-        # ``conv`` holds the convolution (M a packet), then the fade's two
-        # channel grids, then z's drawn real and imaginary parts as floats,
-        # then z's two grids, of which the second holds the signal points'
-        # Z and the first the screen's bounds, then the open bits' C.
-        # ``noise`` holds the logs' and the fade's scratch, then z (rx_len
-        # samples a packet), then the thresholds and, as floats, the open
-        # bits' thresholds behind them; the thresholds' own place then holds
-        # each point's magnitudes.  ``clean`` holds the logs L, then each
-        # point's C/s + Z.  ``mask`` holds the messages as floats, then the
-        # (B, K, 2) mask of ``_select``, then the screen's flags, then the
-        # open bits' Z.  Each is sized for the task's first block, its largest.
-        rows = min(_BER_BLOCK, cfg.trials - blocks.start * _BER_BLOCK)
-        conv = np.empty(rows * max(m_len, rx_len), dtype=complex)
-        clean = np.empty(rows * k, dtype=complex)
-        noise = np.empty(rows * rx_len, dtype=complex)
-        mask = np.empty(rows * k * 2, dtype=np.int64)
-        floats = noise.view(np.float64)
-        errors = [0] * len(scales)
-        for block in blocks:
-            rng = _rng_for(cfg.seed, 4, block)
-            size = min(_BER_BLOCK, cfg.trials - block * _BER_BLOCK)
-            msgs = rng.integers(0, 2, (size, k), dtype=np.int8)
-            bit_floats = _rows(mask.view(np.float64), size, k)
-            np.copyto(bit_floats, msgs)
-            front, behind = _rows(floats, size, k), _rows(floats[size * k :], size, k)
-            logs = _clean_logs(
-                bit_floats, table, _rows(conv, size, m_len), front, _rows(clean, size, k)
-            )
-            bits = _rows(mask, size, 2 * k).reshape(size, k, 2)
-            np.copyto(bits[..., 0], msgs)
-            np.negative(bits[..., 0], out=bits[..., 0])
-            np.copyto(bits[..., 1], bits[..., 0])
-            grids = _rows(conv, 2 * size, k).reshape(2, size, k)
-            _fade_batch(logs, bits, cfg.channel_model, rng, radius, grids, front)
-            # z's real parts, then its imaginary parts, in one N(0, 1) draw:
-            # the stream of awgn at variance 2
-            parts = conv.view(np.float64)[: 2 * size * rx_len].reshape(2, size, rx_len)
-            rng.standard_normal(out=parts)
-            z = _rows(noise, size, rx_len)
-            z.real, z.imag = parts
-            eval_on_zero_grid(z, radius, k, out=grids[0])
-            eval_on_zero_grid(z, 1.0 / radius, k, out=grids[1])
-            signal, thresholds = _signal_and_threshold(
-                grids[0], grids[1], bits, radius, rx_len, front, behind
-            )
-            counts = _screened_errors(logs, signal, thresholds, scales, grids[0], bits, behind)
-            errors = [e + c for e, c in zip(errors, counts)]
-        return errors
-
-    totals = [sum(counts) for counts in zip(*_parallel_map(task_errors, tasks))]
+    k = cfg.modulation.num_bits
+    tasks = _split(-(-cfg.trials // _BER_BLOCK), _BER_TASK)
+    task = partial(_ber_task, cfg, _bit_table(cfg.modulation))
+    totals = [sum(counts) for counts in zip(*_parallel_map(task, tasks))]
     records = []
     for snr_db, errors in zip(cfg.snr_grid_db, totals):
         snr_lin = 10.0 ** (snr_db / 10.0)
@@ -631,13 +638,11 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
 
 
 def _radar_trial(
-    cfg: SimConfig,
-    specs: tuple[TargetSpec, ...],
-    bf: Beamformer,
-    sweep_idx: int,
-    trial: int,
+    cfg: SimConfig, bf: Beamformer, task: tuple[int, tuple[TargetSpec, ...], int]
 ) -> tuple[int, list[dict], list[tuple[float, float, float]]]:
     """One coherent processing interval: frames, detection, and estimation.
+
+    ``task`` is (sweep index, the point's target specs, trial index).
 
     The receiver reads the RF chains of frames 0..F-1 only at the delays
     detected on frame 0's combined row, so ``receive_radar`` draws those
@@ -654,6 +659,7 @@ def _radar_trial(
     (range, velocity, angle in degrees) errors against its ``TargetSpec``.
     A missed target is absent.
     """
+    sweep_idx, specs, trial = task
     rng = _rng_for(cfg.seed, 3, sweep_idx, trial)
     params = cfg.modulation
     link = cfg.link
@@ -761,7 +767,8 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     over the CPI.  A CPI draws frame 0's combined row, then, after
     detection, every frame's RF-chain outputs at the detected delays.  One
     record per sweep point; with no range_grid_m configured there is a
-    single point at the scenario ranges.  A frame too short for the
+    single point at the scenario ranges.  Each (sweep point, trial) pair is
+    one worker task, over all points at once.  A frame too short for the
     transmit sequence raises ValueError before any draw.
     """
     # Only the radar reads frame_len against the codeword.
@@ -772,11 +779,12 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     # The transmit beam and the receive beams are fixed by the scanned segment.
     bf = make_beamformers(cfg.schedule.segment, cfg.array)
 
+    tasks = [(i, point, trial) for i, point in enumerate(sweep) for trial in range(cfg.trials)]
+    results = _parallel_map(partial(_radar_trial, cfg, bf), tasks)
     records = []
     sample_detections: list[list[dict]] = []
     for sweep_idx, point_specs in enumerate(sweep):
-        one_trial = partial(_radar_trial, cfg, point_specs, bf, sweep_idx)
-        trials = _parallel_map(one_trial, range(cfg.trials))
+        trials = results[sweep_idx * cfg.trials : (sweep_idx + 1) * cfg.trials]
         sample_detections.append(trials[0][1])
         errors = [e for _, _, trial_errors in trials for e in trial_errors]
 
@@ -784,24 +792,19 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
             sq = [e[column] ** 2 for e in errors if not math.isnan(e[column])]
             return math.sqrt(sum(sq) / len(sq)) if sq else float("nan")
 
-        records.append(
-            {
-                "range_m": float(point_specs[0].range_m) if point_specs else float("nan"),
-                "detection_rate": (
-                    len(errors) / (cfg.trials * len(point_specs)) if point_specs else 0.0
-                ),
-                "rmse_range_m": rmse(0),
-                "rmse_velocity_mps": rmse(1),
-                "rmse_angle_deg": rmse(2),
-                "false_alarm_rate": sum(f for f, _, _ in trials) / (cfg.trials * cfg.frame_len),
-                "trials": cfg.trials,
-            }
-        )
-    return MonteCarloResult(
-        kind="radar",
-        records=records,
-        extra={"sample_detections": sample_detections},
-    )
+        records.append({
+            "range_m": float(point_specs[0].range_m) if point_specs else float("nan"),
+            "detection_rate": (
+                len(errors) / (cfg.trials * len(point_specs)) if point_specs else 0.0
+            ),
+            "rmse_range_m": rmse(0),
+            "rmse_velocity_mps": rmse(1),
+            "rmse_angle_deg": rmse(2),
+            "false_alarm_rate": sum(f for f, _, _ in trials) / (cfg.trials * cfg.frame_len),
+            "trials": cfg.trials,
+        })
+    extra = {"sample_detections": sample_detections}
+    return MonteCarloResult(kind="radar", records=records, extra=extra)
 
 
 def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
@@ -819,14 +822,23 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     return low, high
 
 
+def _cfar_task(cfg: SimConfig, chunks: range) -> int:
+    """The OS-CFAR hits on ``chunks``, each drawn into one power buffer."""
+    power = np.empty(_CFAR_CHUNK)
+    hits = 0
+    for idx in chunks:
+        _rng_for(cfg.seed, 2, idx).standard_exponential(out=power)
+        hits += len(os_cfar(power, cfg.cfar)[0])
+    return hits
+
+
 def run_cfar_calibration(cfg: SimConfig) -> MonteCarloResult:
     """Noise-only false-alarm rate of the configured OS-CFAR detector over
     ``trials * frame_len`` cells, rounded up to whole 65 536-cell chunks.
 
     The detector reads only cell power, and |z|^2 of CN(0, 1) noise is exactly
-    Exp(1), so each chunk draws Exp(1) power from its own stream.
-    The chunks run as one contiguous range per worker; a task allocates the
-    power buffer once and every chunk of it draws there.  Returns the
+    Exp(1), so each chunk draws Exp(1) power from its own stream.  A worker
+    task (``_cfar_task``) is 16 chunks, the last one shorter.  Returns the
     empirical rate with a 95% Wilson score interval.
     """
     total = cfg.trials * cfg.frame_len
@@ -835,21 +847,9 @@ def run_cfar_calibration(cfg: SimConfig) -> MonteCarloResult:
         raise ValueError(
             f"insufficient cells: need at least {need:.0f} for pfa={cfg.cfar.pfa}"
         )
-    chunk = 65_536
-    n_chunks = -(-total // chunk)
-    per_task = -(-n_chunks // _max_workers())
-    tasks = [range(c, min(c + per_task, n_chunks)) for c in range(0, n_chunks, per_task)]
-
-    def task_hits(chunks: range) -> int:
-        power = np.empty(chunk)
-        hits = 0
-        for idx in chunks:
-            _rng_for(cfg.seed, 2, idx).standard_exponential(out=power)
-            hits += len(os_cfar(power, cfg.cfar)[0])
-        return hits
-
-    hits = sum(_parallel_map(task_hits, tasks))
-    n_cells = n_chunks * chunk
+    n_chunks = -(-total // _CFAR_CHUNK)
+    hits = sum(_parallel_map(partial(_cfar_task, cfg), _split(n_chunks, _CFAR_TASK)))
+    n_cells = n_chunks * _CFAR_CHUNK
     ci_low, ci_high = _wilson_interval(hits, n_cells)
     record = {
         "pfa_target": cfg.cfar.pfa,

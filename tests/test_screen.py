@@ -44,7 +44,8 @@ GRIDS = [(-30.0,), (60.0,), (-30.0, 5.0, 60.0), (60.0, 5.0, -30.0)]
 @pytest.mark.parametrize("k", [2, 3, 31, 127, 511])
 @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
 def test_screened_counts_are_the_full_evaluation(monkeypatch, model, k):
-    # Three blocks, the last one short, each in a worker task of its own.
+    # Three blocks, the last one short, in one worker task: they share its
+    # one buffer set.
     # The spy sees run_ber's own arrays before the screen overwrites them.
     monkeypatch.setenv("MOCZSIM_THREADS", "1")
     screened = simulate._screened_errors
@@ -62,7 +63,7 @@ def test_screened_counts_are_the_full_evaluation(monkeypatch, model, k):
         seen.clear()
         cfg = SimConfig(
             modulation=ModulationParams(k), channel_model=model, snr_grid_db=grid,
-            trials=300, batch_size=128, seed=k,
+            trials=300, seed=k,
         )
         records = run_ber(cfg).records
         assert len(seen) == 3
@@ -98,7 +99,7 @@ def test_open_shares_at_the_benchmark_grids_lowest_points(
     monkeypatch.setattr(simulate, "_screened_errors", spy)
     run_ber(SimConfig(
         modulation=ModulationParams(k), channel_model=model, snr_grid_db=(snr_db,),
-        trials=512, batch_size=512, seed=1,
+        trials=512, seed=1,
     ))
     assert low < np.mean(shares) < high, shares
 

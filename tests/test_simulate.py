@@ -5,9 +5,11 @@ import importlib.util
 import json
 import math
 import os
+import pickle
 import re
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -171,7 +173,6 @@ def small_ber_config(**overrides):
         snr_grid_db=(2.0, 6.0),
         trials=4000,
         seed=11,
-        batch_size=1000,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -202,27 +203,32 @@ class TestRunBer:
         monkeypatch.setenv("MOCZSIM_THREADS", "4")
         assert run_ber(cfg).records == base
 
-    # Trials on both sides of one, two, four, eight and sixteen 128-packet
-    # blocks, and 2500 (19 whole blocks and a short one); the batch sizes run
-    # one packet, parts of a block, whole blocks and more than the trials per
-    # worker task.  Each worker task has its own buffer set, so a buffer
-    # shared across tasks would show only at two workers, on any model.  The
-    # derandomized search covers all 324 cases.
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    # Trials on both sides of one and two 128-packet blocks, 2500 (19 whole
+    # blocks and a short one), and at the 32-block task edges: 4095 (one
+    # task, its last block short), 4096 (one whole task), 4097 (a second
+    # task of one packet) and 8193 (tasks of 32, 32 and 1 blocks).  Each
+    # worker task has its own buffer set, so a buffer shared across tasks
+    # would show only at two workers, on any model.  The reference sums
+    # one-block tasks, each in a buffer set of its own.  The derandomized
+    # search covers all 42 cases.
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
-        trials=st.sampled_from((127, 129, 255, 257, 511, 513, 1023, 1025, 2500)),
-        batch_size=st.sampled_from((1, 500, 1000, 1024, 4096, 16384)),
+        trials=st.sampled_from((127, 129, 2500, 4095, 4096, 4097, 8193)),
         threads=st.sampled_from(("1", "2")),
         model=st.sampled_from(simulate.CHANNEL_MODELS),
     )
-    def test_batch_size_and_worker_count_do_not_change_output(
-        self, trials, batch_size, threads, model
-    ):
-        cfg = small_ber_config(trials=trials, batch_size=batch_size, channel_model=model)
+    def test_task_edges_and_worker_count_do_not_change_output(self, trials, threads, model):
+        cfg = small_ber_config(trials=trials, channel_model=model)
         with mock.patch.dict(os.environ, {"MOCZSIM_THREADS": threads}):
             records = run_ber(cfg).records
-        with mock.patch.dict(os.environ, {"MOCZSIM_THREADS": "1"}):
-            assert records == run_ber(dataclasses.replace(cfg, batch_size=trials)).records
+        table = simulate._bit_table(cfg.modulation)
+        blocks = range(-(-trials // simulate._BER_BLOCK))
+        per_block = [simulate._ber_task(cfg, table, blocks[b : b + 1]) for b in blocks]
+        assert [r["bit_errors"] for r in records] == [sum(c) for c in zip(*per_block)]
+
+    def test_batch_size_is_ignored(self):
+        cfg = small_ber_config(trials=4097, batch_size=1)
+        assert run_ber(cfg).records == run_ber(dataclasses.replace(cfg, batch_size=16384)).records
 
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     def test_each_block_is_encoded_and_faded_once_for_the_grid(self, monkeypatch, model):
@@ -274,7 +280,7 @@ class TestRunBer:
         # A block's packets, fades and noise do not depend on the grid at
         # all, and each point's decisions read only its own noise scale.
         monkeypatch.setenv("MOCZSIM_THREADS", "2")
-        cfg = small_ber_config(channel_model="rician_selective", trials=1300, batch_size=512)
+        cfg = small_ber_config(channel_model="rician_selective", trials=1300)
         short = run_ber(cfg).to_csv().splitlines()
         longer = run_ber(dataclasses.replace(cfg, snr_grid_db=cfg.snr_grid_db + (9.0, 4.0)))
         lines = longer.to_csv().splitlines()
@@ -350,7 +356,7 @@ class TestRunBer:
 
     # The decoder's side of run_ber's stream: each block's messages,
     # encoded, faded in the sample domain (tests/fade_oracle.py) and given
-    # s z.  Three blocks, the last one short, in three worker tasks.
+    # s z.  Three blocks, the last one short, in one worker task.
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("model", simulate.CHANNEL_MODELS)
     @pytest.mark.parametrize("k", [2, 3, 64, 65, 127])
@@ -358,7 +364,7 @@ class TestRunBer:
         monkeypatch.setenv("MOCZSIM_THREADS", threads)
         cfg = small_ber_config(
             modulation=ModulationParams(k), channel_model=model, snr_grid_db=(-2.0, 4.0, 10.0),
-            trials=300, batch_size=128,
+            trials=300,
         )
         want = [0] * len(cfg.snr_grid_db)
         for block in range(-(-cfg.trials // simulate._BER_BLOCK)):
@@ -392,15 +398,13 @@ class TestRunBer:
         assert high["bit_errors"] == 0
 
     def test_memory_is_bounded_by_the_block_not_the_batch(self, monkeypatch):
-        # One 16384-packet task at K=127 held ~150 MB when the whole batch
-        # went through each stage at once, and ~10.7 MB when each block
-        # allocated its own temporaries.  The task's one buffer set is
-        # 1.58 MB (3.7 MB for 512-packet blocks and one grid); with the bit
-        # table the peak reads 2.5 MB (was 5.3 MB).
+        # 16384 packets at K=127 in one task held ~150 MB when the whole
+        # batch went through each stage at once, and ~10.7 MB when each block
+        # allocated its own temporaries.  A task's one buffer set is 1.58 MB
+        # (3.7 MB for 512-packet blocks and one grid); with the bit table the
+        # peak reads 2.5 MB (was 5.3 MB), also over four 32-block tasks.
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
-        cfg = SimConfig(
-            modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384, batch_size=16384
-        )
+        cfg = SimConfig(modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=16384)
         tracemalloc.start()
         try:
             run_ber(cfg)
@@ -416,7 +420,7 @@ class TestRunBer:
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         cfg = SimConfig(
             modulation=ModulationParams(511), channel_model="rician_selective",
-            snr_grid_db=(6.0,), trials=16, batch_size=16,
+            snr_grid_db=(6.0,), trials=16,
         )
         first = run_ber(cfg)  # builds the FFT plans; the bit table is not cached
         tracemalloc.start()
@@ -433,16 +437,16 @@ class TestRunBer:
         # When each block allocated and freed its ~2 MB of temporaries, glibc
         # gave the pages back and the next block faulted them in again: the
         # 15 blocks beyond the first of a task took ~48 700 minor faults.
-        # Running them in the task's buffer set takes ~50.
+        # Running them in the task's buffer set takes ~50.  16 384 packets
+        # are four 32-block tasks, and glibc trims each task's ~1.3 MB set
+        # when it is freed, so the three later tasks fault theirs in again:
+        # ~670 in all.
         import resource
 
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
 
         def minor_faults(trials: int) -> int:
-            cfg = SimConfig(
-                modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=trials,
-                batch_size=16384,
-            )
+            cfg = SimConfig(modulation=ModulationParams(127), snr_grid_db=(7.0,), trials=trials)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             run_ber(cfg)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -683,7 +687,6 @@ class TestBerRegression:
             channel_model=model,
             snr_grid_db=tuple(snr for snr, _ in want),
             trials=2048,
-            batch_size=1024,
             seed=404,
         )
         records = run_ber(cfg).records
@@ -1260,6 +1263,78 @@ class TestWorkers:
             _max_workers()
 
 
+def plan_cases():
+    """(run function, config, task function, its tasks) of each driver.
+
+    8193 packets are 65 BER blocks, tasks of 32, 32 and 1; 33 CFAR chunks
+    are tasks of 16, 16 and 1; the scene's four range points at two trials
+    are eight radar tasks, one per (point, trial) pair, point by point.
+    """
+    scene = dataclasses.replace(load_config(SCENE), trials=2)
+    points = [(dataclasses.replace(scene.targets[0], range_m=r),) for r in scene.range_grid_m]
+    return {
+        "ber": (
+            run_ber, small_ber_config(trials=8193, channel_model="rician_selective"),
+            simulate._ber_task, [range(0, 32), range(32, 64), range(64, 65)],
+        ),
+        "cfar": (
+            run_cfar_calibration, small_cfar_config(5, 33),
+            simulate._cfar_task, [range(0, 16), range(16, 32), range(32, 33)],
+        ),
+        "radar": (
+            run_radar, scene,
+            simulate._radar_trial, [(i, p, t) for i, p in enumerate(points) for t in range(2)],
+        ),
+    }
+
+
+def spy_parallel_map(monkeypatch) -> list:
+    """Each ``_parallel_map`` call's (task function, tasks, tallies), as made."""
+    calls = []
+    parallel_map = simulate._parallel_map
+
+    def spy(fn, items):
+        tallies = parallel_map(fn, items)
+        calls.append((fn, list(items), tallies))
+        return tallies
+
+    monkeypatch.setattr(simulate, "_parallel_map", spy)
+    return calls
+
+
+class TestTaskPlan:
+    # The config alone fixes a run's tasks: one _parallel_map call over a
+    # module-level task function, whose tasks are the same list at one, two
+    # and three workers (the real count is capped at the CPU count, so the
+    # count itself is patched).
+    @pytest.mark.parametrize("driver", ["ber", "cfar", "radar"])
+    def test_the_plan_does_not_depend_on_the_worker_count(self, monkeypatch, driver):
+        run, cfg, task, want = plan_cases()[driver]
+        calls = spy_parallel_map(monkeypatch)
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_max_workers", lambda n=workers: n)
+            calls.clear()
+            outputs.append(run(cfg).to_json())
+            assert len(calls) == 1
+            fn, tasks, _ = calls[0]
+            assert isinstance(fn, partial) and fn.func is task
+            assert tasks == want
+        assert outputs[1:] == outputs[:1] * 2
+
+    # Process workers need the task function and its bound arguments to
+    # survive pickling, and the copy must count what the original counted.
+    @pytest.mark.parametrize("driver", ["ber", "cfar", "radar"])
+    def test_task_functions_pickle(self, monkeypatch, driver):
+        run, cfg, task, _ = plan_cases()[driver]
+        calls = spy_parallel_map(monkeypatch)
+        run(cfg)
+        [(fn, tasks, tallies)] = calls
+        copy = pickle.loads(pickle.dumps(fn))
+        assert copy.func is task
+        assert repr([copy(t) for t in tasks]) == repr(tallies)
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip_preserves_config(self):
         cfg = SimConfig(
@@ -1417,7 +1492,7 @@ def test_traced_runs_equal_plain_runs(monkeypatch):
     # change the output.
     spans = bench_spans(monkeypatch)
     radar_cfg = dataclasses.replace(load_config(SCENE), trials=1)
-    ber_cfg = small_ber_config(trials=16, batch_size=16)
+    ber_cfg = small_ber_config(trials=16)
 
     def both():
         return run_radar(radar_cfg).to_json(), run_ber(ber_cfg).to_json()
