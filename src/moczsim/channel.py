@@ -3,12 +3,13 @@
 The array is a half-wavelength ULA.  Transmit beamforming is a single matched
 beam per angular segment; receive reduction selects a few orthonormal DFT
 codebook beams around the segment.  Channel application realizes fractional
-delays by a spectral phase ramp on the zero-padded frame (band-limited
-interpolation under ideal Nyquist pulse shaping) and Doppler as a per-sample
-phase ramp on the output grid.  The zero-padded spectrum and that ramp,
-exp(-2i pi f s) for a shift by s, are defined here once and ``radar`` reads
-both: its interpolation at a lag l is the ramp at s = -l.  ``steering`` is
-the one form of the array manifold, for one angle or many.
+delays in samples by a spectral phase ramp on the zero-padded frame
+(band-limited interpolation under ideal Nyquist pulse shaping) and Doppler
+in cycles per sample as a per-sample phase ramp on the output grid.  The
+zero-padded spectrum and that ramp, exp(-2i pi f s) for a shift by s, are
+defined here once and ``radar`` reads both: its interpolation at a lag l is
+the ramp at s = -l.  ``steering`` is the one form of the array manifold, for
+one angle or many.
 """
 
 from __future__ import annotations
@@ -160,18 +161,21 @@ def radar_gain(link: LinkBudget, rcs_dbsm: float, range_m: float) -> float:
 
 @dataclass(frozen=True)
 class RadarTarget:
-    """Backscatter path: complex gain, angle, round-trip delay, Doppler shift."""
+    """Backscatter path: complex gain, angle, round-trip delay in samples,
+    Doppler shift in cycles per sample."""
 
     gain: complex
     angle_rad: float
-    delay_s: float
-    doppler_hz: float
+    delay: float
+    doppler: float
 
     def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError("delay must be non-negative")
-        if abs(self.angle_rad) > np.pi / 2 + _ANGLE_TOL:
-            raise ValueError("target angle must lie in [-pi/2, pi/2]")
+        if not self.delay >= 0:
+            raise ValueError(f"delay must be non-negative, got {self.delay}")
+        if not abs(self.angle_rad) <= np.pi / 2 + _ANGLE_TOL:
+            raise ValueError(f"target angle must lie in [-pi/2, pi/2], got {self.angle_rad}")
+        if not math.isfinite(self.doppler):
+            raise ValueError(f"doppler must be finite, got {self.doppler}")
 
     @classmethod
     def from_geometry(
@@ -183,13 +187,14 @@ class RadarTarget:
         rcs_dbsm: float,
         phase_rad: float,
     ) -> "RadarTarget":
-        """Physical path from range/velocity/angle; Doppler is two-way 2 v f_c / c."""
+        """Physical path from range/velocity/angle: delay 2 r / (c T) samples and
+        two-way Doppler 2 v f_c T / c cycles per sample, T = ``link.sample_period``."""
         amp = math.sqrt(radar_gain(link, rcs_dbsm, range_m))
         return cls(
             gain=amp * np.exp(1j * phase_rad),
             angle_rad=math.radians(angle_deg),
-            delay_s=2.0 * range_m / SPEED_OF_LIGHT,
-            doppler_hz=2.0 * velocity_mps * link.carrier_hz / SPEED_OF_LIGHT,
+            delay=2.0 * range_m / SPEED_OF_LIGHT / link.sample_period,
+            doppler=2.0 * velocity_mps * link.carrier_hz / SPEED_OF_LIGHT * link.sample_period,
         )
 
 
@@ -225,60 +230,53 @@ def _read_only(*arrays):
 
 
 @lru_cache(maxsize=16)
-def _target_ramps(n: int, shift_samples: float, doppler_hz: float, sample_period: float):
+def _target_ramps(n: int, delay: float, doppler: float):
     # A target's delay ramp on the spectrum and its per-sample Doppler ramp
     # on frames of n samples.  Read-only, since every trial shares them.
-    doppler = np.exp(2j * np.pi * doppler_hz * (np.arange(n) * sample_period))
-    return _read_only(_delay_ramp(n, shift_samples), doppler)
+    return _read_only(_delay_ramp(n, delay), np.exp(2j * np.pi * doppler * np.arange(n)))
 
 
 def _target_gains(targets, bf: Beamformer, start) -> np.ndarray:
     """The (..., T, N_rf) gains rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}
-    of frames that start at the times ``start`` (...)."""
+    of frames whose sample 0 is sample ``start`` (...) of the clock."""
     num_antennas, n_rf = bf.rx_matrix.shape
     gains = np.empty(np.shape(start) + (len(targets), n_rf), dtype=complex)
     for q, tg in enumerate(targets):
         a = steering(tg.angle_rad, num_antennas)
         spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
-        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler_hz * start)[..., None] * spatial
+        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler * start)[..., None] * spatial
     return gains
 
 
-def _delayed_waveforms(spectrum, targets, sample_period: float) -> np.ndarray:
-    """The (..., T, N) waveforms s(nT - tau_q) e^{2i pi nu_q nT} of the frames
+def _delayed_waveforms(spectrum, targets) -> np.ndarray:
+    """The (..., T, N) waveforms s[k - tau_q] e^{2i pi nu_q k} of the frames
     whose N-point spectrum is ``spectrum`` (..., N)."""
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
     n = spectrum.shape[-1]
     delayed = np.empty(spectrum.shape[:-1] + (len(targets), n), dtype=complex)
     for q, tg in enumerate(targets):
-        delay_ramp, doppler_ramp = _target_ramps(
-            n, tg.delay_s / sample_period, tg.doppler_hz, sample_period
-        )
+        delay_ramp, doppler_ramp = _target_ramps(n, tg.delay, tg.doppler)
         delayed[..., q, :] = np.fft.ifft(spectrum * delay_ramp, axis=-1)
         delayed[..., q, :] *= doppler_ramp
     return delayed
 
 
-def apply_radar_channel(
-    samples, targets, bf: Beamformer, sample_period: float, frame_len: int, start_time=0.0
-) -> np.ndarray:
+def apply_radar_channel(samples, targets, bf: Beamformer, frame_len: int, start=0) -> np.ndarray:
     """The (..., N_rf, N) response to (..., L) transmit ``samples`` on frames of ``frame_len``.
 
-    y[n] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s(nT - tau_q) e^{2i pi nu_q t_n}.
-    The leading axes of ``samples`` index frames; ``start_time`` (...) is the
-    absolute time of each frame's sample 0, so Doppler stays coherent across
-    frames; delays wrap circularly on frames of N samples of ``sample_period``
-    T.  Each target's response is rank one per frame: its gains (..., T,
-    N_rf), rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, times its
-    delayed, Doppler-ramped waveform (..., T, N), s(nT - tau_q) e^{2i pi nu_q
-    nT}.  The Doppler factor splits into a per-frame phase and one per-sample
-    ramp, so a target costs F + N complex exponentials, not F*N, and its two
-    ramps are computed once per (N, delay, Doppler, T).
+    y[k] = sum_q rho_q U^H a(phi_q) a^H(phi_q) f s[k - tau_q] e^{2i pi nu_q (start + k)}.
+    The leading axes of ``samples`` index frames; ``start`` (...) is the
+    sample of the clock at each frame's sample 0, so Doppler stays coherent
+    across frames; delays wrap circularly on frames of N samples.  Each
+    target's response is rank one per frame: its gains (..., T, N_rf),
+    rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}, times its delayed,
+    Doppler-ramped waveform (..., T, N), s[k - tau_q] e^{2i pi nu_q k}.  The
+    Doppler factor splits into a per-frame phase and one per-sample ramp, so
+    a target costs F + N complex exponentials, not F*N, and its two ramps
+    are computed once per (N, delay, Doppler).
     """
     spectrum = _padded_spectrum(samples, frame_len)
-    delayed = _delayed_waveforms(spectrum, targets, sample_period)
-    start = np.broadcast_to(np.asarray(start_time, dtype=float), spectrum.shape[:-1])
+    delayed = _delayed_waveforms(spectrum, targets)
+    start = np.broadcast_to(np.asarray(start, dtype=float), spectrum.shape[:-1])
     return np.swapaxes(_target_gains(targets, bf, start), -1, -2) @ delayed
 
 
@@ -307,15 +305,15 @@ def _gram_side(n: int, length: int, shift_samples: float, delta: float):
     return (*_read_only(spectrum, wrap, ramp[:length].copy()), jump)
 
 
-def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray:
+def _codeword_gram(x, n: int, targets, lags) -> np.ndarray:
     """The (F, C, C) Gram A_f^H A_f of the C = T + D columns u_c of each frame,
     computed from the (F, L) codewords ``x`` alone.
 
     The columns are the T targets' delayed, Doppler-ramped waveforms on
     frames of n samples, then the D kernels (the codeword delayed by each
     of ``lags``): u_c[k] = e^{2i pi nu_c k} (h_c * x_f)[k] with h_c the
-    circular band-limited delay by s_c and nu_c = f_D T (0 for a kernel).
-    For a < b, with Delta = 2 pi (nu_b - nu_a) and alpha as in
+    circular band-limited delay by s_c and nu_c the Doppler in cycles per
+    sample (0 for a kernel).  For a < b, with Delta = 2 pi (nu_b - nu_a) and alpha as in
     ``_gram_side``, G[a, b] = sum_m conj(x[m]) e^{i Delta m} (sum_m'
     g[(m - m') mod n] x[m'] + (e^{-i Delta n} - 1) sum_{s=1}^m alpha[n - s]
     k[m - s]), where g = ifft(H_b conj(fft(conj alpha))) and k = h_b * x
@@ -325,11 +323,10 @@ def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray
     targets is cached; the lags are not.
     """
     length = x.shape[-1]
-    shifts = [tg.delay_s / sample_period for tg in targets] + list(lags)
-    cycles = [tg.doppler_hz * sample_period for tg in targets] + [0.0] * len(lags)
-    spectra = [
-        _target_ramps(n, s, tg.doppler_hz, sample_period)[0] for s, tg in zip(shifts, targets)
-    ] + [_delay_ramp(n, lag) for lag in lags]
+    shifts = [tg.delay for tg in targets] + list(lags)
+    cycles = [tg.doppler for tg in targets] + [0.0] * len(lags)
+    spectra = [_target_ramps(n, tg.delay, tg.doppler)[0] for tg in targets]
+    spectra += [_delay_ramp(n, lag) for lag in lags]
     index = _circulant_index(n, length)
     size = len(shifts)
     gram = np.empty(x.shape[:-1] + (size, size), dtype=complex)
@@ -353,9 +350,7 @@ def _codeword_gram(x, n: int, targets, sample_period: float, lags) -> np.ndarray
     return gram
 
 
-def receive_radar(
-    samples, targets, bf: Beamformer, sample_period, frame_len, start_time, noise_variance, rng
-):
+def receive_radar(samples, targets, bf: Beamformer, frame_len, start, noise_variance, rng):
     """What the receiver reads of the RF-chain block y = S + W of (F, L) frames.
 
     The arguments are those of ``apply_radar_channel``, then s2 =
@@ -379,9 +374,9 @@ def receive_radar(
     """
     x = np.asarray(samples, dtype=complex)
     n = int(frame_len)
-    start = np.broadcast_to(np.asarray(start_time, dtype=float), x.shape[:-1])
+    start = np.broadcast_to(np.asarray(start, dtype=float), x.shape[:-1])
     coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (F, T, N_rf): Q^H of gains
-    delayed = _delayed_waveforms(_padded_spectrum(x[0], n), targets, sample_period)  # (T, N)
+    delayed = _delayed_waveforms(_padded_spectrum(x[0], n), targets)  # (T, N)
     combined = awgn(coords[0, :, 0] @ delayed, noise_variance, rng)
 
     def rest(lags, values):
@@ -389,7 +384,7 @@ def receive_radar(
         eigen-factor of its codeword-domain Gram, then frame 0's row 0 set
         to ``values``."""
         lags = np.asarray(lags, dtype=float)
-        lam, vecs = np.linalg.eigh(_codeword_gram(x, n, targets, sample_period, lags))
+        lam, vecs = np.linalg.eigh(_codeword_gram(x, n, targets, lags))
         r = np.sqrt(np.maximum(lam, 0.0))[..., None] * vecs.conj().swapaxes(-1, -2)
         rows = awgn(r[..., : len(targets)] @ coords, noise_variance, rng)  # all rows on E_f
         gated = r[..., len(targets) :].conj().swapaxes(-1, -2) @ rows

@@ -306,7 +306,7 @@ def estimate_delay(spectrum, peak_cell: int) -> float:
 
 
 def estimate_doppler(peak_phases, frame_times) -> float:
-    """Doppler frequency from per-frame correlation-peak phases.
+    """Doppler from per-frame correlation-peak phases, in cycles per unit of ``frame_times``.
 
     Unwraps the phases and fits a least-squares line; the slope over 2*pi is
     the Doppler estimate.  The estimate is unambiguous for
@@ -371,7 +371,10 @@ def music_angles(
     Parameters
     ----------
     cov : ndarray, shape (N_rf, N_rf)
-        Sample covariance of the reduced receive signal.
+        Sample covariance of the reduced receive signal, or any positive
+        multiple of it: the noise subspace does not depend on the scale.
+        The radar trial passes a detected cell's unnormalised gated sum
+        sum_f y_f y_f^H.
     rx_matrix : ndarray, shape (N_a, N_rf)
         Reduction matrix U mapping antennas to RF chains.
     num_sources : int

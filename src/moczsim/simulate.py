@@ -188,6 +188,16 @@ class SimConfig:
                     f"{path} = {range_m} m: the peak correlation power of a {rcs_dbsm} dBsm "
                     f"target at link.eirp {self.link.eirp_dbm} dBm overflows a float"
                 )
+        # The Doppler phase 2 pi nu k, at nu as RadarTarget.from_geometry
+        # computes it, up to the CPI's F N samples.
+        for i, spec in enumerate(self.targets):
+            nu = 2.0 * spec.velocity_mps * self.link.carrier_hz / SPEED_OF_LIGHT
+            nu *= self.link.sample_period
+            if not math.isfinite(2.0 * math.pi * abs(nu) * n_frames * self.frame_len):
+                raise ValueError(
+                    f"targets[{i}].velocity_mps = {spec.velocity_mps} m/s: the Doppler "
+                    "phase over the CPI overflows a float"
+                )
 
     @property
     def frame_s(self) -> float:
@@ -664,7 +674,6 @@ def _radar_trial(
     params = cfg.modulation
     link = cfg.link
     n = cfg.frame_len
-    t_sample = link.sample_period
     n_frames = cfg.schedule.frames_per_cpi
 
     targets = [
@@ -683,13 +692,13 @@ def _radar_trial(
     amp = math.sqrt(link.eirp_watts / cfg.array.num_antennas * params.seq_len)
 
     # Frames carry no pilots or preambles and run back to back, frame f
-    # starting at f * N / w.  Only frame 0's profile goes to the CFAR; delay
-    # refinement and its Doppler phase read its cross-spectrum.
+    # starting at sample f * N.  Only frame 0's profile goes to the CFAR;
+    # delay refinement and its Doppler phase read its cross-spectrum.
     msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
     frames_tx = encode_batch(msgs, params)
-    frame_times = np.arange(n_frames) * cfg.frame_s
+    starts = np.arange(n_frames) * n
     combined, rest = receive_radar(
-        amp * frames_tx, targets, bf, t_sample, n, frame_times, link.noise_variance, rng
+        amp * frames_tx, targets, bf, n, starts, link.noise_variance, rng
     )
     spectrum = cross_spectrum(frames_tx[0], combined)
 
@@ -699,7 +708,7 @@ def _radar_trial(
     power = np.abs(np.fft.ifft(spectrum)) ** 2
     cells, thresholds = os_cfar(power, cfg.cfar)
     peaks = cluster_detections(cells, power, n)
-    true_cells = [round(tg.delay_s / t_sample) % n for tg in targets]
+    true_cells = [round(tg.delay) % n for tg in targets]
 
     def near(cell: int, true_cell: int) -> bool:
         gap = abs(cell - true_cell)
@@ -723,12 +732,12 @@ def _radar_trial(
     beams = gated @ bf.basis.T  # the same outputs in RF-chain coordinates
     num_sources = min(1, cfg.array.num_rf_chains - 1)
 
-    unambiguous_m = SPEED_OF_LIGHT * cfg.frame_s / 2.0
+    m_per_sample = SPEED_OF_LIGHT * link.sample_period / 2.0
+    mps_per_cycle = SPEED_OF_LIGHT / (2.0 * link.carrier_hz * link.sample_period)
+    unambiguous_m = n * m_per_sample
     samples, errors = [], []
     for j, ((spec, best), lag) in enumerate(zip(detected, lags)):
-        doppler_hat = (
-            estimate_doppler(phases[:, j], frame_times) if n_frames >= 2 else float("nan")
-        )
+        doppler_hat = estimate_doppler(phases[:, j], starts) if n_frames >= 2 else float("nan")
         cell = beams[:, j]
         angles = music_angles(
             cell.T @ cell.conj(), bf.rx_matrix, num_sources, cfg.schedule.segment
@@ -736,8 +745,8 @@ def _radar_trial(
         angle_hat = float(angles[0]) if angles.size else float("nan")
         sample = {
             "cell": best,
-            "range_m": SPEED_OF_LIGHT * lag * t_sample / 2.0,
-            "velocity_mps": SPEED_OF_LIGHT * doppler_hat / (2.0 * link.carrier_hz),
+            "range_m": lag * m_per_sample,
+            "velocity_mps": doppler_hat * mps_per_cycle,
             "angle_deg": math.degrees(angle_hat),
             "statistic": float(power[best]),
             "threshold": float(thresholds[np.searchsorted(cells, best)]),
@@ -789,8 +798,9 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
         errors = [e for _, _, trial_errors in trials for e in trial_errors]
 
         def rmse(column: int) -> float:
-            sq = [e[column] ** 2 for e in errors if not math.isnan(e[column])]
-            return math.sqrt(sum(sq) / len(sq)) if sq else float("nan")
+            # hypot, since a square of a finite error may overflow.
+            col = [e[column] for e in errors if not math.isnan(e[column])]
+            return math.hypot(*col) / math.sqrt(len(col)) if col else float("nan")
 
         records.append({
             "range_m": float(point_specs[0].range_m) if point_specs else float("nan"),

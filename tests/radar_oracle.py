@@ -13,13 +13,11 @@ from moczsim.channel import apply_radar_channel, awgn
 from moczsim.radar import correlation_value_at, cross_spectrum
 
 
-def receive_radar(
-    samples, targets, bf, sample_period, frame_len, start_time, noise_variance, rng
-):
+def receive_radar(samples, targets, bf, frame_len, start, noise_variance, rng):
     """``(combined row of frame 0, rest)`` of the noisy (F, N_rf, N) block,
     with the arguments and results of ``channel.receive_radar``; ``rest``
     reads frame 0's row 0 off the block too, not from its ``values``."""
-    rx = apply_radar_channel(samples, targets, bf, sample_period, frame_len, start_time)
+    rx = apply_radar_channel(samples, targets, bf, frame_len, start)
     rx = bf.basis.conj().T @ np.stack([awgn(f, noise_variance, rng) for f in rx])
 
     def rest(lags, values):

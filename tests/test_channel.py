@@ -1,5 +1,7 @@
 """Array geometry, link budgets, and discrete-time channel application."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,42 +174,42 @@ class TestRadarChannel:
         self.x = encode(np.random.default_rng(0).integers(0, 2, 15), self.params)
 
     def test_boresight_zero_delay_is_rank_one_scaling(self):
-        tg = RadarTarget(gain=0.5 + 0.1j, angle_rad=0.0, delay_s=0.0, doppler_hz=0.0)
-        y = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16)
+        tg = RadarTarget(gain=0.5 + 0.1j, angle_rad=0.0, delay=0.0, doppler=0.0)
+        y = apply_radar_channel(self.x, [tg], self.bf, frame_len=16)
         a = steering(0.0, 16)
         spatial = tg.gain * (self.bf.rx_matrix.conj().T @ a) * (a.conj() @ self.bf.tx_beam)
         np.testing.assert_allclose(y, spatial[:, None] * self.x[None, :], atol=1e-9)
 
     def test_integer_delay_shifts_correlation_peak(self):
-        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=7e-8, doppler_hz=0.0)
-        y = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=64)
+        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay=7.0, doppler=0.0)
+        y = apply_radar_channel(self.x, [tg], self.bf, frame_len=64)
         profile = cross_correlate(self.x, y[0])
         assert int(np.argmax(np.abs(profile))) == 7
 
     def test_doppler_is_a_pure_phase_ramp(self):
-        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=0.0, doppler_hz=1e6)
-        y = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16)
+        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay=0.0, doppler=0.01)
+        y = apply_radar_channel(self.x, [tg], self.bf, frame_len=16)
         ratio = y[0] / (self.x * (self.bf.rx_matrix[:, 0].conj() @ steering(0.0, 16)))
         mags = np.abs(ratio)
         np.testing.assert_allclose(mags, mags[0], atol=1e-9)
         steps = np.angle(ratio[1:] / ratio[:-1])
-        np.testing.assert_allclose(steps, 2 * np.pi * 1e6 * 1e-8, atol=1e-9)
+        np.testing.assert_allclose(steps, 2 * np.pi * 0.01, atol=1e-9)
 
-    def test_start_time_advances_doppler_phase(self):
-        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=0.0, doppler_hz=1e5)
-        y0 = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16, start_time=0.0)
-        # 2.5e-6 s is a quarter Doppler cycle, so the phase advances by pi/2
-        y1 = apply_radar_channel(self.x, [tg], self.bf, 1e-8, frame_len=16, start_time=2.5e-6)
+    def test_start_advances_doppler_phase(self):
+        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay=0.0, doppler=1e-3)
+        y0 = apply_radar_channel(self.x, [tg], self.bf, frame_len=16, start=0)
+        # 250 samples are a quarter Doppler cycle, so the phase advances by pi/2
+        y1 = apply_radar_channel(self.x, [tg], self.bf, frame_len=16, start=250)
         np.testing.assert_allclose(y1, 1j * y0, atol=1e-9)
 
     def test_no_targets_returns_zeros(self):
-        y = apply_radar_channel(self.x, [], self.bf, 1e-8, frame_len=32)
+        y = apply_radar_channel(self.x, [], self.bf, frame_len=32)
         assert y.shape == (4, 32)
         assert np.all(y == 0)
 
     TWO_TARGETS = (
-        RadarTarget(gain=0.7 - 0.2j, angle_rad=0.05, delay_s=3.3e-8, doppler_hz=2e5),
-        RadarTarget(gain=0.1j, angle_rad=-0.1, delay_s=21.6e-8, doppler_hz=-7e4),
+        RadarTarget(gain=0.7 - 0.2j, angle_rad=0.05, delay=3.3, doppler=2e-3),
+        RadarTarget(gain=0.1j, angle_rad=-0.1, delay=21.6, doppler=-7e-4),
     )
 
     def frames(self, count=6):
@@ -217,63 +219,70 @@ class TestRadarChannel:
     def test_frame_block_rows_equal_per_frame_calls(self):
         frames = self.frames()
         targets = list(self.TWO_TARGETS)
-        starts = np.arange(6) * 3.2e-7
-        block = apply_radar_channel(
-            frames, targets, self.bf, 1e-8, frame_len=32, start_time=starts
-        )
+        starts = np.arange(6) * 32
+        block = apply_radar_channel(frames, targets, self.bf, frame_len=32, start=starts)
         assert block.shape == (6, 4, 32)
         for j in range(6):
-            one = apply_radar_channel(
-                frames[j], targets, self.bf, 1e-8, frame_len=32, start_time=j * 3.2e-7
-            )
+            one = apply_radar_channel(frames[j], targets, self.bf, frame_len=32, start=j * 32)
             assert np.array_equal(block[j], one)
 
     def test_two_targets_are_the_sum_of_single_target_calls(self):
         frames = self.frames()
-        starts = np.arange(6) * 3.2e-7 + 1e-5
+        starts = np.arange(6) * 32 + 1000
         both = apply_radar_channel(
-            frames, list(self.TWO_TARGETS), self.bf, 1e-8, frame_len=32, start_time=starts
+            frames, list(self.TWO_TARGETS), self.bf, frame_len=32, start=starts
         )
         each = sum(
-            apply_radar_channel(frames, [tg], self.bf, 1e-8, frame_len=32, start_time=starts)
+            apply_radar_channel(frames, [tg], self.bf, frame_len=32, start=starts)
             for tg in self.TWO_TARGETS
         )
         assert np.max(np.abs(both - each)) <= 1e-12 * np.max(np.abs(each))
 
-    @pytest.mark.parametrize("start", [2.7e-5, np.arange(6) * 3.2e-7 + 1e-5])
+    @pytest.mark.parametrize("start", [2700, np.arange(6) * 32 + 1000])
     def test_doppler_matches_the_dense_phase_oracle(self, start):
-        # Oracle: exp(2i pi nu t) evaluated at every (frame, sample) time.
+        # Oracle: exp(2i pi nu k) evaluated at every (frame, sample) sample k.
         frames = self.frames()
         tg = self.TWO_TARGETS[0]
-        got = apply_radar_channel(frames, [tg], self.bf, 1e-8, frame_len=32, start_time=start)
+        got = apply_radar_channel(frames, [tg], self.bf, frame_len=32, start=start)
         a = steering(tg.angle_rad, 16)
         spatial = tg.gain * (self.bf.rx_matrix.conj().T @ a) * (a.conj() @ self.bf.tx_beam)
-        t = np.asarray(start)[..., None] + np.arange(32) * 1e-8
-        rotated = fractional_delay(frames, 3.3, 32) * np.exp(2j * np.pi * tg.doppler_hz * t)
+        k = np.asarray(start)[..., None] + np.arange(32)
+        rotated = fractional_delay(frames, 3.3, 32) * np.exp(2j * np.pi * tg.doppler * k)
         want = spatial[:, None] * rotated[:, None, :]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_frame_block_start_times_advance_doppler_phase(self):
-        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay_s=0.0, doppler_hz=2e5)
-        starts = np.arange(3) * 1.3e-6  # 0.26 Doppler cycles per frame
+    def test_frame_block_starts_advance_doppler_phase(self):
+        tg = RadarTarget(gain=1.0, angle_rad=0.0, delay=0.0, doppler=2e-3)
+        starts = np.arange(3) * 130  # 0.26 Doppler cycles per frame
         block = apply_radar_channel(
-            np.tile(self.x, (3, 1)), [tg], self.bf, 1e-8, frame_len=16, start_time=starts
+            np.tile(self.x, (3, 1)), [tg], self.bf, frame_len=16, start=starts
         )
         for j in range(3):
             np.testing.assert_allclose(
-                block[j], block[0] * np.exp(2j * np.pi * 2e5 * starts[j]), atol=1e-9
+                block[j], block[0] * np.exp(2j * np.pi * 2e-3 * starts[j]), atol=1e-9
             )
 
     def test_frame_block_without_targets_is_zero(self):
-        y = apply_radar_channel(np.ones((3, 16)), [], self.bf, 1e-8, frame_len=32)
+        y = apply_radar_channel(np.ones((3, 16)), [], self.bf, frame_len=32)
         assert y.shape == (3, 4, 32)
         assert np.all(y == 0)
 
-    def test_target_validation(self):
-        with pytest.raises(ValueError):
-            RadarTarget(gain=1.0, angle_rad=0.0, delay_s=-1e-9, doppler_hz=0.0)
-        with pytest.raises(ValueError):
-            RadarTarget(gain=1.0, angle_rad=2.0, delay_s=0.0, doppler_hz=0.0)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delay", -0.1),
+            ("delay", math.nan),
+            ("angle_rad", 2.0),
+            ("angle_rad", math.nan),
+            ("doppler", math.inf),
+            ("doppler", math.nan),
+        ],
+    )
+    def test_target_validation(self, field, value):
+        # NaN fails every comparison, so each bound is written to reject it.
+        fields = {"gain": 1.0, "angle_rad": 0.0, "delay": 0.0, "doppler": 0.0}
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            RadarTarget(**{**fields, field: value})
 
 
 class TestNoise:
@@ -402,6 +411,7 @@ def test_grid_fade_is_the_grid_of_the_convolved_packets(model, k):
 def test_radar_target_from_geometry_two_way_scalings():
     link = LinkBudget(carrier_hz=60.0e9)
     tg = RadarTarget.from_geometry(link, 50.0, 10.0, 0.0, 10.0, 0.0)
-    assert tg.delay_s == pytest.approx(2 * 50.0 / SPEED_OF_LIGHT)
-    assert tg.doppler_hz == pytest.approx(2 * 10.0 * 60e9 / SPEED_OF_LIGHT)
+    # The expressions of from_geometry, so the channel sees these floats.
+    assert tg.delay == 2.0 * 50.0 / SPEED_OF_LIGHT / link.sample_period
+    assert tg.doppler == 2.0 * 10.0 * 60e9 / SPEED_OF_LIGHT * link.sample_period
     assert abs(tg.gain) ** 2 == pytest.approx(radar_gain(link, 10.0, 50.0), rel=1e-12)

@@ -155,12 +155,16 @@ BAD_OVERRIDES = [
     ("trials.k=5", "trials must be an object, got 10"),
     ("modulation.k.bits=5", "modulation.k must be an object, got 31"),
     ("snr_grid_db.0=1", "snr_grid_db must be an object, got [6.0]"),
+    (
+        'targets=[{"range_m":30.0,"velocity_mps":1e308}]',
+        "targets[0].velocity_mps = 1e+308 m/s: the Doppler phase over the CPI overflows",
+    ),
 ]
 BAD_OVERRIDE_IDS = [
     "unknown-key", "unknown-section-key", "string-for-integer", "bool-for-number",
     "number-for-list",
     "section-check", "no-equals", "path-through-integer", "path-through-section-integer",
-    "path-through-list",
+    "path-through-list", "doppler-phase-overflow",
 ]
 
 

@@ -719,7 +719,7 @@ CACHED_TABLES = {
     "_log_basis": lambda: _log_basis(ModulationParams(15)),
     "_refine_kernel": lambda: _refine_kernel(32),
     "_music_scan": lambda: _music_scan(_RX.tobytes(), _RX.shape, (-0.5, 0.5)),
-    "_target_ramps": lambda: _target_ramps(64, 3.25, 1e3, 1e-8),
+    "_target_ramps": lambda: _target_ramps(64, 3.25, 1e-5),
     "_gram_side": lambda: _gram_side(64, 16, 3.25, 0.01),
     "_circulant_index": lambda: _circulant_index(64, 16),
 }

@@ -22,14 +22,14 @@ from moczsim import correlation_value_at
 from moczsim import make_beamformers
 from moczsim.channel import receive_radar
 
-FRAMES, FRAME_LEN, K, SAMPLE_PERIOD = 3, 16, 7, 1e-8
+FRAMES, FRAME_LEN, K = 3, 16, 7
 BF = make_beamformers((-0.3, 0.3), ArrayConfig(8, 4))
 TX = 6.0 * encode_batch(
     np.random.default_rng(7).integers(0, 2, (FRAMES, K), dtype=np.int8), ModulationParams(K)
 )
 # Off the beam center, so the target also reaches the RF-chain directions
 # orthogonal to the combiner.
-TARGET = RadarTarget(gain=0.4 - 0.3j, angle_rad=0.35, delay_s=3.4e-8, doppler_hz=2e6)
+TARGET = RadarTarget(gain=0.4 - 0.3j, angle_rad=0.35, delay=3.4, doppler=0.02)
 PEAK_CELL = 3
 # The kernel lag: near the target's delay, but not on it, so the kernels
 # are not parallel to the delayed waveforms.
@@ -40,8 +40,8 @@ DRAWS = 2500
 def receive(fn, targets, noise_variance, rng, lags, tx=TX, frame_len=FRAME_LEN):
     """Frame 0's combined row and the (F, D, N_rf) gated outputs, frame 0's
     row 0 read off the combined row as ``simulate`` reads it."""
-    starts = np.arange(len(tx)) * frame_len * SAMPLE_PERIOD
-    combined, rest = fn(tx, targets, BF, SAMPLE_PERIOD, frame_len, starts, noise_variance, rng)
+    starts = np.arange(len(tx)) * frame_len
+    combined, rest = fn(tx, targets, BF, frame_len, starts, noise_variance, rng)
     return combined, rest(lags, correlation_value_at(cross_spectrum(tx[0], combined), lags))
 
 
@@ -65,7 +65,7 @@ def assert_gated_equal(got, want, lags, frames):
         [TARGET],
         # Two targets at one delay and Doppler: the waveforms are parallel, so
         # each span of the waveforms and a kernel has lower rank.
-        [TARGET, RadarTarget(gain=0.2j, angle_rad=-0.1, delay_s=3.4e-8, doppler_hz=2e6)],
+        [TARGET, RadarTarget(gain=0.2j, angle_rad=-0.1, delay=3.4, doppler=0.02)],
     ],
     ids=["no-target", "one-target", "two-targets-one-delay"],
 )
@@ -80,8 +80,8 @@ def test_noiseless_receive_equals_the_full_block(targets, lags):
 def test_frame_zero_row_zero_is_the_passed_values(lags):
     # With noise too, rest writes the receiver's own frame-0 values in row 0
     # unchanged, so the Doppler phases and the CFAR read one draw.
-    starts = np.arange(FRAMES) * FRAME_LEN * SAMPLE_PERIOD
-    args = (TX, [TARGET], BF, SAMPLE_PERIOD, FRAME_LEN, starts, 1.0)
+    starts = np.arange(FRAMES) * FRAME_LEN
+    args = (TX, [TARGET], BF, FRAME_LEN, starts, 1.0)
     combined, rest = receive_radar(*args, np.random.default_rng(5))
     values = correlation_value_at(cross_spectrum(TX[0], combined), lags)
     gated = rest(lags, values)
@@ -190,25 +190,20 @@ SCENE_TX = 6.0 * encode_batch(
 )
 
 
-def scene_target(delay_samples, doppler_hz):
-    return RadarTarget(
-        gain=0.4 - 0.3j, angle_rad=0.35, delay_s=delay_samples * SAMPLE_PERIOD,
-        doppler_hz=doppler_hz,
-    )
+def scene_target(delay, doppler):
+    return RadarTarget(gain=0.4 - 0.3j, angle_rad=0.35, delay=delay, doppler=doppler)
 
 
 # (frame_len, frames, target, lags), each lag in samples.
 SCENE_CASES = {
-    "doppler-lag-off-delay": (1024, 4, scene_target(40.3, 6e3), [40.33]),
+    "doppler-lag-off-delay": (1024, 4, scene_target(40.3, 6e-5), [40.33]),
     # The codeword runs past sample N-1 and wraps, so the Doppler ramp jumps
     # there; one lag is negative and one beyond the frame.
-    "wrapping-delay": (1024, 4, scene_target(1000.7, -2e5), [-0.4, 1024 + 6.2]),
+    "wrapping-delay": (1024, 4, scene_target(1000.7, -2e-3), [-0.4, 1024 + 6.2]),
     # The kernel is the waveform itself: the span has rank one.
-    "zero-doppler-lag-on-delay": (
-        1024, 4, scene_target(40.3, 0.0), [scene_target(40.3, 0.0).delay_s / SAMPLE_PERIOD]
-    ),
-    "frame-is-codeword": (128, 4, scene_target(40.3, 2e5), [40.1]),
-    "one-frame": (1024, 1, scene_target(40.3, 6e3), [40.33]),
+    "zero-doppler-lag-on-delay": (1024, 4, scene_target(40.3, 0.0), [40.3]),
+    "frame-is-codeword": (128, 4, scene_target(40.3, 2e-3), [40.1]),
+    "one-frame": (1024, 1, scene_target(40.3, 6e-5), [40.33]),
 }
 
 

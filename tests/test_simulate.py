@@ -86,6 +86,17 @@ BAD_CONFIGS = [
         "range_grid_m[1] = 1e+80 m: range_m**4 overflows",
     ),
     ({"targets": [{"range_m": 50.0, "angle_deg": 120.0}]}, "targets[0].angle_deg"),
+    # The Doppler phase 2 pi nu F N over the CPI is inf: at the default
+    # carrier nu itself overflows, at 1 Hz and 1e-15 Hz of bandwidth only
+    # the phase does.
+    (
+        {"targets": [{"range_m": 30.0, "velocity_mps": 1e308}]},
+        "targets[0].velocity_mps = 1e+308 m/s: the Doppler phase over the CPI overflows",
+    ),
+    (
+        {"link": {"f_c": 1.0, "w": 1e-15}, "targets": [{"range_m": 30.0, "velocity_mps": 1e300}]},
+        "targets[0].velocity_mps = 1e+300 m/s: the Doppler phase over the CPI overflows",
+    ),
     # A section's own checks are raised again with the section key in front.
     ({"schedule": {"frames_per_cpi": 0}}, "schedule: frames_per_cpi must be >= 1"),
     # Field names in that message are replaced by their JSON keys.
@@ -1114,6 +1125,19 @@ class TestRadarEdges:
         rec = run_radar(cfg).records[0]
         assert math.isnan(rec["rmse_velocity_mps"])
         assert math.isfinite(rec["rmse_range_m"]) and math.isfinite(rec["rmse_angle_deg"])
+
+    def test_velocity_error_whose_square_overflows_is_scored(self):
+        # The error is about -1e297 m/s: its square overflows a float, its
+        # RMSE does not.
+        cfg = dataclasses.replace(
+            load_config(SCENE),
+            trials=2,
+            targets=(TargetSpec(range_m=30.0, velocity_mps=1e297),),
+            range_grid_m=(),
+        )
+        rec = run_radar(cfg).records[0]
+        assert rec["detection_rate"] > 0
+        assert rec["rmse_velocity_mps"] == pytest.approx(1e297, rel=1e-9)
 
     def test_one_rf_chain_has_no_angle_error(self):
         # MUSIC keeps one noise dimension, so with one RF chain it has no source.
