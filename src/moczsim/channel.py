@@ -209,7 +209,8 @@ def _padded_spectrum(samples, out_len: int) -> np.ndarray:
 def _delay_ramp(n: int, shift_samples) -> np.ndarray:
     """The spectrum exp(-2i pi f shift) of a band-limited circular delay on the
     n FFT frequencies f: (n,) for a scalar shift, (n, S) for S shifts."""
-    return np.exp(-2j * np.pi * np.multiply.outer(np.fft.fftfreq(n), shift_samples))
+    ramp = -2j * np.pi * np.multiply.outer(np.fft.fftfreq(n), shift_samples)
+    return np.exp(ramp, out=ramp)
 
 
 def fractional_delay(samples, shift_samples: float, out_len: int) -> np.ndarray:
@@ -237,14 +238,18 @@ def _target_ramps(n: int, delay: float, doppler: float):
 
 
 def _target_gains(targets, bf: Beamformer, start) -> np.ndarray:
-    """The (..., T, N_rf) gains rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}
-    of frames whose sample 0 is sample ``start`` (...) of the clock."""
+    """The (B, ..., T, N_rf) gains rho_q U^H a(phi_q) a^H(phi_q) f e^{2i pi nu_q start}
+    of B trials' targets on frames whose sample 0 is sample ``start`` (...)
+    of the clock.  ``targets`` is B sequences of T targets that differ only
+    in their gains rho_q, so the array terms are formed once per target."""
     num_antennas, n_rf = bf.rx_matrix.shape
-    gains = np.empty(np.shape(start) + (len(targets), n_rf), dtype=complex)
-    for q, tg in enumerate(targets):
+    rho = np.array([[tg.gain for tg in trial] for trial in targets], dtype=complex)  # (B, T)
+    gains = np.empty(rho.shape[:1] + np.shape(start) + (rho.shape[1], n_rf), dtype=complex)
+    frames = (slice(None),) + (None,) * np.ndim(start)
+    for q, tg in enumerate(targets[0]):
         a = steering(tg.angle_rad, num_antennas)
-        spatial = tg.gain * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
-        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler * start)[..., None] * spatial
+        spatial = rho[:, q, None] * (bf.rx_matrix.conj().T @ a) * (a.conj() @ bf.tx_beam)
+        gains[..., q, :] = np.exp(2j * np.pi * tg.doppler * start)[..., None] * spatial[frames]
     return gains
 
 
@@ -255,8 +260,10 @@ def _delayed_waveforms(spectrum, targets) -> np.ndarray:
     delayed = np.empty(spectrum.shape[:-1] + (len(targets), n), dtype=complex)
     for q, tg in enumerate(targets):
         delay_ramp, doppler_ramp = _target_ramps(n, tg.delay, tg.doppler)
-        delayed[..., q, :] = np.fft.ifft(spectrum * delay_ramp, axis=-1)
-        delayed[..., q, :] *= doppler_ramp
+        wave = delayed[..., q, :]
+        np.multiply(spectrum, delay_ramp, out=wave)
+        np.fft.ifft(wave, axis=-1, out=wave)
+        wave *= doppler_ramp
     return delayed
 
 
@@ -277,7 +284,7 @@ def apply_radar_channel(samples, targets, bf: Beamformer, frame_len: int, start=
     spectrum = _padded_spectrum(samples, frame_len)
     delayed = _delayed_waveforms(spectrum, targets)
     start = np.broadcast_to(np.asarray(start, dtype=float), spectrum.shape[:-1])
-    return np.swapaxes(_target_gains(targets, bf, start), -1, -2) @ delayed
+    return np.swapaxes(_target_gains([targets], bf, start)[0], -1, -2) @ delayed
 
 
 @lru_cache(maxsize=4)
@@ -350,18 +357,24 @@ def _codeword_gram(x, n: int, targets, lags) -> np.ndarray:
     return gram
 
 
-def receive_radar(samples, targets, bf: Beamformer, frame_len, start, noise_variance, rng):
-    """What the receiver reads of the RF-chain block y = S + W of (F, L) frames.
+def receive_radar(samples, targets, bf: Beamformer, frame_len, start, noise_variance, rngs):
+    """What the receiver reads of the RF-chain blocks y = S + W of B trials' (F, L) frames.
 
-    The arguments are those of ``apply_radar_channel``, then s2 =
-    ``noise_variance`` of W and the ``rng`` it is drawn from.  Returns frame
-    0's combined row c^H y_0 (N,) and ``rest(lags, values)``, to call once
-    after detection on it.  ``rest`` returns the gated beam outputs, the
-    (F, D, N_rf) values <(Q^H y_f)_i, k_fj> of every row i of every frame f
-    in the basis Q = [c, B] at D ``lags`` (k_fj: frame f of ``samples``
+    ``samples`` is (B, F, L), one CPI per trial, and ``targets`` B sequences
+    of the trials' targets, which differ only in their gains; ``bf``,
+    ``frame_len`` and the (F,) frame ``start`` are those of
+    ``apply_radar_channel``, then s2 = ``noise_variance`` of W and ``rngs``,
+    one generator per trial, from which that trial's W is drawn.  Returns
+    the trials' frame-0 combined rows c^H y_0 (B, N) and, per trial, a
+    ``rest(lags, values)`` to call once after detection on its row.
+    ``rest`` returns the gated beam outputs, the (F, D, N_rf) values
+    <(Q^H y_f)_i, k_fj> of every row i of every frame f in the basis
+    Q = [c, B] at D ``lags`` (k_fj: frame f of the trial's ``samples``
     delayed by lag j, as ``correlation_value_at`` reads it off the
     cross-spectrum), exactly in distribution; frame 0's row 0 is
     ``values``, the (D,) values that the receiver read off the combined row.
+    The combined rows are formed for the whole block at once, and each
+    trial's noise is drawn from its own generator, as for a block of one.
     Each target's signal is rank one per frame, so the rows of frame f are
     drawn as their coordinates on a basis of span{T waveforms, D kernels
     k_fj}: the projected signal plus CN(0, s2) noise.  The lags depend only
@@ -374,39 +387,51 @@ def receive_radar(samples, targets, bf: Beamformer, frame_len, start, noise_vari
     """
     x = np.asarray(samples, dtype=complex)
     n = int(frame_len)
-    start = np.broadcast_to(np.asarray(start, dtype=float), x.shape[:-1])
-    coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (F, T, N_rf): Q^H of gains
-    delayed = _delayed_waveforms(_padded_spectrum(x[0], n), targets)  # (T, N)
-    combined = awgn(coords[0, :, 0] @ delayed, noise_variance, rng)
+    geometry = [(tg.angle_rad, tg.delay, tg.doppler) for tg in targets[0]]
+    if any([(tg.angle_rad, tg.delay, tg.doppler) for tg in trial] != geometry for trial in targets):
+        raise ValueError("the trials of a block must share each target's angle, delay and Doppler")
+    start = np.broadcast_to(np.asarray(start, dtype=float), x.shape[1:-1])
+    coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (B, F, T, N_rf): Q^H of gains
+    # Frame 0's (B, T, N) waveforms, released once their combination is formed.
+    signal = coords[:, :1, :, 0] @ _delayed_waveforms(_padded_spectrum(x[:, 0], n), targets[0])
+    combined = awgn(signal[:, 0], noise_variance, rngs)
 
-    def rest(lags, values):
-        """The (F, D, N_rf) gated outputs, every frame drawn on R_f, an
-        eigen-factor of its codeword-domain Gram, then frame 0's row 0 set
-        to ``values``."""
-        lags = np.asarray(lags, dtype=float)
-        lam, vecs = np.linalg.eigh(_codeword_gram(x, n, targets, lags))
-        r = np.sqrt(np.maximum(lam, 0.0))[..., None] * vecs.conj().swapaxes(-1, -2)
-        rows = awgn(r[..., : len(targets)] @ coords, noise_variance, rng)  # all rows on E_f
-        gated = r[..., len(targets) :].conj().swapaxes(-1, -2) @ rows
-        gated[0, :, 0] = values
-        return gated
+    def rest_of(x, trial_targets, coords, rng):
+        def rest(lags, values):
+            """The (F, D, N_rf) gated outputs, every frame drawn on R_f, an
+            eigen-factor of its codeword-domain Gram, then frame 0's row 0
+            set to ``values``."""
+            lags = np.asarray(lags, dtype=float)
+            lam, vecs = np.linalg.eigh(_codeword_gram(x, n, trial_targets, lags))
+            r = np.sqrt(np.maximum(lam, 0.0))[..., None] * vecs.conj().swapaxes(-1, -2)
+            t = len(trial_targets)
+            rows = awgn(r[..., :t] @ coords, noise_variance, rng)  # all rows on E_f
+            gated = r[..., t:].conj().swapaxes(-1, -2) @ rows
+            gated[0, :, 0] = values
+            return gated
 
-    return combined, rest
+        return rest
+
+    return combined, [rest_of(*trial) for trial in zip(x, targets, coords, rngs)]
 
 
-def awgn(samples, noise_variance: float, rng: np.random.Generator) -> np.ndarray:
+def awgn(samples, noise_variance: float, rng) -> np.ndarray:
     """Add circular complex Gaussian noise of the given per-sample variance, drawn from ``rng``.
 
     The noise of the whole array is one draw of its real parts, then its
     imaginary parts; at variance 0 nothing is drawn and a copy is returned.
+    ``rng`` is one generator, or a sequence of them, one per row of the
+    first axis, each drawing its row's noise as a call on that row would.
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be non-negative")
     out = np.array(samples, dtype=complex)
     if noise_variance == 0:
         return out
-    noise = rng.standard_normal((2,) + out.shape)
-    noise *= math.sqrt(noise_variance / 2.0)
-    out.real += noise[0]
-    out.imag += noise[1]
+    one = isinstance(rng, np.random.Generator)
+    for row, row_rng in zip([out] if one else out, [rng] if one else rng, strict=True):
+        noise = row_rng.standard_normal((2,) + row.shape)
+        noise *= math.sqrt(noise_variance / 2.0)
+        row.real += noise[0]
+        row.imag += noise[1]
     return out

@@ -54,8 +54,12 @@ def cross_spectrum(reference, received) -> np.ndarray:
         The N-point DFT of the correlation profile that ``cross_correlate``
         returns; ``correlation_value_at`` and ``estimate_delay`` take it.
     """
-    y = np.asarray(received, dtype=complex)
-    return np.fft.fft(y, axis=-1) * np.conj(_padded_spectrum(reference, y.shape[-1]))
+    y = np.fft.fft(np.asarray(received, dtype=complex), axis=-1)
+    ref = _padded_spectrum(reference, y.shape[-1])
+    np.conj(ref, out=ref)
+    # In place where the received spectra already have the broadcast shape.
+    in_place = y.shape == np.broadcast_shapes(y.shape, ref.shape)
+    return np.multiply(y, ref, out=y if in_place else None)
 
 
 def cross_correlate(reference, received) -> np.ndarray:
@@ -72,13 +76,24 @@ def correlation_value_at(spectrum, lag_samples) -> complex | np.ndarray:
     """Band-limited interpolation of correlation profiles at fractional lags.
 
     Evaluates (1/N) sum_k Z[k] exp(2i pi f_k lag) on the FFT frequencies f_k
-    for (..., N) spectra Z, one per frame as ``cross_spectrum`` returns; the
-    result has their leading axes, then a lag axis unless the lag is 0-d.
-    The exponential is the delay ramp of a shift by -lag.
+    for (..., N) spectra Z, one per frame as ``cross_spectrum`` returns.  The
+    lags are (..., D), and their leading axes broadcast against the
+    spectra's: a (D,) list reads every spectrum at every lag, and a (P, 1)
+    stack reads spectrum p at lag p only.  The result has the broadcast
+    leading axes, then the lag axis unless the lag is 0-d.  The exponential
+    is the delay ramp of a shift by -lag.
     """
     spec = np.asarray(spectrum, dtype=complex)
+    lags = np.asarray(lag_samples, dtype=float)
     n = spec.shape[-1]
-    return spec @ _delay_ramp(n, -np.asarray(lag_samples, dtype=float)) / n
+    if lags.ndim < 2:  # one lag list for every spectrum: a single product
+        return spec @ _delay_ramp(n, -lags) / n
+    lead = np.broadcast_shapes(spec.shape[:-1], lags.shape[:-1])
+    ramp = _delay_ramp(n, -np.broadcast_to(lags, lead + lags.shape[-1:]))  # (N, ..., D)
+    # Each spectrum times its own lags' ramps, in the ramps' place, then
+    # summed over the frequencies.
+    np.multiply(np.moveaxis(np.broadcast_to(spec, lead + (n,)), -1, 0)[..., None], ramp, out=ramp)
+    return ramp.sum(axis=0) / n
 
 
 # os_rank = 1 at the smallest normal pfa, the slowest case, takes ~140 steps.
@@ -167,12 +182,13 @@ def _stage_two_share(config: CfarConfig) -> float:
 
 
 def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered-statistic CFAR on a real 1-D correlation power |zeta|^2.
+    """Ordered-statistic CFAR on real correlation power |zeta|^2, frame by frame.
 
-    Callers square the profile (calibration draws the power directly); a
-    complex or non-1-D input raises ValueError.  For every cell the
-    threshold is alpha times the os_rank-th smallest of the 2*window
-    reference powers (guard cells excluded, circular wrap).
+    ``power`` is one (N,) frame or a (..., N) stack of frames, each tested
+    on its own circular frame.  Callers square the profile (calibration
+    draws the power directly); a complex or 0-d input raises ValueError.
+    For every cell the threshold is alpha times the os_rank-th smallest of
+    the 2*window reference powers (guard cells excluded, circular wrap).
 
     The test runs as a rank count.  Multiplying by alpha >= 0 is monotone in
     floating point, so alpha * kth is the os_rank-th smallest of the scaled
@@ -188,15 +204,18 @@ def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     would reach the second stage, and one pass counts all 2*window.  The
     threshold, the os_rank-th smallest of the scaled references (alpha * kth
     by the same monotonicity), is read from that copy for the detected cells
-    only.
+    only.  A stack runs as one pass over its rows, each row extended on its
+    own, so every row's result is bitwise that of a call on the row alone.
 
-    Returns the detected cells in ascending order, as an integer array, and
-    their thresholds alpha * kth.
+    Returns the detected cells as ascending indices into the flattened
+    stack, as ``np.flatnonzero`` gives them, so for one frame they are its
+    cells, and ``np.divmod(cells, N)`` splits a stack's into rows and cells;
+    then their thresholds alpha * kth.
     """
     power = np.asarray(power)
-    if power.ndim != 1 or np.iscomplexobj(power):
-        raise ValueError(f"CFAR needs a real 1-D power, got {power.dtype} of shape {power.shape}")
-    n = power.size
+    if power.ndim < 1 or np.iscomplexobj(power):
+        raise ValueError(f"CFAR needs real power frames, got {power.dtype} of shape {power.shape}")
+    n = power.shape[-1]
     window, rank = config.window, config.os_rank
     reach = window + config.guard
     if n < 2 * reach + 1:
@@ -204,23 +223,29 @@ def os_cfar(power, config: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
     one_side = np.arange(config.guard + 1, reach + 1)
     offsets = np.concatenate([-one_side, one_side])
 
-    wrapped = np.empty(n + 2 * reach, dtype=np.result_type(config.alpha, power))
-    np.multiply(config.alpha, power, out=wrapped[reach : reach + n])
-    wrapped[:reach] = wrapped[n : n + reach]
-    wrapped[reach + n :] = wrapped[reach : 2 * reach]
+    shape = power.shape[:-1] + (n + 2 * reach,)
+    wrapped = np.empty(shape, dtype=np.result_type(config.alpha, power))
+    np.multiply(config.alpha, power, out=wrapped[..., reach : reach + n])
+    wrapped[..., :reach] = wrapped[..., n : n + reach]
+    wrapped[..., reach + n :] = wrapped[..., reach : 2 * reach]
     first = window if _stage_two_share(config) <= _STAGE_TWO_SHARE else offsets.size
-    below = np.empty(n, dtype=bool)
-    count = np.zeros(n, dtype=np.min_scalar_type(offsets.size))
+    below = np.empty(power.shape, dtype=bool)
+    count = np.zeros(power.shape, dtype=np.min_scalar_type(offsets.size))
     for off in offsets[:first]:
-        np.less(wrapped[reach + off : reach + off + n], power, out=below)
+        np.less(wrapped[..., reach + off : reach + off + n], power, out=below)
         count += below.view(np.uint8)  # as integers, without a cast per element
-    cells = np.nonzero(count >= rank - (offsets.size - first))[0]
-    count, cell_power = count[cells], power[cells]
+    cells = np.nonzero(count.reshape(-1) >= rank - (offsets.size - first))[0]
+    # Each cell's place in the flattened wrapped copy, less reach: every row
+    # before the cell's adds its 2 * reach extension (none for one frame).
+    at = cells + cells // n * (2 * reach) if power.ndim > 1 else cells
+    flat = wrapped.reshape(-1)
+    count, cell_power = count.reshape(-1)[cells], power.reshape(-1)[cells]
     for off in offsets[first:]:
-        count += wrapped[reach + off :][cells] < cell_power
-    cells = cells[count >= rank]
+        count += flat[reach + off :][at] < cell_power
+    keep = count >= rank
+    cells, at = cells[keep], at[keep]
 
-    ref = wrapped[reach + cells[:, None] + offsets]
+    ref = flat[reach + at[:, None] + offsets]
     return cells, np.partition(ref, rank - 1, axis=1)[:, rank - 1]
 
 
@@ -249,13 +274,13 @@ def cluster_detections(cells: np.ndarray, power: np.ndarray, frame_len: int) -> 
     return [max(run, key=lambda c: power[c]) for run in runs]
 
 
-def _parabolic_offset(y_minus: float, y_center: float, y_plus: float) -> float:
+def _parabolic_offset(y_minus, y_center, y_plus) -> np.ndarray:
     # Vertex of the parabola through three equispaced points, clamped to half
-    # a cell; exact for any true quadratic triple.
-    denom = y_minus - 2.0 * y_center + y_plus
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(0.5 * (y_minus - y_plus) / denom, -0.5, 0.5))
+    # a cell; exact for any true quadratic triple, 0 for a flat one.  Each
+    # argument is one value or an array of them.
+    denom = np.asarray(y_minus - 2.0 * y_center + y_plus)
+    vertex = np.divide(0.5 * (y_minus - y_plus), denom, out=np.zeros(denom.shape), where=denom != 0)
+    return np.clip(vertex, -0.5, 0.5)
 
 
 # Delay refinement grid points per cell.  A full-bandwidth waveform's peak
@@ -272,59 +297,68 @@ def _refine_kernel(n: int) -> np.ndarray:
     return _read_only(np.ascontiguousarray(_delay_ramp(n, -offsets).T))[0]
 
 
-def estimate_delay(spectrum, peak_cell: int) -> float:
-    """Delay in cells from a correlation peak with sub-cell interpolation.
+def estimate_delay(spectrum, peak_cell) -> float | np.ndarray:
+    """Delay in cells from correlation peaks with sub-cell interpolation.
 
     Parameters
     ----------
-    spectrum : array_like, shape (N,)
-        N-point DFT of one circular correlation profile, as ``cross_spectrum``
-        returns for one frame.
-    peak_cell : int
-        Index of the profile's magnitude maximum.
+    spectrum : array_like, shape (..., N)
+        N-point DFTs of circular correlation profiles, as ``cross_spectrum``
+        returns them, one per frame.
+    peak_cell : int or array_like of int, shape (...)
+        Index of each profile's magnitude maximum; its axes broadcast
+        against the spectra's leading axes.
 
     Returns
     -------
-    float
+    float, or ndarray of the broadcast leading shape
         Grid point + offset, in cells.  The band-limited |zeta(t)| is evaluated
         on a fixed grid of 64 points per cell, from one cell before the peak
         to one cell after it, and a parabola is fitted to the largest grid
         value and its two neighbours; the offset is clamped to half a grid
         step.  The grid comes from a (129, N) kernel cached per N and one
-        N-point phase ramp that shifts the spectrum to the grid start.
+        N-point phase ramp per profile that shifts its spectrum to the grid
+        start, so P profiles cost one (129, N) x (N, P) product.
     """
     spec = np.asarray(spectrum, dtype=complex)
-    if spec.ndim != 1 or spec.size < 3:
-        raise ValueError(f"delay refinement needs a 1-D spectrum of >= 3 cells, got {spec.shape}")
-    n = spec.size
-    start = peak_cell - 1
-    vals = np.abs(_refine_kernel(n) @ (spec * _delay_ramp(n, -start))) / n
-    j = int(np.argmax(vals))
-    j = min(max(j, 1), vals.size - 2)
-    offset = _parabolic_offset(vals[j - 1], vals[j], vals[j + 1])
-    return start + (j + offset) / _REFINE
+    if spec.ndim < 1 or spec.shape[-1] < 3:
+        raise ValueError(f"delay refinement needs spectra of >= 3 cells, got {spec.shape}")
+    n = spec.shape[-1]
+    lead = np.broadcast_shapes(spec.shape[:-1], np.shape(peak_cell))
+    start = np.broadcast_to(np.asarray(peak_cell) - 1, lead)
+    ramp = _delay_ramp(n, -start)  # (N, ...), frequencies first
+    # Each spectrum shifted to its grid start, in the ramp's place.
+    np.multiply(np.moveaxis(np.broadcast_to(spec, lead + (n,)), -1, 0), ramp, out=ramp)
+    vals = np.abs(np.tensordot(_refine_kernel(n), ramp, 1)) / n  # (129, ...)
+    j = np.clip(np.argmax(vals, axis=0), 1, len(vals) - 2)[None]
+    offset = _parabolic_offset(*(np.take_along_axis(vals, j + d, axis=0) for d in (-1, 0, 1)))
+    delay = (start + (j + offset)[0] / _REFINE)[()]
+    return float(delay) if delay.ndim == 0 else delay
 
 
-def estimate_doppler(peak_phases, frame_times) -> float:
+def estimate_doppler(peak_phases, frame_times) -> float | np.ndarray:
     """Doppler from per-frame correlation-peak phases, in cycles per unit of ``frame_times``.
 
-    Unwraps the phases and fits a least-squares line; the slope over 2*pi is
-    the Doppler estimate.  The estimate is unambiguous for
+    ``peak_phases`` is (..., F), one row of F frame phases per estimate.
+    Unwraps each row and fits a least-squares line; the slope over 2*pi is
+    the Doppler estimate, a float for one row and an array of the leading
+    shape for a stack.  The estimate is unambiguous for
     |doppler| < 1/(2 * min frame spacing).
     """
-    phases = np.unwrap(np.asarray(peak_phases, dtype=float))
+    phases = np.unwrap(np.asarray(peak_phases, dtype=float), axis=-1)
     times = np.asarray(frame_times, dtype=float)
-    if phases.size != times.size:
+    if phases.ndim < 1 or phases.shape[-1] != times.size:
         raise ValueError("need one phase per frame time")
-    if phases.size < 2:
+    if times.size < 2:
         raise ValueError("Doppler estimation needs at least two frames")
     t_bar = times.mean()
-    p_bar = phases.mean()
+    p_bar = phases.mean(axis=-1, keepdims=True)
     denom = np.sum((times - t_bar) ** 2)
     if denom == 0:
         raise ValueError("frame times must not be all identical")
-    slope = np.sum((times - t_bar) * (phases - p_bar)) / denom
-    return float(slope / (2.0 * np.pi))
+    slope = np.sum((times - t_bar) * (phases - p_bar), axis=-1) / denom
+    doppler = slope / (2.0 * np.pi)
+    return float(doppler) if doppler.ndim == 0 else doppler
 
 
 def sample_covariance(rx: np.ndarray) -> np.ndarray:
@@ -370,11 +404,11 @@ def music_angles(
 
     Parameters
     ----------
-    cov : ndarray, shape (N_rf, N_rf)
+    cov : ndarray, shape (..., N_rf, N_rf)
         Sample covariance of the reduced receive signal, or any positive
         multiple of it: the noise subspace does not depend on the scale.
-        The radar trial passes a detected cell's unnormalised gated sum
-        sum_f y_f y_f^H.
+        The radar passes each detected cell's unnormalised gated sum
+        sum_f y_f y_f^H, all of a block's cells as one stack.
     rx_matrix : ndarray, shape (N_a, N_rf)
         Reduction matrix U mapping antennas to RF chains.
     num_sources : int
@@ -384,9 +418,11 @@ def music_angles(
 
     Returns
     -------
-    ndarray
-        Up to Q angles in radians, strongest pseudo-spectrum peak first, each
-        refined by parabolic interpolation of the log pseudo-spectrum.
+    ndarray, shape (..., Q)
+        Q angles in radians per covariance, strongest pseudo-spectrum peak
+        first, each refined by parabolic interpolation of the log
+        pseudo-spectrum; NaN where the scan has fewer than Q peaks at least
+        two grid steps apart.
 
     Notes
     -----
@@ -396,46 +432,47 @@ def music_angles(
     produces a spurious peak, because a vanishing manifold vector also has a
     vanishing noise-subspace projection.  The grid, U^H a(phi) and its
     energy depend only on U and the segment, so they are computed once per
-    (U, segment) and shared by every covariance.
+    (U, segment) and shared by every covariance.  A stack takes one stacked
+    ``eigh`` and one stacked product, and its peaks are picked
+    for every covariance at once, strongest first: each pick is the
+    strongest remaining peak, and the peaks closer than two grid steps to
+    it leave the running.
     """
     cov = np.asarray(cov, dtype=complex)
-    n_rf = cov.shape[0]
+    n_rf = cov.shape[-1]
     if num_sources >= n_rf:
         raise ValueError("source count must be smaller than the RF chain count")
+    estimates = np.full(cov.shape[:-2] + (num_sources,), np.nan)
     if num_sources == 0:
-        return np.empty(0, dtype=float)
+        return estimates
     _, vecs = np.linalg.eigh(cov)
-    noise_basis = vecs[:, : n_rf - num_sources]
+    noise_basis = vecs[..., : n_rf - num_sources]
 
     rx = np.asarray(rx_matrix, dtype=complex)
     lo, hi = segment
     grid, beam_manifold, manifold_energy = _music_scan(
         rx.tobytes(), rx.shape, (float(lo), float(hi))
     )
-    proj = np.abs(noise_basis.conj().T @ beam_manifold) ** 2
-    pseudo = manifold_energy / np.maximum(proj.sum(axis=0), 1e-30)
+    proj = np.abs(noise_basis.conj().swapaxes(-1, -2) @ beam_manifold) ** 2
+    pseudo = manifold_energy / np.maximum(proj.sum(axis=-2), 1e-30)
 
     log_p = np.log(pseudo)
-    interior = np.arange(1, grid.size - 1)
-    is_peak = (log_p[interior] > log_p[interior - 1]) & (
-        log_p[interior] >= log_p[interior + 1]
+    open_peaks = np.zeros(log_p.shape, dtype=bool)
+    open_peaks[..., 1:-1] = (log_p[..., 1:-1] > log_p[..., :-2]) & (
+        log_p[..., 1:-1] >= log_p[..., 2:]
     )
-    peak_idx = interior[is_peak]
-    ranked = peak_idx[np.argsort(log_p[peak_idx])[::-1]]
-
     min_sep = 2  # grid cells; peaks closer than this are one source
-    chosen: list[int] = []
-    for idx in ranked:
-        if all(abs(idx - c) >= min_sep for c in chosen):
-            chosen.append(int(idx))
-        if len(chosen) == num_sources:
-            break
-
-    estimates = []
-    for idx in chosen:
-        offset = _parabolic_offset(log_p[idx - 1], log_p[idx], log_p[idx + 1])
-        estimates.append(grid[idx] + offset * _MUSIC_STEP)
-    return np.asarray(estimates, dtype=float)
+    steps = np.arange(grid.size)
+    for q in range(num_sources):
+        idx = np.argmax(np.where(open_peaks, log_p, -np.inf), axis=-1)[..., None]
+        found = np.take_along_axis(open_peaks, idx, axis=-1)[..., 0]
+        offset = _parabolic_offset(
+            *(np.take_along_axis(log_p, np.clip(idx + d, 0, grid.size - 1), axis=-1)
+              for d in (-1, 0, 1))
+        )
+        estimates[..., q] = np.where(found, (grid[idx] + offset * _MUSIC_STEP)[..., 0], np.nan)
+        open_peaks &= np.abs(steps - idx) >= min_sep
+    return estimates
 
 
 @dataclass(frozen=True)

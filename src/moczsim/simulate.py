@@ -79,9 +79,11 @@ _RICIAN_FACTOR = 10.0
 
 # Packets per BER block stream (messages, fade and noise), and per pass
 # through the BER chain, and blocks per BER task; cells per CFAR chunk
-# stream, and chunks per CFAR task.
+# stream, and chunks per CFAR task; radar trials (CPIs) per task, each
+# with its own stream.
 _BER_BLOCK, _BER_TASK = 128, 32
 _CFAR_CHUNK, _CFAR_TASK = 65_536, 16
+_RADAR_BLOCK = 16
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -647,46 +649,58 @@ def run_ber(cfg: SimConfig) -> MonteCarloResult:
     return MonteCarloResult(kind="ber", records=records)
 
 
-def _radar_trial(
-    cfg: SimConfig, bf: Beamformer, task: tuple[int, tuple[TargetSpec, ...], int]
+def _radar_block(
+    cfg: SimConfig, bf: Beamformer, task: tuple[int, tuple[TargetSpec, ...], range]
 ) -> tuple[int, list[dict], list[tuple[float, float, float]]]:
-    """One coherent processing interval: frames, detection, and estimation.
+    """Coherent processing intervals of one sweep point: frames, detection, and estimation.
 
-    ``task`` is (sweep index, the point's target specs, trial index).
+    ``task`` is (sweep index, the point's target specs, trial range), at
+    most ``_RADAR_BLOCK`` trials.  Each trial draws from its own stream, in
+    the order target phases, messages, frame-0 noise and then the gated
+    outputs; everything between the draws runs once for the block: one
+    encode, frame 0's receive, cross-spectra and CFAR as (B, N) rows, and
+    delay refinement, frame 0's values, Doppler and MUSIC as one stack of
+    every detection.  Only ``rest``, each trial's gated draw, runs per trial.
 
     The receiver reads the RF chains of frames 0..F-1 only at the delays
     detected on frame 0's combined row, so ``receive_radar`` draws those
     gated beam outputs after detection, exactly in distribution, and not at
-    all when no cluster matches a target.  The Doppler phases are the
-    combined row's outputs; each detected cell's angle is that of the one
-    source that MUSIC finds in its own covariance, sum_f y_f y_f^H over its
-    F gated outputs y_f, so the receiver reads no ground truth.  Two
-    targets in one cell share that cell and its one angle.
+    all for a trial with no cluster that matches a target.  The Doppler
+    phases are the combined row's outputs; each detected cell's angle is
+    that of the one source that MUSIC finds in its own covariance,
+    sum_f y_f y_f^H over its F gated outputs y_f, so the receiver reads no
+    ground truth.  Two targets in one cell share that cell and its one
+    angle.
 
-    Returns the count of CFAR cells more than two cells from every target,
-    then two lists with one entry per detected target, in target order: the
-    sample record of its strongest cluster within two cells, and its
-    (range, velocity, angle in degrees) errors against its ``TargetSpec``.
-    A missed target is absent.
+    Returns the count of CFAR cells more than two cells from every target
+    over the block's trials; the sample records of its first trial, one per
+    detected target in target order, for its strongest cluster within two
+    cells; and, trial by trial, each detected target's (range, velocity,
+    angle in degrees) errors against its ``TargetSpec``.  A missed target
+    is absent.
     """
-    sweep_idx, specs, trial = task
-    rng = _rng_for(cfg.seed, 3, sweep_idx, trial)
+    sweep_idx, specs, trials = task
     params = cfg.modulation
     link = cfg.link
     n = cfg.frame_len
     n_frames = cfg.schedule.frames_per_cpi
 
-    targets = [
-        RadarTarget.from_geometry(
-            link,
-            spec.range_m,
-            spec.velocity_mps,
-            spec.angle_deg,
-            spec.rcs_dbsm,
-            phase_rad=rng.uniform(0.0, 2.0 * np.pi),
-        )
-        for spec in specs
-    ]
+    rngs = [_rng_for(cfg.seed, 3, sweep_idx, trial) for trial in trials]
+    targets = []
+    msgs = np.empty((len(trials), n_frames, params.num_bits), dtype=np.int8)
+    for rng, trial_msgs in zip(rngs, msgs):
+        targets.append([
+            RadarTarget.from_geometry(
+                link,
+                spec.range_m,
+                spec.velocity_mps,
+                spec.angle_deg,
+                spec.rcs_dbsm,
+                phase_rad=rng.uniform(0.0, 2.0 * np.pi),
+            )
+            for spec in specs
+        ])
+        trial_msgs[...] = rng.integers(0, 2, trial_msgs.shape, dtype=np.int8)
     # EIRP = element power * array gain; scale so the packet's mean sample
     # power at the elements matches the budget.
     amp = math.sqrt(link.eirp_watts / cfg.array.num_antennas * params.seq_len)
@@ -694,64 +708,90 @@ def _radar_trial(
     # Frames carry no pilots or preambles and run back to back, frame f
     # starting at sample f * N.  Only frame 0's profile goes to the CFAR;
     # delay refinement and its Doppler phase read its cross-spectrum.
-    msgs = rng.integers(0, 2, (n_frames, params.num_bits), dtype=np.int8)
-    frames_tx = encode_batch(msgs, params)
+    frames = encode_batch(msgs.reshape(-1, params.num_bits), params)
+    frames = frames.reshape(len(trials), n_frames, params.seq_len)
+    references = frames[:, 0].copy()
+    frames *= amp  # the transmitted frames, in place
     starts = np.arange(n_frames) * n
-    combined, rest = receive_radar(
-        amp * frames_tx, targets, bf, n, starts, link.noise_variance, rng
-    )
-    spectrum = cross_spectrum(frames_tx[0], combined)
+    combined, rests = receive_radar(frames, targets, bf, n, starts, link.noise_variance, rngs)
+    spectra = cross_spectrum(references, combined)
+    # Each block-sized array goes once the next stage has read it, which
+    # keeps a 16-trial block's peak allocation near 1.6 MB.
+    del combined
 
     # Scoring: a cell within two cells of a target's true cell, on the
     # circular frame, belongs to that target; every other CFAR cell is a
     # false alarm.
-    power = np.abs(np.fft.ifft(spectrum)) ** 2
-    cells, thresholds = os_cfar(power, cfg.cfar)
-    peaks = cluster_detections(cells, power, n)
-    true_cells = [round(tg.delay) % n for tg in targets]
+    power = np.abs(np.fft.ifft(spectra))
+    power **= 2
+    hits, thresholds = os_cfar(power, cfg.cfar)
+    rows, hit_cells = np.divmod(hits, n)
+    bounds = np.searchsorted(rows, np.arange(len(trials) + 1))
+    true_cells = [round(tg.delay) % n for tg in targets[0]]
 
     def near(cell: int, true_cell: int) -> bool:
         gap = abs(cell - true_cell)
         return min(gap, n - gap) <= 2
 
-    false_cells = sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
-    matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
-    if not matched:
-        # Nothing to estimate: ``rest`` would make the trial's last draws.
+    false_cells = 0
+    detected = []  # (trial in block, spec, cell, threshold) of each detected target
+    for b in range(len(trials)):
+        cells = hit_cells[bounds[b] : bounds[b + 1]]
+        false_cells += sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
+        peaks = cluster_detections(cells, power[b], n)
+        matched = [c for c in peaks if any(near(c, tc) for tc in true_cells)]
+        for spec, tc in zip(specs, true_cells):
+            best = max(
+                (c for c in matched if near(c, tc)), key=lambda c: power[b, c], default=None
+            )
+            if best is not None:
+                threshold = thresholds[bounds[b] + np.searchsorted(cells, best)]
+                detected.append((b, spec, best, threshold))
+    if not detected:
+        # Nothing to estimate: ``rest`` would make the trials' last draws.
         return false_cells, [], []
-    detected = []  # (spec, cell) of each detected target
-    for spec, tc in zip(specs, true_cells):
-        best = max((c for c in matched if near(c, tc)), key=lambda c: power[c], default=None)
-        if best is not None:
-            detected.append((spec, best))
-    lags = [estimate_delay(spectrum, best) for _, best in detected]
-    # The gated outputs (F, D, N_rf) in Q's basis.  Their kernels are the
-    # transmitted frames amp * x_f, so frame 0's values take the same scale.
-    gated = rest(lags, amp * correlation_value_at(spectrum, lags))
-    phases = np.angle(gated[..., 0])  # (F, D)
+    det_rows = np.array([b for b, *_ in detected])
+    spectra = spectra[det_rows]  # (P, N), one per detection
+    lags = estimate_delay(spectra, [cell for _, _, cell, _ in detected])
+    # The gated outputs (F, D, N_rf) in Q's basis, trial by trial.  Their
+    # kernels are the transmitted frames amp * x_f, so frame 0's values
+    # take the same scale.
+    values = amp * correlation_value_at(spectra, lags[:, None])[:, 0]
+    gated = np.concatenate([
+        rests[b](lags[det_rows == b], values[det_rows == b]).swapaxes(0, 1)
+        for b in sorted(set(det_rows.tolist()))
+    ])  # (P, F, N_rf), detection by detection
+    dopplers = (
+        estimate_doppler(np.angle(gated[..., 0]), starts)
+        if n_frames >= 2
+        else np.full(len(detected), np.nan)
+    )
     beams = gated @ bf.basis.T  # the same outputs in RF-chain coordinates
-    num_sources = min(1, cfg.array.num_rf_chains - 1)
+    angles = music_angles(
+        beams.swapaxes(-1, -2) @ beams.conj(),
+        bf.rx_matrix,
+        min(1, cfg.array.num_rf_chains - 1),
+        cfg.schedule.segment,
+    )
+    angles = angles[:, 0] if angles.shape[-1] else np.full(len(detected), np.nan)
 
     m_per_sample = SPEED_OF_LIGHT * link.sample_period / 2.0
     mps_per_cycle = SPEED_OF_LIGHT / (2.0 * link.carrier_hz * link.sample_period)
     unambiguous_m = n * m_per_sample
     samples, errors = [], []
-    for j, ((spec, best), lag) in enumerate(zip(detected, lags)):
-        doppler_hat = estimate_doppler(phases[:, j], starts) if n_frames >= 2 else float("nan")
-        cell = beams[:, j]
-        angles = music_angles(
-            cell.T @ cell.conj(), bf.rx_matrix, num_sources, cfg.schedule.segment
-        )
-        angle_hat = float(angles[0]) if angles.size else float("nan")
+    for (b, spec, best, threshold), lag, doppler_hat, angle_hat in zip(
+        detected, lags.tolist(), dopplers.tolist(), angles.tolist()
+    ):
         sample = {
             "cell": best,
             "range_m": lag * m_per_sample,
             "velocity_mps": doppler_hat * mps_per_cycle,
             "angle_deg": math.degrees(angle_hat),
-            "statistic": float(power[best]),
-            "threshold": float(thresholds[np.searchsorted(cells, best)]),
+            "statistic": float(power[b, best]),
+            "threshold": float(threshold),
         }
-        samples.append(sample)
+        if b == 0:
+            samples.append(sample)
         # Delays wrap on the frame, so score the range error modulo the
         # unambiguous range, in [-1/2, 1/2) of it.
         range_err = sample["range_m"] - spec.range_m
@@ -776,9 +816,15 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     over the CPI.  A CPI draws frame 0's combined row, then, after
     detection, every frame's RF-chain outputs at the detected delays.  One
     record per sweep point; with no range_grid_m configured there is a
-    single point at the scenario ranges.  Each (sweep point, trial) pair is
-    one worker task, over all points at once.  A frame too short for the
-    transmit sequence raises ValueError before any draw.
+    single point at the scenario ranges.  Each record carries 95 % Wilson
+    intervals for its detection rate (over trials x targets) and its
+    false-alarm rate (over the scanned cells, trials x frame_len).
+
+    A worker task (``_radar_block``) is a block of up to 16 consecutive
+    trials of one sweep point (``_RADAR_BLOCK``, the last block of a point
+    shorter), over all points at once.  Each trial keeps its own stream,
+    so the block size changes no draw.  A frame too short for the transmit
+    sequence raises ValueError before any draw.
     """
     # Only the radar reads frame_len against the codeword.
     if cfg.frame_len < cfg.modulation.seq_len:
@@ -788,29 +834,40 @@ def run_radar(cfg: SimConfig) -> MonteCarloResult:
     # The transmit beam and the receive beams are fixed by the scanned segment.
     bf = make_beamformers(cfg.schedule.segment, cfg.array)
 
-    tasks = [(i, point, trial) for i, point in enumerate(sweep) for trial in range(cfg.trials)]
-    results = _parallel_map(partial(_radar_trial, cfg, bf), tasks)
+    blocks = _split(cfg.trials, _RADAR_BLOCK)
+    tasks = [(i, point, trials) for i, point in enumerate(sweep) for trials in blocks]
+    results = _parallel_map(partial(_radar_block, cfg, bf), tasks)
     records = []
     sample_detections: list[list[dict]] = []
     for sweep_idx, point_specs in enumerate(sweep):
-        trials = results[sweep_idx * cfg.trials : (sweep_idx + 1) * cfg.trials]
-        sample_detections.append(trials[0][1])
-        errors = [e for _, _, trial_errors in trials for e in trial_errors]
+        point = results[sweep_idx * len(blocks) : (sweep_idx + 1) * len(blocks)]
+        sample_detections.append(point[0][1])
+        errors = [e for _, _, block_errors in point for e in block_errors]
 
         def rmse(column: int) -> float:
             # hypot, since a square of a finite error may overflow.
             col = [e[column] for e in errors if not math.isnan(e[column])]
             return math.hypot(*col) / math.sqrt(len(col)) if col else float("nan")
 
+        detection_low, detection_high = _wilson_interval(
+            len(errors), cfg.trials * len(point_specs)
+        )
+        false_cells = sum(f for f, _, _ in point)
+        cells = cfg.trials * cfg.frame_len
+        false_alarm_low, false_alarm_high = _wilson_interval(false_cells, cells)
         records.append({
             "range_m": float(point_specs[0].range_m) if point_specs else float("nan"),
             "detection_rate": (
                 len(errors) / (cfg.trials * len(point_specs)) if point_specs else 0.0
             ),
+            "detection_ci_low": detection_low,
+            "detection_ci_high": detection_high,
             "rmse_range_m": rmse(0),
             "rmse_velocity_mps": rmse(1),
             "rmse_angle_deg": rmse(2),
-            "false_alarm_rate": sum(f for f, _, _ in trials) / (cfg.trials * cfg.frame_len),
+            "false_alarm_rate": false_cells / cells,
+            "false_alarm_ci_low": false_alarm_low,
+            "false_alarm_ci_high": false_alarm_high,
             "trials": cfg.trials,
         })
     extra = {"sample_detections": sample_detections}
@@ -821,8 +878,12 @@ def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate.
 
     With no hits it is [0, z**2 / (trials + z**2)], and mirrored with every
-    trial a hit; those closed-form ends are returned exactly.
+    trial a hit; those closed-form ends are returned exactly.  With no
+    trials, as at a sweep point without targets, nothing bounds the rate,
+    and the interval is [0, 1].
     """
+    if trials == 0:
+        return 0.0, 1.0
     z = 1.96
     z2 = z * z
     center = (hits + z2 / 2.0) / (trials + z2)

@@ -13,10 +13,21 @@ from moczsim.channel import apply_radar_channel, awgn
 from moczsim.radar import correlation_value_at, cross_spectrum
 
 
-def receive_radar(samples, targets, bf, frame_len, start, noise_variance, rng):
-    """``(combined row of frame 0, rest)`` of the noisy (F, N_rf, N) block,
-    with the arguments and results of ``channel.receive_radar``; ``rest``
-    reads frame 0's row 0 off the block too, not from its ``values``."""
+def receive_radar(samples, targets, bf, frame_len, start, noise_variance, rngs):
+    """``(combined rows of frame 0, rests)`` of B trials' noisy (F, N_rf, N)
+    blocks, with the arguments and results of ``channel.receive_radar``:
+    each trial is received on its own, as a block of one."""
+    trials = [
+        receive_trial(x, trial_targets, bf, frame_len, start, noise_variance, rng)
+        for x, trial_targets, rng in zip(samples, targets, rngs)
+    ]
+    return np.stack([combined for combined, _ in trials]), [rest for _, rest in trials]
+
+
+def receive_trial(samples, targets, bf, frame_len, start, noise_variance, rng):
+    """``(combined row of frame 0, rest)`` of one trial's noisy (F, N_rf, N)
+    block; ``rest`` reads frame 0's row 0 off the block too, not from its
+    ``values``."""
     rx = apply_radar_channel(samples, targets, bf, frame_len, start)
     rx = bf.basis.conj().T @ np.stack([awgn(f, noise_variance, rng) for f in rx])
 

@@ -1,6 +1,7 @@
 """The BER chain's caller-supplied buffers: each kernel's ``out=`` result is
 bitwise the allocating result, and the call allocates less than a quarter of
 the block it reads or writes, beyond the screen's indices of the open bits.
+And the radar's working set: one block of CPIs stays within a fixed bound.
 
 The buffers are views of flat arrays, as ``run_ber`` carves them from its
 per-task set.  The sizes are one whole block and a short block (100 rows),
@@ -9,18 +10,30 @@ the last block of a run whose trials are not a multiple of the block, and
 pass: the bounds hold at any row count.
 """
 
+import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moczsim import ModulationParams, awgn, dizet_decode_batch, encode_batch, eval_on_zero_grid
+from moczsim import (
+    ModulationParams,
+    awgn,
+    dizet_decode_batch,
+    encode_batch,
+    eval_on_zero_grid,
+    load_config,
+    make_beamformers,
+)
 from moczsim.simulate import (
     _BER_BLOCK,
+    _RADAR_BLOCK,
     _bit_errors,
     _bit_table,
     _clean_logs,
+    _radar_block,
     _fade_batch,
     _rows,
     _screened_errors,
@@ -193,3 +206,22 @@ def test_grid_into_out_is_the_allocating_grid(n):
     out = np.full((3, 31), np.nan, dtype=complex)
     assert eval_on_zero_grid(y, 1.1, 31, out=out) is out
     assert same(out, eval_on_zero_grid(y, 1.1, 31))
+
+
+SCENE = Path(__file__).resolve().parent.parent / "configs" / "scene.json"
+
+
+@pytest.mark.parametrize("range_m", [30.0, 120.0, 200.0])
+def test_radar_block_peak_allocation(range_m):
+    # One full block of configs/scene.json CPIs (16 trials of 16 frames):
+    # its frames, frame 0's (B, N) receive, spectra and CFAR, the stacked
+    # estimators and each trial's gated draw stay within 2 MB traced, at a
+    # range where every CPI detects, about half, and almost none.  The
+    # caches are filled by a first call.
+    assert _RADAR_BLOCK == 16
+    cfg = load_config(SCENE)
+    bf = make_beamformers(cfg.schedule.segment, cfg.array)
+    point = (dataclasses.replace(cfg.targets[0], range_m=range_m),)
+    task = (0, point, range(_RADAR_BLOCK))
+    _radar_block(cfg, bf, task)
+    assert peak_bytes(lambda: _radar_block(cfg, bf, task)) <= 2_000_000

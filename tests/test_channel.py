@@ -318,6 +318,21 @@ class TestNoise:
         )
         assert np.array_equal(awgn(x, 1.0, np.random.default_rng(11)), want)
 
+    def test_one_generator_per_row_draws_each_row_as_alone(self):
+        # A block of rows, each drawing from its own generator: row r is
+        # bitwise the call on row r alone with its generator, and each
+        # generator ends where that call leaves it.
+        x = np.arange(3 * 2 * 8).reshape(3, 2, 8) * (1.0 + 0.5j)
+        seeds = [5, 6, 7]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        got = awgn(x, 0.3, rngs)
+        for row, seed, rng in zip(range(3), seeds, rngs):
+            alone = np.random.default_rng(seed)
+            assert got[row].tobytes() == awgn(x[row], 0.3, alone).tobytes()
+            assert rng.bit_generator.state == alone.bit_generator.state
+        with pytest.raises(ValueError):
+            awgn(x, 0.3, rngs[:2])
+
     def test_rician_factor_controls_power_split(self):
         taps = _fade_taps("rician_selective", 40_000, np.random.default_rng(10))
         power = np.abs(taps) ** 2

@@ -207,8 +207,9 @@ class TestExperimentCommands:
         capsys.readouterr()
         rows = (out / "radar.csv").read_text().strip().splitlines()
         assert rows[0] == (
-            "range_m,detection_rate,rmse_range_m,rmse_velocity_mps,rmse_angle_deg,"
-            "false_alarm_rate,trials"
+            "range_m,detection_rate,detection_ci_low,detection_ci_high,rmse_range_m,"
+            "rmse_velocity_mps,rmse_angle_deg,false_alarm_rate,false_alarm_ci_low,"
+            "false_alarm_ci_high,trials"
         )
         assert len(rows) == 2
         summary = json.loads((out / "radar_summary.json").read_text())

@@ -369,3 +369,13 @@ class TestCsv:
             sequence_from_csv("not,a,number\n")
         with pytest.raises(ValueError):
             sequence_from_csv("")
+
+
+def test_block_of_cpis_encodes_as_each_cpi_alone():
+    # The radar encodes a block of B CPIs of F frames as one (B*F, K) call;
+    # every CPI's rows are bitwise its own (F, K) call.
+    p = ModulationParams(127)
+    msgs = np.random.default_rng(38).integers(0, 2, (16, 16, 127), dtype=np.int8)
+    block = encode_batch(msgs.reshape(-1, 127), p).reshape(16, 16, 128)
+    for cpi, rows in zip(msgs, block):
+        assert rows.tobytes() == encode_batch(cpi, p).tobytes()

@@ -345,10 +345,40 @@ class TestOsCfar:
         want = _stage_two_share(cfg)
         assert abs(share - want) < 5 * math.sqrt(want * (1 - want) / n)
 
-    @pytest.mark.parametrize("shape", [(4, 64), (64, 1), ()])
-    def test_non_1d_profile_raises_naming_the_shape(self, shape):
-        with pytest.raises(ValueError, match=re.escape(str(shape))):
-            os_cfar(np.ones(shape), CfarConfig(window=4, guard=1, os_rank=5))
+    def test_zero_d_power_raises_naming_the_shape(self):
+        with pytest.raises(ValueError, match=re.escape("shape ()")):
+            os_cfar(np.ones(()), CfarConfig(window=4, guard=1, os_rank=5))
+
+    def test_stack_of_one_cell_frames_is_too_short(self):
+        # A (64, 1) array is 64 frames of one cell each, not one frame.
+        with pytest.raises(ValueError, match="frame of 1 cells"):
+            os_cfar(np.ones((64, 1)), CfarConfig(window=4, guard=1, os_rank=5))
+
+    # (window, guard, rank, pfa): the default two-stage count, and one pass
+    # over all 2*window references (rank at most the window).
+    @pytest.mark.parametrize("window, guard, rank, pfa", [(12, 2, 18, 1e-4), (4, 1, 3, 1e-2)])
+    @pytest.mark.parametrize("shape", [(5, 64), (2, 3, 64), (1, 1024)])
+    def test_stack_equals_per_row_calls_bitwise(self, window, guard, rank, pfa, shape):
+        # Noise rows with targets planted at both ends of each frame, so
+        # detections and their references cross the wrap, and one row
+        # without any; each row's cells and thresholds are bitwise those of
+        # a call on the row alone.
+        cfg = CfarConfig(window=window, guard=guard, os_rank=rank, pfa=pfa)
+        rng = np.random.default_rng(len(shape) * window)
+        power = rng.standard_exponential(shape)
+        power[..., [0, 1, -1]] *= 1e3
+        if power.size > shape[-1]:
+            power.reshape(-1, shape[-1])[-1] = 1.0
+        cells, thresholds = os_cfar(power, cfg)
+        assert np.all(np.diff(cells) > 0)
+        rows, row_cells = np.divmod(cells, shape[-1])
+        for r, row in enumerate(power.reshape(-1, shape[-1])):
+            want_cells, want_thresholds = os_cfar(row, cfg)
+            assert np.array_equal(row_cells[rows == r], want_cells)
+            assert thresholds[rows == r].tobytes() == want_thresholds.tobytes()
+        assert {0, shape[-1] - 1} <= set(row_cells.tolist())
+        if power.size > shape[-1]:
+            assert rows[-1] < power.size // shape[-1] - 1
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_complex_profile_raises_naming_its_dtype(self, dtype):
@@ -447,12 +477,37 @@ class TestDelayEstimation:
             assert abs(got - want) <= 1e-12
         assert {0, n - 1} <= set(peaks)
 
-    def test_non_1d_spectrum_raises_naming_its_shape(self):
-        block = np.ones((6, 64), dtype=complex)
-        with pytest.raises(ValueError, match=re.escape("got (6, 64)")):
-            estimate_delay(block, 10)
+    def test_short_or_0d_spectrum_raises_naming_its_shape(self):
         with pytest.raises(ValueError, match=re.escape("got (2,)")):
             estimate_delay(np.ones(2), 0)
+        with pytest.raises(ValueError, match=re.escape("got (6, 2)")):
+            estimate_delay(np.ones((6, 2)), [0] * 6)
+        with pytest.raises(ValueError, match=re.escape("got ()")):
+            estimate_delay(np.ones(()), 0)
+
+    def test_stack_equals_per_row_calls(self):
+        # Each spectrum of a (P, N) stack at its own peak cell, cells 0 and
+        # N - 1 included, and a (2, 3, N) stack at one cell for every row.
+        rng = np.random.default_rng(17)
+        n = 256
+        x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        shifts = [0.2, n - 0.8, 17.45, 120.9, 201.5]
+        spectra = np.stack([
+            cross_spectrum(x, fractional_delay(x, shift, n)
+                           + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+            for shift in shifts
+        ])
+        peaks = np.argmax(np.abs(np.fft.ifft(spectra, axis=-1)), axis=-1)
+        assert {0, n - 1} <= set(peaks.tolist())
+        got = estimate_delay(spectra, peaks)
+        assert got.shape == (len(shifts),)
+        for row, peak, value in zip(spectra, peaks.tolist(), got):
+            assert abs(value - estimate_delay(row, peak)) <= 1e-12 * n
+        block = spectra[:3][None].repeat(2, axis=0)
+        got = estimate_delay(block, 17)
+        assert got.shape == (2, 3)
+        for j in range(3):
+            assert abs(got[1, j] - estimate_delay(spectra[j], 17)) <= 1e-12 * n
 
     def test_refinement_kernel_is_read_only(self):
         kernel = _refine_kernel(32)
@@ -492,6 +547,20 @@ class TestDelayEstimation:
         assert rows.shape == (6,)
         assert np.array_equal(rows, correlation_value_at(block, 5.5))
 
+    def test_lag_stack_reads_each_spectrum_at_its_own_lags(self):
+        # (P, 1) lags read spectrum p at lag p alone; (P, D) lags at D each.
+        rng = np.random.default_rng(16)
+        block = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+        lags = rng.uniform(-64, 128, (5, 3))
+        one = correlation_value_at(block, lags[:, :1])
+        many = correlation_value_at(block, lags)
+        assert one.shape == (5, 1) and many.shape == (5, 3)
+        for j in range(5):
+            row = correlation_value_at(block[j], lags[j])
+            scale = np.max(np.abs(row))
+            assert np.max(np.abs(many[j] - row)) <= 1e-12 * scale
+            assert abs(one[j, 0] - row[0]) <= 1e-12 * scale
+
     @pytest.mark.parametrize("n", [7, 64, 1024])
     def test_shift_exponentials_equal_the_explicit_forms_bitwise(self, n):
         # Both read channel's delay ramp at the negated shift; the values
@@ -530,6 +599,21 @@ class TestDopplerEstimation:
     def test_too_few_frames_raise(self):
         with pytest.raises(ValueError):
             estimate_doppler([0.1], [0.0])
+
+    def test_stack_equals_per_row_calls(self):
+        # Rows of wrapped phases at several Dopplers, one beyond a cycle
+        # per frame; a (2, 3, F) stack gives a (2, 3) result.
+        times = np.arange(16) * 1e-3
+        rng = np.random.default_rng(18)
+        dopplers = rng.uniform(-600.0, 600.0, (2, 3))
+        phases = np.angle(np.exp(2j * np.pi * (dopplers[..., None] * times + rng.uniform(size=(2, 3, 1)))))
+        phases += 0.1 * rng.standard_normal(phases.shape)
+        got = estimate_doppler(phases, times)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            want = estimate_doppler(phases[idx], times)
+            assert isinstance(want, float)
+            assert abs(got[idx] - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 class TestCovariance:
@@ -650,6 +734,34 @@ class TestMusic:
     def test_zero_sources_gives_empty(self):
         cov = np.eye(4, dtype=complex)
         assert music_angles(cov, self.bf.rx_matrix, 0, self.segment).size == 0
+        assert music_angles(np.stack([cov] * 3), self.bf.rx_matrix, 0, self.segment).shape == (3, 0)
+
+    @pytest.mark.parametrize("num_sources", [1, 2, 3])
+    def test_stack_equals_per_covariance_calls(self, num_sources):
+        # One stacked eigh and scan for a (2, 5) stack of covariances, each
+        # row's angles those of a call on its covariance alone.
+        rng = np.random.default_rng(num_sources)
+        a = rng.standard_normal((2, 5, 4, 4)) + 1j * rng.standard_normal((2, 5, 4, 4))
+        covs = a @ a.conj().swapaxes(-1, -2)
+        got = music_angles(covs, self.bf.rx_matrix, num_sources, self.segment)
+        assert got.shape == (2, 5, num_sources)
+        for idx in np.ndindex(2, 5):
+            want = music_angles(covs[idx], self.bf.rx_matrix, num_sources, self.segment)
+            np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-12)
+
+    def test_fewer_peaks_than_sources_read_nan(self):
+        # One noiseless source at 2 degrees, scanned for three: the
+        # pseudo-spectrum over the segment has two peaks, so the third
+        # place is NaN, in a stack as alone.
+        b = self.bf.rx_matrix.conj().T @ steering(np.radians(2.0), 64)
+        cov = np.outer(b, b.conj())
+        one = music_angles(cov, self.bf.rx_matrix, 3, self.segment)
+        assert one.shape == (3,)
+        assert np.degrees(one[0]) == pytest.approx(2.0, abs=0.1)
+        assert np.isfinite(one[1]) and np.isnan(one[2])
+        stack = music_angles(np.stack([np.eye(4, dtype=complex), cov]), self.bf.rx_matrix, 3,
+                             self.segment)
+        assert stack[1].tobytes() == one.tobytes()
 
     def test_too_many_sources_raise(self):
         with pytest.raises(ValueError):
@@ -665,6 +777,8 @@ class TestMusic:
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             cov = a @ a.conj().T
             want = uncached_music_angles(cov, rx, num_sources, segment)
+            # Fewer peaks than sources: the places left over read NaN.
+            want = np.concatenate([want, np.full(num_sources - want.size, np.nan)])
             for _ in range(2):  # the first call may fill the cache, the second reads it
                 got = music_angles(cov, rx, num_sources, segment)
                 assert got.tobytes() == want.tobytes()

@@ -38,10 +38,11 @@ DRAWS = 2500
 
 
 def receive(fn, targets, noise_variance, rng, lags, tx=TX, frame_len=FRAME_LEN):
-    """Frame 0's combined row and the (F, D, N_rf) gated outputs, frame 0's
-    row 0 read off the combined row as ``simulate`` reads it."""
+    """Frame 0's combined row and the (F, D, N_rf) gated outputs of one
+    trial, received as a block of one, frame 0's row 0 read off the
+    combined row as ``simulate`` reads it."""
     starts = np.arange(len(tx)) * frame_len
-    combined, rest = fn(tx, targets, BF, frame_len, starts, noise_variance, rng)
+    [combined], [rest] = fn(tx[None], [targets], BF, frame_len, starts, noise_variance, [rng])
     return combined, rest(lags, correlation_value_at(cross_spectrum(tx[0], combined), lags))
 
 
@@ -81,8 +82,8 @@ def test_frame_zero_row_zero_is_the_passed_values(lags):
     # With noise too, rest writes the receiver's own frame-0 values in row 0
     # unchanged, so the Doppler phases and the CFAR read one draw.
     starts = np.arange(FRAMES) * FRAME_LEN
-    args = (TX, [TARGET], BF, FRAME_LEN, starts, 1.0)
-    combined, rest = receive_radar(*args, np.random.default_rng(5))
+    args = (TX[None], [[TARGET]], BF, FRAME_LEN, starts, 1.0)
+    [combined], [rest] = receive_radar(*args, [np.random.default_rng(5)])
     values = correlation_value_at(cross_spectrum(TX[0], combined), lags)
     gated = rest(lags, values)
     assert gated.shape == (FRAMES, len(lags), 4)
@@ -214,3 +215,36 @@ def test_noiseless_receive_equals_the_full_block_at_scene_size(case):
     got = receive(receive_radar, [target], 0.0, np.random.default_rng(1), lags, tx, frame_len)
     want = receive(radar_oracle.receive_radar, [target], 0.0, None, lags, tx, frame_len)
     assert_gated_equal(got, want, lags, frames)
+
+
+def test_block_rows_equal_blocks_of_one():
+    # Three trials whose targets differ in their gains, with noise: each
+    # trial's combined row and gated outputs are those of the trial received
+    # alone, from the same generator, since every draw stays per trial.
+    gains = [0.4 - 0.3j, -0.1 + 0.7j, 0.25j]
+    tx = np.stack([TX, 0.5 * TX, TX[::-1]])
+    targets = [[RadarTarget(g, TARGET.angle_rad, TARGET.delay, TARGET.doppler)] for g in gains]
+    starts = np.arange(FRAMES) * FRAME_LEN
+    combined, rests = receive_radar(
+        tx, targets, BF, FRAME_LEN, starts, 1.0, [np.random.default_rng([9, b]) for b in range(3)]
+    )
+    assert combined.shape == (3, FRAME_LEN) and len(rests) == 3
+    for b in range(3):
+        [alone], [rest] = receive_radar(
+            tx[b][None], [targets[b]], BF, FRAME_LEN, starts, 1.0, [np.random.default_rng([9, b])]
+        )
+        scale = np.max(np.abs(alone))
+        assert np.max(np.abs(combined[b] - alone)) <= 1e-12 * scale
+        values = correlation_value_at(cross_spectrum(tx[b][0], alone), [LAG])
+        want = rest([LAG], values)
+        got = rests[b]([LAG], values)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_block_trials_must_share_the_targets_geometry():
+    moved = RadarTarget(TARGET.gain, TARGET.angle_rad, TARGET.delay + 1.0, TARGET.doppler)
+    with pytest.raises(ValueError, match="share"):
+        receive_radar(
+            np.stack([TX, TX]), [[TARGET], [moved]], BF, FRAME_LEN,
+            np.arange(FRAMES) * FRAME_LEN, 1.0, [np.random.default_rng(b) for b in range(2)],
+        )

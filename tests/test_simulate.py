@@ -892,7 +892,8 @@ class TestRunRadar:
         music = simulate.music_angles
 
         def counting_music(cov, rx_matrix, num_sources, segment):
-            sources.append(num_sources)
+            # One stacked call per block: one entry per covariance.
+            sources.extend([num_sources] * math.prod(np.shape(cov)[:-2]))
             return music(cov, rx_matrix, num_sources, segment)
 
         monkeypatch.setattr(simulate, "music_angles", counting_music)
@@ -927,15 +928,18 @@ class TestRunRadar:
         passed = []
 
         def checked(*args):
-            combined, rest = radar_oracle.receive_radar(*args)
+            combined, rests = radar_oracle.receive_radar(*args)
 
-            def checked_rest(lags, values):
-                gated = rest(lags, values)
-                np.testing.assert_allclose(values, gated[0, :, 0], rtol=1e-9, atol=0)
-                passed.append(len(lags))
-                return gated
+            def checked_rest(rest):
+                def wrapped(lags, values):
+                    gated = rest(lags, values)
+                    np.testing.assert_allclose(values, gated[0, :, 0], rtol=1e-9, atol=0)
+                    passed.append(len(lags))
+                    return gated
 
-            return combined, checked_rest
+                return wrapped
+
+            return combined, [checked_rest(rest) for rest in rests]
 
         monkeypatch.setattr(simulate, "receive_radar", checked)
         cfg = dataclasses.replace(load_config(SCENE), trials=3, range_grid_m=(60.0,))
@@ -1004,7 +1008,8 @@ class TestRunRadar:
         cells = np.array([3, 4, 512, 1023])
 
         def planted(power, config):
-            power[cells] = [5.0, 1.0, 2.0, 9.0]
+            # One trial: a (1, N) stack, whose flat indices are its cells.
+            power.reshape(-1)[cells] = [5.0, 1.0, 2.0, 9.0]
             return cells, np.array([1.5, 0.5, 2.5, 3.5])
 
         monkeypatch.setattr(simulate, "os_cfar", planted)
@@ -1264,11 +1269,78 @@ class TestRadarRegression:
         assert len(grams) == 16
 
     def test_worker_count_does_not_change_radar_output(self, monkeypatch):
-        cfg = dataclasses.replace(self.scene(), trials=3)
+        # One trial past a block: a full block and a one-trial block a point.
+        cfg = dataclasses.replace(self.scene(), trials=simulate._RADAR_BLOCK + 1)
         monkeypatch.setenv("MOCZSIM_THREADS", "1")
         base = run_radar(cfg)
         monkeypatch.setenv("MOCZSIM_THREADS", "2")
         assert run_radar(cfg).to_json() == base.to_json()
+
+
+class TestRadarBlocks:
+    def test_block_size_changes_no_draw(self, monkeypatch):
+        # Two full blocks and one trial a point, against one trial a block:
+        # every trial keeps its stream, so the rates, the counts and the
+        # sample cells are equal, and the estimates agree to rounding.
+        cfg = dataclasses.replace(load_config(SCENE), trials=2 * simulate._RADAR_BLOCK + 1)
+        blocked = run_radar(cfg)
+        monkeypatch.setattr(simulate, "_RADAR_BLOCK", 1)
+        single = run_radar(cfg)
+        for got, want in zip(blocked.records, single.records):
+            for key, value in want.items():
+                if key.startswith("rmse") and not math.isnan(value):
+                    assert got[key] == pytest.approx(value, rel=1e-12, abs=0)
+                else:
+                    assert got[key] == value or (math.isnan(got[key]) and math.isnan(value))
+        for got, want in zip(blocked.extra["sample_detections"], single.extra["sample_detections"]):
+            assert [d["cell"] for d in got] == [d["cell"] for d in want]
+            for d, e in zip(got, want):
+                for key in ("range_m", "velocity_mps", "angle_deg", "statistic", "threshold"):
+                    assert d[key] == pytest.approx(e[key], rel=1e-12, abs=1e-12)
+
+    def test_intervals_are_the_closed_forms(self):
+        # configs/scene.json at 6 trials (REDUCED_SCENE_RECORDS): detection
+        # in all, 4 and none of the CPIs at 30, 120 and 200 m; no false
+        # cell at 120 m, some at 30 m.  Each interval is the 95 % Wilson
+        # interval in closed form: [0, z^2/(n + z^2)] with no hits,
+        # [n/(n + z^2), 1] with all, center -+ half between.
+        records = run_radar(dataclasses.replace(load_config(SCENE), trials=6)).records
+        z2 = 1.96**2
+
+        def closed_form(hits, n):
+            if hits == 0:
+                return 0.0, z2 / (n + z2)
+            if hits == n:
+                return n / (n + z2), 1.0
+            center = (hits + z2 / 2) / (n + z2)
+            half = math.sqrt(z2) / (n + z2) * math.sqrt(hits * (n - hits) / n + z2 / 4)
+            return center - half, center + half
+
+        by_range = {rec["range_m"]: rec for rec in records}
+        for range_m, hits in ((30.0, 6), (120.0, 4), (200.0, 0)):
+            rec = by_range[range_m]
+            assert rec["detection_rate"] == hits / 6
+            low, high = closed_form(hits, 6)
+            assert rec["detection_ci_low"] == pytest.approx(low, rel=1e-12, abs=0)
+            assert rec["detection_ci_high"] == pytest.approx(high, rel=1e-12, abs=0)
+        cells = 6 * 1024
+        for range_m in (30.0, 120.0):
+            rec = by_range[range_m]
+            hits = round(rec["false_alarm_rate"] * cells)
+            assert (hits == 0) == (range_m == 120.0)
+            low, high = closed_form(hits, cells)
+            assert rec["false_alarm_ci_low"] == pytest.approx(low, rel=1e-12, abs=0)
+            assert rec["false_alarm_ci_high"] == pytest.approx(high, rel=1e-12, abs=0)
+            assert rec["false_alarm_ci_low"] <= rec["false_alarm_rate"] < rec["false_alarm_ci_high"]
+
+    def test_no_target_point_has_an_unbounded_detection_interval(self):
+        # No targets, no detection trials: nothing bounds the rate.
+        cfg = dataclasses.replace(
+            load_config(SCENE), trials=2, targets=(), range_grid_m=()
+        )
+        rec = run_radar(cfg).records[0]
+        assert rec["detection_rate"] == 0.0
+        assert (rec["detection_ci_low"], rec["detection_ci_high"]) == (0.0, 1.0)
 
 
 class TestWorkers:
@@ -1291,10 +1363,11 @@ def plan_cases():
     """(run function, config, task function, its tasks) of each driver.
 
     8193 packets are 65 BER blocks, tasks of 32, 32 and 1; 33 CFAR chunks
-    are tasks of 16, 16 and 1; the scene's four range points at two trials
-    are eight radar tasks, one per (point, trial) pair, point by point.
+    are tasks of 16, 16 and 1; the scene's four range points at 17 trials
+    are eight radar tasks, (point, trial range) blocks of 16 and 1, point
+    by point.
     """
-    scene = dataclasses.replace(load_config(SCENE), trials=2)
+    scene = dataclasses.replace(load_config(SCENE), trials=17)
     points = [(dataclasses.replace(scene.targets[0], range_m=r),) for r in scene.range_grid_m]
     return {
         "ber": (
@@ -1307,7 +1380,8 @@ def plan_cases():
         ),
         "radar": (
             run_radar, scene,
-            simulate._radar_trial, [(i, p, t) for i, p in enumerate(points) for t in range(2)],
+            simulate._radar_block,
+            [(i, p, trials) for i, p in enumerate(points) for trials in (range(16), range(16, 17))],
         ),
     }
 
