@@ -287,13 +287,24 @@ def apply_radar_channel(samples, targets, bf: Beamformer, frame_len: int, start=
     return np.swapaxes(_target_gains([targets], bf, start)[0], -1, -2) @ delayed
 
 
-@lru_cache(maxsize=4)
-def _circulant_index(n: int, length: int) -> np.ndarray:
-    # (length, length) indices (j - i) mod n: g[index] is the transposed
-    # top-left block of the n x n circulant of g, so x @ g[index] is the
-    # circular convolution of g with x zero-padded to n, read at 0..length-1.
-    i = np.arange(length)
-    return _read_only((i[None, :] - i[:, None]) % n)[0]
+def _lag_size(length: int) -> int:
+    # The least power of two M >= 2 L - 1: M points hold every lag
+    # -(L-1)..L-1 between two codewords of L samples without aliasing.
+    return 1 << (2 * length - 2).bit_length()
+
+
+def _lag_spectrum(kernels, length: int) -> np.ndarray:
+    """The (..., M) ``ifft_M`` of the circular ``kernels`` (..., n) read at
+    the lags d = -(L-1)..L-1 (mod n), lag d placed at d mod M, M =
+    ``_lag_size(length)``: for codewords u, x of L samples,
+    sum_{m, m'} u[m] kernel[(m - m') mod n] x[m'] is
+    sum_k fft_M(u) conj(fft_M(conj x)) times it."""
+    n = kernels.shape[-1]
+    m = _lag_size(length)
+    window = np.zeros(kernels.shape[:-1] + (m,), dtype=complex)
+    window[..., :length] = kernels[..., :length]
+    window[..., m - length + 1 :] = kernels[..., n - length + 1 :]
+    return np.fft.ifft(window, axis=-1, out=window)
 
 
 @lru_cache(maxsize=8)
@@ -302,117 +313,170 @@ def _gram_side(n: int, length: int, shift_samples: float, delta: float):
     # samples, for a column a at shift_samples and a column b whose Doppler
     # is delta / (2 pi) cycles per sample above a's: with alpha[q] =
     # e^{i delta q} conj(h_a[q]), the spectrum conj(fft(conj(alpha))), the
-    # transposed wrap matrix alpha[n - (m - j)] (1 <= m - j < length), the
-    # ramp e^{i delta m} (m < length) and the wrap jump e^{-i delta n} - 1.
+    # M-point spectrum conj(fft_M(conj(beta))) of its wrap tail beta[s] =
+    # alpha[n - s] (1 <= s < length), the ramp e^{i delta m} on m < length,
+    # zero on the rest of the M points, and the wrap jump e^{-i delta n} - 1.
     ramp = np.exp(1j * delta * np.arange(n))
     alpha = ramp * np.conj(np.fft.ifft(_delay_ramp(n, shift_samples)))
     spectrum = np.conj(np.fft.fft(np.conj(alpha)))
-    wrap = np.triu(alpha[_circulant_index(n, length).T], 1)
+    tail = np.zeros(_lag_size(length), dtype=complex)
+    tail[1:length] = np.conj(alpha[n - 1 : n - length : -1])
+    head = np.zeros_like(tail)
+    head[:length] = ramp[:length]
     jump = complex(np.exp(-1j * delta * n) - 1.0)
-    return (*_read_only(spectrum, wrap, ramp[:length].copy()), jump)
+    return (*_read_only(spectrum, np.conj(np.fft.fft(tail)), head), jump)
 
 
 def _codeword_gram(x, n: int, targets, lags) -> np.ndarray:
-    """The (F, C, C) Gram A_f^H A_f of the C = T + D columns u_c of each frame,
-    computed from the (F, L) codewords ``x`` alone.
+    """The (B, F, C, C) Grams A_f^H A_f of the C = T + D columns u_c of
+    every frame of B trials, computed from their (B, F, L) codewords ``x``
+    alone.
 
     The columns are the T targets' delayed, Doppler-ramped waveforms on
-    frames of n samples, then the D kernels (the codeword delayed by each
-    of ``lags``): u_c[k] = e^{2i pi nu_c k} (h_c * x_f)[k] with h_c the
-    circular band-limited delay by s_c and nu_c the Doppler in cycles per
-    sample (0 for a kernel).  For a < b, with Delta = 2 pi (nu_b - nu_a) and alpha as in
-    ``_gram_side``, G[a, b] = sum_m conj(x[m]) e^{i Delta m} (sum_m'
-    g[(m - m') mod n] x[m'] + (e^{-i Delta n} - 1) sum_{s=1}^m alpha[n - s]
-    k[m - s]), where g = ifft(H_b conj(fft(conj alpha))) and k = h_b * x
-    read at 0..L-1; the second term is the Doppler ramp's jump where the
-    circular delay wraps past sample n - 1.  The diagonal is ||x_f||^2, as
-    a band-limited circular delay is unitary.  What depends only on the
-    targets is cached; the lags are not.
+    frames of n samples, then a trial's D kernels (its codeword delayed by
+    each of its ``lags``, (B, D)): u_c[k] = e^{2i pi nu_c k} (h_c * x_f)[k]
+    with h_c the circular band-limited delay by s_c and nu_c the Doppler in
+    cycles per sample (0 for a kernel).  An entry is the codeword's
+    aperiodic autocorrelation, Doppler-shifted and read through a
+    band-limited kernel, so it is formed in the lag domain.  For a < b,
+    with Delta = 2 pi (nu_b - nu_a), u[m] = conj(x_f[m]) e^{i Delta m},
+    M = ``_lag_size(L)`` and alpha as in ``_gram_side``,
+    G_f[a, b] = sum_k U X~ g_ab + (e^{-i Delta n} - 1) sum_k W X~ k_b,
+    where U = fft_M(u), X~ = conj(fft_M(conj x_f)), W = fft_M(w) with
+    w[j] = sum_{s>=1} u[j + s] alpha[n - s] (j < L), and g_ab and k_b are
+    the ``_lag_spectrum`` of ifft(H_b conj(fft(conj alpha))) and of h_b.
+    The second term is the Doppler ramp's jump where the circular delay
+    wraps past sample n - 1; it vanishes when Delta = 0.  The diagonal is
+    ||x_f||^2, as a band-limited circular delay is unitary.  What depends
+    only on the targets is cached; the lags are not.
     """
     length = x.shape[-1]
-    shifts = [tg.delay for tg in targets] + list(lags)
-    cycles = [tg.doppler for tg in targets] + [0.0] * len(lags)
-    spectra = [_target_ramps(n, tg.delay, tg.doppler)[0] for tg in targets]
-    spectra += [_delay_ramp(n, lag) for lag in lags]
-    index = _circulant_index(n, length)
-    size = len(shifts)
+    m = _lag_size(length)
+    t = len(targets)
+    size = t + lags.shape[-1]
+    spectra = np.empty((len(x), size, n), dtype=complex)  # every column's H_c
+    for q, tg in enumerate(targets):
+        spectra[:, q] = _target_ramps(n, tg.delay, tg.doppler)[0]
+    spectra[:, t:] = np.moveaxis(_delay_ramp(n, lags), 0, -1)
+    cycles = [tg.doppler for tg in targets] + [0.0] * (size - t)
     gram = np.empty(x.shape[:-1] + (size, size), dtype=complex)
-    gram[..., range(size), range(size)] = np.einsum("fm,fm->f", x.conj(), x).real[:, None]
-    heads = {}  # column b: x delayed by s_b, read at 0..L-1, once a wrap term needs it
-    for b in range(1, size):
-        for a in range(b):
-            if a < len(targets):
-                side, wrap, ramp, jump = _gram_side(
-                    n, length, shifts[a], 2.0 * np.pi * (cycles[b] - cycles[a])
-                )
+    gram[..., range(size), range(size)] = np.einsum("...m,...m->...", x.conj(), x).real[..., None]
+    # X~ and U in two M-point buffers, each transformed in place.
+    xt = np.zeros(x.shape[:-1] + (m,), dtype=complex)
+    xt[..., :length] = x
+    np.fft.fft(np.conj(xt, out=xt), out=xt)
+    np.conj(xt, out=xt)
+    u = np.empty_like(xt)
+    for a in range(size - 1):
+        # The columns b > a, in runs of one Doppler above a's: each later
+        # target alone, then the kernels.
+        runs = [slice(b, b + 1) for b in range(a + 1, t)] + [slice(max(a + 1, t), size)]
+        for cols in runs:
+            if cols.start == cols.stop:
+                continue
+            if a < t:
+                delta = 2.0 * np.pi * (cycles[cols.start] - cycles[a])
+                side, tail, ramp, jump = _gram_side(n, length, targets[a].delay, delta)
+                u[..., :length] = x
+                u[..., length:] = 0.0
+                np.conj(u, out=u)
+                u *= ramp
+                np.fft.fft(u, out=u)
             else:  # two kernels: no Doppler between them
-                side, wrap, ramp, jump = spectra[a].conj(), None, 1.0, 0.0
-            inner = x @ np.fft.ifft(spectra[b] * side)[index]
+                side, jump = spectra[:, a, None].conj(), 0.0
+                np.conj(xt, out=u)
+            kernels = _lag_spectrum(np.fft.ifft(spectra[:, cols] * side), length)
+            block = np.einsum("...fk,...fk,...ck->...fc", xt, u, kernels)
             if jump != 0:
-                if b not in heads:
-                    heads[b] = x @ np.fft.ifft(spectra[b])[index]
-                inner += jump * (heads[b] @ wrap)
-            gram[..., a, b] = np.einsum("fm,fm->f", x.conj() * ramp, inner)
-            gram[..., b, a] = gram[..., a, b].conj()
+                # W X~ in U's buffer: w is the head of ifft_M(U tail).
+                u *= tail
+                np.fft.ifft(u, out=u)[..., length:] = 0.0
+                np.fft.fft(u, out=u)
+                u *= xt
+                heads = _lag_spectrum(np.fft.ifft(spectra[:, cols]), length)
+                block += jump * (u @ heads.swapaxes(-1, -2))
+            gram[..., a, cols] = block
+            gram[..., cols, a] = block.conj()
     return gram
 
 
-def receive_radar(samples, targets, bf: Beamformer, frame_len, start, noise_variance, rngs):
-    """What the receiver reads of the RF-chain blocks y = S + W of B trials' (F, L) frames.
+def receive_radar(
+    first, later, targets, bf: Beamformer, frame_len, start, noise_variance, rngs, chunk
+):
+    """What the receiver reads of the RF-chain blocks y = S + W of B trials' CPIs of F frames.
 
-    ``samples`` is (B, F, L), one CPI per trial, and ``targets`` B sequences
-    of the trials' targets, which differ only in their gains; ``bf``,
-    ``frame_len`` and the (F,) frame ``start`` are those of
-    ``apply_radar_channel``, then s2 = ``noise_variance`` of W and ``rngs``,
-    one generator per trial, from which that trial's W is drawn.  Returns
-    the trials' frame-0 combined rows c^H y_0 (B, N) and, per trial, a
-    ``rest(lags, values)`` to call once after detection on its row.
-    ``rest`` returns the gated beam outputs, the (F, D, N_rf) values
-    <(Q^H y_f)_i, k_fj> of every row i of every frame f in the basis
-    Q = [c, B] at D ``lags`` (k_fj: frame f of the trial's ``samples``
-    delayed by lag j, as ``correlation_value_at`` reads it off the
+    ``first`` is the (B, L) transmitted frame 0 of each trial and
+    ``later(trials)`` the (R, F - 1, L) frames 1..F-1 of the R block rows
+    ``trials``; ``targets`` is B sequences of the trials' targets, which
+    differ only in their gains; ``bf``, ``frame_len`` and the (F,) frame
+    ``start`` are those of ``apply_radar_channel``, then s2 =
+    ``noise_variance`` of W and ``rngs``, one generator per trial, from
+    which that trial's W is drawn; ``chunk`` is the trials per Gram pass.
+    Returns the trials' frame-0 combined rows c^H y_0 (B, N) and
+    ``draw(rows, lags, values)``, to call once after detection on all of
+    them.  ``draw`` returns the gated beam outputs (P, F, N_rf) of P
+    detections, each the block row ``rows[p]`` and refined lag ``lags[p]``:
+    the values <(Q^H y_f)_i, k_f> of every row i of every frame f in the
+    basis Q = [c, B] (k_f: frame f of the trial's transmitted frames
+    delayed by the lag, as ``correlation_value_at`` reads it off the
     cross-spectrum), exactly in distribution; frame 0's row 0 is
-    ``values``, the (D,) values that the receiver read off the combined row.
+    ``values[p]``, the value that the receiver read off the combined row.
+
     The combined rows are formed for the whole block at once, and each
     trial's noise is drawn from its own generator, as for a block of one.
     Each target's signal is rank one per frame, so the rows of frame f are
     drawn as their coordinates on a basis of span{T waveforms, D kernels
-    k_fj}: the projected signal plus CN(0, s2) noise.  The lags depend only
-    on frame 0's row 0, whose noise is independent of every other row's,
-    so the draw stays exact.  No frame forms its waveforms or spectra:
-    ``_codeword_gram`` gives the Gram G_f of each span from the codeword,
-    and R_f = diag(sqrt(max(lambda, 0))) V^H from its eigendecomposition,
-    with R_f^H R_f = G_f, stands for the triangular factor, so the draw
-    stays exact also when a span has lower rank.
+    k_fj} of the trial's D detections: the projected signal plus CN(0, s2)
+    noise.  The lags depend only on frame 0's row 0, whose noise is
+    independent of every other row's, so the draw stays exact.  ``draw``
+    reads ``later`` once, for the trials in ``rows`` alone, and forms no
+    waveform or spectrum of a frame: ``_codeword_gram`` gives the Gram G_f
+    of each span from the codewords, ``chunk`` trials of one detection
+    count at a time, and R_f = diag(sqrt(lambda)) V^H from one stacked
+    eigendecomposition, with R_f^H R_f = G_f, stands for the triangular
+    factor.  Eigenvalues within rounding of zero (at most C eps lambda_max)
+    are zero, so the draw stays exact also when a span has lower rank.
     """
-    x = np.asarray(samples, dtype=complex)
+    first = np.asarray(first, dtype=complex)
     n = int(frame_len)
     geometry = [(tg.angle_rad, tg.delay, tg.doppler) for tg in targets[0]]
     if any([(tg.angle_rad, tg.delay, tg.doppler) for tg in trial] != geometry for trial in targets):
         raise ValueError("the trials of a block must share each target's angle, delay and Doppler")
-    start = np.broadcast_to(np.asarray(start, dtype=float), x.shape[1:-1])
+    start = np.asarray(start, dtype=float)
     coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (B, F, T, N_rf): Q^H of gains
     # Frame 0's (B, T, N) waveforms, released once their combination is formed.
-    signal = coords[:, :1, :, 0] @ _delayed_waveforms(_padded_spectrum(x[:, 0], n), targets[0])
+    signal = coords[:, :1, :, 0] @ _delayed_waveforms(_padded_spectrum(first, n), targets[0])
     combined = awgn(signal[:, 0], noise_variance, rngs)
+    t = len(targets[0])
 
-    def rest_of(x, trial_targets, coords, rng):
-        def rest(lags, values):
-            """The (F, D, N_rf) gated outputs, every frame drawn on R_f, an
-            eigen-factor of its codeword-domain Gram, then frame 0's row 0
-            set to ``values``."""
-            lags = np.asarray(lags, dtype=float)
-            lam, vecs = np.linalg.eigh(_codeword_gram(x, n, trial_targets, lags))
-            r = np.sqrt(np.maximum(lam, 0.0))[..., None] * vecs.conj().swapaxes(-1, -2)
-            t = len(trial_targets)
-            rows = awgn(r[..., :t] @ coords, noise_variance, rng)  # all rows on E_f
-            gated = r[..., t:].conj().swapaxes(-1, -2) @ rows
-            gated[0, :, 0] = values
-            return gated
+    def draw(rows, lags, values):
+        rows = np.asarray(rows, dtype=int)
+        lags = np.asarray(lags, dtype=float)
+        values = np.asarray(values, dtype=complex)
+        counts = np.bincount(rows)
+        trials = np.flatnonzero(counts)  # the block rows that reach the draw
+        counts = counts[trials]
+        frames = later(trials)
+        gated = np.empty((len(rows), len(start), bf.basis.shape[0]), dtype=complex)
+        for d in sorted(set(counts.tolist())):  # the trials with d detections
+            group = np.flatnonzero(counts == d)
+            members = trials[group]
+            dets = np.array([np.flatnonzero(rows == b) for b in members])  # (G, d)
+            gram = np.empty((len(group), len(start), t + d, t + d), dtype=complex)
+            for i in range(0, len(group), chunk):
+                part = slice(i, i + chunk)
+                x = np.concatenate([first[members[part], None], frames[group[part]]], axis=1)
+                gram[part] = _codeword_gram(x, n, targets[0], lags[dets[part]])
+            lam, vecs = np.linalg.eigh(gram)
+            lam[lam <= (t + d) * np.finfo(float).eps * lam[..., -1:]] = 0.0
+            r = np.sqrt(lam)[..., None] * vecs.conj().swapaxes(-1, -2)
+            noisy = awgn(r[..., :t] @ coords[members], noise_variance, [rngs[b] for b in members])
+            out = r[..., t:].conj().swapaxes(-1, -2) @ noisy  # (G, F, d, N_rf)
+            out[:, 0, :, 0] = values[dets]
+            gated[dets] = out.swapaxes(1, 2)
+        return gated
 
-        return rest
-
-    return combined, [rest_of(*trial) for trial in zip(x, targets, coords, rngs)]
+    return combined, draw
 
 
 def awgn(samples, noise_variance: float, rng) -> np.ndarray:

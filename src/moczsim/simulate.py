@@ -80,10 +80,14 @@ _RICIAN_FACTOR = 10.0
 # Packets per BER block stream (messages, fade and noise), and per pass
 # through the BER chain, and blocks per BER task; cells per CFAR chunk
 # stream, and chunks per CFAR task; radar trials (CPIs) per task, each
-# with its own stream.
+# with its own stream, and trials per Gram pass of the block's gated draw.
+# 16 one-detection scene.json Grams (2-core Xeon, 1 thread, best of 15)
+# took 4.2 ms one trial a pass, 3.3 ms two, 3.1 ms four, 3.2 ms eight and
+# 3.6 ms all 16, whose (16, 16, 256) spectra spill L2; a 16-trial block
+# at 30 m peaks at 0.95, 1.67 and 4.36 MB traced at one, four and 16.
 _BER_BLOCK, _BER_TASK = 128, 32
 _CFAR_CHUNK, _CFAR_TASK = 65_536, 16
-_RADAR_BLOCK = 16
+_RADAR_BLOCK, _GRAM_CHUNK = 16, 4
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -657,15 +661,17 @@ def _radar_block(
     ``task`` is (sweep index, the point's target specs, trial range), at
     most ``_RADAR_BLOCK`` trials.  Each trial draws from its own stream, in
     the order target phases, messages, frame-0 noise and then the gated
-    outputs; everything between the draws runs once for the block: one
-    encode, frame 0's receive, cross-spectra and CFAR as (B, N) rows, and
-    delay refinement, frame 0's values, Doppler and MUSIC as one stack of
-    every detection.  Only ``rest``, each trial's gated draw, runs per trial.
+    outputs; everything between the draws runs once for the block: frame
+    0's encode, receive, cross-spectra and CFAR as (B, N) rows, and delay
+    refinement, frame 0's values, Doppler and MUSIC as one stack of every
+    detection.
 
     The receiver reads the RF chains of frames 0..F-1 only at the delays
     detected on frame 0's combined row, so ``receive_radar`` draws those
-    gated beam outputs after detection, exactly in distribution, and not at
-    all for a trial with no cluster that matches a target.  The Doppler
+    gated beam outputs after detection, exactly in distribution, in one
+    draw for the block, ``_GRAM_CHUNK`` trials a Gram pass, and not at all
+    for a trial with no cluster that matches a target: only the trials
+    that reach the draw encode frames 1..F-1.  The Doppler
     phases are the combined row's outputs; each detected cell's angle is
     that of the one source that MUSIC finds in its own covariance,
     sum_f y_f y_f^H over its F gated outputs y_f, so the receiver reads no
@@ -708,15 +714,21 @@ def _radar_block(
     # Frames carry no pilots or preambles and run back to back, frame f
     # starting at sample f * N.  Only frame 0's profile goes to the CFAR;
     # delay refinement and its Doppler phase read its cross-spectrum.
-    frames = encode_batch(msgs.reshape(-1, params.num_bits), params)
-    frames = frames.reshape(len(trials), n_frames, params.seq_len)
-    references = frames[:, 0].copy()
-    frames *= amp  # the transmitted frames, in place
+    # Frames 1..F-1 are encoded only for the trials that reach the gated draw.
+    references = encode_batch(msgs[:, 0], params)
     starts = np.arange(n_frames) * n
-    combined, rests = receive_radar(frames, targets, bf, n, starts, link.noise_variance, rngs)
+
+    def later(rows):
+        frames = encode_batch(msgs[rows, 1:].reshape(-1, params.num_bits), params)
+        frames *= amp  # the transmitted frames, in place
+        return frames.reshape(len(rows), n_frames - 1, params.seq_len)
+
+    combined, draw = receive_radar(
+        amp * references, later, targets, bf, n, starts, link.noise_variance, rngs, _GRAM_CHUNK
+    )
     spectra = cross_spectrum(references, combined)
     # Each block-sized array goes once the next stage has read it, which
-    # keeps a 16-trial block's peak allocation near 1.6 MB.
+    # keeps a 16-trial block's peak allocation near 1.7 MB.
     del combined
 
     # Scoring: a cell within two cells of a target's true cell, on the
@@ -734,7 +746,7 @@ def _radar_block(
         return min(gap, n - gap) <= 2
 
     false_cells = 0
-    detected = []  # (trial in block, spec, cell, threshold) of each detected target
+    detected = []  # (trial in block, spec, cell, statistic, threshold) of each detected target
     for b in range(len(trials)):
         cells = hit_cells[bounds[b] : bounds[b + 1]]
         false_cells += sum(not any(near(c, tc) for tc in true_cells) for c in cells.tolist())
@@ -746,21 +758,20 @@ def _radar_block(
             )
             if best is not None:
                 threshold = thresholds[bounds[b] + np.searchsorted(cells, best)]
-                detected.append((b, spec, best, threshold))
+                detected.append((b, spec, best, float(power[b, best]), float(threshold)))
+    del power
     if not detected:
-        # Nothing to estimate: ``rest`` would make the trials' last draws.
+        # Nothing to estimate: the gated draw would make the trials' last draws.
         return false_cells, [], []
     det_rows = np.array([b for b, *_ in detected])
     spectra = spectra[det_rows]  # (P, N), one per detection
-    lags = estimate_delay(spectra, [cell for _, _, cell, _ in detected])
-    # The gated outputs (F, D, N_rf) in Q's basis, trial by trial.  Their
-    # kernels are the transmitted frames amp * x_f, so frame 0's values
-    # take the same scale.
+    lags = estimate_delay(spectra, [cell for _, _, cell, *_ in detected])
+    # The gated outputs (P, F, N_rf) in Q's basis, detection by detection.
+    # Their kernels are the transmitted frames amp * x_f, so frame 0's
+    # values take the same scale.
     values = amp * correlation_value_at(spectra, lags[:, None])[:, 0]
-    gated = np.concatenate([
-        rests[b](lags[det_rows == b], values[det_rows == b]).swapaxes(0, 1)
-        for b in sorted(set(det_rows.tolist()))
-    ])  # (P, F, N_rf), detection by detection
+    del spectra
+    gated = draw(det_rows, lags, values)
     dopplers = (
         estimate_doppler(np.angle(gated[..., 0]), starts)
         if n_frames >= 2
@@ -779,7 +790,7 @@ def _radar_block(
     mps_per_cycle = SPEED_OF_LIGHT / (2.0 * link.carrier_hz * link.sample_period)
     unambiguous_m = n * m_per_sample
     samples, errors = [], []
-    for (b, spec, best, threshold), lag, doppler_hat, angle_hat in zip(
+    for (b, spec, best, statistic, threshold), lag, doppler_hat, angle_hat in zip(
         detected, lags.tolist(), dopplers.tolist(), angles.tolist()
     ):
         sample = {
@@ -787,8 +798,8 @@ def _radar_block(
             "range_m": lag * m_per_sample,
             "velocity_mps": doppler_hat * mps_per_cycle,
             "angle_deg": math.degrees(angle_hat),
-            "statistic": float(power[b, best]),
-            "threshold": float(threshold),
+            "statistic": statistic,
+            "threshold": threshold,
         }
         if b == 0:
             samples.append(sample)

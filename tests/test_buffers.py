@@ -215,8 +215,9 @@ SCENE = Path(__file__).resolve().parent.parent / "configs" / "scene.json"
 def test_radar_block_peak_allocation(range_m):
     # One full block of configs/scene.json CPIs (16 trials of 16 frames):
     # its frames, frame 0's (B, N) receive, spectra and CFAR, the stacked
-    # estimators and each trial's gated draw stay within 2 MB traced, at a
-    # range where every CPI detects, about half, and almost none.  The
+    # estimators and the block's gated draw (the later frames of the trials
+    # that reach it, and each Gram pass's spectra) stay within 2 MB traced,
+    # at a range where every CPI detects, about half, and almost none.  The
     # caches are filled by a first call.
     assert _RADAR_BLOCK == 16
     cfg = load_config(SCENE)

@@ -25,6 +25,7 @@ from moczsim import (
     radar_gain,
     steering,
 )
+from moczsim.channel import _codeword_gram
 from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch, _fade_taps
 from fade_oracle import fade_samples
 
@@ -283,6 +284,61 @@ class TestRadarChannel:
         fields = {"gain": 1.0, "angle_rad": 0.0, "delay": 0.0, "doppler": 0.0}
         with pytest.raises(ValueError, match=field.split("_")[0]):
             RadarTarget(**{**fields, field: value})
+
+
+def gram_oracle(x, n, targets, lags):
+    """A_f^H A_f of every frame of B trials' (B, F, L) codewords ``x``, each
+    column formed at n samples: the targets' delayed, Doppler-ramped
+    waveforms s[k - tau] e^{2i pi nu k}, as ``apply_radar_channel`` forms
+    them, then each trial's codeword delayed by each of its (B, D) lags."""
+    ramp = np.exp(2j * np.pi * np.multiply.outer([tg.doppler for tg in targets], np.arange(n)))
+    columns = [fractional_delay(x, tg.delay, n) * r for tg, r in zip(targets, ramp)]
+    columns += [
+        np.stack([fractional_delay(frames, lag, n) for frames, lag in zip(x, trial_lags)])
+        for trial_lags in np.transpose(lags)
+    ]
+    a = np.stack(columns, axis=-1)  # (B, F, n, C)
+    return a.conj().swapaxes(-1, -2) @ a
+
+
+def gram_target(delay, doppler):
+    return RadarTarget(gain=1.0, angle_rad=0.0, delay=delay, doppler=doppler)
+
+
+# (K, frame_len, frames, targets, (B, D) lags), delays and lags in samples.
+GRAM_CASES = {
+    # The delayed codeword runs past sample N-1 and wraps, where the Doppler
+    # ramp jumps; one lag is negative, one beyond the frame, one wraps too.
+    "wrap-under-doppler": (
+        127, 1024, 3, [gram_target(1000.7, -2e-3)], [[-0.4, 1024 + 6.2], [40.0, 1000.9]]
+    ),
+    # L = N, so lags -(L-1)..L-1 alias modulo N.
+    "frame-is-codeword": (127, 128, 2, [gram_target(40.3, 2e-3)], [[40.1], [127.6]]),
+    "one-frame": (127, 1024, 1, [gram_target(40.3, 6e-5)], [[40.33], [39.0]]),
+    "two-dopplers": (
+        127, 1024, 2, [gram_target(40.3, 6e-5), gram_target(90.7, -2e-3)], [[40.33, 90.6]]
+    ),
+    # Two detections in one cell: the span has lower rank.
+    "one-lag-twice": (127, 1024, 2, [gram_target(40.3, 6e-5)], [[40.33, 40.33]]),
+    "no-lag": (127, 1024, 2, [gram_target(40.3, 6e-5)], np.zeros((2, 0))),
+    # M = 16 = N: the lag window covers the frame but for one lag.
+    "short-frame": (
+        7, 16, 3, [gram_target(3.4, 0.02), gram_target(14.4, -0.03)], [[3.1, 15.0], [9.0, 9.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_codeword_gram_equals_the_gram_of_the_formed_columns(case):
+    k, n, frames, targets, lags = GRAM_CASES[case]
+    lags = np.asarray(lags, dtype=float)
+    rng = np.random.default_rng(len(case))
+    msgs = rng.integers(0, 2, (len(lags) * frames, k), dtype=np.int8)
+    x = 6.0 * encode_batch(msgs, ModulationParams(k)).reshape(len(lags), frames, k + 1)
+    got = _codeword_gram(x, n, targets, lags)
+    want = gram_oracle(x, n, targets, lags)
+    assert got.shape == want.shape == (len(lags), frames) + (len(targets) + lags.shape[1],) * 2
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestNoise:

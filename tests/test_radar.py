@@ -30,7 +30,7 @@ from moczsim import (
     sample_covariance,
     steering,
 )
-from moczsim.channel import _circulant_index, _gram_side, _target_ramps
+from moczsim.channel import _gram_side, _target_ramps
 from moczsim.huffman import _log_basis
 from moczsim.radar import (
     _STAGE_TWO_SHARE,
@@ -835,7 +835,6 @@ CACHED_TABLES = {
     "_music_scan": lambda: _music_scan(_RX.tobytes(), _RX.shape, (-0.5, 0.5)),
     "_target_ramps": lambda: _target_ramps(64, 3.25, 1e-5),
     "_gram_side": lambda: _gram_side(64, 16, 3.25, 0.01),
-    "_circulant_index": lambda: _circulant_index(64, 16),
 }
 
 

@@ -21,6 +21,7 @@ from moczsim import ArrayConfig, ModulationParams, RadarTarget, cross_spectrum, 
 from moczsim import correlation_value_at
 from moczsim import make_beamformers
 from moczsim.channel import receive_radar
+from moczsim.simulate import _GRAM_CHUNK, _RADAR_BLOCK
 
 FRAMES, FRAME_LEN, K = 3, 16, 7
 BF = make_beamformers((-0.3, 0.3), ArrayConfig(8, 4))
@@ -42,8 +43,16 @@ def receive(fn, targets, noise_variance, rng, lags, tx=TX, frame_len=FRAME_LEN):
     trial, received as a block of one, frame 0's row 0 read off the
     combined row as ``simulate`` reads it."""
     starts = np.arange(len(tx)) * frame_len
-    [combined], [rest] = fn(tx[None], [targets], BF, frame_len, starts, noise_variance, [rng])
-    return combined, rest(lags, correlation_value_at(cross_spectrum(tx[0], combined), lags))
+    [combined], draw = fn(
+        tx[None, 0], later_of(tx[None]), [targets], BF, frame_len, starts, noise_variance, [rng], 1
+    )
+    values = correlation_value_at(cross_spectrum(tx[0], combined), lags)
+    return combined, draw(np.zeros(len(lags), dtype=int), lags, values).swapaxes(0, 1)
+
+
+def later_of(tx):
+    """The ``later`` of ``receive_radar`` for the (B, F, L) frames ``tx``."""
+    return lambda rows: tx[rows, 1:]
 
 
 LAG_CASES = [[], [LAG], [LAG, 9.0], [LAG, LAG]]
@@ -79,15 +88,15 @@ def test_noiseless_receive_equals_the_full_block(targets, lags):
 
 @pytest.mark.parametrize("lags", LAG_CASES, ids=LAG_IDS)
 def test_frame_zero_row_zero_is_the_passed_values(lags):
-    # With noise too, rest writes the receiver's own frame-0 values in row 0
-    # unchanged, so the Doppler phases and the CFAR read one draw.
+    # With noise too, the draw writes the receiver's own frame-0 values in
+    # row 0 unchanged, so the Doppler phases and the CFAR read one draw.
     starts = np.arange(FRAMES) * FRAME_LEN
-    args = (TX[None], [[TARGET]], BF, FRAME_LEN, starts, 1.0)
-    [combined], [rest] = receive_radar(*args, [np.random.default_rng(5)])
+    args = (TX[None, 0], later_of(TX[None]), [[TARGET]], BF, FRAME_LEN, starts, 1.0)
+    [combined], draw = receive_radar(*args, [np.random.default_rng(5)], 1)
     values = correlation_value_at(cross_spectrum(TX[0], combined), lags)
-    gated = rest(lags, values)
-    assert gated.shape == (FRAMES, len(lags), 4)
-    assert gated[0, :, 0].tobytes() == np.asarray(values, dtype=complex).tobytes()
+    gated = draw(np.zeros(len(lags), dtype=int), lags, values)
+    assert gated.shape == (len(lags), FRAMES, 4)
+    assert gated[:, 0, 0].tobytes() == np.asarray(values, dtype=complex).tobytes()
 
 
 def test_one_cell_twice_draws_one_value():
@@ -225,26 +234,77 @@ def test_block_rows_equal_blocks_of_one():
     tx = np.stack([TX, 0.5 * TX, TX[::-1]])
     targets = [[RadarTarget(g, TARGET.angle_rad, TARGET.delay, TARGET.doppler)] for g in gains]
     starts = np.arange(FRAMES) * FRAME_LEN
-    combined, rests = receive_radar(
-        tx, targets, BF, FRAME_LEN, starts, 1.0, [np.random.default_rng([9, b]) for b in range(3)]
+    combined, draw = receive_radar(
+        tx[:, 0], later_of(tx), targets, BF, FRAME_LEN, starts, 1.0,
+        [np.random.default_rng([9, b]) for b in range(3)], 2,
     )
-    assert combined.shape == (3, FRAME_LEN) and len(rests) == 3
+    assert combined.shape == (3, FRAME_LEN)
+    values = correlation_value_at(cross_spectrum(tx[:, 0], combined), [[LAG]])[:, 0]
+    got = draw(range(3), [LAG] * 3, values)
     for b in range(3):
-        [alone], [rest] = receive_radar(
-            tx[b][None], [targets[b]], BF, FRAME_LEN, starts, 1.0, [np.random.default_rng([9, b])]
+        [alone], alone_draw = receive_radar(
+            tx[b, None, 0], later_of(tx[b, None]), [targets[b]], BF, FRAME_LEN, starts, 1.0,
+            [np.random.default_rng([9, b])], 1,
         )
         scale = np.max(np.abs(alone))
         assert np.max(np.abs(combined[b] - alone)) <= 1e-12 * scale
-        values = correlation_value_at(cross_spectrum(tx[b][0], alone), [LAG])
-        want = rest([LAG], values)
-        got = rests[b]([LAG], values)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = alone_draw([0], [LAG], values[b, None])
+        assert np.max(np.abs(got[b] - want[0])) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_two_target_block_equals_blocks_of_one():
+    # Two targets of different Doppler, and three trials that detect 0, 1
+    # and 2 of them: the block groups its trials by detection count, yet
+    # each trial's gated outputs are those of the trial received alone, and
+    # the trials per Gram pass change no output bit.  Only the trials that
+    # reach the draw have their later frames read.
+    second = RadarTarget(gain=0.2j, angle_rad=-0.1, delay=9.6, doppler=-0.03)
+    gains = [(0.4 - 0.3j, 0.2j), (-0.1 + 0.7j, 0.5), (0.25j, -0.3 + 0.1j)]
+    tx = np.stack([TX, 0.5 * TX, TX[::-1]])
+    targets = [
+        [RadarTarget(g, tg.angle_rad, tg.delay, tg.doppler) for g, tg in zip(pair, geometry)]
+        for pair, geometry in zip(gains, [[TARGET, second]] * 3)
+    ]
+    starts = np.arange(FRAMES) * FRAME_LEN
+    rows, lags = np.array([1, 2, 2]), np.array([LAG, LAG, 9.4])
+
+    def block(chunk):
+        read = []
+
+        def later(trials):
+            read.append(list(trials))
+            return tx[trials, 1:]
+
+        rngs = [np.random.default_rng([11, b]) for b in range(3)]
+        combined, draw = receive_radar(
+            tx[:, 0], later, targets, BF, FRAME_LEN, starts, 1.0, rngs, chunk
+        )
+        values = correlation_value_at(cross_spectrum(tx[rows, 0], combined[rows]), lags[:, None])
+        assert read == []
+        gated = draw(rows, lags, values[:, 0])
+        assert read == [[1, 2]]
+        return combined, values[:, 0], gated
+
+    combined, values, gated = block(_GRAM_CHUNK)
+    assert gated.shape == (3, FRAMES, 4)
+    for chunk in (1, _RADAR_BLOCK):
+        assert block(chunk)[2].tobytes() == gated.tobytes()
+    for b in (1, 2):
+        mine = rows == b
+        [alone], draw = receive_radar(
+            tx[b, None, 0], later_of(tx[b, None]), [targets[b]], BF, FRAME_LEN, starts, 1.0,
+            [np.random.default_rng([11, b])], 1,
+        )
+        assert np.max(np.abs(combined[b] - alone)) <= 1e-12 * np.max(np.abs(alone))
+        want = draw(np.zeros(mine.sum(), dtype=int), lags[mine], values[mine])
+        assert np.max(np.abs(gated[mine] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_block_trials_must_share_the_targets_geometry():
     moved = RadarTarget(TARGET.gain, TARGET.angle_rad, TARGET.delay + 1.0, TARGET.doppler)
     with pytest.raises(ValueError, match="share"):
         receive_radar(
-            np.stack([TX, TX]), [[TARGET], [moved]], BF, FRAME_LEN,
-            np.arange(FRAMES) * FRAME_LEN, 1.0, [np.random.default_rng(b) for b in range(2)],
+            np.stack([TX[0], TX[0]]), later_of(np.stack([TX, TX])), [[TARGET], [moved]], BF,
+            FRAME_LEN, np.arange(FRAMES) * FRAME_LEN, 1.0,
+            [np.random.default_rng(b) for b in range(2)], 1,
         )

@@ -922,29 +922,26 @@ class TestRunRadar:
         assert rec["rmse_angle_deg"] < 0.1
 
     def test_frame_zero_values_are_the_combined_rows_gated_outputs(self, monkeypatch):
-        # The receiver passes its frame-0 correlation values to rest; the
-        # full block's own gated outputs of row 0 must equal them, scale
-        # included, or MUSIC would read frame 0 off the others' direction.
+        # The receiver passes its frame-0 correlation values to the gated
+        # draw; the full block's own gated outputs of row 0 must equal them,
+        # scale included, or MUSIC would read frame 0 off the others' direction.
         passed = []
 
         def checked(*args):
-            combined, rests = radar_oracle.receive_radar(*args)
+            combined, draw = radar_oracle.receive_radar(*args)
 
-            def checked_rest(rest):
-                def wrapped(lags, values):
-                    gated = rest(lags, values)
-                    np.testing.assert_allclose(values, gated[0, :, 0], rtol=1e-9, atol=0)
-                    passed.append(len(lags))
-                    return gated
+            def wrapped(rows, lags, values):
+                gated = draw(rows, lags, values)
+                np.testing.assert_allclose(values, gated[:, 0, 0], rtol=1e-9, atol=0)
+                passed.extend(np.asarray(rows).tolist())
+                return gated
 
-                return wrapped
-
-            return combined, [checked_rest(rest) for rest in rests]
+            return combined, wrapped
 
         monkeypatch.setattr(simulate, "receive_radar", checked)
         cfg = dataclasses.replace(load_config(SCENE), trials=3, range_grid_m=(60.0,))
         assert run_radar(cfg).records[0]["detection_rate"] == 1.0
-        assert passed == [1, 1, 1]
+        assert passed == [0, 1, 2]
 
     def test_cpi_calls_the_names_the_benchmark_traces(self, monkeypatch):
         # bench/spans.py times delay refinement and the Doppler phases by
@@ -1254,19 +1251,19 @@ class TestRadarRegression:
 
     def test_no_detection_trial_draws_no_gated_outputs(self, monkeypatch):
         # A CPI whose clusters match no target returns after scoring: the
-        # gated outputs' draw (rest, the trial's last) never forms its Gram.
+        # block's gated draw (the trial's last draw) never forms its Gram.
         # The pinned run detects in 16 of its 24 CPIs (6, 6, 4 and 0 at 30,
         # 60, 120 and 200 m) and keeps the records of every CPI drawing them.
         grams = []
         gram = channel._codeword_gram
 
-        def counting(*args):
-            grams.append(args)
-            return gram(*args)
+        def counting(x, *args):
+            grams.append(len(x))
+            return gram(x, *args)
 
         monkeypatch.setattr(channel, "_codeword_gram", counting)
         self.assert_records(run_radar(self.scene()).records, REDUCED_SCENE_RECORDS)
-        assert len(grams) == 16
+        assert sum(grams) == 16
 
     def test_worker_count_does_not_change_radar_output(self, monkeypatch):
         # One trial past a block: a full block and a one-trial block a point.
@@ -1297,6 +1294,66 @@ class TestRadarBlocks:
             for d, e in zip(got, want):
                 for key in ("range_m", "velocity_mps", "angle_deg", "statistic", "threshold"):
                     assert d[key] == pytest.approx(e[key], rel=1e-12, abs=1e-12)
+
+    def test_gram_chunk_changes_no_output(self, monkeypatch):
+        # Two targets at 115 and 130 m: of the block's 16 trials one detects
+        # neither, 11 one and 4 both.  The gated draw groups them by
+        # detection count and forms their Grams _GRAM_CHUNK trials a pass;
+        # one trial a pass and the whole block at once write the same bytes.
+        cfg = dataclasses.replace(
+            load_config(SCENE),
+            trials=simulate._RADAR_BLOCK,
+            range_grid_m=(),
+            targets=(TargetSpec(115.0, 15.0, 0.9), TargetSpec(130.0, -8.0, -0.4)),
+        )
+        counts = []
+        receive = simulate.receive_radar
+
+        def spy(*args):
+            combined, draw = receive(*args)
+
+            def counted(rows, lags, values):
+                counts.append(sorted(np.unique(rows, return_counts=True)[1].tolist()))
+                return draw(rows, lags, values)
+
+            return combined, counted
+
+        monkeypatch.setattr(simulate, "receive_radar", spy)
+        base = run_radar(cfg).to_json()
+        assert counts == [[1] * 11 + [2] * 4]
+        for chunk in (1, simulate._RADAR_BLOCK):
+            monkeypatch.setattr(simulate, "_GRAM_CHUNK", chunk)
+            assert run_radar(cfg).to_json() == base
+
+    def test_trials_without_detection_encode_no_later_frames(self, monkeypatch):
+        # At 120 m three of six CPIs detect, at 200 m none: each block encodes
+        # frame 0 of its six trials, and frames 1..15 of only the trials that
+        # reach the gated draw, in one call.
+        encoded, reached = [], []
+        encode = simulate.encode_batch
+        receive = simulate.receive_radar
+
+        def spy_encode(msgs, params):
+            encoded.append(len(msgs))
+            return encode(msgs, params)
+
+        def spy_receive(*args):
+            combined, draw = receive(*args)
+
+            def spied(rows, lags, values):
+                reached.append(len(np.unique(rows)))
+                return draw(rows, lags, values)
+
+            return combined, spied
+
+        monkeypatch.setattr(simulate, "encode_batch", spy_encode)
+        monkeypatch.setattr(simulate, "receive_radar", spy_receive)
+        monkeypatch.setenv("MOCZSIM_THREADS", "1")
+        cfg = dataclasses.replace(load_config(SCENE), trials=6, range_grid_m=(120.0, 200.0))
+        rates = [rec["detection_rate"] for rec in run_radar(cfg).records]
+        assert rates == [0.5, 0.0]
+        assert reached == [3]
+        assert encoded == [6, 3 * 15, 6]
 
     def test_intervals_are_the_closed_forms(self):
         # configs/scene.json at 6 trials (REDUCED_SCENE_RECORDS): detection
