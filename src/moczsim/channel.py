@@ -308,16 +308,18 @@ def _lag_spectrum(kernels, length: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _gram_side(n: int, length: int, shift_samples: float, delta: float):
-    # Column a's factors of the Gram entries <u_a, u_b> on frames of n
-    # samples, for a column a at shift_samples and a column b whose Doppler
-    # is delta / (2 pi) cycles per sample above a's: with alpha[q] =
-    # e^{i delta q} conj(h_a[q]), the spectrum conj(fft(conj(alpha))), the
-    # M-point spectrum conj(fft_M(conj(beta))) of its wrap tail beta[s] =
-    # alpha[n - s] (1 <= s < length), the ramp e^{i delta m} on m < length,
-    # zero on the rest of the M points, and the wrap jump e^{-i delta n} - 1.
+def _gram_side(n: int, length: int, delay: float, doppler: float):
+    # A target's factors of its cross-Gram entries with the kernels on
+    # frames of n samples, for a target at ``delay`` samples whose Doppler
+    # is ``doppler`` cycles per sample, so delta = -2 pi doppler is a
+    # kernel's Doppler above it: with alpha[q] = e^{i delta q} conj(h[q]),
+    # the spectrum conj(fft(conj(alpha))), the M-point spectrum
+    # conj(fft_M(conj(beta))) of its wrap tail beta[s] = alpha[n - s]
+    # (1 <= s < length), the ramp e^{i delta m} on m < length, zero on the
+    # rest of the M points, and the wrap jump e^{-i delta n} - 1.
+    delta = -2.0 * np.pi * doppler
     ramp = np.exp(1j * delta * np.arange(n))
-    alpha = ramp * np.conj(np.fft.ifft(_delay_ramp(n, shift_samples)))
+    alpha = ramp * np.conj(np.fft.ifft(_delay_ramp(n, delay)))
     spectrum = np.conj(np.fft.fft(np.conj(alpha)))
     tail = np.zeros(_lag_size(length), dtype=complex)
     tail[1:length] = np.conj(alpha[n - 1 : n - length : -1])
@@ -327,82 +329,66 @@ def _gram_side(n: int, length: int, shift_samples: float, delta: float):
     return (*_read_only(spectrum, np.conj(np.fft.fft(tail)), head), jump)
 
 
-def _codeword_gram(x, n: int, targets, lags) -> np.ndarray:
-    """The (B, F, C, C) Grams A_f^H A_f of the C = T + D columns u_c of
-    every frame of B trials, computed from their (B, F, L) codewords ``x``
-    alone.
+# Trials per pass of ``_codeword_gram`` and the kernels' Gram in the gated
+# draw.  16 one-detection scene.json trials (2-core Xeon, 1 thread, best of
+# 15) took 7.3 ms one trial a pass, 5.9 ms two, 5.0 ms four, 5.8 ms eight
+# and 6.2 ms all 16, whose (16, 16, 256) spectra spill L2; a 16-trial block
+# at 30 m peaks at 1.07, 1.67 and 4.21 MB traced at one, four and 16.
+_GRAM_CHUNK = 4
 
-    The columns are the T targets' delayed, Doppler-ramped waveforms on
-    frames of n samples, then a trial's D kernels (its codeword delayed by
-    each of its ``lags``, (B, D)): u_c[k] = e^{2i pi nu_c k} (h_c * x_f)[k]
-    with h_c the circular band-limited delay by s_c and nu_c the Doppler in
-    cycles per sample (0 for a kernel).  An entry is the codeword's
-    aperiodic autocorrelation, Doppler-shifted and read through a
-    band-limited kernel, so it is formed in the lag domain.  For a < b,
-    with Delta = 2 pi (nu_b - nu_a), u[m] = conj(x_f[m]) e^{i Delta m},
-    M = ``_lag_size(L)`` and alpha as in ``_gram_side``,
-    G_f[a, b] = sum_k U X~ g_ab + (e^{-i Delta n} - 1) sum_k W X~ k_b,
+
+def _codeword_gram(x, n: int, targets, kernels) -> np.ndarray:
+    """The (B, F, D, T) cross-Grams k_d^H u_q of every frame of B trials,
+    computed from their (B, F, L) codewords ``x`` alone.
+
+    u_q[k] = e^{2i pi nu_q k} (h_q * x_f)[k] is target q's delayed,
+    Doppler-ramped waveform on frames of n samples, h_q the circular
+    band-limited delay by its delay and nu_q its Doppler in cycles per
+    sample, and k_d = h_d * x_f a trial's kernel d, its codeword delayed by
+    a lag, whose delay spectrum H_d is ``kernels`` (B, D, n).  An entry is
+    the codeword's aperiodic autocorrelation, Doppler-shifted and read
+    through a band-limited kernel, so it is formed in the lag domain.  With
+    Delta = -2 pi nu_q, u[m] = conj(x_f[m]) e^{i Delta m}, M =
+    ``_lag_size(L)`` and alpha as in ``_gram_side``,
+    conj(k_d^H u_q) = sum_k U X~ g_qd + (e^{-i Delta n} - 1) sum_k W X~ k_d,
     where U = fft_M(u), X~ = conj(fft_M(conj x_f)), W = fft_M(w) with
-    w[j] = sum_{s>=1} u[j + s] alpha[n - s] (j < L), and g_ab and k_b are
-    the ``_lag_spectrum`` of ifft(H_b conj(fft(conj alpha))) and of h_b.
+    w[j] = sum_{s>=1} u[j + s] alpha[n - s] (j < L), and g_qd and k_d are
+    the ``_lag_spectrum`` of ifft(H_d conj(fft(conj alpha))) and of h_d.
     The second term is the Doppler ramp's jump where the circular delay
-    wraps past sample n - 1; it vanishes when Delta = 0.  The diagonal is
-    ||x_f||^2, as a band-limited circular delay is unitary.  What depends
-    only on the targets is cached; the lags are not.
+    wraps past sample n - 1; it vanishes at zero Doppler.  What depends
+    only on the targets is cached; the kernels are not.
     """
     length = x.shape[-1]
     m = _lag_size(length)
-    t = len(targets)
-    size = t + lags.shape[-1]
-    spectra = np.empty((len(x), size, n), dtype=complex)  # every column's H_c
-    for q, tg in enumerate(targets):
-        spectra[:, q] = _target_ramps(n, tg.delay, tg.doppler)[0]
-    spectra[:, t:] = np.moveaxis(_delay_ramp(n, lags), 0, -1)
-    cycles = [tg.doppler for tg in targets] + [0.0] * (size - t)
-    gram = np.empty(x.shape[:-1] + (size, size), dtype=complex)
-    gram[..., range(size), range(size)] = np.einsum("...m,...m->...", x.conj(), x).real[..., None]
+    cross = np.empty(x.shape[:-1] + (kernels.shape[1], len(targets)), dtype=complex)
     # X~ and U in two M-point buffers, each transformed in place.
     xt = np.zeros(x.shape[:-1] + (m,), dtype=complex)
     xt[..., :length] = x
     np.fft.fft(np.conj(xt, out=xt), out=xt)
     np.conj(xt, out=xt)
     u = np.empty_like(xt)
-    for a in range(size - 1):
-        # The columns b > a, in runs of one Doppler above a's: each later
-        # target alone, then the kernels.
-        runs = [slice(b, b + 1) for b in range(a + 1, t)] + [slice(max(a + 1, t), size)]
-        for cols in runs:
-            if cols.start == cols.stop:
-                continue
-            if a < t:
-                delta = 2.0 * np.pi * (cycles[cols.start] - cycles[a])
-                side, tail, ramp, jump = _gram_side(n, length, targets[a].delay, delta)
-                u[..., :length] = x
-                u[..., length:] = 0.0
-                np.conj(u, out=u)
-                u *= ramp
-                np.fft.fft(u, out=u)
-            else:  # two kernels: no Doppler between them
-                side, jump = spectra[:, a, None].conj(), 0.0
-                np.conj(xt, out=u)
-            kernels = _lag_spectrum(np.fft.ifft(spectra[:, cols] * side), length)
-            block = np.einsum("...fk,...fk,...ck->...fc", xt, u, kernels)
-            if jump != 0:
-                # W X~ in U's buffer: w is the head of ifft_M(U tail).
-                u *= tail
-                np.fft.ifft(u, out=u)[..., length:] = 0.0
-                np.fft.fft(u, out=u)
-                u *= xt
-                heads = _lag_spectrum(np.fft.ifft(spectra[:, cols]), length)
-                block += jump * (u @ heads.swapaxes(-1, -2))
-            gram[..., a, cols] = block
-            gram[..., cols, a] = block.conj()
-    return gram
+    for q, tg in enumerate(targets):
+        side, tail, ramp, jump = _gram_side(n, length, tg.delay, tg.doppler)
+        u[..., :length] = x
+        u[..., length:] = 0.0
+        np.conj(u, out=u)
+        u *= ramp
+        np.fft.fft(u, out=u)
+        lagged = _lag_spectrum(np.fft.ifft(kernels * side), length)
+        block = np.einsum("...fk,...fk,...ck->...fc", xt, u, lagged)
+        if jump != 0:
+            # W X~ in U's buffer: w is the head of ifft_M(U tail).
+            u *= tail
+            np.fft.ifft(u, out=u)[..., length:] = 0.0
+            np.fft.fft(u, out=u)
+            u *= xt
+            heads = _lag_spectrum(np.fft.ifft(kernels), length)
+            block += jump * (u @ heads.swapaxes(-1, -2))
+        np.conj(block, out=cross[..., q])
+    return cross
 
 
-def receive_radar(
-    first, later, targets, bf: Beamformer, frame_len, start, noise_variance, rngs, chunk
-):
+def receive_radar(first, later, targets, bf: Beamformer, frame_len, start, noise_variance, rngs):
     """What the receiver reads of the RF-chain blocks y = S + W of B trials' CPIs of F frames.
 
     ``first`` is the (B, L) transmitted frame 0 of each trial and
@@ -411,31 +397,33 @@ def receive_radar(
     differ only in their gains; ``bf``, ``frame_len`` and the (F,) frame
     ``start`` are those of ``apply_radar_channel``, then s2 =
     ``noise_variance`` of W and ``rngs``, one generator per trial, from
-    which that trial's W is drawn; ``chunk`` is the trials per Gram pass.
+    which that trial's W is drawn.  Every frame of a trial must have frame
+    0's power spectrum |X_0|^2, as BMOCZ codewords of one amplitude do.
     Returns the trials' frame-0 combined rows c^H y_0 (B, N) and
     ``draw(rows, lags, values)``, to call once after detection on all of
     them.  ``draw`` returns the gated beam outputs (P, F, N_rf) of P
     detections, each the block row ``rows[p]`` and refined lag ``lags[p]``:
-    the values <(Q^H y_f)_i, k_f> of every row i of every frame f in the
-    basis Q = [c, B] (k_f: frame f of the trial's transmitted frames
+    the values z = <(Q^H y_f)_i, k_f> of every row i of every frame f in
+    the basis Q = [c, B] (k_f: frame f of the trial's transmitted frames
     delayed by the lag, as ``correlation_value_at`` reads it off the
     cross-spectrum), exactly in distribution; frame 0's row 0 is
     ``values[p]``, the value that the receiver read off the combined row.
 
     The combined rows are formed for the whole block at once, and each
     trial's noise is drawn from its own generator, as for a block of one.
-    Each target's signal is rank one per frame, so the rows of frame f are
-    drawn as their coordinates on a basis of span{T waveforms, D kernels
-    k_fj} of the trial's D detections: the projected signal plus CN(0, s2)
-    noise.  The lags depend only on frame 0's row 0, whose noise is
-    independent of every other row's, so the draw stays exact.  ``draw``
-    reads ``later`` once, for the trials in ``rows`` alone, and forms no
-    waveform or spectrum of a frame: ``_codeword_gram`` gives the Gram G_f
-    of each span from the codewords, ``chunk`` trials of one detection
-    count at a time, and R_f = diag(sqrt(lambda)) V^H from one stacked
-    eigendecomposition, with R_f^H R_f = G_f, stands for the triangular
-    factor.  Eigenvalues within rounding of zero (at most C eps lambda_max)
-    are zero, so the draw stays exact also when a span has lower rank.
+    The gated outputs of a trial's D detections are linear in y_f: each
+    target's signal is rank one per frame, so z is the cross-Gram k_d^H u_q
+    times the target's coordinates, plus CN(0, s2 G) noise on every row of
+    every frame, G[d, e] = k_d^H k_e = (1/N) sum_f |X_0(f)|^2 conj(H_d(f))
+    H_e(f) the kernels' Gram, one per trial.  The lags depend only on frame
+    0's row 0, whose noise is independent of every other row's, so the draw
+    stays exact.  ``draw`` reads ``later`` once, for the trials in ``rows``
+    alone, and forms no waveform or spectrum of a later frame:
+    ``_codeword_gram`` gives the cross-Grams from the codewords,
+    ``_GRAM_CHUNK`` trials of one detection count at a time, and G = C C^H
+    with C = V diag(sqrt(lambda)) from one stacked eigendecomposition.
+    Eigenvalues within rounding of zero (at most D eps lambda_max) are
+    zero, so the draw stays exact also when two detections share a lag.
     """
     first = np.asarray(first, dtype=complex)
     n = int(frame_len)
@@ -444,10 +432,14 @@ def receive_radar(
         raise ValueError("the trials of a block must share each target's angle, delay and Doppler")
     start = np.asarray(start, dtype=float)
     coords = _target_gains(targets, bf, start) @ bf.basis.conj()  # (B, F, T, N_rf): Q^H of gains
+    spectrum = _padded_spectrum(first, n)
     # Frame 0's (B, T, N) waveforms, released once their combination is formed.
-    signal = coords[:, :1, :, 0] @ _delayed_waveforms(_padded_spectrum(first, n), targets[0])
+    signal = coords[:, :1, :, 0] @ _delayed_waveforms(spectrum, targets[0])
+    power = np.abs(spectrum)  # frame 0's power spectrum, every frame's
+    power **= 2
+    del spectrum
     combined = awgn(signal[:, 0], noise_variance, rngs)
-    t = len(targets[0])
+    n_rf = bf.basis.shape[0]
 
     def draw(rows, lags, values):
         rows = np.asarray(rows, dtype=int)
@@ -457,21 +449,27 @@ def receive_radar(
         trials = np.flatnonzero(counts)  # the block rows that reach the draw
         counts = counts[trials]
         frames = later(trials)
-        gated = np.empty((len(rows), len(start), bf.basis.shape[0]), dtype=complex)
+        gated = np.empty((len(rows), len(start), n_rf), dtype=complex)
         for d in sorted(set(counts.tolist())):  # the trials with d detections
             group = np.flatnonzero(counts == d)
             members = trials[group]
             dets = np.array([np.flatnonzero(rows == b) for b in members])  # (G, d)
-            gram = np.empty((len(group), len(start), t + d, t + d), dtype=complex)
-            for i in range(0, len(group), chunk):
-                part = slice(i, i + chunk)
+            cross = np.empty((len(group), len(start), d, len(targets[0])), dtype=complex)
+            gram = np.empty((len(group), d, d), dtype=complex)
+            for i in range(0, len(group), _GRAM_CHUNK):
+                part = slice(i, i + _GRAM_CHUNK)
                 x = np.concatenate([first[members[part], None], frames[group[part]]], axis=1)
-                gram[part] = _codeword_gram(x, n, targets[0], lags[dets[part]])
+                # Each H_d in C order, so that no product's rounding depends on the chunk.
+                kernels = np.moveaxis(_delay_ramp(n, lags[dets[part]]), 0, -1).copy()
+                cross[part] = _codeword_gram(x, n, targets[0], kernels)
+                gram[part] = (kernels.conj() * power[members[part], None]) @ kernels.swapaxes(-1, -2)
+            gram /= n  # sum_f P conj(H_d) H_e / N
             lam, vecs = np.linalg.eigh(gram)
-            lam[lam <= (t + d) * np.finfo(float).eps * lam[..., -1:]] = 0.0
-            r = np.sqrt(lam)[..., None] * vecs.conj().swapaxes(-1, -2)
-            noisy = awgn(r[..., :t] @ coords[members], noise_variance, [rngs[b] for b in members])
-            out = r[..., t:].conj().swapaxes(-1, -2) @ noisy  # (G, F, d, N_rf)
+            lam[lam <= d * np.finfo(float).eps * lam[..., -1:]] = 0.0
+            factor = vecs * np.sqrt(lam)[..., None, :]  # C (G, d, d), C C^H = G
+            noise = np.zeros((len(group), len(start), d, n_rf), dtype=complex)
+            noise = awgn(noise, noise_variance, [rngs[b] for b in members])
+            out = cross @ coords[members] + factor[:, None] @ noise  # (G, F, d, N_rf)
             out[:, 0, :, 0] = values[dets]
             gated[dets] = out.swapaxes(1, 2)
         return gated

@@ -80,14 +80,10 @@ _RICIAN_FACTOR = 10.0
 # Packets per BER block stream (messages, fade and noise), and per pass
 # through the BER chain, and blocks per BER task; cells per CFAR chunk
 # stream, and chunks per CFAR task; radar trials (CPIs) per task, each
-# with its own stream, and trials per Gram pass of the block's gated draw.
-# 16 one-detection scene.json Grams (2-core Xeon, 1 thread, best of 15)
-# took 4.2 ms one trial a pass, 3.3 ms two, 3.1 ms four, 3.2 ms eight and
-# 3.6 ms all 16, whose (16, 16, 256) spectra spill L2; a 16-trial block
-# at 30 m peaks at 0.95, 1.67 and 4.36 MB traced at one, four and 16.
+# with its own stream.
 _BER_BLOCK, _BER_TASK = 128, 32
 _CFAR_CHUNK, _CFAR_TASK = 65_536, 16
-_RADAR_BLOCK, _GRAM_CHUNK = 16, 4
+_RADAR_BLOCK = 16
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -669,14 +665,16 @@ def _radar_block(
     The receiver reads the RF chains of frames 0..F-1 only at the delays
     detected on frame 0's combined row, so ``receive_radar`` draws those
     gated beam outputs after detection, exactly in distribution, in one
-    draw for the block, ``_GRAM_CHUNK`` trials a Gram pass, and not at all
-    for a trial with no cluster that matches a target: only the trials
-    that reach the draw encode frames 1..F-1.  The Doppler
-    phases are the combined row's outputs; each detected cell's angle is
-    that of the one source that MUSIC finds in its own covariance,
-    sum_f y_f y_f^H over its F gated outputs y_f, so the receiver reads no
-    ground truth.  Two targets in one cell share that cell and its one
-    angle.
+    draw for the block, and not at all for a trial with no cluster that
+    matches a target: only the trials that reach the draw encode frames
+    1..F-1.  Each detection's outputs are the cross-Gram of its kernel and
+    the targets' waveforms times the targets' coordinates, plus noise on
+    the Gram of the trial's kernels, which BMOCZ's one autocorrelation
+    makes the same in every frame.  The Doppler phases are the combined
+    row's outputs; each detected cell's angle is that of the one source
+    that MUSIC finds in its own covariance, sum_f y_f y_f^H over its F
+    gated outputs y_f, so the receiver reads no ground truth.  Two targets
+    in one cell share that cell and its one angle.
 
     Returns the count of CFAR cells more than two cells from every target
     over the block's trials; the sample records of its first trial, one per
@@ -724,7 +722,7 @@ def _radar_block(
         return frames.reshape(len(rows), n_frames - 1, params.seq_len)
 
     combined, draw = receive_radar(
-        amp * references, later, targets, bf, n, starts, link.noise_variance, rngs, _GRAM_CHUNK
+        amp * references, later, targets, bf, n, starts, link.noise_variance, rngs
     )
     spectra = cross_spectrum(references, combined)
     # Each block-sized array goes once the next stage has read it, which

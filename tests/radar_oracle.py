@@ -15,11 +15,10 @@ from moczsim.channel import apply_radar_channel, awgn
 from moczsim.radar import correlation_value_at, cross_spectrum
 
 
-def receive_radar(first, later, targets, bf, frame_len, start, noise_variance, rngs, chunk):
+def receive_radar(first, later, targets, bf, frame_len, start, noise_variance, rngs):
     """``(combined rows of frame 0, draw)`` of B trials' noisy (F, N_rf, N)
     blocks, with the arguments and results of ``channel.receive_radar``:
-    each trial is received on its own, as a block of one (``chunk`` is not
-    read)."""
+    each trial is received on its own, as a block of one."""
     trials = [
         receive_trial(x, trial_targets, bf, frame_len, start, noise_variance, rng)
         for x, trial_targets, rng in zip(first, targets, rngs)

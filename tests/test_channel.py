@@ -25,7 +25,7 @@ from moczsim import (
     radar_gain,
     steering,
 )
-from moczsim.channel import _codeword_gram
+from moczsim.channel import _codeword_gram, _delay_ramp
 from moczsim.simulate import _SELECTIVE_TAP_POWERS, _fade_batch, _fade_taps
 from fade_oracle import fade_samples
 
@@ -330,15 +330,18 @@ GRAM_CASES = {
 
 @pytest.mark.parametrize("case", list(GRAM_CASES))
 def test_codeword_gram_equals_the_gram_of_the_formed_columns(case):
+    # The (D, T) block k^H u of A_f^H A_f: the kernels' rows, the targets' columns.
     k, n, frames, targets, lags = GRAM_CASES[case]
     lags = np.asarray(lags, dtype=float)
     rng = np.random.default_rng(len(case))
     msgs = rng.integers(0, 2, (len(lags) * frames, k), dtype=np.int8)
     x = 6.0 * encode_batch(msgs, ModulationParams(k)).reshape(len(lags), frames, k + 1)
-    got = _codeword_gram(x, n, targets, lags)
-    want = gram_oracle(x, n, targets, lags)
-    assert got.shape == want.shape == (len(lags), frames) + (len(targets) + lags.shape[1],) * 2
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    got = _codeword_gram(x, n, targets, np.moveaxis(_delay_ramp(n, lags), 0, -1))
+    t = len(targets)
+    want = gram_oracle(x, n, targets, lags)[..., t:, :t]
+    assert got.shape == want.shape == (len(lags), frames, lags.shape[1], t)
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
 
 
 class TestNoise:

@@ -222,6 +222,22 @@ class TestAutocorrelation:
             a = autocorrelation(encode(bits, p))
             assert np.max(np.abs(a - want)) < 1e-9
 
+    @pytest.mark.parametrize("k", [7, 31, 127, 511])
+    @pytest.mark.parametrize("size", ["L", "2K+1", "1024"])
+    def test_every_codeword_has_one_power_spectrum(self, k, size):
+        # The transform of the autocorrelation: |fft_N(x)|^2 =
+        # 1 - 2 eta cos(2 pi K k / N) on any N >= L for every message, so
+        # all frames of a CPI share one power spectrum and the radar's
+        # kernels one Gram.  At N = L the lags +-K alias to -+1 modulo N.
+        # The encoder's rounding grows with K: 16 messages at K = 511 read
+        # 0.9e-12 to 1.02e-12 over 40 seeds, so the bound is 4e-15 L.
+        p = ModulationParams(k)
+        n = {"L": k + 1, "2K+1": 2 * k + 1, "1024": 1024}[size]
+        msgs = np.random.default_rng(k + n).integers(0, 2, (16, k))
+        power = np.abs(np.fft.fft(encode_batch(msgs, p), n, axis=1)) ** 2
+        want = 1.0 - 2.0 * p.side_peak * np.cos(2.0 * np.pi * k * np.arange(n) / n)
+        assert np.max(np.abs(power - want)) <= 4e-15 * (k + 1)
+
     @pytest.mark.parametrize("k", [11, 12])
     def test_sampled_huffman_pattern_above_exhaustive_reach(self, k):
         p = ModulationParams(k)

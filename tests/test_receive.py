@@ -7,10 +7,11 @@ the block, adds noise to every entry and reads them off it.  On a small CPI
 (N=16, F=3, T=1, N_rf=4), where the projected noise, the signal coordinates
 and the kernels each move a feature, the two must agree exactly without
 noise, with no lag (D = 0), one, two, or one lag twice (two targets in one
-cell), and in distribution with noise.  The two-sample tests use numpy
+cell), and in distribution with noise, also for two lags K apart, whose
+noise the codeword's side peak correlates.  The two-sample tests use numpy
 only.  At scene size (N=1024, L=128) the noiseless draw is also checked
-where the frames' Gram has its edge cases: a delayed codeword that wraps
-past the frame end under Doppler, a rank-deficient span, L = N and F = 1.
+where the cross-Gram has its edge cases: a delayed codeword that wraps
+past the frame end under Doppler, a kernel on the waveform, L = N and F = 1.
 """
 
 import numpy as np
@@ -20,8 +21,9 @@ import radar_oracle
 from moczsim import ArrayConfig, ModulationParams, RadarTarget, cross_spectrum, encode_batch
 from moczsim import correlation_value_at
 from moczsim import make_beamformers
+from moczsim import channel
 from moczsim.channel import receive_radar
-from moczsim.simulate import _GRAM_CHUNK, _RADAR_BLOCK
+from moczsim.simulate import _RADAR_BLOCK
 
 FRAMES, FRAME_LEN, K = 3, 16, 7
 BF = make_beamformers((-0.3, 0.3), ArrayConfig(8, 4))
@@ -44,7 +46,7 @@ def receive(fn, targets, noise_variance, rng, lags, tx=TX, frame_len=FRAME_LEN):
     combined row as ``simulate`` reads it."""
     starts = np.arange(len(tx)) * frame_len
     [combined], draw = fn(
-        tx[None, 0], later_of(tx[None]), [targets], BF, frame_len, starts, noise_variance, [rng], 1
+        tx[None, 0], later_of(tx[None]), [targets], BF, frame_len, starts, noise_variance, [rng]
     )
     values = correlation_value_at(cross_spectrum(tx[0], combined), lags)
     return combined, draw(np.zeros(len(lags), dtype=int), lags, values).swapaxes(0, 1)
@@ -92,7 +94,7 @@ def test_frame_zero_row_zero_is_the_passed_values(lags):
     # row 0 unchanged, so the Doppler phases and the CFAR read one draw.
     starts = np.arange(FRAMES) * FRAME_LEN
     args = (TX[None, 0], later_of(TX[None]), [[TARGET]], BF, FRAME_LEN, starts, 1.0)
-    [combined], draw = receive_radar(*args, [np.random.default_rng(5)], 1)
+    [combined], draw = receive_radar(*args, [np.random.default_rng(5)])
     values = correlation_value_at(cross_spectrum(TX[0], combined), lags)
     gated = draw(np.zeros(len(lags), dtype=int), lags, values)
     assert gated.shape == (len(lags), FRAMES, 4)
@@ -193,6 +195,28 @@ def test_frame_zero_cfar_power_has_one_distribution(samples):
     assert np.max(np.abs(cdf[0] - cdf[1])) < 0.0629
 
 
+# Two lags K samples apart: each kernel meets the other at the codeword's
+# side peak, so the kernels' Gram has -eta, about 0.26 of its diagonal, off
+# the diagonal, and the two lags' noise is correlated in every row.
+SIDE_LAGS = [LAG, LAG + K]
+
+
+def side_products(fn, seed):
+    """Per draw: the real and imaginary parts of g_1 conj(g_2), the two
+    lags' gated outputs, of every frame and RF chain."""
+    prods = np.empty((DRAWS, FRAMES, 4), dtype=complex)
+    for i in range(DRAWS):
+        _, gated = receive(fn, [TARGET], 1.0, np.random.default_rng([seed, i]), SIDE_LAGS)
+        prods[i] = gated[:, 0] * gated[:, 1].conj()
+    flat = prods.reshape(DRAWS, -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def test_gated_outputs_of_lags_k_apart_correlate_as_the_block():
+    z = two_sample_z(side_products(receive_radar, 3), side_products(radar_oracle.receive_radar, 4))
+    assert np.max(np.abs(z)) < Z_LIMIT, np.round(z, 2)
+
+
 SCENE_FRAMES, SCENE_K = 4, 127
 SCENE_TX = 6.0 * encode_batch(
     np.random.default_rng(8).integers(0, 2, (SCENE_FRAMES, SCENE_K), dtype=np.int8),
@@ -236,7 +260,7 @@ def test_block_rows_equal_blocks_of_one():
     starts = np.arange(FRAMES) * FRAME_LEN
     combined, draw = receive_radar(
         tx[:, 0], later_of(tx), targets, BF, FRAME_LEN, starts, 1.0,
-        [np.random.default_rng([9, b]) for b in range(3)], 2,
+        [np.random.default_rng([9, b]) for b in range(3)],
     )
     assert combined.shape == (3, FRAME_LEN)
     values = correlation_value_at(cross_spectrum(tx[:, 0], combined), [[LAG]])[:, 0]
@@ -244,7 +268,7 @@ def test_block_rows_equal_blocks_of_one():
     for b in range(3):
         [alone], alone_draw = receive_radar(
             tx[b, None, 0], later_of(tx[b, None]), [targets[b]], BF, FRAME_LEN, starts, 1.0,
-            [np.random.default_rng([9, b])], 1,
+            [np.random.default_rng([9, b])],
         )
         scale = np.max(np.abs(alone))
         assert np.max(np.abs(combined[b] - alone)) <= 1e-12 * scale
@@ -252,7 +276,7 @@ def test_block_rows_equal_blocks_of_one():
         assert np.max(np.abs(got[b] - want[0])) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_two_target_block_equals_blocks_of_one():
+def test_two_target_block_equals_blocks_of_one(monkeypatch):
     # Two targets of different Doppler, and three trials that detect 0, 1
     # and 2 of them: the block groups its trials by detection count, yet
     # each trial's gated outputs are those of the trial received alone, and
@@ -269,6 +293,7 @@ def test_two_target_block_equals_blocks_of_one():
     rows, lags = np.array([1, 2, 2]), np.array([LAG, LAG, 9.4])
 
     def block(chunk):
+        monkeypatch.setattr(channel, "_GRAM_CHUNK", chunk)
         read = []
 
         def later(trials):
@@ -276,16 +301,14 @@ def test_two_target_block_equals_blocks_of_one():
             return tx[trials, 1:]
 
         rngs = [np.random.default_rng([11, b]) for b in range(3)]
-        combined, draw = receive_radar(
-            tx[:, 0], later, targets, BF, FRAME_LEN, starts, 1.0, rngs, chunk
-        )
+        combined, draw = receive_radar(tx[:, 0], later, targets, BF, FRAME_LEN, starts, 1.0, rngs)
         values = correlation_value_at(cross_spectrum(tx[rows, 0], combined[rows]), lags[:, None])
         assert read == []
         gated = draw(rows, lags, values[:, 0])
         assert read == [[1, 2]]
         return combined, values[:, 0], gated
 
-    combined, values, gated = block(_GRAM_CHUNK)
+    combined, values, gated = block(channel._GRAM_CHUNK)
     assert gated.shape == (3, FRAMES, 4)
     for chunk in (1, _RADAR_BLOCK):
         assert block(chunk)[2].tobytes() == gated.tobytes()
@@ -293,7 +316,7 @@ def test_two_target_block_equals_blocks_of_one():
         mine = rows == b
         [alone], draw = receive_radar(
             tx[b, None, 0], later_of(tx[b, None]), [targets[b]], BF, FRAME_LEN, starts, 1.0,
-            [np.random.default_rng([11, b])], 1,
+            [np.random.default_rng([11, b])],
         )
         assert np.max(np.abs(combined[b] - alone)) <= 1e-12 * np.max(np.abs(alone))
         want = draw(np.zeros(mine.sum(), dtype=int), lags[mine], values[mine])
@@ -306,5 +329,5 @@ def test_block_trials_must_share_the_targets_geometry():
         receive_radar(
             np.stack([TX[0], TX[0]]), later_of(np.stack([TX, TX])), [[TARGET], [moved]], BF,
             FRAME_LEN, np.arange(FRAMES) * FRAME_LEN, 1.0,
-            [np.random.default_rng(b) for b in range(2)], 1,
+            [np.random.default_rng(b) for b in range(2)],
         )

@@ -1206,16 +1206,17 @@ SCENE_RECORDS = (
 
 # The same run with the CPI's reduced receive draw (channel.receive_radar),
 # which draws frame 0's combined row as the full block does and, after
-# detection, every frame's gated beam outputs on factors of their spans'
-# Grams formed from the codewords.  Detection, false alarms and range come
-# from frame 0's combined row alone.
+# detection, every frame's gated beam outputs as the kernels' cross-Grams
+# with the targets' waveforms, formed from the codewords, times the
+# targets' coordinates, plus noise on a factor of the kernels' Gram.
+# Detection, false alarms and range come from frame 0's combined row alone.
 REDUCED_SCENE_RECORDS = (
-    (30.0, 1.0, 0.005238914835913797, 0.02097427427040787, 0.0703583552615557,
+    (30.0, 1.0, 0.005238914835913797, 0.024591823341924918, 0.07030463391593957,
      0.0021158854166666665),
-    (60.0, 1.0, 0.020053577793617987, 0.11015518486574385, 0.06894836748355816,
+    (60.0, 1.0, 0.020053577793617987, 0.0581445680516269, 0.06767048370094499,
      0.0011393229166666667),
-    (120.0, 0.6666666666666666, 0.16766086519308177, 0.31668732087666196,
-     0.0776386147824298, 0.0),
+    (120.0, 0.6666666666666666, 0.16766086519308177, 0.2657997565142492,
+     0.07547557773462944, 0.0),
     (200.0, 0.0, math.nan, math.nan, math.nan, 0.00016276041666666666),
 )
 
@@ -1322,7 +1323,7 @@ class TestRadarBlocks:
         base = run_radar(cfg).to_json()
         assert counts == [[1] * 11 + [2] * 4]
         for chunk in (1, simulate._RADAR_BLOCK):
-            monkeypatch.setattr(simulate, "_GRAM_CHUNK", chunk)
+            monkeypatch.setattr(channel, "_GRAM_CHUNK", chunk)
             assert run_radar(cfg).to_json() == base
 
     def test_trials_without_detection_encode_no_later_frames(self, monkeypatch):
